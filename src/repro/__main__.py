@@ -3,35 +3,29 @@
 Usage::
 
     python -m repro list
-    python -m repro table5
-    python -m repro barrier
     python -m repro fig06 --workloads PR LR --scale 0.5
-    python -m repro fig07 --scale 0.5
-    python -m repro fig08 --workloads SVM
-    python -m repro fig09a
-    python -m repro fig09b
-    python -m repro fig10 --workloads PR BFS
-    python -m repro fig11a
-    python -m repro fig11b
     python -m repro fig12 --panel spark-mo
-    python -m repro fig13a
-    python -m repro gcscale --scale 0.4
-    python -m repro chaoskill --scale 0.5
-    python -m repro phoenix --scale 0.5
+    python -m repro gcscale --smoke
+    python -m repro phoenix --csv-out phoenix.csv --trace-out phoenix.json
+
+Figures and tables take ``--workloads``, ``--scale`` and ``--panel``.
+The gated experiments run on the experiment harness (``--smoke`` picks
+the small matrix; exit 1 on digest drift or a failed check), and those
+with an exporter take ``--csv-out``/``--trace-out``.  Every experiment
+takes ``--faults SEED`` (with ``--fault-rate``), ``--fault-seed`` and
+``--audit``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, Dict
 
 from . import faults as faults_mod
 from .faults.plan import FaultConfig
 from .experiments import (
     barrier,
-    bench,
-    brownout,
-    chaoskill,
     fig06,
     fig07,
     fig08,
@@ -40,68 +34,74 @@ from .experiments import (
     fig11,
     fig12,
     fig13,
-    gc_scaling,
-    phoenix,
-    serverscale,
-    streamscale,
+    harness,
     table5,
 )
 
-EXPERIMENTS = [
-    "table5",
-    "barrier",
-    "fig06",
-    "fig07",
-    "fig08",
-    "fig09a",
-    "fig09b",
-    "fig10",
-    "fig11a",
-    "fig11b",
-    "fig12",
-    "fig13a",
-    "fig13b",
-    "gcscale",
-    "chaoskill",
-    "brownout",
-    "phoenix",
-    "streamscale",
-    "serverscale",
-    "bench",
-]
+
+def _fig06(args: argparse.Namespace) -> str:
+    text = fig06.format_results(
+        fig06.run_spark(workloads=args.workloads, scale=args.scale)
+    )
+    if not args.workloads:
+        text += "\n" + fig06.format_results(fig06.run_giraph())
+    return text
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro", description="TeraHeap reproduction experiment runner"
-    )
-    parser.add_argument("experiment", choices=EXPERIMENTS + ["list"])
-    parser.add_argument(
-        "--workloads", nargs="*", default=None, help="subset of workloads"
-    )
-    parser.add_argument(
-        "--scale", type=float, default=1.0, help="iteration-count scale"
-    )
-    parser.add_argument(
-        "--panel",
-        default="spark-sd",
-        choices=["spark-sd", "spark-mo", "panthera"],
-        help="figure 12 panel",
-    )
-    parser.add_argument(
+#: figure/table name -> report text for the parsed arguments
+FIGURES: Dict[str, Callable[[argparse.Namespace], str]] = {
+    "table5": lambda a: table5.format_results(table5.run()),
+    "barrier": lambda a: barrier.format_result(barrier.run()),
+    "fig06": _fig06,
+    "fig07": lambda a: fig07.format_results(fig07.run(scale=a.scale)),
+    "fig08": lambda a: fig08.format_results(
+        fig08.run(workloads=a.workloads, scale=a.scale)
+    ),
+    "fig09a": lambda a: fig09.format_pairs(
+        fig09.run_hint_ablation(a.workloads)
+    ),
+    "fig09b": lambda a: fig09.format_pairs(
+        fig09.run_low_threshold_ablation()
+    ),
+    "fig10": lambda a: fig10.format_results(fig10.run(workloads=a.workloads)),
+    "fig11a": lambda a: fig11.format_card_sweep(
+        fig11.run_card_segment_sweep(workloads=a.workloads)
+    ),
+    "fig11b": lambda a: fig11.format_phases(
+        fig11.run_major_phase_breakdown(workloads=a.workloads)
+    ),
+    "fig12": lambda a: fig12.format_pairs(
+        fig12.run_panel(a.panel, workloads=a.workloads, scale=a.scale)
+    ),
+    "fig13a": lambda a: fig13.format_thread_scaling(
+        fig13.run_thread_scaling(scale=a.scale)
+    ),
+    "fig13b": lambda a: fig13.format_dataset_scaling(
+        fig13.run_dataset_scaling(scale=a.scale)
+    ),
+}
+
+#: gated experiment name -> harness spec
+GATED = harness.specs()
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
         "--faults",
         type=int,
         default=None,
         metavar="SEED",
         help="inject deterministic H2 faults with this seed",
     )
-    parser.add_argument(
+    common.add_argument(
         "--fault-rate",
         type=float,
-        default=0.01,
-        help="per-operation fault probability (with --faults)",
+        default=None,
+        help="per-operation fault probability (needs --faults; "
+        "default 0.01)",
     )
-    parser.add_argument(
+    common.add_argument(
         "--fault-seed",
         type=int,
         default=None,
@@ -109,20 +109,65 @@ def main(argv=None) -> int:
         help="decouple the fault/crash schedule from the workload seed "
         "(default: derived from --faults)",
     )
-    parser.add_argument(
+    common.add_argument(
         "--audit",
         choices=["cheap", "full"],
         default=None,
         help="verify heap invariants after every GC cycle",
     )
+    figure = argparse.ArgumentParser(add_help=False)
+    figure.add_argument(
+        "--workloads", nargs="*", default=None, help="subset of workloads"
+    )
+    figure.add_argument(
+        "--scale", type=float, default=1.0, help="iteration-count scale"
+    )
+    figure.add_argument(
+        "--panel",
+        default="spark-sd",
+        choices=["spark-sd", "spark-mo", "panthera"],
+        help="figure 12 panel",
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="repro", description="TeraHeap reproduction experiment runner"
+    )
+    sub = parser.add_subparsers(
+        dest="experiment", required=True, metavar="experiment"
+    )
+    sub.add_parser("list", help="print every experiment name")
+    for name in FIGURES:
+        sub.add_parser(name, parents=[common, figure], help="paper result")
+    for name, spec in GATED.items():
+        gated = sub.add_parser(name, parents=[common], help=spec.description)
+        gated.add_argument(
+            "--smoke", action="store_true", help="the small CI matrix"
+        )
+        if spec.csv:
+            gated.add_argument(
+                "--csv-out", metavar="PATH", help="write the CSV artifact"
+            )
+        if spec.trace:
+            gated.add_argument(
+                "--trace-out",
+                metavar="PATH",
+                help="write the Chrome-trace artifact",
+            )
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
-        print("\n".join(EXPERIMENTS))
+        print("\n".join([*FIGURES, *GATED]))
         return 0
 
+    if args.fault_rate is not None and args.faults is None:
+        parser.error("--fault-rate has no effect without --faults")
     if args.faults is not None:
-        rate = args.fault_rate
+        rate = 0.01 if args.fault_rate is None else args.fault_rate
         faults_mod.set_default_fault_config(
             FaultConfig(
                 seed=args.faults,
@@ -137,106 +182,16 @@ def main(argv=None) -> int:
     if args.audit is not None:
         faults_mod.set_default_audit_level(args.audit)
     status = 0
-    if args.experiment == "table5":
-        print(table5.format_results(table5.run()))
-    elif args.experiment == "barrier":
-        print(barrier.format_result(barrier.run()))
-    elif args.experiment == "fig06":
-        print(
-            fig06.format_results(
-                fig06.run_spark(workloads=args.workloads, scale=args.scale)
-            )
+    if args.experiment in FIGURES:
+        print(FIGURES[args.experiment](args))
+    else:
+        status = harness.run_cli(
+            GATED[args.experiment],
+            smoke=args.smoke,
+            fault_seed=args.fault_seed,
+            csv_out=getattr(args, "csv_out", None),
+            trace_out=getattr(args, "trace_out", None),
         )
-        if not args.workloads:
-            print(fig06.format_results(fig06.run_giraph()))
-    elif args.experiment == "fig07":
-        print(fig07.format_results(fig07.run(scale=args.scale)))
-    elif args.experiment == "fig08":
-        print(
-            fig08.format_results(
-                fig08.run(workloads=args.workloads, scale=args.scale)
-            )
-        )
-    elif args.experiment == "fig09a":
-        print(fig09.format_pairs(fig09.run_hint_ablation(args.workloads)))
-    elif args.experiment == "fig09b":
-        print(fig09.format_pairs(fig09.run_low_threshold_ablation()))
-    elif args.experiment == "fig10":
-        print(fig10.format_results(fig10.run(workloads=args.workloads)))
-    elif args.experiment == "fig11a":
-        print(
-            fig11.format_card_sweep(
-                fig11.run_card_segment_sweep(workloads=args.workloads)
-            )
-        )
-    elif args.experiment == "fig11b":
-        print(
-            fig11.format_phases(
-                fig11.run_major_phase_breakdown(workloads=args.workloads)
-            )
-        )
-    elif args.experiment == "fig12":
-        print(
-            fig12.format_pairs(
-                fig12.run_panel(
-                    args.panel, workloads=args.workloads, scale=args.scale
-                )
-            )
-        )
-    elif args.experiment == "fig13a":
-        print(
-            fig13.format_thread_scaling(
-                fig13.run_thread_scaling(scale=args.scale)
-            )
-        )
-    elif args.experiment == "gcscale":
-        # The module's own CLI prints the full report: both steal
-        # policies, the TeraHeap scan-cap series, and the adaptive
-        # batch-sizing comparison.
-        status = gc_scaling.main(
-            ["--batches", str(max(1, int(60 * args.scale)))]
-        )
-    elif args.experiment == "chaoskill":
-        chaos_args = ["--check"]
-        if args.scale < 1.0:
-            chaos_args.append("--smoke")
-        if args.fault_seed is not None:
-            chaos_args.extend(["--fault-seed", str(args.fault_seed)])
-        status = chaoskill.main(chaos_args)
-    elif args.experiment == "brownout":
-        brownout_args = ["--check", "--check-determinism"]
-        if args.scale < 1.0:
-            brownout_args.append("--smoke")
-        status = brownout.main(brownout_args)
-    elif args.experiment == "phoenix":
-        phoenix_args = ["--check", "--check-determinism"]
-        if args.scale < 1.0:
-            phoenix_args.append("--smoke")
-        if args.fault_seed is not None:
-            phoenix_args.extend(["--fault-seed", str(args.fault_seed)])
-        status = phoenix.main(phoenix_args)
-    elif args.experiment == "streamscale":
-        stream_args = ["--check", "--check-determinism"]
-        if args.scale < 1.0:
-            stream_args.append("--smoke")
-        status = streamscale.main(stream_args)
-    elif args.experiment == "serverscale":
-        server_args = ["--check", "--check-determinism"]
-        if args.scale < 1.0:
-            server_args.append("--smoke")
-        status = serverscale.main(server_args)
-    elif args.experiment == "bench":
-        # The pinned perf-trajectory matrix; writes BENCH_0007.json.
-        status = bench.main([])
-    elif args.experiment == "fig13b":
-        results = fig13.run_dataset_scaling(scale=args.scale)
-        for workload, per_system in results.items():
-            for system, per_ds in per_system.items():
-                row = "  ".join(
-                    f"{ds}GB={'OOM' if r.oom else f'{r.total:.0f}s'}"
-                    for ds, r in sorted(per_ds.items())
-                )
-                print(f"{workload} {system}: {row}")
 
     if args.faults is not None or args.audit is not None:
         summary = faults_mod.resilience_summary()

@@ -21,18 +21,18 @@ clean run time) with the H2 governor on/off:
   After the window, half-open probes re-close the circuit and caching
   returns to H2.
 
-Every cell runs twice and its digest — fault schedule, circuit/health
-timelines, final counters — must be byte-identical: the determinism
-acceptance check, gated in CI via ``--smoke --check --check-determinism``.
+The experiment harness runs every cell twice, and the whole result —
+including ``CellResult.digest``, which carries the fault schedule and
+the circuit/health timelines from inside the VM — must be
+byte-identical across the two runs.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
+import functools
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..clock import Bucket
 from ..config import GovernorConfig, TeraHeapConfig, VMConfig
@@ -44,6 +44,7 @@ from ..frameworks.spark.conf import CachePolicy, SparkConf
 from ..frameworks.spark.rdd import MaterializedPartition
 from ..runtime import JavaVM
 from ..units import KiB, gb
+from .harness import Cell, Params, Spec
 
 #: workload shape (sizes are simulated bytes — the repo's scaled units)
 HEAP = gb(2.5)
@@ -242,6 +243,7 @@ class CellResult:
 
 
 def _digest(vm: JavaVM, result: CellResult) -> str:
+    """The VM-internal timelines no other field records, plus counters."""
     parts = ["[fault-schedule]"]
     if vm.resilience is not None:
         parts.append(vm.resilience.plan.schedule_digest())
@@ -264,8 +266,10 @@ def _digest(vm: JavaVM, result: CellResult) -> str:
     return "\n".join(parts)
 
 
+@functools.lru_cache(maxsize=None)
 def clean_runtime(steps: int = STEPS) -> float:
-    """Simulated seconds of a brownout-free, governed run (calibration)."""
+    """Simulated seconds of a brownout-free, governed run (calibration;
+    memoised: every cell of a matrix shares it)."""
     vm = make_vm(governor=True, windows=())
     workload = Workload(vm, WORKLOAD_SEED)
     for step in range(steps):
@@ -326,35 +330,39 @@ def run_cell(
 
 
 # ======================================================================
-# The matrix
+# The gated experiment
 # ======================================================================
-def run_matrix(
-    durations: Sequence[float] = DURATIONS,
-    steps: int = STEPS,
-    check_determinism: bool = True,
-) -> Tuple[List[CellResult], List[str], float]:
-    """Sweep durations x governor on/off; returns (cells, failures, t_clean)."""
-    t_clean = clean_runtime(steps)
-    results: List[CellResult] = []
+def run_calibrated(
+    governor: bool, duration_frac: float, steps: int = STEPS
+) -> CellResult:
+    """One cell, its window placed against the clean runtime."""
+    return run_cell(governor, duration_frac, clean_runtime(steps), steps)
+
+
+def cells(smoke: bool) -> List[Tuple[str, Params]]:
+    durations = (0.25,) if smoke else DURATIONS
+    steps = 26 if smoke else STEPS
+    return [
+        (
+            f"gov={'on' if governor else 'off'}/dur={duration:g}",
+            dict(governor=governor, duration_frac=duration, steps=steps),
+        )
+        for duration in durations
+        for governor in (True, False)
+    ]
+
+
+def check(cells: List[Cell]) -> List[str]:
+    """The governed run survives every window with bounded stall time;
+    the ungoverned control either dies or stalls at least twice as long.
+    """
     failures: List[str] = []
-    cells: Dict[Tuple[bool, float], CellResult] = {}
-    for duration in durations:
-        for governor in (True, False):
-            cell = run_cell(governor, duration, t_clean, steps)
-            results.append(cell)
-            cells[(governor, duration)] = cell
-            if check_determinism:
-                rerun = run_cell(governor, duration, t_clean, steps)
-                if rerun.digest != cell.digest:
-                    failures.append(
-                        f"{cell.label}: digest differs across reruns"
-                    )
-    # Acceptance shape: the governed run survives every window with
-    # bounded stall time; the ungoverned control either dies or stalls
-    # at least twice as long.
-    for duration in durations:
-        on = cells[(True, duration)]
-        off = cells[(False, duration)]
+    by = {(c.result.governor, c.result.duration_frac): c.result for c in cells}
+    for (governor, duration), on in by.items():
+        if not governor:
+            continue
+        off = by[(False, duration)]
+        steps = on.steps_target
         if on.oom:
             failures.append(f"{on.label}: governed run OOMed")
         if on.completed_steps < steps:
@@ -375,75 +383,25 @@ def run_matrix(
             )
         if on.trips < 1:
             failures.append(f"{on.label}: circuit never tripped")
-    return results, failures, t_clean
+    return failures
 
 
-def format_matrix(
-    results: List[CellResult], failures: List[str], t_clean: float
-) -> str:
+def report(cells: List[Cell]) -> str:
+    t_clean = clean_runtime(cells[0].params["steps"])
     lines = [
         f"clean runtime: {t_clean:.3f}s simulated; window opens at "
         f"{WINDOW_START:.0%}, service fraction {BROWNOUT_FRACTION:g}",
         "",
     ]
-    lines.extend(cell.row() for cell in results)
-    if failures:
-        lines.append("")
-        lines.append(f"{len(failures)} failure(s):")
-        lines.extend(f"  {msg}" for msg in failures)
-    else:
-        lines.append("")
-        lines.append(
-            "governed runs absorbed every brownout (zero OOM, bounded "
-            "stalls); ungoverned controls died or stalled >=2x"
-        )
+    lines.extend(cell.result.row() for cell in cells)
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.brownout",
-        description="brownout-duration x governor on/off chaos soak",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="single window duration, fewer steps",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if the acceptance shape fails",
-    )
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run every cell twice and require byte-identical digests",
-    )
-    parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument(
-        "--durations",
-        type=float,
-        nargs="+",
-        default=None,
-        help="brownout durations as fractions of the clean runtime",
-    )
-    args = parser.parse_args(argv)
-
-    durations: Sequence[float] = args.durations or (
-        (0.25,) if args.smoke else DURATIONS
-    )
-    steps = args.steps or (26 if args.smoke else STEPS)
-    results, failures, t_clean = run_matrix(
-        durations=durations,
-        steps=steps,
-        check_determinism=args.check_determinism,
-    )
-    print(format_matrix(results, failures, t_clean))
-    if args.check and failures:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+SPEC = Spec(
+    name="brownout",
+    description="brownout-duration x governor on/off chaos soak",
+    cells=cells,
+    run_cell=run_calibrated,
+    check=check,
+    report=report,
+)

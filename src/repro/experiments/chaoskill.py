@@ -14,9 +14,9 @@ each writeback policy, then:
    every label matches exactly unless recovery quarantined (part of) it,
    and nothing appears that the baseline does not have.
 
-Every cell additionally runs twice: the durable-image digest at crash
-time, the recovery-report digest, and the final population must be
-byte-identical across the two runs — the determinism acceptance check.
+The experiment harness runs every cell twice: its whole result — the
+durable-image digest at crash time, the recovery-report digest, and the
+final population — must be byte-identical across the two runs.
 
 The workload is a phased group lifecycle: each phase creates a labelled
 object group, moves it to H2, drops the group created ``LIVE_WINDOW``
@@ -27,8 +27,7 @@ knows exactly where to resume.
 
 from __future__ import annotations
 
-import argparse
-import sys
+import functools
 from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,6 +38,7 @@ from ..errors import InvariantViolation, SimulatedCrash, UnrecoverableCrash
 from ..faults.plan import FaultConfig
 from ..runtime import JavaVM
 from ..units import KiB, gb
+from .harness import Cell, Params, Spec
 
 #: safepoints swept, each with the visit count that fires the kill —
 #: chosen so at least one durable epoch usually precedes the crash
@@ -256,18 +256,20 @@ def run_cell(
     return result
 
 
+@functools.lru_cache(maxsize=None)
 def run_baseline(
     policy: str, phases: int = PHASES, workload_seed: int = WORKLOAD_SEED
-) -> List[Tuple[str, int, int]]:
+) -> Tuple[Tuple[str, int, int], ...]:
+    """The crash-free final population (memoised: cells share it)."""
     vm = make_vm(policy)
     workload = Workload(vm, workload_seed)
     for i in range(phases):
         workload.run_phase(i)
-    return final_report(vm)
+    return tuple(final_report(vm))
 
 
 def reconcile(
-    result: CellResult, baseline: List[Tuple[str, int, int]]
+    result: CellResult, baseline: Sequence[Tuple[str, int, int]]
 ) -> List[str]:
     """No lost non-quarantined H2 objects, nothing invented.
 
@@ -297,117 +299,59 @@ def reconcile(
 
 
 # ======================================================================
-# The matrix
+# The gated experiment
 # ======================================================================
-def run_matrix(
-    phases: int = PHASES,
-    policies: Sequence[str] = POLICIES,
-    points: Sequence[Tuple[str, int]] = CRASH_POINTS,
-    workload_seed: int = WORKLOAD_SEED,
-    fault_seed: int = FAULT_SEED,
-    determinism: bool = True,
-) -> Tuple[List[CellResult], List[str]]:
-    """Sweep crash points x policies; returns (cells, failure messages)."""
-    results: List[CellResult] = []
+def cells(smoke: bool) -> List[Tuple[str, Params]]:
+    policies = ("commit",) if smoke else POLICIES
+    phases = 4 if smoke else PHASES
+    return [
+        (
+            f"{point}/{policy}",
+            dict(
+                point=point,
+                crash_after=crash_after,
+                policy=policy,
+                phases=phases,
+                fault_seed=FAULT_SEED,
+            ),
+        )
+        for policy in policies
+        for point, crash_after in CRASH_POINTS
+    ]
+
+
+def check(cells: List[Cell]) -> List[str]:
+    """Every kill fires, recovers, and reconciles with the baseline."""
     failures: List[str] = []
-    for policy in policies:
-        baseline = run_baseline(policy, phases, workload_seed)
-        for point, crash_after in points:
-            cell = run_cell(
-                point, crash_after, policy, phases, workload_seed, fault_seed
+    for cell in cells:
+        result, params = cell.result, cell.params
+        if not result.crashed:
+            failures.append(
+                f"{cell.key}: crash never fired "
+                f"(crash_after={params['crash_after']})"
             )
-            results.append(cell)
-            if not cell.crashed:
-                failures.append(
-                    f"{point}/{policy}: crash never fired "
-                    f"(crash_after={crash_after})"
-                )
-                continue
-            if cell.error:
-                failures.append(f"{point}/{policy}: {cell.error}")
-                continue
-            failures.extend(reconcile(cell, baseline))
-            if determinism:
-                rerun = run_cell(
-                    point,
-                    crash_after,
-                    policy,
-                    phases,
-                    workload_seed,
-                    fault_seed,
-                )
-                if rerun.image_digest != cell.image_digest:
-                    failures.append(
-                        f"{point}/{policy}: durable-image digest differs "
-                        "across reruns"
-                    )
-                if rerun.report_digest != cell.report_digest:
-                    failures.append(
-                        f"{point}/{policy}: recovery-report digest differs "
-                        "across reruns"
-                    )
-                if rerun.final != cell.final:
-                    failures.append(
-                        f"{point}/{policy}: final population differs "
-                        "across reruns"
-                    )
-    return results, failures
+        elif result.error:
+            failures.append(f"{cell.key}: {result.error}")
+        else:
+            baseline = run_baseline(result.policy, params["phases"])
+            failures.extend(reconcile(result, baseline))
+    return failures
 
 
-def format_matrix(
-    results: List[CellResult], failures: List[str]
-) -> str:
+def report(cells: List[Cell]) -> str:
     lines = [
         "crash_point              policy  fate   committed       "
         "resume rec quar outcome"
     ]
-    lines.extend(cell.row() for cell in results)
-    if failures:
-        lines.append("")
-        lines.append(f"{len(failures)} failure(s):")
-        lines.extend(f"  {msg}" for msg in failures)
-    else:
-        lines.append("")
-        lines.append(
-            "all cells recovered auditor-clean and reconciled with the "
-            "crash-free baseline"
-        )
+    lines.extend(cell.result.row() for cell in cells)
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.chaoskill",
-        description="crash/recover/verify matrix over H2 safepoints",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smaller matrix (fewer phases, 'commit' policy only)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any reconciliation or determinism failure",
-    )
-    parser.add_argument("--phases", type=int, default=None)
-    parser.add_argument("--workload-seed", type=int, default=WORKLOAD_SEED)
-    parser.add_argument("--fault-seed", type=int, default=FAULT_SEED)
-    args = parser.parse_args(argv)
-
-    policies: Sequence[str] = ("commit",) if args.smoke else POLICIES
-    phases = args.phases or (4 if args.smoke else PHASES)
-    results, failures = run_matrix(
-        phases=phases,
-        policies=policies,
-        workload_seed=args.workload_seed,
-        fault_seed=args.fault_seed,
-    )
-    print(format_matrix(results, failures))
-    if args.check and failures:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+SPEC = Spec(
+    name="chaoskill",
+    description="crash/recover/verify matrix over H2 safepoints",
+    cells=cells,
+    run_cell=run_cell,
+    check=check,
+    report=report,
+)

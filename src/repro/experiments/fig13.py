@@ -114,5 +114,17 @@ def format_thread_scaling(results) -> str:
     return "\n".join(lines)
 
 
+def format_dataset_scaling(results) -> str:
+    lines = []
+    for workload, per_system in results.items():
+        for system, per_ds in per_system.items():
+            row = "  ".join(
+                f"{ds}GB={'OOM' if r.oom else f'{r.total:.0f}s'}"
+                for ds, r in sorted(per_ds.items())
+            )
+            lines.append(f"{workload} {system}: {row}")
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":  # pragma: no cover
     print(format_thread_scaling(run_thread_scaling(scale=0.5)))

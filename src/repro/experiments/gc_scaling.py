@@ -28,26 +28,21 @@ Four companion series exercise the adaptive scheduler:
   progress between cycles) hides essentially nothing.
 
 The workload contains no randomness (the only RNG in the stack is the
-engine's seeded victim selection), so a point's report is byte-identical
-across runs; ``--check-baseline`` exploits that to fail CI when the
-1-thread pause regresses more than 10% against the checked-in baseline,
-and ``--check-determinism`` re-runs the steal-half and adaptive series
-and fails on any digest mismatch.
+engine's seeded victim selection), so every series is byte-identical
+across runs.  Each series is one cell of the experiment harness, which
+runs it twice and fails on any digest drift.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..clock import Bucket
 from ..config import GCEngineConfig, TeraHeapConfig, VMConfig
 from ..runtime import JavaVM
 from ..units import KiB, gb
+from .harness import Cell, Params, Spec
 
 #: gc_threads values of the sweep (the paper's testbed has 16 h/w threads)
 SWEEP_THREADS = (1, 2, 4, 8, 16)
@@ -64,9 +59,6 @@ RETAIN_EVERY = 3
 RETAIN_STRIDE = 7
 #: resident-store size cap; eviction keeps old-gen churn (and major GCs)
 RESIDENT_CAP = 60
-
-#: allowed relative regression of the 1-thread pause vs the baseline
-BASELINE_TOLERANCE = 0.10
 
 #: TeraHeap scan-cap series: H2 sized to this many stripes (= regions),
 #: so scan_parallelism caps H2 card scanning below wide thread counts
@@ -129,28 +121,6 @@ class ScalingPoint:
     def efficiency(self) -> float:
         """Engine speedup per worker thread (1.0 = perfectly linear)."""
         return self.engine_speedup / self.gc_threads
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "gc_threads": self.gc_threads,
-            "steal_policy": self.steal_policy,
-            "minor_count": self.minor_count,
-            "major_count": self.major_count,
-            "total_pause_s": round(self.total_pause_s, 9),
-            "mean_minor_pause_s": round(self.mean_minor_pause_s, 9),
-            "serial_s": round(self.serial_s, 9),
-            "parallel_s": round(self.parallel_s, 9),
-            "tasks": self.tasks,
-            "steals": self.steals,
-            "remote_steals": self.remote_steals,
-            "idle_s": round(self.idle_s, 9),
-            "imbalance": round(self.imbalance, 6),
-            "batch_final_scale": round(self.batch_final_scale, 6),
-            "worker_steals": self.worker_steals,
-            "worker_idle_s": [round(v, 9) for v in self.worker_idle_s],
-            "pause_speedup": round(self.pause_speedup, 6),
-            "efficiency": round(self.efficiency, 6),
-        }
 
 
 def churn_engine_config(
@@ -348,17 +318,6 @@ class TeraHeapScanPoint:
             return 1.0
         return self.scan_serial_s / self.scan_parallel_s
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "gc_threads": self.gc_threads,
-            "scan_workers": self.scan_workers,
-            "scan_tasks": self.scan_tasks,
-            "scan_serial_s": round(self.scan_serial_s, 9),
-            "scan_parallel_s": round(self.scan_parallel_s, 9),
-            "scan_speedup": round(self.scan_speedup, 6),
-            "ps_speedup": round(self.ps_speedup, 6),
-        }
-
 
 def run_teraheap_churn(gc_threads: int, phases: int = TH_PHASES) -> JavaVM:
     """A TeraHeap workload generating H2 backward-reference scan work.
@@ -489,18 +448,6 @@ class AdaptivePoint:
     shrinks: int
     grows: int
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "gc_threads": self.gc_threads,
-            "static_imbalance": round(self.static_imbalance, 6),
-            "adaptive_imbalance": round(self.adaptive_imbalance, 6),
-            "static_pause_s": round(self.static_pause_s, 9),
-            "adaptive_pause_s": round(self.adaptive_pause_s, 9),
-            "final_scale": round(self.final_scale, 6),
-            "shrinks": self.shrinks,
-            "grows": self.grows,
-        }
-
 
 def run_adaptive_comparison(
     threads: Sequence[int] = ADAPTIVE_THREADS, batches: int = 60
@@ -574,19 +521,6 @@ class G1MarkingPoint:
         if self.mark_critical_s <= 0.0:
             return 0.0
         return self.hidden_s / self.mark_critical_s
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "label": self.label,
-            "mutator_ops": self.mutator_ops,
-            "majors": self.majors,
-            "mark_serial_s": round(self.mark_serial_s, 9),
-            "mark_critical_s": round(self.mark_critical_s, 9),
-            "hidden_s": round(self.hidden_s, 9),
-            "remark_s": round(self.remark_s, 9),
-            "mutator_s": round(self.mutator_s, 9),
-            "hidden_share": round(self.hidden_share, 6),
-        }
 
 
 def _g1_vm() -> JavaVM:
@@ -689,226 +623,67 @@ def format_g1_marking_points(points: List[G1MarkingPoint]) -> str:
 
 
 # ======================================================================
-# Baseline regression gate (CI)
+# The gated experiment: one cell per series
 # ======================================================================
-def baseline_payload(
-    by_policy: Dict[str, List[ScalingPoint]],
-    batches: int,
-    g1_marking: Optional[List[G1MarkingPoint]] = None,
-) -> Dict:
-    payload: Dict = {
-        "schema": 3,
-        "batches": batches,
-        "policies": {
-            policy: [p.to_dict() for p in points]
-            for policy, points in sorted(by_policy.items())
-        },
-    }
-    if g1_marking is not None:
-        payload["g1_marking"] = [p.to_dict() for p in g1_marking]
-    return payload
+def run_series(
+    series: str,
+    batches: int = 60,
+    phases: int = TH_PHASES,
+    rounds: int = G1_ROUNDS,
+) -> list:
+    """One gcscale cell: a whole series, as its list of points."""
+    if series in STEAL_POLICIES:
+        return run_scaling(batches=batches, steal_policy=series)
+    if series == "teraheap":
+        return teraheap_scan_points(phases=phases)
+    if series == "adaptive":
+        return run_adaptive_comparison(batches=batches)
+    return g1_marking_points(rounds=rounds)
 
 
-def payload_digest(payload: Dict) -> str:
-    """Canonical digest of a sweep payload (the determinism artifact)."""
-    doc = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(doc.encode()).hexdigest()
-
-
-def check_baseline(
-    by_policy: Dict[str, List[ScalingPoint]], baseline: Dict
-) -> List[str]:
-    """Compare against a checked-in baseline; returns failure messages.
-
-    The gate is the 1-thread total pause, per steal policy: the engine
-    at one worker must reproduce the serial cost model, so a >10% drift
-    there means the task decomposition or the engine's overhead
-    accounting changed.
-    """
-    failures: List[str] = []
-    base_policies = baseline.get("policies")
-    if base_policies is None:
-        # Schema-1 fallback: a flat point list, treated as steal-one.
-        base_policies = {"steal-one": baseline.get("points", [])}
-    for policy, points in sorted(by_policy.items()):
-        base_points = {
-            p["gc_threads"]: p for p in base_policies.get(policy, [])
-        }
-        one = next((p for p in points if p.gc_threads == 1), None)
-        ref = base_points.get(1)
-        if one is None or ref is None:
-            failures.append(
-                f"{policy}: baseline or sweep lacks a gc_threads=1 point"
-            )
-            continue
-        ceiling = ref["total_pause_s"] * (1.0 + BASELINE_TOLERANCE)
-        if one.total_pause_s > ceiling:
-            failures.append(
-                f"{policy}: 1-thread GC pause regressed: "
-                f"{one.total_pause_s:.6f}s vs baseline "
-                f"{ref['total_pause_s']:.6f}s (+{BASELINE_TOLERANCE:.0%} "
-                f"ceiling {ceiling:.6f}s)"
-            )
-    return failures
-
-
-def check_determinism(
-    threads: Sequence[int], batches: int
-) -> List[str]:
-    """Re-run the steal-half sweep and the adaptive comparison; any
-    digest drift between the two runs is a determinism regression."""
-    failures: List[str] = []
-    first = baseline_payload(
-        {"steal-half": run_scaling(threads, batches, "steal-half")}, batches
-    )
-    second = baseline_payload(
-        {"steal-half": run_scaling(threads, batches, "steal-half")}, batches
-    )
-    if payload_digest(first) != payload_digest(second):
-        failures.append("steal-half sweep digests differ across two runs")
-    adaptive_threads = [t for t in threads if t >= 8] or list(threads)[-1:]
-    a1 = [p.to_dict() for p in run_adaptive_comparison(
-        adaptive_threads, batches
-    )]
-    a2 = [p.to_dict() for p in run_adaptive_comparison(
-        adaptive_threads, batches
-    )]
-    if payload_digest({"points": a1}) != payload_digest({"points": a2}):
-        failures.append(
-            "adaptive-batching digests differ across two runs"
-        )
-    g1_intensities = (0, 2048)
-    g1 = [
-        [p.to_dict() for p in g1_marking_points(g1_intensities, rounds=3)]
-        for _ in range(2)
+def cells(smoke: bool) -> List[Tuple[str, Params]]:
+    batches = 24 if smoke else 60
+    phases = max(4, TH_PHASES // 2) if smoke else TH_PHASES
+    return [
+        *[(p, dict(series=p, batches=batches)) for p in STEAL_POLICIES],
+        ("teraheap", dict(series="teraheap", phases=phases)),
+        ("adaptive", dict(series="adaptive", batches=batches)),
+        ("g1", dict(series="g1", rounds=3 if smoke else G1_ROUNDS)),
     ]
-    if payload_digest({"points": g1[0]}) != payload_digest(
-        {"points": g1[1]}
-    ):
-        failures.append(
-            "g1 concurrent-marking digests differ across two runs"
-        )
-    return failures
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.gc_scaling",
-        description="GC-thread scaling sweep on the task-based GC engine",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        nargs="*",
-        default=list(SWEEP_THREADS),
-        help="gc_threads values to sweep",
-    )
-    parser.add_argument(
-        "--batches",
-        type=int,
-        default=None,
-        help="churn batches per point (default: 60, or 24 with --smoke)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small fast sweep (CI)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=list(STEAL_POLICIES) + ["both"],
-        default="both",
-        help="steal policy (or 'both' for the head-to-head comparison)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help="write the sweep results as the new baseline JSON",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        metavar="PATH",
-        default=None,
-        help="fail if the 1-thread pause regresses >10%% vs this JSON",
-    )
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="re-run the steal-half sweep + adaptive comparison and fail "
-        "on any digest drift (byte-identical schedules)",
-    )
-    args = parser.parse_args(argv)
-    batches = args.batches or (24 if args.smoke else 60)
-    policies = (
-        list(STEAL_POLICIES) if args.policy == "both" else [args.policy]
-    )
-
-    by_policy: Dict[str, List[ScalingPoint]] = {}
-    for policy in policies:
-        points = run_scaling(args.threads, batches=batches,
-                             steal_policy=policy)
-        by_policy[policy] = points
-        print(f"== steal policy: {policy} ==")
-        print(format_scaling(points))
-        print()
-    if len(by_policy) > 1:
-        print("== policy divergence (same work, different schedules) ==")
-        print(format_policy_divergence(by_policy))
-        print()
-
-    th_phases = max(4, TH_PHASES // 2) if args.smoke else TH_PHASES
-    print("== TeraHeap: stripe ownership bounds scan parallelism ==")
-    print(format_teraheap_points(
-        teraheap_scan_points(args.threads, phases=th_phases)
-    ))
-    print()
-
-    adaptive_threads = [t for t in args.threads if t >= 8]
-    if adaptive_threads:
-        print("== adaptive batch sizing (static vs controller) ==")
-        print(format_adaptive_points(
-            run_adaptive_comparison(adaptive_threads, batches=batches)
-        ))
-        print()
-
-    g1_rounds = 3 if args.smoke else G1_ROUNDS
-    g1_points = g1_marking_points(rounds=g1_rounds)
-    print("== G1 concurrent marking (hidden share vs mutator work) ==")
-    print(format_g1_marking_points(g1_points))
-    print()
-
-    failures: List[str] = []
-    if args.write_baseline:
-        with open(args.write_baseline, "w") as f:
-            json.dump(
-                baseline_payload(by_policy, batches, g1_marking=g1_points),
-                f,
-                indent=2,
-            )
-            f.write("\n")
-        print(f"baseline written to {args.write_baseline}")
-    if args.check_baseline:
-        with open(args.check_baseline) as f:
-            baseline = json.load(f)
-        if baseline.get("batches") != batches:
-            print(
-                "warning: baseline batches="
-                f"{baseline.get('batches')} != sweep batches={batches}"
-            )
-        failures.extend(check_baseline(by_policy, baseline))
-    if args.check_determinism:
-        failures.extend(check_determinism(args.threads, batches))
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    if failures:
-        return 1
-    if args.check_baseline:
-        print("baseline check passed")
-    if args.check_determinism:
-        print("determinism check passed")
-    return 0
+def report(cells: List[Cell]) -> str:
+    by = {cell.key: cell.result for cell in cells}
+    sections = [
+        (f"steal policy: {policy}", format_scaling(by[policy]))
+        for policy in STEAL_POLICIES
+    ]
+    sections += [
+        (
+            "policy divergence (same work, different schedules)",
+            format_policy_divergence({p: by[p] for p in STEAL_POLICIES}),
+        ),
+        (
+            "TeraHeap: stripe ownership bounds scan parallelism",
+            format_teraheap_points(by["teraheap"]),
+        ),
+        (
+            "adaptive batch sizing (static vs controller)",
+            format_adaptive_points(by["adaptive"]),
+        ),
+        (
+            "G1 concurrent marking (hidden share vs mutator work)",
+            format_g1_marking_points(by["g1"]),
+        ),
+    ]
+    return "\n\n".join(f"== {title} ==\n{body}" for title, body in sections)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+SPEC = Spec(
+    name="gcscale",
+    description="GC-thread scaling sweep on the task-based GC engine",
+    cells=cells,
+    run_cell=run_series,
+    check=lambda cells: [],
+    report=report,
+)

@@ -1,27 +1,13 @@
 """One harness for the gated experiments: a spec per experiment, one runner.
 
-A gated experiment is a matrix of cells.  Its :class:`Spec` lists the
-cells (``cells(smoke)`` gives ``(key, params)`` pairs), runs one
-(``run_cell(**params)`` returns the experiment's result dataclass),
-judges the finished matrix (``check(cells)`` returns failure strings)
-and renders it (``report(cells)`` returns the table text).  An
-experiment with artifacts also renders them: ``csv(cells)`` and
-``trace(cells)`` return the CSV and Chrome-trace text.
-
-The runner treats every experiment the same way:
-
-- a cell's **digest** is the sha256 of its result serialized as JSON
-  with sorted keys (dataclasses field by field, tuples as lists, enums
-  by value, floats in ``repr`` form), so it covers every field and no
-  experiment formats its own;
-- every cell runs **twice**, and a digest that differs between the two
-  runs is a failure;
-- ``check`` sees the first runs, and ``--csv-out``/``--trace-out`` are
-  written from them, so no cell runs a third time.
-
-A result field declared with :func:`handle` (a VM, a server box) is left
-out of the digest and released after the run unless an artifact needs
-it.
+A :class:`Spec` lists a matrix's cells, runs one, checks the finished
+matrix and renders it (and, optionally, its CSV/Chrome-trace artifacts).
+The runner digests each cell's result (sha256 of its sorted-key JSON;
+floats in ``repr`` form), runs every cell twice and fails on any drift,
+then applies the check; artifacts are rendered from the first runs, so
+no cell runs a third time.  Result fields declared with :func:`handle`
+(a VM, a server box) stay out of the digest and are released unless an
+artifact needs them.  See docs/architecture.md, "Experiment harness".
 """
 
 from __future__ import annotations
@@ -37,7 +23,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 Params = Dict[str, Any]
 
 #: the modules holding a ``SPEC``, in CLI order
-GATED_MODULES: Tuple[str, ...] = ()
+GATED_MODULES: Tuple[str, ...] = (
+    "gc_scaling",
+    "chaoskill",
+    "brownout",
+    "phoenix",
+    "streamscale",
+    "serverscale",
+)
 
 
 def handle() -> Any:

@@ -24,13 +24,12 @@ balances (``adopted + quarantined + lost == persisted blocks``,
 ``recomputed == quarantined + lost``), post-commit cells adopt
 everything and beat the cold-recompute wall whenever they adopted
 anything, and the whole cell — walls included — is byte-identical when
-run twice (``--check-determinism``).
+run twice (the experiment harness runs every cell twice).
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,8 +42,11 @@ from ..frameworks.spark import (
     SparkContext,
     run_job,
 )
+from ..metrics.chrome_trace import chrome_trace_json, vm_engine
+from ..metrics.trace import resilience_events_csv
 from ..runtime import JavaVM
 from ..units import KiB, gb
+from .harness import Cell, Params, Spec, handle
 
 #: partitions per RDD (also tasks per pass)
 NUM_PARTITIONS = 4
@@ -171,22 +173,8 @@ class CellResult:
     recovery_wall: float = 0.0
     error: str = ""
     report_digests: List[str] = field(default_factory=list)
-
-    def digest(self) -> str:
-        """Canonical cell outcome, for the determinism acceptance check."""
-        lines = [
-            f"[cell] {self.point}/{self.policy}/{self.fraction:g}",
-            f"crashed\t{self.crashed}",
-            f"restarts\t{self.restarts}",
-            f"value\t{self.value}",
-            "blocks\t"
-            f"adopted={self.adopted} quarantined={self.quarantined} "
-            f"lost={self.lost} recomputed={self.recomputed}",
-            f"recovery_wall\t{self.recovery_wall:.9f}",
-            f"error\t{self.error.splitlines()[0] if self.error else '-'}",
-        ]
-        lines.extend(f"[restart]\n{d}" for d in self.report_digests)
-        return "\n".join(lines)
+    #: the VM that finished the job (the successor after a restart)
+    vm: Optional[JavaVM] = handle()
 
     def row(self, cold_wall: float) -> str:
         outcome = self.error.splitlines()[0] if self.error else "ok"
@@ -249,13 +237,15 @@ def run_cell(
     # time is exactly the recovery wall: recover + adopt + finish the
     # job.  Without a crash this is simply the job wall.
     result.recovery_wall = ctx.vm.clock.now
+    result.vm = ctx.vm
     return result
 
 
+@functools.lru_cache(maxsize=None)
 def run_baseline(
     policy: str, fraction: float, workload_seed: int = WORKLOAD_SEED
 ) -> Tuple[int, float]:
-    """Crash-free cold run: (value, full-recompute wall)."""
+    """Crash-free cold run: (value, full-recompute wall); memoised."""
     vm = make_vm(policy)
     ctx = SparkContext(
         vm,
@@ -328,155 +318,73 @@ def cells_for(fraction: float, smoke: bool) -> Sequence[CrashSpec]:
     return CRASH_POINTS
 
 
-def run_matrix(
-    policies: Sequence[str] = POLICIES,
-    fractions: Sequence[float] = FRACTIONS,
-    smoke: bool = False,
-    workload_seed: int = WORKLOAD_SEED,
-    fault_seed: int = FAULT_SEED,
-    determinism: bool = True,
-) -> Tuple[List[Tuple[CellResult, float]], List[str]]:
-    """Sweep crash point x policy x persisted fraction.
+def cells(smoke: bool) -> List[Tuple[str, Params]]:
+    policies = ("commit",) if smoke else POLICIES
+    fractions = (0.0, 1.0) if smoke else FRACTIONS
+    return [
+        (
+            f"{spec.name}/{policy}/{fraction:g}",
+            dict(
+                spec=spec, policy=policy, fraction=fraction,
+                fault_seed=FAULT_SEED,
+            ),
+        )
+        for policy in policies
+        for fraction in fractions
+        for spec in cells_for(fraction, smoke)
+    ]
 
-    Returns ``(cells, failures)`` where each cell is paired with its
-    cold-recompute wall for reporting.
-    """
-    results: List[Tuple[CellResult, float]] = []
+
+def check(cells: List[Cell]) -> List[str]:
     failures: List[str] = []
-    for policy in policies:
-        for fraction in fractions:
-            baseline_value, cold_wall = run_baseline(
-                policy, fraction, workload_seed
-            )
-            for spec in cells_for(fraction, smoke):
-                cell = run_cell(
-                    spec, policy, fraction, workload_seed, fault_seed
-                )
-                results.append((cell, cold_wall))
-                failures.extend(
-                    check_cell(cell, spec, baseline_value, cold_wall)
-                )
-                if determinism and not cell.error:
-                    rerun = run_cell(
-                        spec, policy, fraction, workload_seed, fault_seed
-                    )
-                    if rerun.digest() != cell.digest():
-                        failures.append(
-                            f"{cell.point}/{policy}/{fraction:g}: cell "
-                            "digest differs across reruns"
-                        )
-    return results, failures
+    for cell in cells:
+        p = cell.params
+        value, cold_wall = run_baseline(p["policy"], p["fraction"])
+        failures.extend(check_cell(cell.result, p["spec"], value, cold_wall))
+    return failures
 
 
-def format_matrix(
-    results: List[Tuple[CellResult, float]], failures: List[str]
-) -> str:
+def report(cells: List[Cell]) -> str:
     lines = [
         "crash_point              policy  frac fate   restarts "
         "blocks(adopt/quar/lost/recomp)  recovery_wall  outcome"
     ]
-    lines.extend(cell.row(cold) for cell, cold in results)
-    if failures:
-        lines.append("")
-        lines.append(f"{len(failures)} failure(s):")
-        lines.extend(f"  {msg}" for msg in failures)
-    else:
-        lines.append("")
-        lines.append(
-            "all crash cells recovered: committed blocks re-adopted, lost "
-            "partitions recomputed from lineage, values crash-free-exact"
-        )
+    for cell in cells:
+        cold_wall = run_baseline(cell.result.policy, cell.result.fraction)[1]
+        lines.append(cell.result.row(cold_wall))
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.phoenix",
-        description=(
-            "executor crash-restart matrix: H2 block adoption vs "
-            "lineage recompute"
-        ),
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smaller matrix ('commit' policy, fractions 0/1, 3 points)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any acceptance failure",
-    )
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run every crash cell twice; digests must be byte-identical",
-    )
-    parser.add_argument("--workload-seed", type=int, default=WORKLOAD_SEED)
-    parser.add_argument("--fault-seed", type=int, default=FAULT_SEED)
-    parser.add_argument(
-        "--csv-out",
-        default=None,
-        help="write the last cell's resilience-event CSV to this path",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="write the last cell's chrome trace (with crash/restart/"
-        "adoption instants) to this path",
-    )
-    args = parser.parse_args(argv)
-
-    policies: Sequence[str] = ("commit",) if args.smoke else POLICIES
-    fractions: Sequence[float] = (0.0, 1.0) if args.smoke else FRACTIONS
-    results, failures = run_matrix(
-        policies=policies,
-        fractions=fractions,
-        smoke=args.smoke,
-        workload_seed=args.workload_seed,
-        fault_seed=args.fault_seed,
-        determinism=args.check_determinism,
-    )
-    print(format_matrix(results, failures))
-    if args.csv_out or args.trace_out:
-        _write_artifacts(args)
-    if args.check and failures:
-        return 1
-    return 0
+#: the cell whose crash -> recovery -> restart -> adoption timeline is
+#: exported: a task-boundary kill after the first commit, all persisted
+EXPORTED = "task-boundary/commit/1"
 
 
-def _write_artifacts(args) -> None:
-    """Re-run one post-commit cell and export its CSV/chrome trace."""
-    from ..metrics.chrome_trace import chrome_trace_json, vm_engine
-    from ..metrics.trace import resilience_events_csv, write_csv
+def _exported_vm(cells: List[Cell]) -> JavaVM:
+    return next(c.result.vm for c in cells if c.key == EXPORTED)
 
-    fault = FaultConfig(
-        seed=args.workload_seed,
-        fault_seed=args.fault_seed,
-        crash_stage="top",
-        crash_task=10,
+
+def resilience_csv(cells: List[Cell]) -> str:
+    return resilience_events_csv(_exported_vm(cells).resilience.log)
+
+
+def resilience_trace(cells: List[Cell]) -> str:
+    vm = _exported_vm(cells)
+    return chrome_trace_json(
+        vm_engine(vm), label="phoenix", resilience=vm.resilience.log
     )
-    vm = make_vm("commit", fault)
-    ctx = SparkContext(
-        vm,
-        SparkConf(
-            cache_policy=CachePolicy.TERAHEAP, num_partitions=NUM_PARTITIONS
-        ),
-    )
-    run_job(ctx, build_job(ctx, 1.0))
-    log = ctx.vm.resilience.log
-    if args.csv_out:
-        write_csv(args.csv_out, resilience_events_csv(log))
-        print(f"resilience events -> {args.csv_out}")
-    if args.trace_out:
-        with open(args.trace_out, "w") as f:
-            f.write(
-                chrome_trace_json(
-                    vm_engine(ctx.vm), label="phoenix", resilience=log
-                )
-            )
-        print(f"chrome trace -> {args.trace_out}")
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+SPEC = Spec(
+    name="phoenix",
+    description=(
+        "executor crash-restart matrix: H2 block adoption vs "
+        "lineage recompute"
+    ),
+    cells=cells,
+    run_cell=run_cell,
+    check=check,
+    report=report,
+    csv=resilience_csv,
+    trace=resilience_trace,
+)

@@ -24,19 +24,20 @@ work-conserving arbiter never loses aggregate throughput vs the static
 control; and it *narrows* the max/min per-tenant progress-rate gap on
 every mixed cell — heavy tenants borrow bandwidth the moment light
 siblings finish instead of crawling at a frozen 1/N share.  Every cell
-is byte-identical when run twice (``--check-determinism``).
+is byte-identical when run twice (the experiment harness runs it twice).
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
+from ..metrics.chrome_trace import server_chrome_trace_json
+from ..metrics.trace import server_tenants_csv
 from ..server import ServerBox, ServerSpec
 from ..server.box import BoxReport
 from ..units import fmt_bytes, gb
+from .harness import Cell, Params, Spec, handle
 
 #: tenant-count sweep (the x-axis of the saturation curve)
 TENANT_COUNTS: Tuple[int, ...] = (1, 2, 4, 6)
@@ -75,31 +76,9 @@ class CellResult:
     control_p99: float = 0.0
     #: canonical per-tenant lines + epoch log digests, determinism-gated
     detail: List[str] = field(default_factory=list)
-
-    def digest(self) -> str:
-        head = [
-            f"[cell] {self.tenants}x{self.mean_gb:g}GB",
-            "uniform\t%.9f\t%.9f\t%.9f"
-            % (
-                self.uniform_throughput,
-                self.uniform_busy,
-                self.uniform_makespan,
-            ),
-            "mixed\t%.9f\t%.9f\t%.9f\t%d"
-            % (
-                self.mixed_throughput,
-                self.mixed_gap,
-                self.mixed_p99,
-                self.mixed_epochs,
-            ),
-            "control\t%.9f\t%.9f\t%.9f"
-            % (
-                self.control_throughput,
-                self.control_gap,
-                self.control_p99,
-            ),
-        ]
-        return "\n".join(head + self.detail)
+    #: the mixed box and its report, for the CSV/trace artifacts
+    mixed_box: Optional[ServerBox] = handle()
+    mixed_report: Optional[BoxReport] = handle()
 
     def row(self) -> str:
         return (
@@ -149,9 +128,10 @@ def run_cell(tenants: int, mean_gb: float) -> CellResult:
     cell.uniform_throughput = uniform.aggregate_throughput
     cell.uniform_busy = uniform.device_busy_fraction
     cell.uniform_makespan = uniform.makespan
-    mixed = ServerBox(
+    cell.mixed_box = ServerBox(
         make_spec(tenants, mean_gb, arbiter=True, spread=SPREAD)
-    ).run()
+    )
+    mixed = cell.mixed_report = cell.mixed_box.run()
     cell.mixed_throughput = mixed.aggregate_throughput
     cell.mixed_gap = mixed.fairness_gap
     cell.mixed_p99 = _box_p99(mixed)
@@ -222,29 +202,17 @@ def check_cells(cells: List[CellResult]) -> List[str]:
     return failures
 
 
-def run_matrix(
-    counts: Sequence[int] = TENANT_COUNTS,
-    sizes: Sequence[float] = DATASET_SIZES_GB,
-    determinism: bool = True,
-) -> Tuple[List[CellResult], List[str]]:
-    cells: List[CellResult] = []
-    failures: List[str] = []
-    for mean_gb in sizes:
-        for tenants in counts:
-            cell = run_cell(tenants, mean_gb)
-            cells.append(cell)
-            if determinism:
-                rerun = run_cell(tenants, mean_gb)
-                if rerun.digest() != cell.digest():
-                    failures.append(
-                        f"{tenants}x{mean_gb:g}GB: cell digest differs "
-                        "across reruns"
-                    )
-    failures.extend(check_cells(cells))
-    return cells, failures
+def cells(smoke: bool) -> List[Tuple[str, Params]]:
+    counts = (TENANT_COUNTS[0], TENANT_COUNTS[-2]) if smoke else TENANT_COUNTS
+    sizes = (DATASET_SIZES_GB[0],) if smoke else DATASET_SIZES_GB
+    return [
+        (f"{tenants}x{mean_gb:g}GB", dict(tenants=tenants, mean_gb=mean_gb))
+        for mean_gb in sizes
+        for tenants in counts
+    ]
 
 
-def format_matrix(cells: List[CellResult], failures: List[str]) -> str:
+def report(cells: List[Cell]) -> str:
     spec = ServerSpec()
     lines = [
         f"serverscale: shared H2 {fmt_bytes(spec.h2_capacity)}, "
@@ -253,90 +221,21 @@ def format_matrix(cells: List[CellResult], failures: List[str]) -> str:
         "  N  dataset   uniform aggregate    device   "
         "fairness gap (mixed)     worst p99 pause",
     ]
-    lines.extend(cell.row() for cell in cells)
-    if failures:
-        lines.append("")
-        lines.append(f"{len(failures)} failure(s):")
-        lines.extend(f"  {msg}" for msg in failures)
-    else:
-        lines.append("")
-        lines.append(
-            "server shape reproduced: aggregate throughput grows then "
-            "saturates as the shared device fills, and the work-conserving "
-            "arbiter narrows the per-tenant progress gap on every mixed "
-            "cell without losing aggregate throughput"
-        )
+    lines.extend(cell.result.row() for cell in cells)
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.serverscale",
-        description=(
-            "multi-tenant server box: tenant count x dataset size, "
-            "arbitrated vs static sharing"
-        ),
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="two tenant counts and one dataset size",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any acceptance failure",
-    )
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run every cell twice; digests must be byte-identical",
-    )
-    parser.add_argument(
-        "--csv-out",
-        default=None,
-        help="write the largest mixed box's per-tenant CSV to this path",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="write a chrome trace with per-tenant lanes to this path",
-    )
-    args = parser.parse_args(argv)
-
-    counts: Sequence[int] = (
-        (TENANT_COUNTS[0], TENANT_COUNTS[-2]) if args.smoke
-        else TENANT_COUNTS
-    )
-    sizes: Sequence[float] = (
-        (DATASET_SIZES_GB[0],) if args.smoke else DATASET_SIZES_GB
-    )
-    cells, failures = run_matrix(
-        counts=counts, sizes=sizes, determinism=args.check_determinism
-    )
-    print(format_matrix(cells, failures))
-    if args.csv_out or args.trace_out:
-        _write_artifacts(args, counts[-1], sizes[-1])
-    if args.check and failures:
-        return 1
-    return 0
-
-
-def _write_artifacts(args, tenants: int, mean_gb: float) -> None:
-    """Re-run the largest mixed box and export its artifacts."""
-    from ..metrics.chrome_trace import server_chrome_trace_json
-    from ..metrics.trace import server_tenants_csv, write_csv
-
-    box = ServerBox(make_spec(tenants, mean_gb, arbiter=True, spread=SPREAD))
-    report = box.run()
-    if args.csv_out:
-        write_csv(args.csv_out, server_tenants_csv(report))
-        print(f"tenant rows -> {args.csv_out}")
-    if args.trace_out:
-        with open(args.trace_out, "w") as f:
-            f.write(server_chrome_trace_json(box))
-        print(f"chrome trace -> {args.trace_out}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+SPEC = Spec(
+    name="serverscale",
+    description=(
+        "multi-tenant server box: tenant count x dataset size, "
+        "arbitrated vs static sharing"
+    ),
+    cells=cells,
+    run_cell=run_cell,
+    check=lambda cells: check_cells([cell.result for cell in cells]),
+    report=report,
+    # The largest cell's mixed box: per-tenant rows and tenant lanes.
+    csv=lambda cells: server_tenants_csv(cells[-1].result.mixed_report),
+    trace=lambda cells: server_chrome_trace_json(cells[-1].result.mixed_box),
+)

@@ -20,15 +20,13 @@ value; the streaming run's peak in-flight bytes never exceed its budget
 (and no admission was forced past it); the largest input of each budget
 column streams *faster* than whole-RDD while the smallest streams
 *slower* (the measurable overhead); and every cell — walls included — is
-byte-identical when run twice (``--check-determinism``).
+byte-identical when run twice (the experiment harness runs it twice).
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..clock import Bucket
 from ..config import TeraHeapConfig, VMConfig
@@ -38,8 +36,11 @@ from ..frameworks.spark import (
     SparkContext,
     StreamResult,
 )
+from ..metrics.chrome_trace import chrome_trace_json, vm_engine
+from ..metrics.trace import streaming_blocks_csv
 from ..runtime import JavaVM
 from ..units import KiB, fmt_bytes, gb
+from .harness import Cell, Params, Spec, handle
 
 #: partitions per RDD; with 8 mutator threads one batch covers them all,
 #: which is exactly the whole-RDD pinning the streaming executor removes
@@ -116,25 +117,9 @@ class CellResult:
     unspills: int = 0
     forced: int = 0
     hidden_seconds: float = 0.0
-
-    def digest(self) -> str:
-        """Canonical cell outcome, for the determinism acceptance gate."""
-        return "\n".join(
-            [
-                f"[cell] {self.input_gb:g}GB/{self.inflight_blocks}blk",
-                f"budget\t{self.budget_bytes}",
-                f"baseline\t{self.baseline_value}\t"
-                f"{self.baseline_wall:.9f}\t{self.baseline_gc:.9f}",
-                f"streaming\t{self.streaming_value}\t"
-                f"{self.streaming_wall:.9f}\t{self.streaming_gc:.9f}",
-                f"blocks\t{self.blocks}\tpeak={self.peak_inflight}",
-                f"backpressure\tstalls={self.stalls} "
-                f"stall_s={self.stall_seconds:.9f} forced={self.forced}",
-                f"spills\t{self.spills}\tbytes={self.spill_bytes}\t"
-                f"unspills={self.unspills}",
-                f"hidden\t{self.hidden_seconds:.9f}",
-            ]
-        )
+    #: the streaming run's VM and result, for the CSV/trace artifacts
+    vm: Optional[JavaVM] = handle()
+    stream: Optional[StreamResult] = handle()
 
     def row(self) -> str:
         ratio = (
@@ -190,6 +175,7 @@ def run_cell(input_gb: float, inflight_blocks: int) -> CellResult:
     cell.unspills = result.unspills
     cell.forced = result.forced_admissions
     cell.hidden_seconds = result.hidden_seconds
+    cell.vm, cell.stream = ctx.vm, result
     return cell
 
 
@@ -239,29 +225,22 @@ def check_cells(cells: List[CellResult]) -> List[str]:
     return failures
 
 
-def run_matrix(
-    sizes: Sequence[float] = INPUT_SIZES_GB,
-    budgets: Sequence[int] = INFLIGHT_BLOCKS,
-    determinism: bool = True,
-) -> Tuple[List[CellResult], List[str]]:
-    cells: List[CellResult] = []
-    failures: List[str] = []
-    for blocks in budgets:
-        for input_gb in sizes:
-            cell = run_cell(input_gb, blocks)
-            cells.append(cell)
-            if determinism:
-                rerun = run_cell(input_gb, blocks)
-                if rerun.digest() != cell.digest():
-                    failures.append(
-                        f"{input_gb:g}GB/{blocks}blk: cell digest differs "
-                        "across reruns"
-                    )
-    failures.extend(check_cells(cells))
-    return cells, failures
+def cells(smoke: bool) -> List[Tuple[str, Params]]:
+    sizes = (
+        (INPUT_SIZES_GB[0], INPUT_SIZES_GB[-1]) if smoke else INPUT_SIZES_GB
+    )
+    budgets = (INFLIGHT_BLOCKS[-1],) if smoke else INFLIGHT_BLOCKS
+    return [
+        (
+            f"{input_gb:g}GB/{blocks}blk",
+            dict(input_gb=input_gb, inflight_blocks=blocks),
+        )
+        for blocks in budgets
+        for input_gb in sizes
+    ]
 
 
-def format_matrix(cells: List[CellResult], failures: List[str]) -> str:
+def report(cells: List[Cell]) -> str:
     lines = [
         f"streamscale: heap {fmt_bytes(HEAP_BYTES)}, "
         f"{NUM_PARTITIONS} partitions, "
@@ -269,94 +248,33 @@ def format_matrix(cells: List[CellResult], failures: List[str]) -> str:
         "input  blk    budget  whole-RDD wall (gc)        "
         "streaming wall (gc)      speedup  streaming counters",
     ]
-    lines.extend(cell.row() for cell in cells)
-    if failures:
-        lines.append("")
-        lines.append(f"{len(failures)} failure(s):")
-        lines.extend(f"  {msg}" for msg in failures)
-    else:
-        lines.append("")
-        lines.append(
-            "crossover reproduced: streaming holds its in-flight budget, "
-            "pays a measurable dispatch tax on the smallest input and "
-            "beats whole-RDD materialisation on the largest"
-        )
+    lines.extend(cell.result.row() for cell in cells)
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.streamscale",
-        description=(
-            "block-streaming vs whole-RDD crossover: input size x "
-            "in-flight budget"
-        ),
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="two sizes (smallest/largest) and one budget",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any acceptance failure",
-    )
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run every cell twice; digests must be byte-identical",
-    )
-    parser.add_argument(
-        "--csv-out",
-        default=None,
-        help="write the last streaming run's per-block CSV to this path",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="write a chrome trace with the in-flight counter track",
-    )
-    args = parser.parse_args(argv)
-
-    sizes: Sequence[float] = (
-        (INPUT_SIZES_GB[0], INPUT_SIZES_GB[-1]) if args.smoke
-        else INPUT_SIZES_GB
-    )
-    budgets: Sequence[int] = (
-        (INFLIGHT_BLOCKS[-1],) if args.smoke else INFLIGHT_BLOCKS
-    )
-    cells, failures = run_matrix(
-        sizes=sizes, budgets=budgets, determinism=args.check_determinism
-    )
-    print(format_matrix(cells, failures))
-    if args.csv_out or args.trace_out:
-        _write_artifacts(args, sizes[-1], budgets[-1])
-    if args.check and failures:
-        return 1
-    return 0
+def blocks_csv(cells: List[Cell]) -> str:
+    """The largest cell's per-block streaming ledger."""
+    return streaming_blocks_csv(cells[-1].result.stream)
 
 
-def _write_artifacts(args, input_gb: float, inflight_blocks: int) -> None:
-    """Re-run the largest cell's streaming pass and export its artifacts."""
-    from ..metrics.chrome_trace import chrome_trace_json, vm_engine
-    from ..metrics.trace import streaming_blocks_csv, write_csv
-
-    ctx = make_ctx(inflight_blocks)
-    top = build_pipeline(ctx, input_gb)
-    result = run_streaming(ctx, top)
-    if args.csv_out:
-        write_csv(args.csv_out, streaming_blocks_csv(result))
-        print(f"streaming blocks -> {args.csv_out}")
-    if args.trace_out:
-        with open(args.trace_out, "w") as f:
-            f.write(
-                chrome_trace_json(
-                    vm_engine(ctx.vm), label="streamscale", streaming=result
-                )
-            )
-        print(f"chrome trace -> {args.trace_out}")
+def inflight_trace(cells: List[Cell]) -> str:
+    """The largest cell's chrome trace, with the in-flight counter track."""
+    cell = cells[-1].result
+    return chrome_trace_json(
+        vm_engine(cell.vm), label="streamscale", streaming=cell.stream
+    )
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+SPEC = Spec(
+    name="streamscale",
+    description=(
+        "block-streaming vs whole-RDD crossover: input size x "
+        "in-flight budget"
+    ),
+    cells=cells,
+    run_cell=run_cell,
+    check=lambda cells: check_cells([cell.result for cell in cells]),
+    report=report,
+    csv=blocks_csv,
+    trace=inflight_trace,
+)

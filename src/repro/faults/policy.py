@@ -24,7 +24,7 @@ from random import Random
 from typing import Callable, List, TypeVar
 
 from ..clock import Clock
-from ..errors import DegradationError, DeviceIOError, SegmentationFault
+from ..errors import DeviceIOError, SegmentationFault
 from .events import ResilienceLog
 from .injector import FaultInjector
 from .plan import FaultConfig, FaultPlan
@@ -183,18 +183,6 @@ class ResiliencePolicy:
             self.clock.record_event("h2_degraded", 0.0)
 
     # ------------------------------------------------------------------
-    @property
-    def transfers_enabled(self) -> bool:
-        return not self.degraded
-
-    def check_transfer_allowed(self) -> None:
-        """Guard H2 placement paths: transfers must not run degraded."""
-        if self.degraded:
-            raise DegradationError(
-                f"H2 transfers disabled after {self.failures} I/O failures; "
-                "objects fall back to the in-H1 serialization path"
-            )
-
     def degradation_context(self) -> str:
         """The fallback description OOM errors must report when degraded."""
         if not self.degraded:

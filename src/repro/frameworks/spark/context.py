@@ -10,7 +10,6 @@ from ...devices.durability import image_of
 from ...errors import ConfigError, SimulatedCrash
 from ...runtime import JavaVM
 from ...units import KiB
-from ...workloads.generators import GraphDataset, MLDataset, TableDataset
 from .block_manager import BlockManager
 from .conf import CachePolicy, SparkConf
 from .rdd import RDD, MaterializedPartition, make_partitions
@@ -84,21 +83,6 @@ class SparkContext:
             parts,
             compute_ops_per_chunk=compute_ops_per_chunk,
             name=name,
-        )
-
-    def ml_rdd(self, dataset: MLDataset, name: str = "points") -> RDD:
-        return self.range_rdd(
-            dataset.total_bytes, chunk_size=dataset.chunk_size, name=name
-        )
-
-    def graph_rdd(self, dataset: GraphDataset, name: str = "edges") -> RDD:
-        return self.range_rdd(
-            dataset.total_bytes, chunk_size=8 * KiB, name=name
-        )
-
-    def table_rdd(self, dataset: TableDataset, name: str = "table") -> RDD:
-        return self.range_rdd(
-            dataset.total_bytes, chunk_size=dataset.chunk_size, name=name
         )
 
     # ------------------------------------------------------------------
@@ -254,7 +238,3 @@ class SparkContext:
 
     def shuffle(self, nbytes: int, records: int = 0) -> None:
         self.shuffle_manager.shuffle(nbytes, records)
-
-    @property
-    def uses_teraheap(self) -> bool:
-        return self.conf.cache_policy is CachePolicy.TERAHEAP

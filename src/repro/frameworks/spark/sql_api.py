@@ -139,10 +139,6 @@ class Dataset(DataFrame):
         )
         return Dataset(rdd, self.schema)
 
-    def filter_elements(self, selectivity: float) -> "Dataset":
-        out = self.where(selectivity)
-        return Dataset(out.rdd, out.schema)
-
 
 def read_table(
     ctx: "SparkContext",

@@ -102,9 +102,6 @@ class RootSet:
             for obj in frame.objects:
                 yield obj
 
-    def as_list(self) -> List[HeapObject]:
-        return list(self)
-
     def oids(self) -> List[int]:
         """Root oids in iteration order — the seed of the trace kernels."""
         return [obj.oid for obj in self]

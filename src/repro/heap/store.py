@@ -156,12 +156,6 @@ class HeapStore:
     def epoch_view(self) -> np.ndarray:
         return np.frombuffer(self.mark_epoch, dtype=np.int64)
 
-    def scan_factor_view(self) -> np.ndarray:
-        return np.frombuffer(self.scan_factor, dtype=np.float64)
-
-    def flags_view(self) -> np.ndarray:
-        return np.frombuffer(self.flags, dtype=np.int8)
-
     # -- CSR edge table ------------------------------------------------
     def edge_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Snapshot the adjacency lists as (ref_offsets, ref_targets).

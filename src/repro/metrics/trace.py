@@ -254,22 +254,6 @@ def server_tenants_csv(report) -> str:
     return out.getvalue()
 
 
-def fault_schedule_csv(plan) -> str:
-    """CSV of a :class:`~repro.faults.plan.FaultPlan`'s injected faults.
-
-    Byte-identical across runs with the same seed and workload — the
-    artifact of the determinism guarantee.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["op_index", "kind", "device", "detail"])
-    for record in plan.schedule:
-        writer.writerow(
-            [record.op_index, record.kind.value, record.device, record.detail]
-        )
-    return out.getvalue()
-
-
 def resilience_events_csv(log) -> str:
     """CSV of a :class:`~repro.faults.events.ResilienceLog`'s timeline."""
     out = io.StringIO()

@@ -104,8 +104,3 @@ DACAPO_PROFILES: Dict[str, MutatorProfile] = {
         "luindex", "read-mostly index traversal", _read_mostly
     ),
 }
-
-
-def run_profile(vm: JavaVM, name: str, operations: int = 10_000) -> None:
-    """Run one profile on ``vm``."""
-    DACAPO_PROFILES[name].run(vm, operations)

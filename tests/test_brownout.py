@@ -2,8 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.__main__ import main
 from repro.errors import SimulatedCrash
-from repro.experiments import brownout, chaoskill
+from repro.experiments import brownout, chaoskill, harness
 from repro.devices.durability import image_of
 from repro.faults.plan import FaultConfig
 
@@ -13,12 +14,10 @@ class TestBrownoutExperiment:
         # The CI gate's exact shape: governed cells survive with bounded
         # stalls, ungoverned controls die (or stall >= 2x), cell digests
         # byte-identical across reruns.
-        results, failures, t_clean = brownout.run_matrix(
-            durations=(0.25,), steps=26, check_determinism=True
-        )
+        cells, failures = harness.run(brownout.SPEC, smoke=True)
         assert failures == []
-        assert t_clean > 0
-        by_gov = {r.governor: r for r in results}
+        assert brownout.clean_runtime(26) > 0
+        by_gov = {c.result.governor: c.result for c in cells}
         on, off = by_gov[True], by_gov[False]
         assert not on.oom and on.completed_steps == 26
         assert on.trips >= 1 and on.probes >= 1
@@ -38,7 +37,7 @@ class TestBrownoutExperiment:
         assert "[circuit]" in first.digest
 
     def test_main_smoke_exits_zero(self):
-        assert brownout.main(["--smoke", "--check", "--steps", "26"]) == 0
+        assert main(["brownout", "--smoke"]) == 0
 
     def test_health_and_circuit_events_reach_resilience_log(self):
         t = brownout.clean_runtime(steps=12)

@@ -21,6 +21,10 @@ GOLDEN = json.loads(
 SPECS = harness.specs()
 
 
+def test_every_gated_experiment_has_golden_digests():
+    assert set(SPECS) == set(GOLDEN)
+
+
 @pytest.mark.parametrize("name", list(SPECS))
 def test_smoke_cells_match_golden_digests(name):
     cells, failures = harness.run(SPECS[name], smoke=True)

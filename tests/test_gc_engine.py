@@ -7,7 +7,7 @@ import pytest
 from repro.clock import Bucket, Clock
 from repro.config import CostModel, VMConfig
 from repro.devices.nvme import NVMeSSD
-from repro.experiments import gc_scaling
+from repro.experiments import gc_scaling, harness
 from repro.experiments.configs import SPARK_DR2_GB, SPARK_WORKLOADS_TABLE3
 from repro.frameworks.spark import CachePolicy, SparkConf, SparkContext
 from repro.frameworks.spark.workloads import SPARK_WORKLOADS
@@ -259,23 +259,6 @@ def test_scaling_monotone_and_sublinear():
     # Wide pools steal and idle; the serial point cannot.
     assert by_threads[16].steals > 0
     assert by_threads[16].idle_s > by_threads[1].idle_s
-
-
-def test_scaling_baseline_gate():
-    points = gc_scaling.run_scaling((1, 2), batches=10)
-    assert points[0].total_pause_s > 0.0, "churn run must trigger GC"
-    by_policy = {"steal-one": points}
-    payload = gc_scaling.baseline_payload(by_policy, batches=10)
-    assert payload["schema"] == 3
-    assert gc_scaling.check_baseline(by_policy, payload) == []
-    shrunk = json.loads(json.dumps(payload))
-    shrunk["policies"]["steal-one"][0]["total_pause_s"] /= 2.0
-    failures = gc_scaling.check_baseline(by_policy, shrunk)
-    assert failures and "regressed" in failures[0]
-    assert gc_scaling.check_baseline(by_policy, {"policies": {}})
-    # Schema-1 fallback: a flat point list is treated as steal-one.
-    legacy = {"points": payload["policies"]["steal-one"]}
-    assert gc_scaling.check_baseline(by_policy, legacy) == []
 
 
 # ======================================================================
@@ -766,8 +749,8 @@ def test_g1_marking_hidden_share_rises_with_mutator_work():
 
 
 def test_g1_marking_series_deterministic():
-    a = [p.to_dict() for p in gc_scaling.g1_marking_points((512,), rounds=2)]
-    b = [p.to_dict() for p in gc_scaling.g1_marking_points((512,), rounds=2)]
+    a = harness.digest(gc_scaling.g1_marking_points((512,), rounds=2))
+    b = harness.digest(gc_scaling.g1_marking_points((512,), rounds=2))
     assert a == b
 
 
