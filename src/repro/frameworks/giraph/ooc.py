@@ -46,6 +46,8 @@ class OOCScheduler:
         self.bytes_offloaded = 0
         self.bytes_reloaded = 0
         self._victim_cursor = 0
+        #: collection count at the last occupancy check
+        self._seen_cycles = -1
 
     # ------------------------------------------------------------------
     def effective_occupancy(self) -> float:
@@ -53,7 +55,7 @@ class OOCScheduler:
         # A collection actually reclaims dropped objects; reset the
         # estimate whenever one has run since the last check.
         cycles = len(vm.collector.stats.cycles)
-        if cycles != getattr(self, "_seen_cycles", -1):
+        if cycles != self._seen_cycles:
             self._seen_cycles = cycles
             self.dropped_estimate = 0
         used = max(vm.heap.used() - self.dropped_estimate, 0)
@@ -77,12 +79,7 @@ class OOCScheduler:
             self._victim_cursor += 1
             if pid == job.current_partition:
                 continue  # never evict the partition being computed
-            freed = 0
-            to_write = 0
-            for v in job.partition_vertices(pid):
-                f, w = job.offload_edges(v)
-                freed += f
-                to_write += w
+            freed, to_write = job.offload_partition_edges(pid)
             self.device_write(("part", pid), to_write)
             self.dropped_estimate += freed
             self.bytes_offloaded += freed
