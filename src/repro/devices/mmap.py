@@ -10,7 +10,7 @@ frequency for streaming access (Section 6).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, Tuple
 
 from ..errors import SegmentationFault
 from .base import AccessPattern, Device
@@ -59,16 +59,14 @@ class MappedFile:
         return self.base <= address < self.base + self.size
 
     def _pages_for(self, address: int, nbytes: int) -> range:
-        if not self.contains(address) or not self.contains(
-            address + max(nbytes, 1) - 1
-        ):
+        offset = address - self.base
+        last = offset + max(nbytes, 1) - 1
+        if offset < 0 or last >= self.size:
             raise SegmentationFault(
                 f"access [{address:#x}, +{nbytes}) outside mapping "
                 f"[{self.base:#x}, +{self.size})"
             )
-        first = (address - self.base) // self.page_size
-        last = (address - self.base + max(nbytes, 1) - 1) // self.page_size
-        return range(first, last + 1)
+        return range(offset // self.page_size, last // self.page_size + 1)
 
     def _maybe_sigbus(self, address: int, misses: int) -> None:
         """Simulated SIGBUS: an I/O error surfacing through a page fault.
@@ -103,6 +101,34 @@ class MappedFile:
         hits, misses = self.cache.access(pages, write=False, pattern=pattern)
         self.page_faults += misses
         self._maybe_sigbus(address, misses)
+        return hits, misses
+
+    def load_many(
+        self,
+        spans: Iterable[Tuple[int, int]],
+        pattern: AccessPattern = AccessPattern.SEQUENTIAL,
+    ) -> Tuple[int, int]:
+        """Read several ``(address, nbytes)`` spans in order, as one
+        :meth:`load` per span would, in one page-cache pass.
+
+        Spans up to the first one outside the mapping are loaded; that
+        one then raises the same :class:`SegmentationFault` as
+        :meth:`load`.  No SIGBUS is consulted here: callers under a
+        fault plan load object by object.
+        """
+        pages_for = self._pages_for
+        ranges = []
+        fault = None
+        for address, nbytes in spans:
+            try:
+                ranges.append(pages_for(address, nbytes))
+            except SegmentationFault as exc:
+                fault = exc
+                break
+        hits, misses = self.cache.access_many(ranges, pattern=pattern)
+        self.page_faults += misses
+        if fault is not None:
+            raise fault
         return hits, misses
 
     def store(

@@ -136,38 +136,77 @@ class PageCache:
             op_index=op_index,
         )
 
+    def _access_span(
+        self, pages: Iterable[int], write: bool, pattern: AccessPattern
+    ) -> Tuple[int, int]:
+        """Touch one span of distinct pages; returns ``(hits, misses)``.
+
+        Hits move to the LRU tail; the misses are fetched in one device
+        read (one request per contiguous run), then inserted one by one,
+        each insert evicting the oldest pages over the limit (dirty ones
+        written back).  The hit/miss counters are left to the caller.
+        """
+        cached = self._pages
+        hits = 0
+        miss_pages = []
+        for page in pages:
+            if page in cached:
+                hits += 1
+                cached.move_to_end(page)
+                if write:
+                    cached[page] = True
+            else:
+                miss_pages.append(page)
+        if miss_pages:
+            self.device.read(
+                len(miss_pages) * self.page_size,
+                pattern,
+                requests=_count_runs(miss_pages),
+            )
+            max_pages = self.max_pages
+            for page in miss_pages:
+                cached[page] = write
+                # Evict before the next insert: a writeback that raises
+                # must leave the later misses uncached.
+                if len(cached) > max_pages:
+                    self._evict_over_limit()
+        return hits, len(miss_pages)
+
     def access(
         self,
         pages: Iterable[int],
         write: bool = False,
         pattern: AccessPattern = AccessPattern.SEQUENTIAL,
     ) -> Tuple[int, int]:
-        """Touch ``pages``; fetch misses from the device.
+        """Touch ``pages`` (distinct); fetch misses from the device.
 
         Returns ``(hits, misses)``.  A write marks pages dirty; the write
         reaches the device later via writeback, not synchronously — which
         is why batched sequential writes (promotion buffers) are so much
         cheaper than random read-modify-writes.
         """
+        hits, misses = self._access_span(pages, write, pattern)
+        self.hits += hits
+        self.misses += misses
+        return hits, misses
+
+    def access_many(
+        self,
+        spans: Iterable[Iterable[int]],
+        pattern: AccessPattern = AccessPattern.SEQUENTIAL,
+    ) -> Tuple[int, int]:
+        """Read each span in turn, exactly as one :meth:`access` per span.
+
+        Returns the summed ``(hits, misses)``.  Meant for fault-free
+        devices: under a fault plan, call :meth:`access` per span so a
+        failed read leaves the spans before it counted.
+        """
+        span = self._access_span
         hits = misses = 0
-        miss_pages = []
-        for page in pages:
-            if page in self._pages:
-                hits += 1
-                self._pages.move_to_end(page)
-                if write:
-                    self._pages[page] = True
-            else:
-                misses += 1
-                miss_pages.append(page)
-        if miss_pages:
-            # One request per contiguous run of missing pages.
-            runs = _count_runs(miss_pages)
-            self.device.read(
-                len(miss_pages) * self.page_size, pattern, requests=runs
-            )
-            for page in miss_pages:
-                self._insert(page, dirty=write)
+        for pages in spans:
+            span_hits, span_misses = span(pages, False, pattern)
+            hits += span_hits
+            misses += span_misses
         self.hits += hits
         self.misses += misses
         return hits, misses

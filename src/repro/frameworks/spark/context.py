@@ -233,8 +233,7 @@ class SparkContext:
         pattern: AccessPattern = AccessPattern.SEQUENTIAL,
     ) -> None:
         """Mutator reads every chunk of a partition (H2-aware)."""
-        for chunk in part.chunks:
-            self.vm.read_object(chunk, pattern)
+        self.vm.read_objects(part.chunks, pattern)
 
     def shuffle(self, nbytes: int, records: int = 0) -> None:
         self.shuffle_manager.shuffle(nbytes, records)

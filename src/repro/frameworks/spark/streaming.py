@@ -372,8 +372,7 @@ class StreamingExecutor:
             result.hidden_seconds += clock.overlap(
                 cost.stream_block_dispatch_cost, budget
             )
-            for chunk in chunks:
-                vm.read_object(chunk)
+            vm.read_objects(chunks)
             vm.compute(stage.lineage.ops_for_chunks(len(chunks)))
             out_spec = stage.partitions[p_index]
             n_out = stage.lineage.output_chunks(len(chunks))

@@ -520,6 +520,35 @@ class JavaVM:
             self.cost.dram_latency + obj.size / self.cost.dram_read_bw
         )
 
+    def read_objects(
+        self,
+        objs: Iterable[HeapObject],
+        pattern: AccessPattern = AccessPattern.SEQUENTIAL,
+    ) -> None:
+        """A mutator reads several objects in order (e.g. one partition).
+
+        Same charges, in the same order, as one :meth:`read_object` per
+        object: each run of consecutive H2-resident objects faults
+        through the mapping as one batch, and every other object goes
+        through :meth:`read_object`.
+        """
+        h2 = self.h2
+        if h2 is None:
+            for obj in objs:
+                self.read_object(obj, pattern)
+            return
+        batch: List[HeapObject] = []
+        for obj in objs:
+            if obj.in_h2:
+                batch.append(obj)
+                continue
+            if batch:
+                h2.mutator_load_many(batch, pattern)
+                batch = []
+            self.read_object(obj, pattern)
+        if batch:
+            h2.mutator_load_many(batch, pattern)
+
     def compute(self, operations: int, parallel: bool = True) -> None:
         """Charge pure mutator work for ``operations`` record operations."""
         seconds = operations * self.cost.mutator_op_cost

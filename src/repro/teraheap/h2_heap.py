@@ -10,7 +10,7 @@ stays in DRAM (Figure 2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..clock import Clock
 from ..config import TeraHeapConfig
@@ -613,6 +613,29 @@ class H2Heap:
         self._io(
             "h2_mutator_load",
             lambda: self.mapping.load(obj.address, obj.size, pattern),
+        )
+
+    def mutator_load_many(
+        self,
+        objs: Sequence[HeapObject],
+        pattern: AccessPattern = AccessPattern.SEQUENTIAL,
+    ) -> None:
+        """Read several H2 objects in order, in one page-cache pass.
+
+        Charges exactly what one :meth:`mutator_load` per object would.
+        Under a resilience policy each object stays its own retry unit
+        (and SIGBUS consult), so the batch falls back to that loop.
+        """
+        if self.resilience is not None or self.mapping.fault_plan is not None:
+            for obj in objs:
+                self.mutator_load(obj, pattern)
+            return
+        if not objs:
+            return
+        store = objs[0]._store
+        address, size = store.address, store.size
+        self.mapping.load_many(
+            [(address[obj.oid], size[obj.oid]) for obj in objs], pattern
         )
 
     def mutator_store(self, obj: HeapObject, nbytes: int = 8) -> None:

@@ -105,3 +105,20 @@ def test_count_runs():
     assert _count_runs([1, 3, 5]) == 3
     assert _count_runs([1, 2, 5, 6, 9]) == 3
     assert _count_runs([]) == 1
+
+
+def test_failed_writeback_stops_the_inserts_after_it():
+    """A miss's insert evicts before the next miss is inserted, so a
+    writeback that raises leaves the later misses uncached (a retry
+    faults them in again) and the hit/miss counters untouched."""
+
+    class FailingWrites(NVMeSSD):
+        def write(self, nbytes, pattern=None, requests=1):
+            raise OSError("injected write error")
+
+    pc = PageCache(FailingWrites(Clock()), capacity=2 * 4096)
+    pc.access([0, 1], write=True)
+    with pytest.raises(OSError):
+        pc.access([10, 11, 12])
+    assert list(pc._pages.items()) == [(1, True), (10, False)]
+    assert (pc.hits, pc.misses, pc.evictions, pc.writebacks) == (0, 2, 1, 1)
