@@ -45,6 +45,21 @@ class Bucket(enum.Enum):
     ALLOC_STALL = "alloc_stall"
 
 
+# Each member's index into ``Clock._totals``.  A plain attribute, so a
+# charge indexes a list instead of hashing an Enum key in Python code;
+# Bucket's own hash is left alone.
+for _slot, _bucket in enumerate(Bucket):
+    _bucket.slot = _slot
+del _slot, _bucket
+
+
+def _unknown_bucket(bucket) -> ValueError:
+    return ValueError(
+        f"unknown clock bucket {bucket!r}; expected a "
+        f"repro.clock.Bucket member or None"
+    )
+
+
 class LaneSet:
     """Per-worker time lanes inside one parallel region.
 
@@ -129,7 +144,8 @@ class Clock:
     """Accumulates simulated seconds per bucket and sub-bucket."""
 
     def __init__(self) -> None:
-        self._totals: Dict[Bucket, float] = {b: 0.0 for b in Bucket}
+        #: seconds per bucket, indexed by ``Bucket.slot``
+        self._totals: List[float] = [0.0] * len(Bucket)
         self._sub: Dict[str, float] = {}
         self._context: List[Bucket] = [Bucket.OTHER]
         self._sub_context: List[str] = []
@@ -231,19 +247,39 @@ class Clock:
         """Add ``seconds`` to ``bucket`` (default: current context)."""
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
-        if bucket is None:
-            target = self.current
-        elif isinstance(bucket, Bucket):
-            target = bucket
-        else:
-            raise ValueError(
-                f"unknown clock bucket {bucket!r}; expected a "
-                f"repro.clock.Bucket member or None"
-            )
-        self._totals[target] += seconds
+        try:
+            slot = (self._context[-1] if bucket is None else bucket).slot
+        except AttributeError:
+            raise _unknown_bucket(bucket) from None
+        self._totals[slot] += seconds
         if self._sub_context:
             name = self._sub_context[-1]
             self._sub[name] = self._sub.get(name, 0.0) + seconds
+
+    def charge_repeated(
+        self, seconds: float, n: int, bucket: Optional[Bucket] = None
+    ) -> None:
+        """Charge ``seconds`` ``n`` times: same totals as ``n`` :meth:`charge`
+        calls, bit for bit (``n`` sequential float adds, not one product),
+        sub-bucket included."""
+        if seconds < 0:
+            raise ValueError(f"cannot charge negative time: {seconds}")
+        try:
+            slot = (self._context[-1] if bucket is None else bucket).slot
+        except AttributeError:
+            raise _unknown_bucket(bucket) from None
+        if n <= 0:
+            return
+        total = self._totals[slot]
+        for _ in range(n):
+            total += seconds
+        self._totals[slot] = total
+        if self._sub_context:
+            name = self._sub_context[-1]
+            total = self._sub.get(name, 0.0)
+            for _ in range(n):
+                total += seconds
+            self._sub[name] = total
 
     def record_event(self, name: str, duration: float) -> None:
         """Log a timeline event (e.g. one GC cycle) at the current time."""
@@ -255,23 +291,24 @@ class Clock:
     @property
     def now(self) -> float:
         """Total simulated seconds elapsed."""
-        return sum(self._totals.values())
+        return sum(self._totals)
 
     def total(self, bucket: Bucket) -> float:
-        return self._totals[bucket]
+        return self._totals[bucket.slot]
 
     def sub_total(self, name: str) -> float:
         return self._sub.get(name, 0.0)
 
     def breakdown(self) -> Dict[str, float]:
         """The paper's four-way split, keyed by bucket value."""
-        return {b.value: self._totals[b] for b in Bucket}
+        return {b.value: self._totals[b.slot] for b in Bucket}
 
     def sub_breakdown(self) -> Dict[str, float]:
         return dict(self._sub)
 
     def snapshot(self) -> "ClockSnapshot":
-        return ClockSnapshot(dict(self._totals), dict(self._sub))
+        totals = {b: self._totals[b.slot] for b in Bucket}
+        return ClockSnapshot(totals, dict(self._sub))
 
 
 class ClockSnapshot:

@@ -475,15 +475,13 @@ class BlockManager:
             self._spilled_keys.discard((rdd.rdd_id, index))
             self.unspills += 1
         with vm.roots.frame() as frame:
-            chunks = []
-            for i in range(entry.num_chunks):
-                chunks.append(
-                    frame.push(
-                        vm.allocate(
-                            entry.chunk_size, name=f"{rdd.name}-p{index}-d{i}"
-                        )
-                    )
-                )
+            prefix = f"{rdd.name}-p{index}-d"
+            chunks = vm.allocate_array(
+                entry.num_chunks,
+                entry.chunk_size,
+                names=[f"{prefix}{i}" for i in range(entry.num_chunks)],
+                frame=frame,
+            )
             root = vm.allocate(
                 max(64, 8 * entry.num_chunks),
                 refs=chunks,

@@ -126,6 +126,11 @@ class G1Heap:
         return size > self.region_size // 2
 
     # ------------------------------------------------------------------
+    def eden_room(self, size: int) -> int:
+        """Always 0: G1 allocates object by object (region switches,
+        humongous runs), so run allocation never batches on it."""
+        return 0
+
     def try_allocate(self, obj: HeapObject) -> bool:
         if self.is_humongous(obj.size):
             return self._allocate_humongous(obj)

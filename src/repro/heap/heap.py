@@ -75,15 +75,19 @@ class ManagedHeap:
         return self.used() / self.capacity
 
     # ------------------------------------------------------------------
+    def _goes_to_old(self, size: int) -> bool:
+        """Objects eden could never hold, or pretenured ones."""
+        if size > self.eden.capacity // 2:
+            return True
+        threshold = self.pretenure_threshold
+        return threshold is not None and size >= threshold
+
     def try_allocate(self, obj: HeapObject) -> bool:
         """Place ``obj`` in eden (or old gen if eden could never hold it).
 
         Returns False when a minor GC is needed first.
         """
-        large = obj.size > self.eden.capacity // 2
-        if self.pretenure_threshold is not None:
-            large = large or obj.size >= self.pretenure_threshold
-        target = self.old if large else self.eden
+        target = self.old if self._goes_to_old(obj.size) else self.eden
         if target.allocate(obj):
             self.allocated_objects += 1
             self.allocated_bytes += obj.size
@@ -97,6 +101,21 @@ class ManagedHeap:
                 self.card_table.mark(obj.address)
             return True
         return False
+
+    def eden_room(self, size: int) -> int:
+        """How many ``size``-byte objects :meth:`try_allocate` would place
+        back to back in eden before failing; 0 for old-gen sizes."""
+        if self._goes_to_old(size):
+            return 0
+        return self.eden.free // size
+
+    def allocate_run(self, objs: List[HeapObject], size: int) -> None:
+        """Place fresh reference-free ``size``-byte objects in eden, as
+        one :meth:`try_allocate` each would; at most
+        :meth:`eden_room` of them."""
+        self.eden.allocate_run(objs, size)
+        self.allocated_objects += len(objs)
+        self.allocated_bytes += len(objs) * size
 
     def swap_survivors(self) -> None:
         """Exchange from/to spaces after a scavenge."""

@@ -26,6 +26,7 @@ from .store import (
     LABEL_WORD_SIZE,
     MIN_OBJECT_SIZE,
     NO_SPACE,
+    check_object_size,
     get_store,
 )
 
@@ -183,10 +184,7 @@ class HeapObject:
         scan_factor: float = 1.0,
         store=None,
     ):
-        if size < MIN_OBJECT_SIZE:
-            raise ValueError(
-                f"object size {size} below minimum {MIN_OBJECT_SIZE}"
-            )
+        check_object_size(size)
         if store is None:
             store = get_store()
         flags = 0

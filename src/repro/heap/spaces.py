@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional
 
 import numpy as np
 
 from ..errors import ConfigError
-from .object_model import HeapObject, SpaceId
+from .object_model import SPACE_CODES, HeapObject, SpaceId
 
 
 class Space:
@@ -68,6 +69,26 @@ class Space:
         self._addr_cache = None
         self._oid_cache = None
         return True
+
+    def allocate_run(self, objs: List[HeapObject], size: int) -> None:
+        """Bump-allocate fresh ``size``-byte objects in one pass.
+
+        ``objs`` are consecutive store rows and the caller has checked
+        that they fit; the result equals one :meth:`allocate` per object.
+        """
+        count = len(objs)
+        store = objs[0]._store
+        first = objs[0].oid
+        top = self.top
+        end = top + count * size
+        store.address[first:first + count] = array("q", range(top, end, size))
+        store.space[first:first + count] = (
+            array("b", [SPACE_CODES[self.space_id]]) * count
+        )
+        self.top = end
+        self.objects.extend(objs)
+        self._addr_cache = None
+        self._oid_cache = None
 
     def reset(self) -> None:
         """Empty the space (end of scavenge for eden/from-space)."""

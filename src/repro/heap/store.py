@@ -71,6 +71,15 @@ FLAG_SERIALIZABLE = 4
 FLAG_H2_CANDIDATE = 8
 
 _YOUNG_CODES = (SPACE_EDEN, SPACE_FROM, SPACE_TO)
+
+
+def check_object_size(size: int) -> None:
+    """Reject sizes no Java object can have."""
+    if size < MIN_OBJECT_SIZE:
+        raise ValueError(
+            f"object size {size} below minimum {MIN_OBJECT_SIZE}"
+        )
+
 _H1_CODES = (SPACE_EDEN, SPACE_FROM, SPACE_TO, SPACE_OLD)
 
 
@@ -134,6 +143,42 @@ class HeapStore:
         self.handles.append(None)
         self.edge_version += 1
         return oid
+
+    def new_objects(
+        self, count: int, size: int, names: Sequence[str], flags: int
+    ) -> List[object]:
+        """``count`` reference-free rows of one ``size``, in one pass.
+
+        The rows, oids and edge version equal ``count`` calls of
+        :meth:`new_object` with no references and a scan factor of 1.0;
+        returns the rows' canonical handles in oid order.
+        """
+        from .object_model import HeapObject
+
+        first = len(self.size)
+        self.size.extend(array("q", [size]) * count)
+        self.space.extend(array("b", [SPACE_EDEN]) * count)
+        self.address.extend(array("q", [-1]) * count)
+        self.age.extend(array("q", [0]) * count)
+        self.region_id.extend(array("q", [-1]) * count)
+        self.mark_epoch.extend(array("q", [0]) * count)
+        self.forward_address.extend(array("q", [-1]) * count)
+        self.forward_space.extend(array("b", [NO_SPACE]) * count)
+        self.scan_factor.extend(array("d", [1.0]) * count)
+        self.flags.extend(array("b", [flags]) * count)
+        self.label.extend([None] * count)
+        self.name.extend(names)
+        self.refs.extend([[] for _ in range(count)])
+        new = HeapObject.__new__
+        handles = []
+        for oid in range(first, first + count):
+            h = new(HeapObject)
+            h.oid = oid
+            h._store = self
+            handles.append(h)
+        self.handles.extend(handles)
+        self.edge_version += count
+        return handles
 
     # -- column views --------------------------------------------------
     # array('q'/'d'/'b') exposes the buffer protocol, so these are

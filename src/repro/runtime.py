@@ -10,7 +10,7 @@ cost — allocation, barriers, GC, S/D, device I/O — is accounted.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .clock import Bucket, Clock
 from .config import VMConfig
@@ -30,7 +30,13 @@ from .faults import (
 from .faults.plan import FaultConfig
 from .faults.policy import ResiliencePolicy
 from .heap.audit import HeapAuditor, make_auditor
-from .heap.store import HeapStore, get_store
+from .heap.store import (
+    FLAG_SERIALIZABLE,
+    MIN_OBJECT_SIZE,
+    HeapStore,
+    check_object_size,
+    get_store,
+)
 from .gc.parallel_scavenge import (
     ParallelScavenge,
     ParallelScavengeJDK11,
@@ -39,7 +45,7 @@ from .gc.parallel_scavenge import (
 from .heap.barriers import WriteBarrier
 from .heap.heap import ManagedHeap
 from .heap.object_model import HeapObject, SpaceId
-from .heap.roots import RootSet
+from .heap.roots import RootSet, StackFrame
 from .serdes.serializer import KryoSerializer
 from .teraheap.h2_heap import H2Heap
 from .teraheap.hints import HintInterface
@@ -274,10 +280,18 @@ class JavaVM:
             serializable=serializable,
             store=self.store,
         )
+        return self._place(obj)
+
+    def _place(self, obj: HeapObject, oom_message: str = "") -> HeapObject:
+        """Charge and place one fresh object, collecting as needed.
+
+        The slow path escalates from scavenge to full GC to emergency
+        backpressure; past that it raises OOM with ``oom_message``
+        (default: "cannot allocate <size> B after full GC").
+        """
         self.clock.charge(self.cost.alloc_cost, Bucket.OTHER)
         if self.heap.try_allocate(obj):
             return obj
-        # Slow path: collect, escalating from scavenge to full GC.
         self.minor_gc()
         if self.heap.try_allocate(obj):
             return obj
@@ -287,7 +301,8 @@ class JavaVM:
         if self._emergency_backpressure(obj):
             return obj
         self.oom = True
-        message = f"cannot allocate {size} B after full GC"
+        size = obj.size
+        message = oom_message or f"cannot allocate {size} B after full GC"
         context = self._degradation_context()
         if context:
             message = f"{message} ({context})"
@@ -415,46 +430,80 @@ class JavaVM:
         self,
         count: int,
         element_size: int,
-        refs_per_element: int = 0,
         name: str = "",
+        names: Optional[Sequence[str]] = None,
+        frame: Optional[StackFrame] = None,
     ) -> List[HeapObject]:
-        """Bulk-allocate ``count`` plain objects (no references)."""
-        return [
-            self.allocate(element_size, name=f"{name}[{i}]" if name else "")
-            for i in range(count)
-        ]
+        """Allocate ``count`` plain ``element_size``-byte objects (no
+        references), named ``name[i]`` or by the sequence ``names``.
+
+        Same oids, names, addresses, charges and GC points as one
+        :meth:`allocate` per element.  Each stretch that fits in eden is
+        created, charged and bump-placed in one pass; the element that
+        does not fit takes :meth:`allocate`'s slow path.  Elements are
+        pushed on ``frame`` as they are placed, so a collection later in
+        the run keeps them.
+        """
+        if names is None:
+            if name:
+                names = [f"{name}[{i}]" for i in range(count)]
+            else:
+                names = [""] * count
+        elif len(names) != count:
+            raise ValueError(f"{len(names)} names for {count} elements")
+        return self._allocate_run(element_size, names, frame)
+
+    def _allocate_run(
+        self,
+        size: int,
+        names: Sequence[str],
+        frame: Optional[StackFrame] = None,
+        oom_message: str = "",
+    ) -> List[HeapObject]:
+        """One object of ``size`` per name: the run allocator."""
+        count = len(names)
+        if count:
+            check_object_size(size)
+        heap, store = self.heap, self.store
+        objs: List[HeapObject] = []
+        done = 0
+        while done < count:
+            fit = min(heap.eden_room(size), count - done)
+            if fit:
+                run = store.new_objects(
+                    fit, size, names[done:done + fit], FLAG_SERIALIZABLE
+                )
+                self.clock.charge_repeated(
+                    self.cost.alloc_cost, fit, Bucket.OTHER
+                )
+                heap.allocate_run(run, size)
+                done += fit
+            else:
+                obj = HeapObject(size, name=names[done], store=store)
+                run = [self._place(obj, oom_message)]
+                done += 1
+            if frame is not None:
+                frame.push_all(run)
+            objs.extend(run)
+        return objs
 
     def allocate_temp(self, nbytes: int) -> None:
         """Spray short-lived temporaries (S/D byte-stream buffers).
 
-        The objects are never rooted, so they die at the next scavenge —
-        their only effect is the young-generation pressure the paper
-        attributes to S/D (Section 2).
+        ``nbytes`` is cut into ``TEMP_CHUNK``-byte objects plus a tail
+        of at least 16 B.  The objects are never rooted, so they die at
+        the next scavenge — their only effect is the young-generation
+        pressure the paper attributes to S/D (Section 2).
         """
-        remaining = nbytes
-        while remaining > 0:
-            chunk = min(TEMP_CHUNK, max(remaining, 16))
-            obj = HeapObject(chunk, name="sd-temp", store=self.store)
-            self.clock.charge(self.cost.alloc_cost, Bucket.OTHER)
-            if not self.heap.try_allocate(obj):
-                self.minor_gc()
-                if not self.heap.try_allocate(obj):
-                    self.major_gc()
-                    if not self.heap.try_allocate(
-                        obj
-                    ) and not self._emergency_backpressure(obj):
-                        self.oom = True
-                        message = "temporary allocation failed"
-                        context = self._degradation_context()
-                        if context:
-                            message = f"{message} ({context})"
-                        raise OutOfMemoryError(
-                            message,
-                            requested=chunk,
-                            context=context,
-                            heap_report=self.diagnostic_heap_report(),
-                        )
-            remaining -= chunk
+        if nbytes <= 0:
+            return
+        full, tail = divmod(nbytes, TEMP_CHUNK)
+        message = "temporary allocation failed"
+        self._allocate_run(TEMP_CHUNK, ["sd-temp"] * full, oom_message=message)
+        if tail:
+            self._allocate_run(
+                max(tail, MIN_OBJECT_SIZE), ["sd-temp"], oom_message=message
+            )
 
     # ==================================================================
     # Mutator object access

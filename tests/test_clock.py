@@ -123,6 +123,32 @@ def test_charge_unknown_bucket_rejected():
     assert clock.now == 0.0
 
 
+@pytest.mark.parametrize("bucket", [None, Bucket.OTHER, Bucket.SD_IO])
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_charge_repeated_equals_charge_loop(bucket, n):
+    seconds = 1e-7 / 3  # sums of this round differently than products
+    runs, loop = Clock(), Clock()
+    for clock in (runs, loop):
+        clock.charge(0.1, bucket)
+    with runs.context(Bucket.MINOR_GC), runs.sub_context("phase"):
+        runs.charge_repeated(seconds, n, bucket)
+    with loop.context(Bucket.MINOR_GC), loop.sub_context("phase"):
+        for _ in range(n):
+            loop.charge(seconds, bucket)
+    assert runs.breakdown() == loop.breakdown()
+    assert runs.sub_breakdown() == loop.sub_breakdown()
+    assert runs.now == loop.now
+
+
+def test_charge_repeated_rejects_bad_input():
+    clock = Clock()
+    with pytest.raises(ValueError, match="unknown clock bucket"):
+        clock.charge_repeated(1.0, 2, "other")
+    with pytest.raises(ValueError, match="negative"):
+        clock.charge_repeated(-1.0, 2)
+    assert clock.now == 0.0
+
+
 # ----------------------------------------------------------------------
 # Multi-lane extension (the GC engine's substrate)
 # ----------------------------------------------------------------------
