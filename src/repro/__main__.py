@@ -13,7 +13,9 @@ The gated experiments run on the experiment harness (``--smoke`` picks
 the small matrix; exit 1 on digest drift or a failed check), and those
 with an exporter take ``--csv-out``/``--trace-out``.  Every experiment
 takes ``--faults SEED`` (with ``--fault-rate``), ``--fault-seed`` and
-``--audit``.
+``--audit``; the first and last arm one
+:class:`~repro.faults.session.RunSession` that every VM the experiment
+builds takes its defaults from and reports into.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import argparse
 import sys
 from typing import Callable, Dict
 
-from . import faults as faults_mod
 from .faults.plan import FaultConfig
+from .faults.session import RunSession
 from .experiments import (
     barrier,
     fig06,
@@ -39,45 +41,53 @@ from .experiments import (
 )
 
 
-def _fig06(args: argparse.Namespace) -> str:
+def _fig06(args: argparse.Namespace, session: RunSession) -> str:
     text = fig06.format_results(
-        fig06.run_spark(workloads=args.workloads, scale=args.scale)
+        fig06.run_spark(
+            workloads=args.workloads, scale=args.scale, session=session
+        )
     )
     if not args.workloads:
-        text += "\n" + fig06.format_results(fig06.run_giraph())
+        text += "\n" + fig06.format_results(fig06.run_giraph(session=session))
     return text
 
 
-#: figure/table name -> report text for the parsed arguments
-FIGURES: Dict[str, Callable[[argparse.Namespace], str]] = {
-    "table5": lambda a: table5.format_results(table5.run()),
-    "barrier": lambda a: barrier.format_result(barrier.run()),
+#: figure/table name -> report text for the parsed arguments and session
+FIGURES: Dict[str, Callable[[argparse.Namespace, RunSession], str]] = {
+    "table5": lambda a, s: table5.format_results(table5.run()),
+    "barrier": lambda a, s: barrier.format_result(barrier.run(session=s)),
     "fig06": _fig06,
-    "fig07": lambda a: fig07.format_results(fig07.run(scale=a.scale)),
-    "fig08": lambda a: fig08.format_results(
-        fig08.run(workloads=a.workloads, scale=a.scale)
+    "fig07": lambda a, s: fig07.format_results(
+        fig07.run(scale=a.scale, session=s)
     ),
-    "fig09a": lambda a: fig09.format_pairs(
-        fig09.run_hint_ablation(a.workloads)
+    "fig08": lambda a, s: fig08.format_results(
+        fig08.run(workloads=a.workloads, scale=a.scale, session=s)
     ),
-    "fig09b": lambda a: fig09.format_pairs(
-        fig09.run_low_threshold_ablation()
+    "fig09a": lambda a, s: fig09.format_pairs(
+        fig09.run_hint_ablation(a.workloads, session=s)
     ),
-    "fig10": lambda a: fig10.format_results(fig10.run(workloads=a.workloads)),
-    "fig11a": lambda a: fig11.format_card_sweep(
-        fig11.run_card_segment_sweep(workloads=a.workloads)
+    "fig09b": lambda a, s: fig09.format_pairs(
+        fig09.run_low_threshold_ablation(session=s)
     ),
-    "fig11b": lambda a: fig11.format_phases(
-        fig11.run_major_phase_breakdown(workloads=a.workloads)
+    "fig10": lambda a, s: fig10.format_results(
+        fig10.run(workloads=a.workloads, session=s)
     ),
-    "fig12": lambda a: fig12.format_pairs(
-        fig12.run_panel(a.panel, workloads=a.workloads, scale=a.scale)
+    "fig11a": lambda a, s: fig11.format_card_sweep(
+        fig11.run_card_segment_sweep(workloads=a.workloads, session=s)
     ),
-    "fig13a": lambda a: fig13.format_thread_scaling(
-        fig13.run_thread_scaling(scale=a.scale)
+    "fig11b": lambda a, s: fig11.format_phases(
+        fig11.run_major_phase_breakdown(workloads=a.workloads, session=s)
     ),
-    "fig13b": lambda a: fig13.format_dataset_scaling(
-        fig13.run_dataset_scaling(scale=a.scale)
+    "fig12": lambda a, s: fig12.format_pairs(
+        fig12.run_panel(
+            a.panel, workloads=a.workloads, scale=a.scale, session=s
+        )
+    ),
+    "fig13a": lambda a, s: fig13.format_thread_scaling(
+        fig13.run_thread_scaling(scale=a.scale, session=s)
+    ),
+    "fig13b": lambda a, s: fig13.format_dataset_scaling(
+        fig13.run_dataset_scaling(scale=a.scale, session=s)
     ),
 }
 
@@ -166,24 +176,22 @@ def main(argv=None) -> int:
 
     if args.fault_rate is not None and args.faults is None:
         parser.error("--fault-rate has no effect without --faults")
+    faults = None
     if args.faults is not None:
         rate = 0.01 if args.fault_rate is None else args.fault_rate
-        faults_mod.set_default_fault_config(
-            FaultConfig(
-                seed=args.faults,
-                fault_seed=args.fault_seed,
-                read_error_rate=rate,
-                write_error_rate=rate,
-                latency_spike_rate=rate,
-                sigbus_rate=rate / 4,
-                device_full_rate=rate / 10,
-            )
+        faults = FaultConfig(
+            seed=args.faults,
+            fault_seed=args.fault_seed,
+            read_error_rate=rate,
+            write_error_rate=rate,
+            latency_spike_rate=rate,
+            sigbus_rate=rate / 4,
+            device_full_rate=rate / 10,
         )
-    if args.audit is not None:
-        faults_mod.set_default_audit_level(args.audit)
+    session = RunSession(faults=faults, audit=args.audit)
     status = 0
     if args.experiment in FIGURES:
-        print(FIGURES[args.experiment](args))
+        print(FIGURES[args.experiment](args, session))
     else:
         status = harness.run_cli(
             GATED[args.experiment],
@@ -191,10 +199,11 @@ def main(argv=None) -> int:
             fault_seed=args.fault_seed,
             csv_out=getattr(args, "csv_out", None),
             trace_out=getattr(args, "trace_out", None),
+            session=session,
         )
 
     if args.faults is not None or args.audit is not None:
-        summary = faults_mod.resilience_summary()
+        summary = session.summary()
         print(
             "resilience: "
             f"faults_injected={summary['faults_injected']:.0f} "
@@ -206,7 +215,6 @@ def main(argv=None) -> int:
             f"audits_run={summary['audits_run']:.0f} "
             f"invariant_violations={summary['invariant_violations']:.0f}"
         )
-        faults_mod.reset_defaults()
     return status
 
 

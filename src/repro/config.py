@@ -382,12 +382,9 @@ class VMConfig:
     #: DRAM available to the OS page cache (the paper's DR2)
     page_cache_size: int = 16 * GB
     #: fault injection + H2 resilience parameters; ``None`` disables
-    #: injection unless a process-global default is installed via
-    #: :func:`repro.faults.set_default_fault_config`
+    #: injection unless the VM's run session supplies a default
     faults: Optional[FaultConfig] = None
-    #: device-health watchdog + H2 governor; ``None`` disables the
-    #: governor unless a process-global default is installed via
-    #: :func:`repro.faults.set_default_governor_config`
+    #: device-health watchdog + H2 governor; ``None`` disables it
     governor: Optional[GovernorConfig] = None
     #: post-GC invariant auditing: ``None`` (off), "cheap" or "full";
     #: overridable by the ``REPRO_AUDIT`` environment variable

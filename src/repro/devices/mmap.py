@@ -55,9 +55,6 @@ class MappedFile:
             cache.durable_image.page_size = self.page_size
 
     # ------------------------------------------------------------------
-    def contains(self, address: int) -> bool:
-        return self.base <= address < self.base + self.size
-
     def _pages_for(self, address: int, nbytes: int) -> range:
         offset = address - self.base
         last = offset + max(nbytes, 1) - 1

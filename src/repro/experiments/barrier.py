@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..config import TeraHeapConfig, VMConfig
+from ..faults.session import RunSession
 from ..runtime import JavaVM
 from ..units import gb
 from ..workloads.dacapo import DACAPO_PROFILES
@@ -47,7 +48,9 @@ class BarrierOverhead:
         return max(self.per_benchmark.values())
 
 
-def _run_suite(enabled: bool, operations: int):
+def _run_suite(
+    enabled: bool, operations: int, session: Optional[RunSession] = None
+):
     """Run every profile on one VM configuration."""
     times = {}
     barriers = 0
@@ -56,14 +59,18 @@ def _run_suite(enabled: bool, operations: int):
             heap_size=gb(8),
             teraheap=TeraHeapConfig(enabled=enabled, h2_size=gb(64)),
         )
-        vm = JavaVM(config)
+        vm = JavaVM(config, session=session)
         profile.run(vm, operations)
         times[name] = vm.elapsed()
         barriers += vm.barrier.barrier_count
     return times, barriers
 
 
-def run(updates: Optional[int] = None, operations: int = 5000) -> BarrierOverhead:
+def run(
+    updates: Optional[int] = None,
+    operations: int = 5000,
+    session: Optional[RunSession] = None,
+) -> BarrierOverhead:
     """Run the suite with the barrier extension off and on.
 
     ``updates`` is accepted as an alias of ``operations`` for backwards
@@ -71,8 +78,8 @@ def run(updates: Optional[int] = None, operations: int = 5000) -> BarrierOverhea
     """
     if updates is not None:
         operations = updates
-    base_times, base_barriers = _run_suite(False, operations)
-    th_times, th_barriers = _run_suite(True, operations)
+    base_times, base_barriers = _run_suite(False, operations, session)
+    th_times, th_barriers = _run_suite(True, operations, session)
     per_benchmark = {
         name: (th_times[name] / base_times[name] - 1.0)
         if base_times[name]

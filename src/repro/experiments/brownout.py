@@ -32,13 +32,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from random import Random
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..clock import Bucket
 from ..config import GovernorConfig, TeraHeapConfig, VMConfig
 from ..devices.base import AccessPattern
 from ..errors import OutOfMemoryError
 from ..faults.plan import FaultConfig
+from ..faults.session import RunSession
 from ..frameworks.spark.block_manager import BlockManager
 from ..frameworks.spark.conf import CachePolicy, SparkConf
 from ..frameworks.spark.rdd import MaterializedPartition
@@ -93,6 +94,7 @@ def make_vm(
     governor: bool,
     windows: Tuple[Tuple[float, float, float], ...],
     probe_backoff: float = 5e-3,
+    session: Optional[RunSession] = None,
 ) -> JavaVM:
     fault = FaultConfig(
         seed=WORKLOAD_SEED,
@@ -118,7 +120,8 @@ def make_vm(
             page_cache_size=PAGE_CACHE,
             faults=fault,
             governor=gov,
-        )
+        ),
+        session=session,
     )
 
 
@@ -266,10 +269,12 @@ def _digest(vm: JavaVM, result: CellResult) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def clean_runtime(steps: int = STEPS) -> float:
+def clean_runtime(
+    steps: int = STEPS, session: Optional[RunSession] = None
+) -> float:
     """Simulated seconds of a brownout-free, governed run (calibration;
-    memoised: every cell of a matrix shares it)."""
-    vm = make_vm(governor=True, windows=())
+    memoised per session: every cell of a matrix shares it)."""
+    vm = make_vm(governor=True, windows=(), session=session)
     workload = Workload(vm, WORKLOAD_SEED)
     for step in range(steps):
         workload.run_step(step)
@@ -277,7 +282,11 @@ def clean_runtime(steps: int = STEPS) -> float:
 
 
 def run_cell(
-    governor: bool, duration_frac: float, t_clean: float, steps: int = STEPS
+    governor: bool,
+    duration_frac: float,
+    t_clean: float,
+    steps: int = STEPS,
+    session: Optional[RunSession] = None,
 ) -> CellResult:
     result = CellResult(
         governor=governor, duration_frac=duration_frac, steps_target=steps
@@ -286,7 +295,10 @@ def run_cell(
         (WINDOW_START * t_clean, duration_frac * t_clean, BROWNOUT_FRACTION),
     )
     vm = make_vm(
-        governor, windows, probe_backoff=max(0.02 * t_clean, 1e-4)
+        governor,
+        windows,
+        probe_backoff=max(0.02 * t_clean, 1e-4),
+        session=session,
     )
     workload = Workload(vm, WORKLOAD_SEED)
     try:
@@ -332,10 +344,14 @@ def run_cell(
 # The gated experiment
 # ======================================================================
 def run_calibrated(
-    governor: bool, duration_frac: float, steps: int = STEPS
+    governor: bool,
+    duration_frac: float,
+    steps: int = STEPS,
+    session: Optional[RunSession] = None,
 ) -> CellResult:
     """One cell, its window placed against the clean runtime."""
-    return run_cell(governor, duration_frac, clean_runtime(steps), steps)
+    t_clean = clean_runtime(steps, session=session)
+    return run_cell(governor, duration_frac, t_clean, steps, session)
 
 
 def cells(smoke: bool) -> List[Tuple[str, Params]]:
@@ -386,7 +402,9 @@ def check(cells: List[Cell]) -> List[str]:
 
 
 def report(cells: List[Cell]) -> str:
-    t_clean = clean_runtime(cells[0].params["steps"])
+    t_clean = clean_runtime(
+        cells[0].params["steps"], session=cells[0].session
+    )
     lines = [
         f"clean runtime: {t_clean:.3f}s simulated; window opens at "
         f"{WINDOW_START:.0%}, service fraction {BROWNOUT_FRACTION:g}",

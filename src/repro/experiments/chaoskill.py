@@ -36,6 +36,7 @@ from ..config import TeraHeapConfig, VMConfig
 from ..devices.durability import image_of
 from ..errors import InvariantViolation, SimulatedCrash, UnrecoverableCrash
 from ..faults.plan import FaultConfig
+from ..faults.session import RunSession
 from ..runtime import JavaVM
 from ..units import KiB, gb
 from .harness import Cell, Params, Spec
@@ -62,7 +63,11 @@ WORKLOAD_SEED = 11
 FAULT_SEED = 1302
 
 
-def make_vm(policy: str, fault: Optional[FaultConfig] = None) -> JavaVM:
+def make_vm(
+    policy: str,
+    fault: Optional[FaultConfig] = None,
+    session: Optional[RunSession] = None,
+) -> JavaVM:
     return JavaVM(
         VMConfig(
             heap_size=gb(8),
@@ -76,7 +81,8 @@ def make_vm(policy: str, fault: Optional[FaultConfig] = None) -> JavaVM:
             page_cache_size=gb(8),
             faults=fault,
             audit="full",
-        )
+        ),
+        session=session,
     )
 
 
@@ -208,6 +214,7 @@ def run_cell(
     phases: int = PHASES,
     workload_seed: int = WORKLOAD_SEED,
     fault_seed: int = FAULT_SEED,
+    session: Optional[RunSession] = None,
 ) -> CellResult:
     result = CellResult(point=point, policy=policy)
     fault = FaultConfig(
@@ -216,7 +223,7 @@ def run_cell(
         crash_point=point,
         crash_after=crash_after,
     )
-    vm = make_vm(policy, fault)
+    vm = make_vm(policy, fault, session)
     workload = Workload(vm, workload_seed)
     try:
         for i in range(phases):
@@ -226,7 +233,7 @@ def run_cell(
         result.safepoint = crash.safepoint
         image = image_of(vm.h2.mapping)
         result.image_digest = image.digest()
-        fresh = make_vm(policy)
+        fresh = make_vm(policy, session=session)
         try:
             report = fresh.recover_h2(image)
         except UnrecoverableCrash as exc:
@@ -258,10 +265,14 @@ def run_cell(
 
 @functools.lru_cache(maxsize=None)
 def run_baseline(
-    policy: str, phases: int = PHASES, workload_seed: int = WORKLOAD_SEED
+    policy: str,
+    phases: int = PHASES,
+    workload_seed: int = WORKLOAD_SEED,
+    session: Optional[RunSession] = None,
 ) -> Tuple[Tuple[str, int, int], ...]:
-    """The crash-free final population (memoised: cells share it)."""
-    vm = make_vm(policy)
+    """The crash-free final population (memoised per session: cells
+    share it)."""
+    vm = make_vm(policy, session=session)
     workload = Workload(vm, workload_seed)
     for i in range(phases):
         workload.run_phase(i)
@@ -333,7 +344,9 @@ def check(cells: List[Cell]) -> List[str]:
         elif result.error:
             failures.append(f"{cell.key}: {result.error}")
         else:
-            baseline = run_baseline(result.policy, params["phases"])
+            baseline = run_baseline(
+                result.policy, params["phases"], session=cell.session
+            )
             failures.extend(reconcile(result, baseline))
     return failures
 

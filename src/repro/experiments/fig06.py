@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..faults.session import RunSession
 from ..metrics.report import ExperimentResult, normalize
 from .configs import GIRAPH_WORKLOADS_TABLE4, SPARK_WORKLOADS_TABLE3
 from .runner import run_giraph_workload, run_spark_workload
@@ -21,6 +22,7 @@ def run_spark(
     workloads: Optional[List[str]] = None,
     scale: float = 1.0,
     drams_per_workload: Optional[int] = None,
+    session: Optional[RunSession] = None,
 ) -> Dict[str, List[ExperimentResult]]:
     """Spark half of Figure 6."""
     results: Dict[str, List[ExperimentResult]] = {}
@@ -34,18 +36,24 @@ def run_spark(
             th_points = th_points[-drams_per_workload:]
         for dram in sd_points:
             rows.append(
-                run_spark_workload(name, "spark-sd", dram, cfg, scale=scale)
+                run_spark_workload(
+                    name, "spark-sd", dram, cfg, scale=scale, session=session
+                )
             )
         for dram in th_points:
             rows.append(
-                run_spark_workload(name, "teraheap", dram, cfg, scale=scale)
+                run_spark_workload(
+                    name, "teraheap", dram, cfg, scale=scale, session=session
+                )
             )
         results[name] = normalize(rows)
     return results
 
 
 def run_giraph(
-    workloads: Optional[List[str]] = None, scale: float = 1.0
+    workloads: Optional[List[str]] = None,
+    scale: float = 1.0,
+    session: Optional[RunSession] = None,
 ) -> Dict[str, List[ExperimentResult]]:
     """Giraph half of Figure 6."""
     results: Dict[str, List[ExperimentResult]] = {}
@@ -53,10 +61,14 @@ def run_giraph(
         cfg = GIRAPH_WORKLOADS_TABLE4[name]
         rows: List[ExperimentResult] = []
         for dram in cfg.drams:
-            res, _, _ = run_giraph_workload(name, "giraph-ooc", dram, cfg)
+            res, _, _ = run_giraph_workload(
+                name, "giraph-ooc", dram, cfg, session=session
+            )
             rows.append(res)
         for dram in cfg.drams:
-            res, _, _ = run_giraph_workload(name, "giraph-th", dram, cfg)
+            res, _, _ = run_giraph_workload(
+                name, "giraph-th", dram, cfg, session=session
+            )
             rows.append(res)
         results[name] = normalize(rows)
     return results

@@ -9,8 +9,9 @@ reduced because fewer old-to-young cards need scanning).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
+from ..faults.session import RunSession
 from ..gc.base import GCCycle
 from .configs import SPARK_WORKLOADS_TABLE3
 
@@ -48,7 +49,11 @@ class GCTimeline:
         ]
 
 
-def run(scale: float = 1.0, dram_gb: int = 80) -> List[GCTimeline]:
+def run(
+    scale: float = 1.0,
+    dram_gb: int = 80,
+    session: Optional[RunSession] = None,
+) -> List[GCTimeline]:
     """Run Spark PR under both systems and capture the GC record."""
     cfg = SPARK_WORKLOADS_TABLE3["PR"]
     timelines = []
@@ -59,7 +64,7 @@ def run(scale: float = 1.0, dram_gb: int = 80) -> List[GCTimeline]:
         from ..frameworks.spark.workloads import SPARK_WORKLOADS
         from ..units import gb
 
-        vm, ctx = build_spark_vm(system, dram_gb, cfg)
+        vm, ctx = build_spark_vm(system, dram_gb, cfg, session=session)
         SPARK_WORKLOADS["PR"](ctx, gb(cfg.dataset_gb), scale=scale)
         timelines.append(
             GCTimeline(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..faults.session import RunSession
 from ..metrics.report import ExperimentResult, normalize
 from .configs import SPARK_WORKLOADS_TABLE3
 from .runner import run_spark_workload
@@ -21,7 +22,9 @@ G1_OOM_EXPECTED = {"SVM", "BC", "RL"}
 
 
 def run(
-    workloads: Optional[List[str]] = None, scale: float = 1.0
+    workloads: Optional[List[str]] = None,
+    scale: float = 1.0,
+    session: Optional[RunSession] = None,
 ) -> Dict[str, List[ExperimentResult]]:
     results: Dict[str, List[ExperimentResult]] = {}
     for name in workloads or list(SPARK_WORKLOADS_TABLE3):
@@ -30,7 +33,9 @@ def run(
         # which every collector except G1's fragmentation victims can run.
         dram = cfg.th_drams[-1]
         rows = [
-            run_spark_workload(name, system, dram, cfg, scale=scale)
+            run_spark_workload(
+                name, system, dram, cfg, scale=scale, session=session
+            )
             for system in SYSTEMS
         ]
         results[name] = normalize(rows)

@@ -13,8 +13,9 @@ ones; with it, only enough to reach 50% occupancy (paper: up to 44%).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..faults.session import RunSession
 from ..metrics.report import ExperimentResult
 from .configs import GIRAPH_WORKLOADS_TABLE4
 from .runner import run_giraph_workload
@@ -22,6 +23,7 @@ from .runner import run_giraph_workload
 
 def run_hint_ablation(
     workloads: List[str] = None,
+    session: Optional[RunSession] = None,
 ) -> Dict[str, Tuple[ExperimentResult, ExperimentResult]]:
     """Panel (a): (no-hint, hint) pairs per workload."""
     out = {}
@@ -34,9 +36,12 @@ def run_hint_ablation(
             dram,
             cfg,
             teraheap_overrides={"use_move_hint": False},
+            session=session,
         )
         no_hint.system = "th-nohint"
-        with_hint, _, _ = run_giraph_workload(name, "giraph-th", dram, cfg)
+        with_hint, _, _ = run_giraph_workload(
+            name, "giraph-th", dram, cfg, session=session
+        )
         with_hint.system = "th-hint"
         out[name] = (no_hint, with_hint)
     return out
@@ -45,6 +50,7 @@ def run_hint_ablation(
 def run_low_threshold_ablation(
     workloads: List[str] = ("PR", "SSSP"),
     dataset_gb: int = 91,
+    session: Optional[RunSession] = None,
 ) -> Dict[str, Tuple[ExperimentResult, ExperimentResult]]:
     """Panel (b): (no-low, low) pairs on the large dataset."""
     out = {}
@@ -59,6 +65,7 @@ def run_low_threshold_ablation(
             cfg,
             dataset_gb=dataset_gb,
             teraheap_overrides={"low_threshold": None},
+            session=session,
         )
         no_low.system = "th-nolow"
         with_low, _, _ = run_giraph_workload(
@@ -68,6 +75,7 @@ def run_low_threshold_ablation(
             cfg,
             dataset_gb=dataset_gb,
             teraheap_overrides={"low_threshold": 0.50},
+            session=session,
         )
         with_low.system = "th-low"
         out[name] = (no_low, with_low)

@@ -16,8 +16,9 @@ authors' external measurement harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
+from ..faults.session import RunSession
 from ..runtime import JavaVM
 from ..teraheap.regions import RegionLiveness
 from ..units import mb
@@ -78,6 +79,7 @@ class RegionCDF:
 def run(
     workloads: List[str] = None,
     region_sizes_mb: List[int] = (16, 256),
+    session: Optional[RunSession] = None,
 ) -> Dict[str, List[RegionCDF]]:
     out: Dict[str, List[RegionCDF]] = {}
     for name in workloads or list(GIRAPH_WORKLOADS_TABLE4):
@@ -90,6 +92,7 @@ def run(
                 cfg.drams[-1],
                 cfg,
                 teraheap_overrides={"region_size": mb(size_mb)},
+                session=session,
             )
             series.append(
                 RegionCDF(

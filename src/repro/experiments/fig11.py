@@ -13,8 +13,9 @@ object transfer (37-44% of major GC).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
+from ..faults.session import RunSession
 from ..units import KiB
 from .configs import GIRAPH_WORKLOADS_TABLE4
 from .runner import run_giraph_workload
@@ -25,6 +26,7 @@ CARD_SEGMENT_SIZES = [512, 1 * KiB, 4 * KiB, 8 * KiB, 16 * KiB]
 def run_card_segment_sweep(
     workloads: List[str] = None,
     segment_sizes: List[int] = None,
+    session: Optional[RunSession] = None,
 ) -> Dict[str, Dict[int, float]]:
     """Panel (a): minor-GC seconds per workload per card segment size."""
     out: Dict[str, Dict[int, float]] = {}
@@ -38,6 +40,7 @@ def run_card_segment_sweep(
                 cfg.drams[-1],
                 cfg,
                 teraheap_overrides={"card_segment_size": seg},
+                session=session,
             )
             # The paper plots the *H2 component* of minor GC: the card
             # scan + backward-reference maintenance.
@@ -48,6 +51,7 @@ def run_card_segment_sweep(
 
 def run_major_phase_breakdown(
     workloads: List[str] = None,
+    session: Optional[RunSession] = None,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Panel (b): per-phase major GC seconds, OOC vs TeraHeap."""
     out: Dict[str, Dict[str, Dict[str, float]]] = {}
@@ -56,7 +60,7 @@ def run_major_phase_breakdown(
         per_system = {}
         for system in ("giraph-ooc", "giraph-th"):
             _, vm, _ = run_giraph_workload(
-                name, system, cfg.drams[-1], cfg
+                name, system, cfg.drams[-1], cfg, session=session
             )
             per_system[system] = vm.collector.stats.phase_totals()
         out[name] = per_system

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..faults.session import RunSession
 from ..metrics.report import ExperimentResult
 from .configs import PANTHERA_WORKLOADS, SPARK_WORKLOADS_TABLE3, SparkWorkloadConfig
 from .runner import run_spark_workload
@@ -35,6 +36,7 @@ def run_panel(
     baseline: str,
     workloads: Optional[List[str]] = None,
     scale: float = 1.0,
+    session: Optional[RunSession] = None,
 ) -> Dict[str, Tuple[ExperimentResult, ExperimentResult]]:
     """Run (baseline, teraheap) pairs on the NVM device."""
     if workloads is None:
@@ -57,6 +59,7 @@ def run_panel(
             base = run_spark_workload(
                 name, "panthera", PANTHERA_DRAM_GB, cfg,
                 device_kind="nvm", scale=scale, dataset_gb=dataset,
+                session=session,
             )
             th = run_spark_workload(
                 name,
@@ -66,24 +69,31 @@ def run_panel(
                 device_kind="nvm",
                 scale=scale,
                 dataset_gb=dataset,
+                session=session,
             )
         else:
             dram = cfg.sd_drams[-2] if len(cfg.sd_drams) > 1 else cfg.sd_drams[-1]
             base = run_spark_workload(
-                name, baseline, dram, cfg, device_kind="nvm", scale=scale
+                name, baseline, dram, cfg, device_kind="nvm", scale=scale,
+                session=session,
             )
             th = run_spark_workload(
-                name, "teraheap", dram, cfg, device_kind="nvm", scale=scale
+                name, "teraheap", dram, cfg, device_kind="nvm", scale=scale,
+                session=session,
             )
         out[name] = (base, th)
     return out
 
 
-def run(scale: float = 1.0, workloads: Optional[List[str]] = None):
+def run(
+    scale: float = 1.0,
+    workloads: Optional[List[str]] = None,
+    session: Optional[RunSession] = None,
+):
     return {
-        "sd_vs_th": run_panel("spark-sd", workloads, scale),
-        "mo_vs_th": run_panel("spark-mo", workloads, scale),
-        "panthera_vs_th": run_panel("panthera", workloads, scale),
+        "sd_vs_th": run_panel("spark-sd", workloads, scale, session),
+        "mo_vs_th": run_panel("spark-mo", workloads, scale, session),
+        "panthera_vs_th": run_panel("panthera", workloads, scale, session),
     }
 
 

@@ -11,8 +11,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
+from ..faults.session import RunSession
 from ..metrics.report import ExperimentResult
 from .configs import (
     DATASET_SCALING,
@@ -26,6 +27,7 @@ from .runner import run_giraph_workload, run_spark_workload
 def _run_cell(
     framework: str, workload: str, system: str, threads: int,
     dataset_gb=None, scale: float = 1.0,
+    session: Optional[RunSession] = None,
 ) -> ExperimentResult:
     if framework == "spark":
         cfg = SPARK_WORKLOADS_TABLE3[workload]
@@ -38,6 +40,7 @@ def _run_cell(
         return run_spark_workload(
             workload, system, dram, cfg,
             threads=threads, dataset_gb=dataset_gb, scale=scale,
+            session=session,
         )
     cfg = GIRAPH_WORKLOADS_TABLE4[workload]
     if dataset_gb is None:
@@ -46,7 +49,7 @@ def _run_cell(
         dram = int(dataset_gb * cfg.drams[-1] / cfg.dataset_gb)
     res, _, _ = run_giraph_workload(
         workload, system, dram, cfg,
-        threads=threads, dataset_gb=dataset_gb,
+        threads=threads, dataset_gb=dataset_gb, session=session,
     )
     return res
 
@@ -54,6 +57,7 @@ def _run_cell(
 def run_thread_scaling(
     scale: float = 1.0,
     threads: List[int] = None,
+    session: Optional[RunSession] = None,
 ) -> Dict[str, Dict[str, Dict[int, ExperimentResult]]]:
     """Panel (a): results[workload][system][threads]."""
     cells = [
@@ -69,7 +73,7 @@ def run_thread_scaling(
         per_threads = {}
         for t in threads or SCALING_THREADS:
             per_threads[t] = _run_cell(
-                framework, workload, system, t, scale=scale
+                framework, workload, system, t, scale=scale, session=session
             )
         out.setdefault(workload, {})[system] = per_threads
     return out
@@ -77,6 +81,7 @@ def run_thread_scaling(
 
 def run_dataset_scaling(
     scale: float = 1.0,
+    session: Optional[RunSession] = None,
 ) -> Dict[str, Dict[str, Dict[int, ExperimentResult]]]:
     """Panel (b): results[workload][system][dataset_gb]."""
     cells = [
@@ -92,7 +97,7 @@ def run_dataset_scaling(
             for ds in (small, large):
                 per_ds[ds] = _run_cell(
                     framework, workload, system, 8, dataset_gb=ds,
-                    scale=scale,
+                    scale=scale, session=session,
                 )
             out.setdefault(workload, {})[system] = per_ds
     return out

@@ -36,10 +36,11 @@ runs it twice and fails on any digest drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clock import Bucket
 from ..config import GCEngineConfig, TeraHeapConfig, VMConfig
+from ..faults.session import RunSession
 from ..runtime import JavaVM
 from ..units import KiB, gb
 from .harness import Cell, Params, Spec
@@ -151,6 +152,7 @@ def run_churn(
     steal_policy: str = "steal-one",
     adaptive: bool = False,
     numa_nodes: int = 1,
+    session: Optional[RunSession] = None,
 ) -> JavaVM:
     """Run the deterministic churn workload on a fresh VM.
 
@@ -173,7 +175,7 @@ def run_churn(
             numa_nodes=numa_nodes,
         ),
     )
-    vm = JavaVM(config)
+    vm = JavaVM(config, session=session)
     table = vm.roots.add(vm.allocate(64 * KiB, name="table"))
     resident: List = []
     for i in range(batches):
@@ -241,11 +243,12 @@ def run_scaling(
     batches: int = 60,
     steal_policy: str = "steal-one",
     adaptive: bool = False,
+    session: Optional[RunSession] = None,
 ) -> List[ScalingPoint]:
     """The sweep: one churn run per gc_threads value."""
     points = [
         run_churn(t, batches=batches, steal_policy=steal_policy,
-                  adaptive=adaptive)
+                  adaptive=adaptive, session=session)
         for t in threads
     ]
     measured = [measure(vm, steal_policy) for vm in points]
@@ -319,7 +322,11 @@ class TeraHeapScanPoint:
         return self.scan_serial_s / self.scan_parallel_s
 
 
-def run_teraheap_churn(gc_threads: int, phases: int = TH_PHASES) -> JavaVM:
+def run_teraheap_churn(
+    gc_threads: int,
+    phases: int = TH_PHASES,
+    session: Optional[RunSession] = None,
+) -> JavaVM:
     """A TeraHeap workload generating H2 backward-reference scan work.
 
     Each phase moves a labelled object group to H2, then writes young
@@ -341,7 +348,7 @@ def run_teraheap_churn(gc_threads: int, phases: int = TH_PHASES) -> JavaVM:
         ),
         page_cache_size=gb(8),
     )
-    vm = JavaVM(config)
+    vm = JavaVM(config, session=session)
     table = vm.roots.add(vm.allocate(16 * KiB, name="th-table"))
     groups: List[List] = []
     for i in range(phases):
@@ -380,12 +387,14 @@ def run_teraheap_churn(gc_threads: int, phases: int = TH_PHASES) -> JavaVM:
 
 
 def teraheap_scan_points(
-    threads: Sequence[int] = SWEEP_THREADS, phases: int = TH_PHASES
+    threads: Sequence[int] = SWEEP_THREADS,
+    phases: int = TH_PHASES,
+    session: Optional[RunSession] = None,
 ) -> List[TeraHeapScanPoint]:
     """The TeraHeap series: H2 scan scheduling per gc_threads value."""
     points: List[TeraHeapScanPoint] = []
     for t in threads:
-        vm = run_teraheap_churn(t, phases=phases)
+        vm = run_teraheap_churn(t, phases=phases, session=session)
         scan_workers = 0
         scan_tasks = 0
         scan_serial = 0.0
@@ -450,12 +459,16 @@ class AdaptivePoint:
 
 
 def run_adaptive_comparison(
-    threads: Sequence[int] = ADAPTIVE_THREADS, batches: int = 60
+    threads: Sequence[int] = ADAPTIVE_THREADS,
+    batches: int = 60,
+    session: Optional[RunSession] = None,
 ) -> List[AdaptivePoint]:
     points: List[AdaptivePoint] = []
     for t in threads:
-        static_vm = run_churn(t, batches=batches)
-        adaptive_vm = run_churn(t, batches=batches, adaptive=True)
+        static_vm = run_churn(t, batches=batches, session=session)
+        adaptive_vm = run_churn(
+            t, batches=batches, adaptive=True, session=session
+        )
         controller = adaptive_vm.collector.stats.batch_controller_summary()
         s_stats = static_vm.collector.stats
         a_stats = adaptive_vm.collector.stats
@@ -523,7 +536,7 @@ class G1MarkingPoint:
         return self.hidden_s / self.mark_critical_s
 
 
-def _g1_vm() -> JavaVM:
+def _g1_vm(session: Optional[RunSession] = None) -> JavaVM:
     """A G1 VM with a rooted resident set sized so each major's
     concurrent mark has real traversal work."""
     config = VMConfig(
@@ -532,7 +545,7 @@ def _g1_vm() -> JavaVM:
         gc_threads=G1_GC_THREADS,
         engine=churn_engine_config(),
     )
-    vm = JavaVM(config)
+    vm = JavaVM(config, session=session)
     table = vm.roots.add(vm.allocate(64 * KiB, name="g1-table"))
     for i in range(G1_RESIDENT):
         obj = vm.allocate(OBJECT_SIZE, name=f"g1-res-{i}")
@@ -566,14 +579,18 @@ def _measure_g1(vm: JavaVM, label: str, mutator_ops: int) -> G1MarkingPoint:
     )
 
 
-def run_g1_marking(mutator_ops: int, rounds: int = G1_ROUNDS) -> JavaVM:
+def run_g1_marking(
+    mutator_ops: int,
+    rounds: int = G1_ROUNDS,
+    session: Optional[RunSession] = None,
+) -> JavaVM:
     """Alternate mutator work and major GCs at a fixed intensity.
 
     Each round allocates a few short-lived records, runs ``mutator_ops``
     record operations (``vm.compute``), and triggers a major GC, so the
     concurrent mark of cycle N races exactly the mutator time of round N.
     """
-    vm = _g1_vm()
+    vm = _g1_vm(session)
     for i in range(rounds):
         for j in range(G1_FRESH_PER_ROUND):
             vm.allocate(OBJECT_SIZE, name=f"g1-fresh-{i}-{j}")
@@ -583,10 +600,12 @@ def run_g1_marking(mutator_ops: int, rounds: int = G1_ROUNDS) -> JavaVM:
     return vm
 
 
-def run_g1_stress(majors: int = G1_STRESS_MAJORS) -> JavaVM:
+def run_g1_stress(
+    majors: int = G1_STRESS_MAJORS, session: Optional[RunSession] = None
+) -> JavaVM:
     """Back-to-back majors: zero mutator progress between cycles, so the
     concurrent mark has nothing to hide behind."""
-    vm = _g1_vm()
+    vm = _g1_vm(session)
     for _ in range(majors):
         vm.major_gc()
     return vm
@@ -595,14 +614,19 @@ def run_g1_stress(majors: int = G1_STRESS_MAJORS) -> JavaVM:
 def g1_marking_points(
     intensities: Sequence[int] = G1_MUTATOR_INTENSITY,
     rounds: int = G1_ROUNDS,
+    session: Optional[RunSession] = None,
 ) -> List[G1MarkingPoint]:
     """The G1 series: one point per mutator intensity, plus the
     back-to-back stress point."""
     points = [
-        _measure_g1(run_g1_marking(ops, rounds=rounds), f"ops={ops}", ops)
+        _measure_g1(
+            run_g1_marking(ops, rounds=rounds, session=session),
+            f"ops={ops}",
+            ops,
+        )
         for ops in intensities
     ]
-    points.append(_measure_g1(run_g1_stress(), "stress", 0))
+    points.append(_measure_g1(run_g1_stress(session=session), "stress", 0))
     return points
 
 
@@ -630,15 +654,18 @@ def run_series(
     batches: int = 60,
     phases: int = TH_PHASES,
     rounds: int = G1_ROUNDS,
+    session: Optional[RunSession] = None,
 ) -> list:
     """One gcscale cell: a whole series, as its list of points."""
     if series in STEAL_POLICIES:
-        return run_scaling(batches=batches, steal_policy=series)
+        return run_scaling(
+            batches=batches, steal_policy=series, session=session
+        )
     if series == "teraheap":
-        return teraheap_scan_points(phases=phases)
+        return teraheap_scan_points(phases=phases, session=session)
     if series == "adaptive":
-        return run_adaptive_comparison(batches=batches)
-    return g1_marking_points(rounds=rounds)
+        return run_adaptive_comparison(batches=batches, session=session)
+    return g1_marking_points(rounds=rounds, session=session)
 
 
 def cells(smoke: bool) -> List[Tuple[str, Params]]:

@@ -36,6 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..config import TeraHeapConfig, VMConfig
 from ..errors import RetryExhausted, UnrecoverableCrash
 from ..faults.plan import FaultConfig
+from ..faults.session import RunSession
 from ..frameworks.spark import (
     CachePolicy,
     SparkConf,
@@ -107,7 +108,11 @@ NOTHING_PERSISTED_POINTS: Tuple[CrashSpec, ...] = (
 )
 
 
-def make_vm(policy: str, fault: Optional[FaultConfig] = None) -> JavaVM:
+def make_vm(
+    policy: str,
+    fault: Optional[FaultConfig] = None,
+    session: Optional[RunSession] = None,
+) -> JavaVM:
     return JavaVM(
         VMConfig(
             heap_size=gb(8),
@@ -121,7 +126,8 @@ def make_vm(policy: str, fault: Optional[FaultConfig] = None) -> JavaVM:
             page_cache_size=gb(8),
             faults=fault,
             audit="full",
-        )
+        ),
+        session=session,
     )
 
 
@@ -200,6 +206,7 @@ def run_cell(
     fraction: float,
     workload_seed: int = WORKLOAD_SEED,
     fault_seed: int = FAULT_SEED,
+    session: Optional[RunSession] = None,
 ) -> CellResult:
     result = CellResult(point=spec.name, policy=policy, fraction=fraction)
     fault = FaultConfig(
@@ -210,7 +217,7 @@ def run_cell(
         crash_stage=spec.crash_stage,
         crash_task=spec.crash_task,
     )
-    vm = make_vm(policy, fault)
+    vm = make_vm(policy, fault, session)
     ctx = SparkContext(
         vm,
         SparkConf(
@@ -243,10 +250,14 @@ def run_cell(
 
 @functools.lru_cache(maxsize=None)
 def run_baseline(
-    policy: str, fraction: float, workload_seed: int = WORKLOAD_SEED
+    policy: str,
+    fraction: float,
+    workload_seed: int = WORKLOAD_SEED,
+    session: Optional[RunSession] = None,
 ) -> Tuple[int, float]:
-    """Crash-free cold run: (value, full-recompute wall); memoised."""
-    vm = make_vm(policy)
+    """Crash-free cold run: (value, full-recompute wall); memoised per
+    session."""
+    vm = make_vm(policy, session=session)
     ctx = SparkContext(
         vm,
         SparkConf(
@@ -339,7 +350,9 @@ def check(cells: List[Cell]) -> List[str]:
     failures: List[str] = []
     for cell in cells:
         p = cell.params
-        value, cold_wall = run_baseline(p["policy"], p["fraction"])
+        value, cold_wall = run_baseline(
+            p["policy"], p["fraction"], session=cell.session
+        )
         failures.extend(check_cell(cell.result, p["spec"], value, cold_wall))
     return failures
 
@@ -350,7 +363,9 @@ def report(cells: List[Cell]) -> str:
         "blocks(adopt/quar/lost/recomp)  recovery_wall  outcome"
     ]
     for cell in cells:
-        cold_wall = run_baseline(cell.result.policy, cell.result.fraction)[1]
+        cold_wall = run_baseline(
+            cell.result.policy, cell.result.fraction, session=cell.session
+        )[1]
         lines.append(cell.result.row(cold_wall))
     return "\n".join(lines)
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .. import faults as faults_mod
 from ..config import PantheraConfig, TeraHeapConfig, VMConfig
 from ..devices.base import Device
 from ..devices.nvm import NVM
 from ..devices.nvme import NVMeSSD
 from ..errors import OutOfMemoryError
+from ..faults.session import RunSession
 from ..frameworks.giraph import GiraphConf, GiraphMode
 from ..frameworks.giraph.workloads import make_giraph_graph, run_giraph
 from ..frameworks.spark import CachePolicy, SparkConf, SparkContext
@@ -58,6 +58,7 @@ def build_spark_vm(
     device_kind: str = "nvme",
     threads: int = 8,
     teraheap_overrides: Optional[dict] = None,
+    session: Optional[RunSession] = None,
 ):
     """Construct (vm, ctx) for one Spark experiment cell."""
     heap_gb = max(dram_gb - SPARK_DR2_GB, dram_gb / 2)
@@ -110,7 +111,7 @@ def build_spark_vm(
     from ..clock import Clock
 
     h2_device = _make_device(device_kind, Clock()) if th_enabled else None
-    vm = JavaVM(vm_config, h2_device=h2_device)
+    vm = JavaVM(vm_config, h2_device=h2_device, session=session)
     if system == "panthera":
         nvm = NVM(vm.clock)
         vm.old_gen_device = nvm
@@ -140,10 +141,17 @@ def run_spark_workload(
     threads: int = 8,
     dataset_gb: Optional[float] = None,
     teraheap_overrides: Optional[dict] = None,
+    session: Optional[RunSession] = None,
 ) -> ExperimentResult:
     """Run one Spark experiment cell, capturing OOM as a missing bar."""
     vm, ctx = build_spark_vm(
-        system, dram_gb, cfg, device_kind, threads, teraheap_overrides
+        system,
+        dram_gb,
+        cfg,
+        device_kind,
+        threads,
+        teraheap_overrides,
+        session=session,
     )
     dataset = gb(dataset_gb if dataset_gb is not None else cfg.dataset_gb)
     oom = False
@@ -151,7 +159,7 @@ def run_spark_workload(
         SPARK_WORKLOADS[workload](ctx, dataset, scale=scale)
     except OutOfMemoryError:
         oom = True
-    result = collect_result(
+    return collect_result(
         vm,
         workload,
         system,
@@ -159,11 +167,6 @@ def run_spark_workload(
         heap_gb=vm.config.heap_size / gb(1),
         oom=oom,
     )
-    # Fold this cell's resilience counters into the process-wide totals
-    # and drop its policy/auditor registrations: the next cell starts
-    # with fresh registries but the CLI aggregate stays complete.
-    faults_mod.reset_registries()
-    return result
 
 
 # ======================================================================
@@ -176,6 +179,7 @@ def build_giraph_vm(
     device_kind: str = "nvme",
     threads: int = 8,
     teraheap_overrides: Optional[dict] = None,
+    session: Optional[RunSession] = None,
 ):
     th_enabled = system == "giraph-th"
     # Scale Table 4's heap/DR2 split to the requested DRAM.
@@ -202,7 +206,7 @@ def build_giraph_vm(
     from ..clock import Clock
 
     h2_device = _make_device(device_kind, Clock()) if th_enabled else None
-    vm = JavaVM(vm_config, h2_device=h2_device)
+    vm = JavaVM(vm_config, h2_device=h2_device, session=session)
     device = _make_device(device_kind, vm.clock)
     use_hint = True
     if teraheap_overrides and "use_move_hint" in teraheap_overrides:
@@ -225,10 +229,17 @@ def run_giraph_workload(
     dataset_gb: Optional[float] = None,
     teraheap_overrides: Optional[dict] = None,
     seed: int = 42,
+    session: Optional[RunSession] = None,
 ):
     """Run one Giraph experiment cell; returns (result, vm, job)."""
     vm, conf = build_giraph_vm(
-        system, dram_gb, cfg, device_kind, threads, teraheap_overrides
+        system,
+        dram_gb,
+        cfg,
+        device_kind,
+        threads,
+        teraheap_overrides,
+        session=session,
     )
     graph = make_giraph_graph(
         gb(dataset_gb if dataset_gb is not None else cfg.dataset_gb),
@@ -248,5 +259,4 @@ def run_giraph_workload(
         heap_gb=vm.config.heap_size / gb(1),
         oom=oom,
     )
-    faults_mod.reset_registries()
     return result, vm, job

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..faults.session import RunSession
 from ..metrics.chrome_trace import server_chrome_trace_json
 from ..metrics.trace import server_tenants_csv
 from ..server import ServerBox, ServerSpec
@@ -120,16 +121,18 @@ def _box_p99(report: BoxReport) -> float:
     return max((t.p99_pause for t in report.tenants), default=0.0)
 
 
-def run_cell(tenants: int, mean_gb: float) -> CellResult:
+def run_cell(
+    tenants: int, mean_gb: float, session: Optional[RunSession] = None
+) -> CellResult:
     cell = CellResult(tenants=tenants, mean_gb=mean_gb)
     uniform = ServerBox(
-        make_spec(tenants, mean_gb, arbiter=True, spread=0.0)
+        make_spec(tenants, mean_gb, arbiter=True, spread=0.0), session
     ).run()
     cell.uniform_throughput = uniform.aggregate_throughput
     cell.uniform_busy = uniform.device_busy_fraction
     cell.uniform_makespan = uniform.makespan
     cell.mixed_box = ServerBox(
-        make_spec(tenants, mean_gb, arbiter=True, spread=SPREAD)
+        make_spec(tenants, mean_gb, arbiter=True, spread=SPREAD), session
     )
     mixed = cell.mixed_report = cell.mixed_box.run()
     cell.mixed_throughput = mixed.aggregate_throughput
@@ -137,7 +140,7 @@ def run_cell(tenants: int, mean_gb: float) -> CellResult:
     cell.mixed_p99 = _box_p99(mixed)
     cell.mixed_epochs = mixed.epochs
     control = ServerBox(
-        make_spec(tenants, mean_gb, arbiter=False, spread=SPREAD)
+        make_spec(tenants, mean_gb, arbiter=False, spread=SPREAD), session
     ).run()
     cell.control_throughput = control.aggregate_throughput
     cell.control_gap = control.fairness_gap

@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple
 
 from ..clock import Bucket
 from ..config import TeraHeapConfig, VMConfig
+from ..faults.session import RunSession
 from ..frameworks.spark import (
     CachePolicy,
     SparkConf,
@@ -59,7 +60,7 @@ INPUT_SIZES_GB: Tuple[float, ...] = (0.125, 0.5, 1.25)
 INFLIGHT_BLOCKS: Tuple[int, ...] = (2, 8)
 
 
-def make_vm() -> JavaVM:
+def make_vm(session: Optional[RunSession] = None) -> JavaVM:
     return JavaVM(
         VMConfig(
             heap_size=HEAP_BYTES,
@@ -70,13 +71,16 @@ def make_vm() -> JavaVM:
                 promotion_buffer_size=PROMOTION_BUFFER,
             ),
             page_cache_size=gb(4),
-        )
+        ),
+        session=session,
     )
 
 
-def make_ctx(max_inflight_blocks: int) -> SparkContext:
+def make_ctx(
+    max_inflight_blocks: int, session: Optional[RunSession] = None
+) -> SparkContext:
     return SparkContext(
-        make_vm(),
+        make_vm(session),
         SparkConf(
             cache_policy=CachePolicy.TERAHEAP,
             num_partitions=NUM_PARTITIONS,
@@ -149,17 +153,21 @@ def gc_seconds(vm: JavaVM) -> float:
     )
 
 
-def run_cell(input_gb: float, inflight_blocks: int) -> CellResult:
+def run_cell(
+    input_gb: float,
+    inflight_blocks: int,
+    session: Optional[RunSession] = None,
+) -> CellResult:
     cell = CellResult(input_gb=input_gb, inflight_blocks=inflight_blocks)
     # Whole-RDD baseline: its own VM, so the streaming run sees an
     # identical cold executor.
-    ctx = make_ctx(inflight_blocks)
+    ctx = make_ctx(inflight_blocks, session)
     top = build_pipeline(ctx, input_gb)
     cell.baseline_value = top.evaluate()
     cell.baseline_wall = ctx.vm.clock.now
     cell.baseline_gc = gc_seconds(ctx.vm)
     # Streaming run.
-    ctx = make_ctx(inflight_blocks)
+    ctx = make_ctx(inflight_blocks, session)
     top = build_pipeline(ctx, input_gb)
     cell.budget_bytes = ctx.conf.inflight_budget_bytes
     result = run_streaming(ctx, top)

@@ -1,26 +1,18 @@
 """Fault injection and H2 I/O resilience.
 
-The package has three layers:
+The package has four layers:
 
 - :mod:`~repro.faults.plan` — deterministic seed-driven fault schedules
   (:class:`FaultPlan` / :class:`FaultConfig`);
 - :mod:`~repro.faults.injector` — the :class:`FaultInjector` device proxy
   that makes every device in the H2 stack participate;
 - :mod:`~repro.faults.policy` — :class:`RetryPolicy` (bounded backoff)
-  and :class:`ResiliencePolicy` (failure budget + graceful degradation).
-
-A small process-global registry lets the CLI (``--faults`` / ``--audit``)
-arm injection for every VM an experiment builds without threading config
-through each ``build_*_vm`` helper: :func:`set_default_fault_config` and
-:func:`set_default_audit_level` install defaults that
-:class:`~repro.runtime.JavaVM` picks up when its own ``VMConfig`` does
-not specify them, and the policies created that way are registered here
-so the CLI can print an aggregate summary afterwards.
+  and :class:`ResiliencePolicy` (failure budget + graceful degradation);
+- :mod:`~repro.faults.session` — :class:`RunSession`, one run's
+  ``--faults``/``--audit`` defaults and the summary of what they armed.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List, Optional
 
 from .events import (
     AdoptionEvent,
@@ -38,6 +30,7 @@ from .events import (
 from .injector import FaultInjector
 from .plan import FaultConfig, FaultKind, FaultPlan, FaultRecord, IOOutcome
 from .policy import ResiliencePolicy, RetryPolicy, is_transient
+from .session import RunSession
 
 __all__ = [
     "FaultConfig",
@@ -60,204 +53,5 @@ __all__ = [
     "RetryPolicy",
     "ResiliencePolicy",
     "is_transient",
-    "set_default_fault_config",
-    "get_default_fault_config",
-    "set_default_governor_config",
-    "get_default_governor_config",
-    "set_default_audit_level",
-    "get_default_audit_level",
-    "registered_policies",
-    "registered_auditors",
-    "unregister_policy",
-    "unregister_auditor",
-    "reset_defaults",
-    "reset_registries",
-    "resilience_summary",
+    "RunSession",
 ]
-
-_default_fault_config: Optional[FaultConfig] = None
-# A GovernorConfig (from repro.config); typed as object to avoid the
-# import cycle faults -> config -> faults.
-_default_governor_config: Optional[object] = None
-_default_audit_level: Optional[str] = None
-# Policies/auditors created from the *global* defaults (i.e. by VMs whose
-# own config did not ask for them).  Bounded by the number of VMs an
-# experiment builds, and cleared by reset_defaults().
-_policies: List[ResiliencePolicy] = []
-_auditors: List[object] = []
-# Counters folded out of registries cleared by reset_registries(), so an
-# experiment runner can drop per-cell VM references between configs
-# without losing the CLI's end-of-run aggregate.
-_summary_totals: Dict[str, float] = {}
-
-
-def set_default_fault_config(config: Optional[FaultConfig]) -> None:
-    """Install the fault config VMs use when theirs is unset."""
-    global _default_fault_config
-    _default_fault_config = config
-
-
-def get_default_fault_config() -> Optional[FaultConfig]:
-    return _default_fault_config
-
-
-def set_default_governor_config(config: Optional[object]) -> None:
-    """Install the governor config VMs use when theirs is unset."""
-    global _default_governor_config
-    _default_governor_config = config
-
-
-def get_default_governor_config() -> Optional[object]:
-    return _default_governor_config
-
-
-def set_default_audit_level(level: Optional[str]) -> None:
-    """Install the audit level ("cheap"/"full") VMs use when unset."""
-    global _default_audit_level
-    _default_audit_level = level
-
-
-def get_default_audit_level() -> Optional[str]:
-    return _default_audit_level
-
-
-def register_policy(policy: ResiliencePolicy) -> None:
-    _policies.append(policy)
-
-
-def register_auditor(auditor: object) -> None:
-    _auditors.append(auditor)
-
-
-def unregister_policy(policy: ResiliencePolicy) -> None:
-    """Drop one VM's policy, folding its counters into the totals first.
-
-    The per-tenant counterpart of :func:`reset_registries`: retiring one
-    co-located VM removes only *its* entry, so sibling tenants' policies
-    (and their fault schedules and counters) stay registered untouched,
-    while the CLI's end-of-run aggregate still includes the dead VM.
-    Idempotent — unregistering a policy twice folds it once.
-    """
-    try:
-        _policies.remove(policy)
-    except ValueError:
-        return
-    _summary_totals["faults_injected"] = (
-        _summary_totals.get("faults_injected", 0.0)
-        + policy.plan.total_injected
-    )
-    for key, value in policy.log.summary().items():
-        _summary_totals[key] = _summary_totals.get(key, 0.0) + value
-
-
-def unregister_auditor(auditor: object) -> None:
-    """Drop one VM's auditor, folding its counters into the totals first.
-
-    Scoped like :func:`unregister_policy`; idempotent."""
-    try:
-        _auditors.remove(auditor)
-    except ValueError:
-        return
-    _summary_totals["audits_run"] = _summary_totals.get(
-        "audits_run", 0.0
-    ) + getattr(auditor, "audits_run", 0)
-    _summary_totals["invariant_violations"] = _summary_totals.get(
-        "invariant_violations", 0.0
-    ) + getattr(auditor, "violations_found", 0)
-
-
-def registered_policies() -> List[ResiliencePolicy]:
-    return list(_policies)
-
-
-def registered_auditors() -> List[object]:
-    return list(_auditors)
-
-
-def reset_defaults() -> None:
-    """Clear global defaults, registries and folded totals (teardown)."""
-    from ..heap.store import reset_store
-
-    global _default_fault_config, _default_governor_config
-    global _default_audit_level
-    _default_fault_config = None
-    _default_governor_config = None
-    _default_audit_level = None
-    _policies.clear()
-    _auditors.clear()
-    _summary_totals.clear()
-    reset_store()
-
-
-def reset_registries() -> None:
-    """Drop registered policies/auditors, folding their counters first.
-
-    Experiment runners call this between configs so back-to-back runs in
-    one process don't leak *live object references* (and per-VM counters)
-    across cells, while :func:`resilience_summary` still reports the
-    whole process's aggregate at the end.  The armed defaults stay
-    installed — only the per-VM registries are drained.
-
-    This is a *process-level* teardown between experiment cells, not a
-    per-tenant lifecycle hook: it resets only the process-default store,
-    so co-located VMs built over private ``HeapStore`` instances keep
-    their rows, clocks and fault schedules.  Retiring a single tenant
-    goes through :func:`unregister_policy` / :func:`unregister_auditor`
-    (via ``JavaVM.retire``) instead.
-    """
-    from ..heap.store import reset_store
-
-    folded = resilience_summary()
-    _summary_totals.clear()
-    _summary_totals.update(folded)
-    _policies.clear()
-    _auditors.clear()
-    # The *default* object store is process-global like the registries:
-    # dropping it restarts the oid counter and releases every column, so
-    # back-to-back configs neither leak heap graphs nor inflate oids
-    # between cells.  Private per-tenant stores are untouched.
-    reset_store()
-
-
-def _empty_totals() -> Dict[str, float]:
-    return {
-        "faults_injected": 0.0,
-        "faults_seen": 0.0,
-        "ops_retried": 0.0,
-        "retry_exhaustions": 0.0,
-        "deadline_exhaustions": 0.0,
-        "degradations": 0.0,
-        "backoff_seconds": 0.0,
-        "stall_seconds": 0.0,
-        "health_transitions": 0.0,
-        "circuit_transitions": 0.0,
-        "crashes": 0.0,
-        "recoveries": 0.0,
-        "restarts": 0.0,
-        "regions_recovered": 0.0,
-        "regions_quarantined": 0.0,
-        "blocks_adopted": 0.0,
-        "blocks_quarantined": 0.0,
-        "blocks_lost": 0.0,
-        "blocks_recomputed": 0.0,
-        "audits_run": 0.0,
-        "invariant_violations": 0.0,
-    }
-
-
-def resilience_summary() -> Dict[str, float]:
-    """Aggregate counters across every registered policy and auditor,
-    plus anything folded in by earlier :func:`reset_registries` calls."""
-    totals = _empty_totals()
-    for key, value in _summary_totals.items():
-        totals[key] = totals.get(key, 0.0) + value
-    for policy in _policies:
-        totals["faults_injected"] += policy.plan.total_injected
-        for key, value in policy.log.summary().items():
-            totals[key] = totals.get(key, 0.0) + value
-    for auditor in _auditors:
-        totals["audits_run"] += getattr(auditor, "audits_run", 0)
-        totals["invariant_violations"] += getattr(
-            auditor, "violations_found", 0
-        )
-    return totals

@@ -154,16 +154,6 @@ class SparkContext:
                 old.config.faults, crash_point=None, crash_stage=None
             )
         config = dataclasses.replace(old.config, faults=fault)
-        # A tenant built over a private store restarts into a *fresh*
-        # private store (the crash destroyed the process's heap; sharing
-        # rows with the dead incarnation would alias oids).  The default
-        # single-VM path keeps passing None, so the successor attaches
-        # the process-default store exactly as before.
-        from ...heap.store import HeapStore, get_store
-
-        successor_store = (
-            None if old.store is get_store() else HeapStore()
-        )
         # A *shared* device-health monitor outlives any one tenant — the
         # device's physical condition does not reset because one of its
         # consumers died — so the successor re-subscribes to the same
@@ -171,8 +161,10 @@ class SparkContext:
         # observations), which restart's contract promises.
         shared_health = old.health if not old._owns_health else None
         old.retire()
+        # The successor gets a fresh store (the crash destroyed the
+        # process's heap) and keeps its predecessor's run session.
         successor = JavaVM(
-            config, store=successor_store, health=shared_health
+            config, health=shared_health, session=old.session
         )
         if old.resilience is not None and successor.resilience is not None:
             # Keep the incident history (the crash itself, the faults

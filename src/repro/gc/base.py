@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..heap.store import HeapStore
+
 
 @dataclass
 class GCCycle:
@@ -189,15 +191,11 @@ class Collector:
 
     name = "collector"
 
-    def __init__(self) -> None:
-        from ..heap.store import get_store
-
+    def __init__(self, store: HeapStore) -> None:
         self.stats = GCStats()
         #: the struct-of-arrays store backing this VM's objects; trace
         #: kernels index its flat columns instead of chasing handles.
-        #: Defaults to the process-wide store; a JavaVM built with a
-        #: private store re-attaches this right after construction.
-        self.store = get_store()
+        self.store = store
         self.mark_epoch = 0
         #: engine phase executions of the in-flight cycle
         self._cycle_execs: list = []

@@ -24,7 +24,13 @@ from ..errors import OutOfMemoryError
 from ..heap.heap import H1_BASE
 from ..heap.object_model import HeapObject, SpaceId
 from ..heap.roots import RootSet
-from ..heap.store import SPACE_EDEN, SPACE_FREED, SPACE_OLD, SPACE_TO
+from ..heap.store import (
+    SPACE_EDEN,
+    SPACE_FREED,
+    SPACE_OLD,
+    SPACE_TO,
+    HeapStore,
+)
 from .base import Collector, GCCycle
 from .engine import BatchController, GCTaskEngine, PhaseExecution, TaskBag
 
@@ -234,9 +240,14 @@ class G1Collector(Collector):
     name = "g1"
 
     def __init__(
-        self, heap: G1Heap, roots: RootSet, clock: Clock, config: VMConfig
+        self,
+        heap: G1Heap,
+        roots: RootSet,
+        clock: Clock,
+        config: VMConfig,
+        store: HeapStore,
     ):
-        super().__init__()
+        super().__init__(store)
         self.heap = heap
         self.roots = roots
         self.clock = clock

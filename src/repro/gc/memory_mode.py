@@ -17,6 +17,7 @@ from ..devices.nvm import NVMMemoryMode
 from ..heap.heap import ManagedHeap
 from ..heap.object_model import HeapObject
 from ..heap.roots import RootSet
+from ..heap.store import HeapStore
 from .parallel_scavenge import ParallelScavenge
 
 #: bytes a marking visit touches (header + reference fields)
@@ -34,9 +35,10 @@ class MemoryModeCollector(ParallelScavenge):
         roots: RootSet,
         clock: Clock,
         config: VMConfig,
+        store: HeapStore,
         device: NVMMemoryMode,
     ):
-        super().__init__(heap, roots, clock, config)
+        super().__init__(heap, roots, clock, config, store)
         self.device = device
 
     def _refresh_working_set(self) -> None:

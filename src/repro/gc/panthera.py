@@ -19,6 +19,7 @@ from ..devices.base import AccessPattern, Device
 from ..heap.heap import ManagedHeap
 from ..heap.object_model import HeapObject, SpaceId
 from ..heap.roots import RootSet
+from ..heap.store import HeapStore
 from .parallel_scavenge import ParallelScavenge
 
 #: bytes a marking visit touches on NVM (header + reference fields)
@@ -36,9 +37,10 @@ class PantheraCollector(ParallelScavenge):
         roots: RootSet,
         clock: Clock,
         config: VMConfig,
+        store: HeapStore,
         nvm: Optional[Device] = None,
     ):
-        super().__init__(heap, roots, clock, config)
+        super().__init__(heap, roots, clock, config, store)
         if config.panthera is None:
             raise ValueError("Panthera requires config.panthera")
         self.panthera = config.panthera

@@ -40,6 +40,7 @@ from ..heap.store import (
     SPACE_FREED,
     SPACE_OLD,
     SPACE_TO,
+    HeapStore,
 )
 from .base import Collector, GCCycle
 from .engine import (
@@ -72,8 +73,9 @@ class ParallelScavenge(Collector):
         roots: RootSet,
         clock: Clock,
         config: VMConfig,
+        store: HeapStore,
     ):
-        super().__init__()
+        super().__init__(store)
         self.heap = heap
         self.roots = roots
         self.clock = clock

@@ -68,6 +68,15 @@ class Violation:
         ]
 
 
+@dataclass
+class AuditTally:
+    """An auditor's counters, held apart so a run summary can keep them
+    without keeping the audited heap alive."""
+
+    audits_run: int = 0
+    violations_found: int = 0
+
+
 class HeapAuditor:
     """Verifies heap/TeraHeap invariants after each GC cycle."""
 
@@ -80,8 +89,15 @@ class HeapAuditor:
         self.heap = heap
         self.h2 = h2
         self.level = AuditLevel.parse(level)
-        self.audits_run = 0
-        self.violations_found = 0
+        self.tally = AuditTally()
+
+    @property
+    def audits_run(self) -> int:
+        return self.tally.audits_run
+
+    @property
+    def violations_found(self) -> int:
+        return self.tally.violations_found
 
     # ------------------------------------------------------------------
     def audit(self, trigger: str, epoch: int) -> None:
@@ -101,9 +117,9 @@ class HeapAuditor:
                 self._check_h2_references(violations)
                 if trigger == "major":
                     self._check_live_bits(violations, epoch)
-        self.audits_run += 1
+        self.tally.audits_run += 1
         if violations:
-            self.violations_found += len(violations)
+            self.tally.violations_found += len(violations)
             raise InvariantViolation(self._report(trigger, violations), violations)
 
     @staticmethod

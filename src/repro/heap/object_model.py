@@ -27,7 +27,6 @@ from .store import (
     MIN_OBJECT_SIZE,
     NO_SPACE,
     check_object_size,
-    get_store,
 )
 
 __all__ = [
@@ -168,7 +167,8 @@ class HeapObject:
     """One simulated Java object — a handle over one store row.
 
     Attributes mirror what the JVM keeps in or derives from the object
-    header: mark/forwarding state, GC age, and the TeraHeap label.
+    header: mark/forwarding state, GC age, and the TeraHeap label.  The
+    row is appended to ``store`` (normally the owning VM's ``vm.store``).
     """
 
     __slots__ = ("oid", "_store")
@@ -182,11 +182,10 @@ class HeapObject:
         is_reference: bool = False,
         serializable: bool = True,
         scan_factor: float = 1.0,
-        store=None,
+        *,
+        store,
     ):
         check_object_size(size)
-        if store is None:
-            store = get_store()
         flags = 0
         if is_metadata:
             flags |= FLAG_METADATA

@@ -35,10 +35,8 @@ Two kernel families coexist, on purpose:
   the CSR snapshot.  They are order-insensitive by construction and back
   the audit sweeps, the bench harness and the property tests.
 
-The store is process-global (one per "VM generation"): experiment
-runners call :func:`reset_store` between configs — via
-``repro.faults.reset_registries`` — which also restarts the oid counter,
-so oids no longer depend on how many runs shared the process.
+Each :class:`~repro.runtime.JavaVM` owns one store, so oids start at 1
+in every VM and never alias across co-located VMs.
 """
 
 from __future__ import annotations
@@ -372,32 +370,3 @@ class HeapStore:
             h._store = self
             self.handles[oid] = h
         return h
-
-
-# ----------------------------------------------------------------------
-# The *default* store: a convenience for single-VM experiments, which
-# reset between configs via repro.faults.reset_registries ->
-# reset_store().  Multi-tenant callers (the server layer) give each
-# JavaVM its own private HeapStore instead, so one tenant's rows, oid
-# counter and handles can never alias a sibling's and a reset of the
-# default store cannot invalidate any co-located tenant's live handles.
-_active_store: Optional[HeapStore] = None
-
-
-def get_store() -> HeapStore:
-    global _active_store
-    if _active_store is None:
-        _active_store = HeapStore()
-    return _active_store
-
-
-def reset_store() -> HeapStore:
-    """Install a fresh store (and thereby restart the oid counter).
-
-    Old handles keep their old store alive through their ``_store``
-    pointer, so resetting between configs cannot corrupt a VM that is
-    still referenced — it just stops new VMs from inheriting rows.
-    """
-    global _active_store
-    _active_store = HeapStore()
-    return _active_store

@@ -18,24 +18,15 @@ from .devices.base import AccessPattern, Device
 from .devices.health import DeviceHealthMonitor
 from .devices.nvme import NVMeSSD
 from .errors import ConfigError, OutOfMemoryError, SegmentationFault
-from .faults import (
-    get_default_audit_level,
-    get_default_fault_config,
-    get_default_governor_config,
-    register_auditor,
-    register_policy,
-    unregister_auditor,
-    unregister_policy,
-)
 from .faults.plan import FaultConfig
 from .faults.policy import ResiliencePolicy
+from .faults.session import RunSession
 from .heap.audit import HeapAuditor, make_auditor
 from .heap.store import (
     FLAG_SERIALIZABLE,
     MIN_OBJECT_SIZE,
     HeapStore,
     check_object_size,
-    get_store,
 )
 from .gc.parallel_scavenge import (
     ParallelScavenge,
@@ -63,19 +54,17 @@ class JavaVM:
         config: VMConfig,
         h2_device: Optional[Device] = None,
         old_gen_device: Optional[Device] = None,
-        store: Optional[HeapStore] = None,
         health: Optional[DeviceHealthMonitor] = None,
+        session: Optional[RunSession] = None,
     ):
         self.config = config
         self.cost = config.cost
         self.clock = Clock()
-        #: the struct-of-arrays store all of this VM's objects live in.
-        #: ``None`` attaches the process-default store (the single-VM
-        #: path, byte-identical to the historical singleton behaviour);
-        #: co-located tenants pass a private ``HeapStore`` each so oid
-        #: rows and handles can never alias across VMs and one tenant's
-        #: store reset cannot invalidate a sibling's live objects.
-        self.store = store if store is not None else get_store()
+        #: the struct-of-arrays store all of this VM's objects live in
+        self.store = HeapStore()
+        #: the run's fault/audit defaults for whatever ``config`` leaves
+        #: unset; it counts the policy and auditor those defaults arm
+        self.session = session
         self.roots = RootSet()
         self.hints = HintInterface()
         self.h2: Optional[H2Heap] = None
@@ -88,8 +77,6 @@ class JavaVM:
         self.health: Optional[DeviceHealthMonitor] = None
         self._owns_health = True
         self.governor = None
-        self._registered_policy = False
-        self._registered_auditor = False
         #: callbacks ``fn(target_bytes) -> freed_bytes`` run under
         #: emergency backpressure (e.g. block-manager cache shedding)
         self.pressure_handlers = []
@@ -105,7 +92,7 @@ class JavaVM:
 
             self.heap = G1Heap(config)
             self.collector = G1Collector(
-                self.heap, self.roots, self.clock, config
+                self.heap, self.roots, self.clock, config, self.store
             )
             self.barrier = G1WriteBarrier(
                 self.collector, self.clock, self.cost
@@ -121,15 +108,14 @@ class JavaVM:
                     # redirect the charges (and traffic counters) of any
                     # other VM still using it.
                     h2_device = h2_device.rebind(self.clock)
-                fault_cfg = config.faults or get_default_fault_config()
+                fault_cfg = config.faults
+                if fault_cfg is None and session is not None:
+                    fault_cfg = session.faults
                 if fault_cfg is not None:
                     self.resilience = ResiliencePolicy(fault_cfg, self.clock)
                     if config.faults is None:
-                        # Armed via the process-global default (the CLI's
-                        # --faults flag): register for aggregate reporting.
-                        register_policy(self.resilience)
-                        self._registered_policy = True
-                gov_cfg = config.governor or get_default_governor_config()
+                        session.track_policy(self.resilience)
+                gov_cfg = config.governor
                 if gov_cfg is not None and gov_cfg.enabled:
                     from .teraheap.governor import H2Governor
 
@@ -180,6 +166,7 @@ class JavaVM:
                     self.roots,
                     self.clock,
                     config,
+                    self.store,
                     self.h2,
                     self.hints,
                     governor=self.governor,
@@ -198,6 +185,7 @@ class JavaVM:
                     self.roots,
                     self.clock,
                     config,
+                    self.store,
                     nvm=old_gen_device,
                 )
                 if config.panthera is not None:
@@ -218,15 +206,16 @@ class JavaVM:
                     self.roots,
                     self.clock,
                     config,
+                    self.store,
                     device=old_gen_device,
                 )
             elif config.collector == "ps11":
                 self.collector = ParallelScavengeJDK11(
-                    self.heap, self.roots, self.clock, config
+                    self.heap, self.roots, self.clock, config, self.store
                 )
             else:
                 self.collector = ParallelScavenge(
-                    self.heap, self.roots, self.clock, config
+                    self.heap, self.roots, self.clock, config, self.store
                 )
             self.barrier = WriteBarrier(
                 self.heap,
@@ -236,9 +225,6 @@ class JavaVM:
                 enable_teraheap=config.teraheap.enabled,
             )
 
-        # Collectors default to the process-wide store; a VM built over a
-        # private store re-attaches so trace kernels index its columns.
-        self.collector.store = self.store
         self.serializer = KryoSerializer(
             self.clock, self.cost, allocate_temp=self.allocate_temp
         )
@@ -250,13 +236,16 @@ class JavaVM:
         audit_level = (
             config.audit
             or os.environ.get("REPRO_AUDIT")
-            or get_default_audit_level()
+            or (session.audit if session is not None else None)
         )
         if audit_level:
             self.auditor = make_auditor(self, audit_level)
-            if self.auditor is not None and config.audit is None:
-                register_auditor(self.auditor)
-                self._registered_auditor = True
+            if (
+                self.auditor is not None
+                and config.audit is None
+                and session is not None
+            ):
+                session.track_auditor(self.auditor)
 
     # ==================================================================
     # Allocation
@@ -652,9 +641,8 @@ class JavaVM:
 
         Everything dropped here is scoped to *this* VM: on a shared
         health monitor only this VM's listeners detach (sibling tenants'
-        governors keep theirs), and only this VM's policy/auditor leave
-        the global registries — their counters folded into the aggregate
-        so the CLI's end-of-run summary still tells the whole story.
+        governors keep theirs).  A session that counts this VM's policy
+        and auditor keeps their counters.
         """
         self.retired = True
         self.pressure_handlers.clear()
@@ -663,12 +651,6 @@ class JavaVM:
                 self.health.detach_listeners()
             else:
                 self.health.detach_listeners(owner=self)
-        if self._registered_policy and self.resilience is not None:
-            unregister_policy(self.resilience)
-            self._registered_policy = False
-        if self._registered_auditor and self.auditor is not None:
-            unregister_auditor(self.auditor)
-            self._registered_auditor = False
 
     def recover_h2(self, image):
         """Recover a crashed process's durable H2 image into this VM.

@@ -25,7 +25,7 @@ from ..clock import Bucket, Clock
 from ..config import GovernorConfig, TeraHeapConfig, VMConfig
 from ..devices.health import DeviceHealthMonitor
 from ..devices.nvme import NVMeSSD
-from ..heap.store import HeapStore
+from ..faults.session import RunSession
 from ..runtime import JavaVM
 from ..units import KiB, gb
 from .arbiter import BandwidthArbiter, MemoryPressureArbiter, TenantDevice
@@ -178,9 +178,14 @@ def _p99(values: List[float]) -> float:
 
 
 class ServerBox:
-    """Boot, arbitrate and run N co-located tenants deterministically."""
+    """Boot, arbitrate and run N co-located tenants deterministically.
 
-    def __init__(self, spec: ServerSpec):
+    Every tenant VM takes ``session``'s fault/audit defaults.
+    """
+
+    def __init__(
+        self, spec: ServerSpec, session: Optional[RunSession] = None
+    ):
         self.spec = spec
         #: box virtual time: the shared health monitor's timestamps and
         #: the epoch records live on this clock, advanced to the min of
@@ -221,8 +226,8 @@ class ServerBox:
             vm = JavaVM(
                 config,
                 h2_device=TenantDevice(template, self.bandwidth, name),
-                store=HeapStore(),
                 health=self.health,
+                session=session,
             )
             # Static equal split until the first arbitration epoch (and
             # forever, in the no-arbiter control).

@@ -38,6 +38,7 @@ from ..heap.store import (
     SPACE_H2,
     SPACE_OLD,
     SPACE_TO,
+    HeapStore,
 )
 from .h2_card_table import CardState
 from .h2_heap import H2Heap
@@ -57,11 +58,12 @@ class TeraHeapCollector(ParallelScavenge):
         roots: RootSet,
         clock: Clock,
         config: VMConfig,
+        store: HeapStore,
         h2: H2Heap,
         hints: HintInterface,
         governor=None,
     ):
-        super().__init__(heap, roots, clock, config)
+        super().__init__(heap, roots, clock, config, store)
         self.h2 = h2
         self.hints = hints
         #: optional :class:`~repro.teraheap.governor.H2Governor`

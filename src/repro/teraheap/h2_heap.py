@@ -45,11 +45,11 @@ class H2Heap:
         clock: Clock,
         page_cache_size: int,
         resilience=None,
-        store=None,
+        *,
+        store,
     ):
         self.config = config
-        #: the heap store recovery rehydrates objects into; ``None``
-        #: falls back to the process-default store (single-VM path)
+        #: the heap store recovery rehydrates objects into
         self.store = store
         #: optional ResiliencePolicy; when set, the device is fronted by a
         #: fault injector and every H2 I/O path runs under the retry loop

@@ -7,6 +7,7 @@ import pytest
 from repro import JavaVM, TeraHeapConfig, VMConfig, gb
 from repro.clock import Clock
 from repro.devices.nvme import NVMeSSD
+from repro.heap.store import HeapStore
 from repro.units import KiB
 
 
@@ -25,6 +26,12 @@ def _audit_integration_tests(request, monkeypatch):
 @pytest.fixture
 def clock():
     return Clock()
+
+
+@pytest.fixture
+def store():
+    """A fresh object store for handles built outside any VM."""
+    return HeapStore()
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from repro.frameworks.spark import CachePolicy, SparkConf, SparkContext
 from repro.frameworks.spark.workloads import SPARK_WORKLOADS
 from repro.gc.g1 import G1Heap
 from repro.heap.object_model import HeapObject, SpaceId
-from repro.heap.store import MIN_OBJECT_SIZE, HeapStore
+from repro.heap.store import MIN_OBJECT_SIZE
 from repro.runtime import TEMP_CHUNK
 from repro.units import KiB
 
@@ -47,9 +47,6 @@ def run_sd_lr():
             page_cache_size=gb(2),
             young_fraction=1.0 / 3.0,
         ),
-        # A private store: oids must not depend on what earlier tests
-        # allocated in the process-default one.
-        store=HeapStore(),
     )
     ctx = SparkContext(
         vm,
@@ -118,7 +115,7 @@ def make_vm(kind: str) -> JavaVM:
     config = VMConfig(heap_size=HEAP, collector="g1" if kind == "g1" else "ps")
     if kind == "g1":
         config.g1 = G1Config(region_size=32 * KiB)
-    vm = JavaVM(config, store=HeapStore())
+    vm = JavaVM(config)
     if kind == "pretenure":
         vm.heap.pretenure_threshold = PRETENURE
     return vm

@@ -217,8 +217,8 @@ def test_manifest_region_without_journal_is_unrecoverable():
 # ======================================================================
 # Promotion-buffer-aware copy batches (ROADMAP nibble)
 # ======================================================================
-def _mover(size, region_id):
-    obj = HeapObject(size)
+def _mover(store, size, region_id):
+    obj = HeapObject(size, store=store)
     obj.region_id = region_id
     return (obj, f"r{region_id}")
 
@@ -227,12 +227,12 @@ def test_mover_copy_batches_match_buffer_flush_shape():
     vm = make_vm("none")  # buffer capacity 32 KiB (make_vm config)
     collector = vm.collector
     movers = [
-        _mover(12 * KiB, 0),
-        _mover(30 * KiB, 1),  # interleaved region: grouped, order kept
-        _mover(12 * KiB, 0),
-        _mover(12 * KiB, 0),  # 36 KiB > 32 KiB: splits the region-0 run
-        _mover(2 * MiB, 1),  # >= direct-write threshold: singleton batch
-        _mover(4 * KiB, 1),
+        _mover(vm.store, 12 * KiB, 0),
+        _mover(vm.store, 30 * KiB, 1),  # interleaved region: grouped, order kept
+        _mover(vm.store, 12 * KiB, 0),
+        _mover(vm.store, 12 * KiB, 0),  # 36 KiB > 32 KiB: splits the region-0 run
+        _mover(vm.store, 2 * MiB, 1),  # >= direct-write threshold: singleton batch
+        _mover(vm.store, 4 * KiB, 1),
     ]
     batches = collector.mover_copy_batches(movers)
     shape = [

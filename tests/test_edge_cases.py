@@ -17,6 +17,7 @@ from repro.devices.mmap import BASE_PAGE, MappedFile
 from repro.devices.nvme import NVMeSSD
 from repro.devices.page_cache import PageCache
 from repro.heap.object_model import HeapObject, SpaceId
+from repro.heap.store import HeapStore
 from repro.serdes.serializer import KryoSerializer
 from repro.units import KiB
 
@@ -141,17 +142,17 @@ class TestDeviceEdges:
 
 
 class TestSerializerEdges:
-    def test_empty_refs_single_object(self):
+    def test_empty_refs_single_object(self, store):
         ser = KryoSerializer(Clock(), CostModel())
-        blob = ser.serialize(HeapObject(64))
+        blob = ser.serialize(HeapObject(64, store=store))
         assert blob.object_count == 1
 
-    def test_diamond_graph_counted_once(self):
+    def test_diamond_graph_counted_once(self, store):
         ser = KryoSerializer(Clock(), CostModel())
-        shared = HeapObject(64)
-        a = HeapObject(64, refs=[shared])
-        b = HeapObject(64, refs=[shared])
-        root = HeapObject(64, refs=[a, b])
+        shared = HeapObject(64, store=store)
+        a = HeapObject(64, refs=[shared], store=store)
+        b = HeapObject(64, refs=[shared], store=store)
+        root = HeapObject(64, refs=[a, b], store=store)
         blob = ser.serialize(root)
         assert blob.object_count == 4
 
@@ -159,8 +160,9 @@ class TestSerializerEdges:
     @given(sizes=st.lists(st.integers(16, 4096), min_size=1, max_size=30))
     def test_blob_bytes_equal_closure_bytes(self, sizes):
         ser = KryoSerializer(Clock(), CostModel())
-        children = [HeapObject(s) for s in sizes[1:]]
-        root = HeapObject(sizes[0], refs=children)
+        store = HeapStore()
+        children = [HeapObject(s, store=store) for s in sizes[1:]]
+        root = HeapObject(sizes[0], refs=children, store=store)
         blob = ser.serialize(root)
         assert blob.size_bytes == sum(sizes)
 

@@ -25,9 +25,9 @@ class TestG1Heap:
         heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
         assert heap.num_regions == heap.capacity // heap.region_size
 
-    def test_small_allocation_in_eden_region(self):
+    def test_small_allocation_in_eden_region(self, store):
         heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
-        o = HeapObject(1024)
+        o = HeapObject(1024, store=store)
         assert heap.try_allocate(o)
         assert o.space is SpaceId.EDEN
         assert heap.regions[o.region_id].state is RegionState.EDEN
@@ -37,9 +37,9 @@ class TestG1Heap:
         assert heap.is_humongous(heap.region_size // 2 + 1)
         assert not heap.is_humongous(heap.region_size // 2)
 
-    def test_humongous_takes_contiguous_run(self):
+    def test_humongous_takes_contiguous_run(self, store):
         heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
-        big = HeapObject(heap.region_size + 100)
+        big = HeapObject(heap.region_size + 100, store=store)
         assert heap.try_allocate(big)
         head = heap.regions[big.region_id]
         assert head.state is RegionState.HUMONGOUS_START
@@ -48,26 +48,26 @@ class TestG1Heap:
         )
         assert heap.humongous_waste > 0
 
-    def test_humongous_waste_counts_toward_usage(self):
+    def test_humongous_waste_counts_toward_usage(self, store):
         heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
-        big = HeapObject(heap.region_size + 100)
+        big = HeapObject(heap.region_size + 100, store=store)
         heap.try_allocate(big)
         assert heap.used() >= 2 * heap.region_size
 
-    def test_free_humongous_run(self):
+    def test_free_humongous_run(self, store):
         heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
-        big = HeapObject(heap.region_size + 100)
+        big = HeapObject(heap.region_size + 100, store=store)
         heap.try_allocate(big)
         head = heap.regions[big.region_id]
         heap.free_humongous_run(head)
         assert head.state is RegionState.FREE
         assert heap.regions[head.index + 1].state is RegionState.FREE
 
-    def test_eden_budget_limits_allocation(self):
+    def test_eden_budget_limits_allocation(self, store):
         heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
         size = heap.region_size // 2
         allocated = 0
-        while heap.try_allocate(HeapObject(size)):
+        while heap.try_allocate(HeapObject(size, store=store)):
             allocated += 1
         # Stops at roughly the young target, not at heap exhaustion.
         assert allocated <= heap.young_target * 2 + 2

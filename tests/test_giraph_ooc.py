@@ -24,7 +24,6 @@ from repro.frameworks.giraph.workloads import (
     GIRAPH_PROGRAMS,
     make_giraph_graph,
 )
-from repro.heap.store import HeapStore
 from repro.workloads.generators import make_graph
 
 #: digest of :func:`ooc_summary` for the pinned CDLP job below
@@ -42,9 +41,6 @@ def run_ooc_cdlp():
             mutator_threads=8,
             page_cache_size=dram - heap,
         ),
-        # A private store: the object count must not depend on what
-        # earlier tests allocated in the process-default one.
-        store=HeapStore(),
     )
     conf = GiraphConf(mode=GiraphMode.OOC, device=NVMeSSD(vm.clock))
     graph = make_giraph_graph(gb(2), seed=42)

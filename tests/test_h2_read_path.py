@@ -23,7 +23,6 @@ from repro.faults.plan import FaultConfig
 from repro.frameworks.spark import CachePolicy, SparkConf, SparkContext
 from repro.frameworks.spark.workloads import SPARK_WORKLOADS
 from repro.heap.object_model import SpaceId
-from repro.heap.store import HeapStore
 from repro.units import KiB
 
 #: digest of :func:`pr_summary` for the pinned PageRank job below
@@ -45,9 +44,6 @@ def run_th_pagerank():
             young_fraction=1.0 / 3.0,
         ),
         h2_device=NVMeSSD(Clock()),
-        # A private store: the object count must not depend on what
-        # earlier tests allocated in the process-default one.
-        store=HeapStore(),
     )
     ctx = SparkContext(
         vm,
@@ -128,7 +124,6 @@ def build_vm(sizes, in_h2, huge_pages, cache_pages, faults=None):
             page_cache_size=cache_pages * page,
             faults=faults,
         ),
-        store=HeapStore(),
     )
     objs = []
     for i, size in enumerate(sizes):

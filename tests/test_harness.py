@@ -47,7 +47,7 @@ def _spec(run_cell, **kwargs):
 
 def test_nondeterministic_cell_is_reported_as_drift():
     ticks = itertools.count()
-    spec = _spec(lambda i: Point(f"c{i}", float(next(ticks))))
+    spec = _spec(lambda i, session: Point(f"c{i}", float(next(ticks))))
     cells, failures = harness.run(spec)
     assert [c.key for c in cells] == ["c0", "c1"]
     assert failures == [
@@ -58,7 +58,7 @@ def test_nondeterministic_cell_is_reported_as_drift():
 
 
 def test_deterministic_fake_passes_and_releases_handles():
-    spec = _spec(lambda i: Point(f"c{i}", 1.0, vm=object()))
+    spec = _spec(lambda i, session: Point(f"c{i}", 1.0, vm=object()))
     cells, failures = harness.run(spec)
     assert failures == []
     assert all(c.result.vm is None for c in cells)

@@ -16,23 +16,23 @@ from repro.units import gb
 # HeapObject
 # ---------------------------------------------------------------------
 class TestObjectModel:
-    def test_minimum_size_enforced(self):
+    def test_minimum_size_enforced(self, store):
         with pytest.raises(ValueError):
-            HeapObject(8)
+            HeapObject(8, store=store)
 
-    def test_oids_unique(self):
-        a, b = HeapObject(64), HeapObject(64)
+    def test_oids_unique(self, store):
+        a, b = HeapObject(64, store=store), HeapObject(64, store=store)
         assert a.oid != b.oid
 
-    def test_defaults(self):
-        o = HeapObject(64)
+    def test_defaults(self, store):
+        o = HeapObject(64, store=store)
         assert o.space is SpaceId.EDEN
         assert o.label is None
         assert not o.h2_candidate
         assert o.serializable
 
-    def test_in_young_and_in_h1(self):
-        o = HeapObject(64)
+    def test_in_young_and_in_h1(self, store):
+        o = HeapObject(64, store=store)
         for space, young, h1 in [
             (SpaceId.EDEN, True, True),
             (SpaceId.FROM, True, True),
@@ -45,20 +45,20 @@ class TestObjectModel:
             assert o.in_young is young
             assert o.in_h1 is h1
 
-    def test_in_h2(self):
-        o = HeapObject(64)
+    def test_in_h2(self, store):
+        o = HeapObject(64, store=store)
         o.space = SpaceId.H2
         assert o.in_h2
 
-    def test_end_address(self):
-        o = HeapObject(100)
+    def test_end_address(self, store):
+        o = HeapObject(100, store=store)
         o.address = 1000
         assert o.end_address() == 1100
 
-    def test_refs_are_copied(self):
-        children = [HeapObject(64)]
-        o = HeapObject(64, refs=children)
-        children.append(HeapObject(64))
+    def test_refs_are_copied(self, store):
+        children = [HeapObject(64, store=store)]
+        o = HeapObject(64, refs=children, store=store)
+        children.append(HeapObject(64, store=store))
         assert len(o.refs) == 1
 
 
@@ -66,40 +66,40 @@ class TestObjectModel:
 # Spaces
 # ---------------------------------------------------------------------
 class TestSpace:
-    def test_bump_allocation(self):
+    def test_bump_allocation(self, store):
         s = Space(SpaceId.EDEN, 0, 1000)
-        a, b = HeapObject(100), HeapObject(200)
+        a, b = HeapObject(100, store=store), HeapObject(200, store=store)
         assert s.allocate(a) and s.allocate(b)
         assert a.address == 0
         assert b.address == 100
         assert s.used == 300
         assert s.free == 700
 
-    def test_allocation_fails_when_full(self):
+    def test_allocation_fails_when_full(self, store):
         s = Space(SpaceId.EDEN, 0, 100)
-        assert not s.allocate(HeapObject(128))
+        assert not s.allocate(HeapObject(128, store=store))
 
-    def test_allocate_sets_space(self):
+    def test_allocate_sets_space(self, store):
         s = Space(SpaceId.OLD, 0, 1000)
-        o = HeapObject(64)
+        o = HeapObject(64, store=store)
         s.allocate(o)
         assert o.space is SpaceId.OLD
 
-    def test_reset(self):
+    def test_reset(self, store):
         s = Space(SpaceId.EDEN, 0, 1000)
-        s.allocate(HeapObject(64))
+        s.allocate(HeapObject(64, store=store))
         s.reset()
         assert s.used == 0
         assert s.objects == []
 
-    def test_occupancy(self):
+    def test_occupancy(self, store):
         s = Space(SpaceId.EDEN, 0, 1000)
-        s.allocate(HeapObject(500))
+        s.allocate(HeapObject(500, store=store))
         assert s.occupancy == pytest.approx(0.5)
 
-    def test_objects_overlapping(self):
+    def test_objects_overlapping(self, store):
         s = Space(SpaceId.OLD, 0, 10000)
-        objs = [HeapObject(100) for _ in range(10)]
+        objs = [HeapObject(100, store=store) for _ in range(10)]
         for o in objs:
             s.allocate(o)
         found = s.objects_overlapping(150, 350)
@@ -109,9 +109,9 @@ class TestSpace:
         assert objs[0] not in found
         assert objs[5] not in found
 
-    def test_objects_overlapping_spanning_object(self):
+    def test_objects_overlapping_spanning_object(self, store):
         s = Space(SpaceId.OLD, 0, 10000)
-        big = HeapObject(5000)
+        big = HeapObject(5000, store=store)
         s.allocate(big)
         assert s.objects_overlapping(4000, 4100) == [big]
 
@@ -119,9 +119,9 @@ class TestSpace:
         with pytest.raises(ConfigError):
             Space(SpaceId.EDEN, 0, -1)
 
-    def test_old_generation_rebuild(self):
+    def test_old_generation_rebuild(self, store):
         old = OldGeneration(0, 10000)
-        objs = [HeapObject(100) for _ in range(3)]
+        objs = [HeapObject(100, store=store) for _ in range(3)]
         for i, o in enumerate(objs):
             o.address = i * 100
         old.rebuild_after_compaction(objs)
@@ -185,33 +185,33 @@ class TestCardTable:
 # Roots
 # ---------------------------------------------------------------------
 class TestRootSet:
-    def test_add_remove(self):
+    def test_add_remove(self, store):
         roots = RootSet()
-        o = HeapObject(64)
+        o = HeapObject(64, store=store)
         roots.add(o)
         assert o in roots
         roots.remove(o)
         assert o not in roots
 
-    def test_iteration(self):
+    def test_iteration(self, store):
         roots = RootSet()
-        objs = [HeapObject(64) for _ in range(3)]
+        objs = [HeapObject(64, store=store) for _ in range(3)]
         for o in objs:
             roots.add(o)
         assert set(r.oid for r in roots) == {o.oid for o in objs}
 
-    def test_frame_pins_objects(self):
+    def test_frame_pins_objects(self, store):
         roots = RootSet()
-        o = HeapObject(64)
+        o = HeapObject(64, store=store)
         with roots.frame() as frame:
             frame.push(o)
             assert o in roots
             assert len(roots) == 1
         assert o not in roots
 
-    def test_nested_frames(self):
+    def test_nested_frames(self, store):
         roots = RootSet()
-        a, b = HeapObject(64), HeapObject(64)
+        a, b = HeapObject(64, store=store), HeapObject(64, store=store)
         with roots.frame() as f1:
             f1.push(a)
             with roots.frame() as f2:
@@ -220,9 +220,9 @@ class TestRootSet:
             assert b not in roots
         assert a not in roots
 
-    def test_frame_push_all(self):
+    def test_frame_push_all(self, store):
         roots = RootSet()
-        objs = [HeapObject(64) for _ in range(3)]
+        objs = [HeapObject(64, store=store) for _ in range(3)]
         with roots.frame() as frame:
             frame.push_all(objs)
             assert len(roots) == 3
@@ -242,42 +242,42 @@ class TestManagedHeap:
         assert heap.survivor_to.base == heap.survivor_from.end
         assert heap.old.base == heap.survivor_to.end
 
-    def test_allocation_goes_to_eden(self):
+    def test_allocation_goes_to_eden(self, store):
         heap = self.make_heap()
-        o = HeapObject(1024)
+        o = HeapObject(1024, store=store)
         assert heap.try_allocate(o)
         assert o.space is SpaceId.EDEN
 
-    def test_oversized_goes_to_old(self):
+    def test_oversized_goes_to_old(self, store):
         heap = self.make_heap()
-        o = HeapObject(heap.eden.capacity // 2 + 16)
+        o = HeapObject(heap.eden.capacity // 2 + 16, store=store)
         assert heap.try_allocate(o)
         assert o.space is SpaceId.OLD
 
-    def test_pretenure_threshold(self):
+    def test_pretenure_threshold(self, store):
         heap = self.make_heap()
         heap.pretenure_threshold = 1024
-        o = HeapObject(2048)
+        o = HeapObject(2048, store=store)
         assert heap.try_allocate(o)
         assert o.space is SpaceId.OLD
 
-    def test_allocation_fails_when_eden_full(self):
+    def test_allocation_fails_when_eden_full(self, store):
         heap = self.make_heap()
         size = heap.eden.capacity // 4
-        while heap.try_allocate(HeapObject(size)):
+        while heap.try_allocate(HeapObject(size, store=store)):
             pass
-        assert not heap.try_allocate(HeapObject(size))
+        assert not heap.try_allocate(HeapObject(size, store=store))
 
-    def test_swap_survivors(self):
+    def test_swap_survivors(self, store):
         heap = self.make_heap()
-        o = HeapObject(64)
+        o = HeapObject(64, store=store)
         heap.survivor_to.allocate(o)
         heap.swap_survivors()
         assert o.space is SpaceId.FROM
         assert heap.survivor_from.objects == [o]
 
-    def test_used_and_occupancy(self):
+    def test_used_and_occupancy(self, store):
         heap = self.make_heap()
-        heap.try_allocate(HeapObject(1024))
+        heap.try_allocate(HeapObject(1024, store=store))
         assert heap.used() == 1024
         assert 0 < heap.live_occupancy() < 1

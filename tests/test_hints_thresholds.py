@@ -9,9 +9,9 @@ from repro.teraheap.thresholds import ThresholdPolicy
 
 
 class TestHints:
-    def test_tag_sets_label(self):
+    def test_tag_sets_label(self, store):
         hints = HintInterface()
-        obj = HeapObject(64)
+        obj = HeapObject(64, store=store)
         hints.h2_tag_root(obj, "rdd-1")
         assert obj.label == "rdd-1"
         assert obj in hints.tagged_roots()
@@ -20,13 +20,13 @@ class TestHints:
         with pytest.raises(InvalidHintError):
             HintInterface().h2_tag_root(None, "x")
 
-    def test_tag_requires_label(self):
+    def test_tag_requires_label(self, store):
         with pytest.raises(InvalidHintError):
-            HintInterface().h2_tag_root(HeapObject(64), "")
+            HintInterface().h2_tag_root(HeapObject(64, store=store), "")
 
-    def test_tag_rejects_h2_resident(self):
+    def test_tag_rejects_h2_resident(self, store):
         hints = HintInterface()
-        obj = HeapObject(64)
+        obj = HeapObject(64, store=store)
         obj.space = SpaceId.H2
         with pytest.raises(InvalidHintError):
             hints.h2_tag_root(obj, "x")
@@ -41,9 +41,9 @@ class TestHints:
         with pytest.raises(InvalidHintError):
             HintInterface().h2_move("")
 
-    def test_consume_moved(self):
+    def test_consume_moved(self, store):
         hints = HintInterface()
-        obj = HeapObject(64)
+        obj = HeapObject(64, store=store)
         hints.h2_tag_root(obj, "a")
         hints.h2_move("a")
         obj.space = SpaceId.H2  # the collector moved it
@@ -51,16 +51,16 @@ class TestHints:
         assert not hints.is_move_pending("a")
         assert obj not in hints.tagged_roots()
 
-    def test_tagged_roots_excludes_non_h1(self):
+    def test_tagged_roots_excludes_non_h1(self, store):
         hints = HintInterface()
-        obj = HeapObject(64)
+        obj = HeapObject(64, store=store)
         hints.h2_tag_root(obj, "a")
         obj.space = SpaceId.H2
         assert hints.tagged_roots() == []
 
-    def test_call_counters(self):
+    def test_call_counters(self, store):
         hints = HintInterface()
-        hints.h2_tag_root(HeapObject(64), "a")
+        hints.h2_tag_root(HeapObject(64, store=store), "a")
         hints.h2_move("a")
         assert hints.tag_calls == 1
         assert hints.move_calls == 1

@@ -74,11 +74,13 @@ class TestPanthera:
         from repro.heap.heap import ManagedHeap
         from repro.heap.roots import RootSet
         from repro.clock import Clock
+        from repro.heap.store import HeapStore
 
         cfg = VMConfig(heap_size=gb(4))
         with pytest.raises(ValueError):
             PantheraCollector(
-                ManagedHeap(cfg), RootSet(), Clock(), cfg, nvm=None
+                ManagedHeap(cfg), RootSet(), Clock(), cfg, HeapStore(),
+                nvm=None,
             )
 
 

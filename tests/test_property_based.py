@@ -7,6 +7,7 @@ from repro.devices.nvme import NVMeSSD
 from repro.devices.page_cache import PageCache
 from repro.heap.card_table import CardTable
 from repro.heap.object_model import HeapObject
+from repro.heap.store import HeapStore
 from repro.heap.spaces import Space, SpaceId
 from repro.teraheap.h2_card_table import CardState, H2CardTable
 from repro.teraheap.region_groups import RegionGroups
@@ -47,9 +48,10 @@ def test_clock_buckets_are_disjoint(charges):
 @given(st.lists(st.integers(min_value=16, max_value=4096), max_size=60))
 def test_space_objects_never_overlap(sizes):
     space = Space(SpaceId.EDEN, base=0, capacity=64 * KiB)
+    store = HeapStore()
     placed = []
     for size in sizes:
-        obj = HeapObject(size)
+        obj = HeapObject(size, store=store)
         if space.allocate(obj):
             placed.append(obj)
     for a, b in zip(placed, placed[1:]):
@@ -61,8 +63,9 @@ def test_space_objects_never_overlap(sizes):
 @given(st.lists(st.integers(min_value=16, max_value=2048), max_size=40))
 def test_region_allocation_invariants(sizes):
     region = Region(0, start=0x1000, capacity=16 * KiB)
+    store = HeapStore()
     for size in sizes:
-        region.allocate(HeapObject(size))
+        region.allocate(HeapObject(size, store=store))
     assert region.used <= region.capacity
     assert region.top == 0x1000 + region.used
     for obj in region.objects:

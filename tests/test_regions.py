@@ -16,8 +16,8 @@ def region():
     return Region(index=0, start=0x1000, capacity=16 * 1024)
 
 
-def test_append_only_allocation(region):
-    a, b = HeapObject(1000), HeapObject(2000)
+def test_append_only_allocation(region, store):
+    a, b = HeapObject(1000, store=store), HeapObject(2000, store=store)
     assert region.allocate(a) and region.allocate(b)
     assert a.address == 0x1000
     assert b.address == 0x1000 + 1000
@@ -26,18 +26,18 @@ def test_append_only_allocation(region):
     assert region.used == 3000
 
 
-def test_objects_never_span_regions(region):
-    big = HeapObject(region.capacity + 16)
+def test_objects_never_span_regions(region, store):
+    big = HeapObject(region.capacity + 16, store=store)
     assert not region.allocate(big)
 
 
-def test_allocation_fails_when_full(region):
-    assert region.allocate(HeapObject(16 * 1024))
-    assert not region.allocate(HeapObject(64))
+def test_allocation_fails_when_full(region, store):
+    assert region.allocate(HeapObject(16 * 1024, store=store))
+    assert not region.allocate(HeapObject(64, store=store))
 
 
-def test_reclaim_zeroes_pointer_and_frees_objects(region):
-    objs = [HeapObject(1000) for _ in range(3)]
+def test_reclaim_zeroes_pointer_and_frees_objects(region, store):
+    objs = [HeapObject(1000, store=store) for _ in range(3)]
     for o in objs:
         region.allocate(o)
     region.deps.add(5)
@@ -51,8 +51,8 @@ def test_reclaim_zeroes_pointer_and_frees_objects(region):
     assert all(o.space is SpaceId.FREED for o in objs)
 
 
-def test_liveness_stats(region):
-    live, dead = HeapObject(1000), HeapObject(3000)
+def test_liveness_stats(region, store):
+    live, dead = HeapObject(1000, store=store), HeapObject(3000, store=store)
     region.allocate(live)
     region.allocate(dead)
     live.mark_epoch = 7
@@ -67,8 +67,8 @@ def test_liveness_stats(region):
     )
 
 
-def test_objects_overlapping(region):
-    objs = [HeapObject(1000) for _ in range(5)]
+def test_objects_overlapping(region, store):
+    objs = [HeapObject(1000, store=store) for _ in range(5)]
     for o in objs:
         region.allocate(o)
     hit = region.objects_overlapping(0x1000 + 1500, 0x1000 + 2500)

@@ -6,6 +6,7 @@ from repro.clock import Bucket, Clock
 from repro.config import CostModel
 from repro.errors import SerializationError
 from repro.heap.object_model import HeapObject
+from repro.heap.store import HeapStore
 from repro.serdes.serializer import JavaSerializer, KryoSerializer
 
 
@@ -15,10 +16,12 @@ def make_serializer(cls=KryoSerializer, temp_sink=None):
 
 
 def make_graph(depth=3, fanout=2, size=512):
+    store = HeapStore()
+
     def build(d):
         if d == 0:
-            return HeapObject(size)
-        return HeapObject(size, refs=[build(d - 1) for _ in range(fanout)])
+            return HeapObject(size, store=store)
+        return HeapObject(size, refs=[build(d - 1) for _ in range(fanout)], store=store)
 
     return build(depth)
 
@@ -29,10 +32,10 @@ def test_closure_covers_transitive_graph():
     assert len(ser.closure(root)) == 7  # 1 + 2 + 4
 
 
-def test_closure_handles_cycles():
+def test_closure_handles_cycles(store):
     ser, _ = make_serializer()
-    a = HeapObject(64)
-    b = HeapObject(64, refs=[a])
+    a = HeapObject(64, store=store)
+    b = HeapObject(64, refs=[a], store=store)
     a.refs.append(b)
     assert len(ser.closure(a)) == 2
 
@@ -56,17 +59,17 @@ def test_serialize_charges_proportionally():
     assert t2 > t1
 
 
-def test_non_serializable_object_rejected():
+def test_non_serializable_object_rejected(store):
     ser, _ = make_serializer()
-    bad = HeapObject(64, serializable=False)
-    root = HeapObject(64, refs=[bad])
+    bad = HeapObject(64, serializable=False, store=store)
+    root = HeapObject(64, refs=[bad], store=store)
     with pytest.raises(SerializationError):
         ser.serialize(root)
 
 
-def test_metadata_rejected():
+def test_metadata_rejected(store):
     ser, _ = make_serializer()
-    root = HeapObject(64, refs=[HeapObject(64, is_metadata=True)])
+    root = HeapObject(64, refs=[HeapObject(64, is_metadata=True, store=store)], store=store)
     with pytest.raises(SerializationError):
         ser.serialize(root)
 

@@ -1,5 +1,8 @@
 """Server layer: shared devices, arbiters, and multi-tenant scoping."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.clock import Clock
@@ -9,15 +12,9 @@ from repro.devices.health import DeviceHealthMonitor, DeviceState
 from repro.devices.nvme import NVMeSSD
 from repro.devices.page_cache import PageCache
 from repro.errors import DeviceFullError
-from repro.faults import (
-    register_policy,
-    reset_registries,
-    resilience_summary,
-    unregister_policy,
-)
+from repro.faults import RunSession
 from repro.faults.plan import FaultConfig
 from repro.faults.policy import ResiliencePolicy
-from repro.heap.store import HeapStore
 from repro.runtime import JavaVM
 from repro.server import (
     BandwidthArbiter,
@@ -62,7 +59,6 @@ def _teraheap_vm(h2_size=gb(4), budget=None):
             teraheap=TeraHeapConfig(enabled=True, h2_size=h2_size),
             page_cache_size=gb(1),
         ),
-        store=HeapStore(),
     )
     if budget is not None:
         vm.h2.byte_budget = budget
@@ -185,7 +181,6 @@ def test_shared_monitor_gives_all_tenants_one_classification():
                 page_cache_size=gb(1),
                 governor=GovernorConfig(),
             ),
-            store=HeapStore(),
             health=monitor,
         )
         for _ in range(2)
@@ -208,20 +203,36 @@ def test_shared_monitor_gives_all_tenants_one_classification():
 
 
 # ---------------------------------------------------------------------
-# Registry scoping: unregister folds, idempotently
+# Session scoping: a policy counts once, however often it is tracked
 # ---------------------------------------------------------------------
-def test_unregister_policy_folds_counters_once():
-    reset_registries()
-    try:
-        policy = ResiliencePolicy(FaultConfig(), Clock())
-        register_policy(policy)
-        policy.plan.injected["latency"] = 3
-        unregister_policy(policy)
-        assert resilience_summary().get("faults_injected") == 3
-        unregister_policy(policy)  # idempotent: no double fold
-        assert resilience_summary().get("faults_injected") == 3
-    finally:
-        reset_registries()
+def test_session_counts_each_policy_once():
+    session = RunSession()
+    policy = ResiliencePolicy(FaultConfig(), Clock())
+    session.track_policy(policy)
+    policy.plan.injected["latency"] = 3
+    assert session.summary()["faults_injected"] == 3
+    session.track_policy(policy)  # idempotent: no double count
+    assert session.summary()["faults_injected"] == 3
+
+
+def test_session_keeps_counts_not_vms():
+    """A finished VM's heap is freed; the session still reports it."""
+    session = RunSession(faults=FaultConfig(seed=3), audit="cheap")
+    vm = JavaVM(
+        VMConfig(
+            heap_size=gb(1),
+            teraheap=TeraHeapConfig(enabled=True, h2_size=gb(4)),
+            page_cache_size=gb(1),
+        ),
+        session=session,
+    )
+    vm.allocate(1024)
+    vm.minor_gc()
+    store = weakref.ref(vm.store)
+    del vm
+    gc.collect()
+    assert store() is None
+    assert session.summary()["audits_run"] == 1
 
 
 # ---------------------------------------------------------------------

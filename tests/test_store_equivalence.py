@@ -26,7 +26,7 @@ from repro.heap.object_model import (
     HeapObject,
     SpaceId,
 )
-from repro.heap.store import NO_SPACE, get_store, reset_store
+from repro.heap.store import NO_SPACE, HeapStore
 
 SPACES = list(SpaceId)
 OP_KINDS = ("mark", "space", "forward", "age", "label", "candidate")
@@ -106,10 +106,9 @@ def _legacy_stack_order(adjacency, roots):
 @given(scenarios())
 def test_handle_graph_matches_store_arrays(scenario):
     adjacency, sizes, ops, roots, epoch = scenario
-    reset_store()
-    store = get_store()
+    store = HeapStore()
 
-    objs = [HeapObject(size) for size in sizes]
+    objs = [HeapObject(size, store=store) for size in sizes]
     for i, targets in enumerate(adjacency):
         objs[i].refs = [objs[t] for t in targets]
     shadow = [

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.config import GovernorConfig, TeraHeapConfig, VMConfig
 from repro.errors import ConfigError
 from repro.frameworks.spark import CachePolicy, SparkConf, SparkContext
-from repro.heap.store import HeapStore
 from repro.runtime import JavaVM
 from repro.server.box import Tenant
 from repro.units import KiB, gb
@@ -36,7 +35,6 @@ def _make_tenant(index):
             page_cache_size=gb(2),
             governor=GovernorConfig(),
         ),
-        store=HeapStore(),
     )
     conf = SparkConf(cache_policy=CachePolicy.TERAHEAP, num_partitions=2)
     ctx = SparkContext(vm, conf)
