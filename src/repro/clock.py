@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import reduce
+from operator import add
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class Bucket(enum.Enum):
@@ -256,30 +258,55 @@ class Clock:
             name = self._sub_context[-1]
             self._sub[name] = self._sub.get(name, 0.0) + seconds
 
+    def _slot(self, bucket: Optional[Bucket]) -> int:
+        try:
+            return (self._context[-1] if bucket is None else bucket).slot
+        except AttributeError:
+            raise _unknown_bucket(bucket) from None
+
+    def charge_each(
+        self, seconds: Sequence[float], bucket: Optional[Bucket] = None
+    ) -> None:
+        """Charge every entry of ``seconds`` in order: same totals as one
+        :meth:`charge` per entry, bit for bit, sub-bucket included
+        (``reduce(add, ...)`` makes sequential float adds, not a sum)."""
+        slot = self._slot(bucket)
+        if not seconds:
+            return
+        if min(seconds) < 0:
+            raise ValueError(f"cannot charge negative time: {min(seconds)}")
+        totals = self._totals
+        totals[slot] = reduce(add, seconds, totals[slot])
+        if self._sub_context:
+            name = self._sub_context[-1]
+            self._sub[name] = reduce(add, seconds, self._sub.get(name, 0.0))
+
+    def charge_cycle(
+        self, charges: Sequence[Tuple[float, Optional[Bucket]]], n: int
+    ) -> None:
+        """Make the ``(seconds, bucket)`` charges in order, ``n`` times
+        over: same totals as ``n`` rounds of one :meth:`charge` per pair,
+        bit for bit, sub-bucket included."""
+        per_slot: Dict[int, List[float]] = {}
+        for seconds, bucket in charges:
+            if seconds < 0:
+                raise ValueError(f"cannot charge negative time: {seconds}")
+            per_slot.setdefault(self._slot(bucket), []).append(seconds)
+        if n <= 0 or not per_slot:
+            return
+        totals = self._totals
+        for slot, seconds in per_slot.items():
+            totals[slot] = reduce(add, seconds * n, totals[slot])
+        if self._sub_context:
+            name = self._sub_context[-1]
+            every = [seconds for seconds, _ in charges] * n
+            self._sub[name] = reduce(add, every, self._sub.get(name, 0.0))
+
     def charge_repeated(
         self, seconds: float, n: int, bucket: Optional[Bucket] = None
     ) -> None:
-        """Charge ``seconds`` ``n`` times: same totals as ``n`` :meth:`charge`
-        calls, bit for bit (``n`` sequential float adds, not one product),
-        sub-bucket included."""
-        if seconds < 0:
-            raise ValueError(f"cannot charge negative time: {seconds}")
-        try:
-            slot = (self._context[-1] if bucket is None else bucket).slot
-        except AttributeError:
-            raise _unknown_bucket(bucket) from None
-        if n <= 0:
-            return
-        total = self._totals[slot]
-        for _ in range(n):
-            total += seconds
-        self._totals[slot] = total
-        if self._sub_context:
-            name = self._sub_context[-1]
-            total = self._sub.get(name, 0.0)
-            for _ in range(n):
-                total += seconds
-            self._sub[name] = total
+        """Charge ``seconds`` ``n`` times, as :meth:`charge_cycle` does."""
+        self.charge_cycle(((seconds, bucket),), n)
 
     def record_event(self, name: str, duration: float) -> None:
         """Log a timeline event (e.g. one GC cycle) at the current time."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..faults.session import RunSession
+from ..heap.object_model import SpaceId
 from ..runtime import JavaVM
 from ..teraheap.regions import RegionLiveness
 from ..units import mb
@@ -34,7 +35,7 @@ def compute_h2_liveness(vm: JavaVM) -> List[RegionLiveness]:
     stack = [o for o in vm.roots]
     while stack:
         obj = stack.pop()
-        if obj.mark_epoch >= epoch or obj.space.value == "freed":
+        if obj.mark_epoch >= epoch or obj.space is SpaceId.FREED:
             continue
         obj.mark_epoch = epoch
         stack.extend(

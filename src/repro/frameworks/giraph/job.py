@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from ...heap.object_model import HeapObject
+from ...heap.object_model import HeapObject, SpaceId
 from ...units import KiB
 from ...workloads.generators import GraphDataset
 from ...runtime import JavaVM
@@ -31,6 +31,9 @@ from .programs import VertexProgram
 #: Giraph pages very large edge lists (also keeps every object smaller
 #: than an H2 region)
 MAX_ARRAY_OBJECT = 12 * KiB
+
+#: message batches allocated between two OOC pressure checks
+MESSAGE_BLOCK = 256
 
 #: label of the out-edge arrays' object group
 EDGES_LABEL = "edges-input"
@@ -128,7 +131,7 @@ class GiraphJob:
             if v >= 64 and v % 2 == 0:
                 recent = v - 1 - (v % 29)
                 target = self.edge_roots[recent]
-                if target is not None and target.space.value != "freed":
+                if target is not None and target.space is not SpaceId.FREED:
                     with vm.roots.frame() as frame:
                         fragment = frame.push(
                             vm.allocate(64, name=f"edge-frag-{v}")
@@ -149,16 +152,13 @@ class GiraphJob:
         vm = self.vm
         if nbytes <= MAX_ARRAY_OBJECT:
             return frame.push(vm.allocate(max(nbytes, 64), name=name))
-        pieces = []
-        remaining = nbytes
-        i = 0
-        while remaining > 0:
-            piece = min(MAX_ARRAY_OBJECT, remaining)
-            pieces.append(
-                frame.push(vm.allocate(max(piece, 64), name=f"{name}.{i}"))
-            )
-            remaining -= piece
-            i += 1
+        full, tail = divmod(nbytes, MAX_ARRAY_OBJECT)
+        sizes = [MAX_ARRAY_OBJECT] * full
+        if tail:
+            sizes.append(max(tail, 64))
+        pieces = vm.allocate_many(
+            sizes, [f"{name}.{i}" for i in range(len(sizes))], frame
+        )
         return frame.push(
             vm.allocate(max(64, 8 * len(pieces)), refs=pieces, name=name)
         )
@@ -174,7 +174,7 @@ class GiraphJob:
         """
         edges = self.edge_roots[v]
         vertex = self.vertex_objs[v]
-        if edges is None or vertex is None or edges.space.value == "freed":
+        if edges is None or vertex is None or edges.space is SpaceId.FREED:
             return 0, 0
         size = self._edge_sizes[v]
         self.vm.write_ref(vertex, None, remove=edges)
@@ -211,7 +211,7 @@ class GiraphJob:
         resident = self.resident_vertices[pid]
         for v in sorted(resident):
             vertex = self.vertex_objs[v]
-            if vertex is None or vertex.space.value == "freed":
+            if vertex is None or vertex.space is SpaceId.FREED:
                 continue
             edge_freed, edge_write = self.offload_edges(v)
             freed += edge_freed
@@ -226,7 +226,7 @@ class GiraphJob:
     def _vertex_for_compute(self, v: int) -> HeapObject:
         """The vertex object, reloading its partition entry if offloaded."""
         vertex = self.vertex_objs[v]
-        if vertex is not None and vertex.space.value != "freed":
+        if vertex is not None and vertex.space is not SpaceId.FREED:
             return vertex
         if self.ooc is not None:
             self.ooc.maybe_offload()
@@ -247,7 +247,7 @@ class GiraphJob:
         freed = 0
         vm = self.vm
         for v, msg in list(self.incoming_msgs.items()):
-            if msg.space.value == "freed":
+            if msg.space is SpaceId.FREED:
                 continue
             freed += msg.size
             self.offloaded_msgs[v] = msg.size
@@ -333,28 +333,72 @@ class GiraphJob:
         if self.conf.mode is GiraphMode.TERAHEAP:
             # Step 3 in Figure 5: tag the store as it is produced.
             vm.h2_tag_root(current_root, f"msgs-{step}")
-        msgs: Dict[int, HeapObject] = {}
         targets = np.flatnonzero(received)
-        for t in targets:
-            if self.combiner is not None:
-                payload = self.combiner.combined_bytes(
-                    int(counts[t]), self.bytes_per_message
-                )
-            else:
-                payload = int(counts[t]) * self.bytes_per_message
-            nbytes = 64 + payload
-            with vm.roots.frame() as frame:
-                msg = self._allocate_array(nbytes, f"msg-{step}-{t}", frame)
-                # Appending to the (possibly H2-resident) store is the
-                # mutable-object update the transfer hint protects against.
-                vm.write_ref(current_root, msg)
-            msgs[int(t)] = msg
-            self.messages_sent += int(counts[t])
-            self.message_store_bytes += nbytes
-            if self.ooc is not None and len(msgs) % 256 == 0:
+        batch_counts = counts[targets]
+        if self.combiner is not None:
+            payloads = np.array(
+                [
+                    self.combiner.combined_bytes(c, self.bytes_per_message)
+                    for c in batch_counts.tolist()
+                ],
+                dtype=np.int64,
+            )
+        else:
+            payloads = batch_counts * self.bytes_per_message
+        sizes = 64 + payloads
+        msgs: Dict[int, HeapObject] = {}
+        for start in range(0, len(targets), MESSAGE_BLOCK):
+            block = slice(start, start + MESSAGE_BLOCK)
+            self._store_messages(
+                step,
+                current_root,
+                targets[block].tolist(),
+                sizes[block].tolist(),
+                msgs,
+            )
+            if self.ooc is not None and len(msgs) % MESSAGE_BLOCK == 0:
                 self.ooc.maybe_offload()
+        self.messages_sent += int(batch_counts.sum())
+        self.message_store_bytes += int(sizes.sum())
         vm.compute(len(targets))
         return current_root, msgs
+
+    def _store_messages(
+        self,
+        step: int,
+        store_root: HeapObject,
+        targets: List[int],
+        sizes: List[int],
+        msgs: Dict[int, HeapObject],
+    ) -> None:
+        """Allocate per-target batches of ``sizes`` bytes into the store.
+
+        Appending to the (possibly H2-resident) store is the
+        mutable-object update the transfer hint protects against.  Each
+        run of single-object batches is allocated and stored in one
+        :meth:`~repro.runtime.JavaVM.allocate_many` call; a batch split
+        into pieces is allocated on its own and then stored.
+        """
+        vm = self.vm
+        i, n = 0, len(targets)
+        while i < n:
+            j = i
+            while j < n and sizes[j] <= MAX_ARRAY_OBJECT:
+                j += 1
+            if j > i:
+                names = [f"msg-{step}-{t}" for t in targets[i:j]]
+                objs = vm.allocate_many(sizes[i:j], names, into=store_root)
+                msgs.update(zip(targets[i:j], objs))
+            if j < n:
+                t = targets[j]
+                with vm.roots.frame() as frame:
+                    msg = self._allocate_array(
+                        sizes[j], f"msg-{step}-{t}", frame
+                    )
+                    vm.write_ref(store_root, msg)
+                msgs[t] = msg
+                j += 1
+            i = j
 
     @property
     def _edge_sources(self) -> np.ndarray:
@@ -384,18 +428,23 @@ class GiraphJob:
         # thrashing every partition on every vertex.
         parts = self.conf.num_partitions
         active = active[np.argsort(active % parts, kind="stable")]
-        for i, v in enumerate(active):
-            v = int(v)
+        for i, v in enumerate(active.tolist()):
             self.current_partition = v % parts
             vertex = self._vertex_for_compute(v)
-            vm.read_object(vertex)
-            edges = self._edges_for_compute(v)
-            if edges is not None:
-                vm.read_object(edges)
+            edges = self.edge_roots[v]
+            if edges is None:
+                # An edge reload charges device time and can collect, so
+                # the vertex is read before it, one object at a time.
+                vm.read_object(vertex)
+                reads = [self._edges_for_compute(v)]
+            else:
+                reads = [vertex, edges]
             msg = self.incoming_msgs.get(v)
             if msg is not None:
-                vm.read_object(msg)
-            elif v in self.offloaded_msgs and self.ooc is not None:
+                reads.append(msg)
+            vm.read_objects(reads)
+            in_ooc_store = self.ooc is not None and v in self.offloaded_msgs
+            if msg is None and in_ooc_store:
                 # The store was pushed out-of-core mid-superstep; pay the
                 # device round trip for this vertex's batch.
                 self.ooc.reload(

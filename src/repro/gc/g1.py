@@ -16,7 +16,7 @@ paper observes SVM, BC and RL failing with OOM for exactly this reason
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..clock import Bucket, Clock
 from ..config import VMConfig
@@ -132,7 +132,7 @@ class G1Heap:
         return size > self.region_size // 2
 
     # ------------------------------------------------------------------
-    def eden_room(self, size: int) -> int:
+    def eden_room(self, sizes: Sequence[int], start: int = 0) -> int:
         """Always 0: G1 allocates object by object (region switches,
         humongous runs), so run allocation never batches on it."""
         return 0

@@ -37,6 +37,14 @@ class WriteBarrier:
         self.barrier_count = 0
         self.h2_marks = 0
 
+    @property
+    def store_cost(self) -> float:
+        """Seconds the barrier charges per reference store."""
+        extra = (
+            self.cost.teraheap_barrier_extra if self.enable_teraheap else 0.0
+        )
+        return self.cost.barrier_cost + extra
+
     def on_reference_store(
         self, src: HeapObject, target: Optional[HeapObject]
     ) -> None:
@@ -47,14 +55,19 @@ class WriteBarrier:
         (the H2 dirty state, Section 3.4).
         """
         self.barrier_count += 1
-        extra = (
-            self.cost.teraheap_barrier_extra if self.enable_teraheap else 0.0
-        )
-        self.clock.charge(self.cost.barrier_cost + extra)
+        self.clock.charge(self.store_cost)
         if self.enable_teraheap and src.space is SpaceId.H2:
             if self.h2_card_table is not None:
                 self.h2_card_table.mark_dirty(src.address)
                 self.h2_marks += 1
             return
+        if src.space is SpaceId.OLD:
+            self.heap.card_table.mark(src.address)
+
+    def on_reference_stores(self, src: HeapObject, n: int) -> None:
+        """The counter and card effects of ``n`` :meth:`on_reference_store`
+        calls on one H1 ``src``; the caller charges :attr:`store_cost`
+        per store."""
+        self.barrier_count += n
         if src.space is SpaceId.OLD:
             self.heap.card_table.mark(src.address)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..config import VMConfig
 from ..errors import ConfigError
@@ -75,19 +75,20 @@ class ManagedHeap:
         return self.used() / self.capacity
 
     # ------------------------------------------------------------------
-    def _goes_to_old(self, size: int) -> bool:
-        """Objects eden could never hold, or pretenured ones."""
-        if size > self.eden.capacity // 2:
-            return True
-        threshold = self.pretenure_threshold
-        return threshold is not None and size >= threshold
+    def _eden_max(self) -> int:
+        """The largest object eden takes: anything larger, which eden
+        could never hold or which is pretenured, goes to the old gen."""
+        largest = self.eden.capacity // 2
+        if self.pretenure_threshold is not None:
+            largest = min(largest, self.pretenure_threshold - 1)
+        return largest
 
     def try_allocate(self, obj: HeapObject) -> bool:
         """Place ``obj`` in eden (or old gen if eden could never hold it).
 
         Returns False when a minor GC is needed first.
         """
-        target = self.old if self._goes_to_old(obj.size) else self.eden
+        target = self.old if obj.size > self._eden_max() else self.eden
         if target.allocate(obj):
             self.allocated_objects += 1
             self.allocated_bytes += obj.size
@@ -102,20 +103,27 @@ class ManagedHeap:
             return True
         return False
 
-    def eden_room(self, size: int) -> int:
-        """How many ``size``-byte objects :meth:`try_allocate` would place
-        back to back in eden before failing; 0 for old-gen sizes."""
-        if self._goes_to_old(size):
-            return 0
-        return self.eden.free // size
+    def eden_room(self, sizes: Sequence[int], start: int = 0) -> int:
+        """How many of ``sizes[start:]`` :meth:`try_allocate` would place
+        back to back in eden, up to the first that does not fit or that
+        goes to the old generation."""
+        free, largest = self.eden.free, self._eden_max()
+        for i in range(start, len(sizes)):
+            size = sizes[i]
+            if size > free or size > largest:
+                return i - start
+            free -= size
+        return len(sizes) - start
 
-    def allocate_run(self, objs: List[HeapObject], size: int) -> None:
-        """Place fresh reference-free ``size``-byte objects in eden, as
-        one :meth:`try_allocate` each would; at most
-        :meth:`eden_room` of them."""
-        self.eden.allocate_run(objs, size)
+    def allocate_run(
+        self, objs: List[HeapObject], sizes: Sequence[int]
+    ) -> None:
+        """Place fresh reference-free objects of ``sizes`` in eden, as one
+        :meth:`try_allocate` each would; at most :meth:`eden_room` of
+        them."""
+        self.eden.allocate_run(objs, sizes)
         self.allocated_objects += len(objs)
-        self.allocated_bytes += len(objs) * size
+        self.allocated_bytes += sum(sizes)
 
     def swap_survivors(self) -> None:
         """Exchange from/to spaces after a scavenge."""

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional
+from itertools import accumulate
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -70,8 +71,10 @@ class Space:
         self._oid_cache = None
         return True
 
-    def allocate_run(self, objs: List[HeapObject], size: int) -> None:
-        """Bump-allocate fresh ``size``-byte objects in one pass.
+    def allocate_run(
+        self, objs: List[HeapObject], sizes: Sequence[int]
+    ) -> None:
+        """Bump-allocate fresh objects of ``sizes`` in one pass.
 
         ``objs`` are consecutive store rows and the caller has checked
         that they fit; the result equals one :meth:`allocate` per object.
@@ -79,13 +82,12 @@ class Space:
         count = len(objs)
         store = objs[0]._store
         first = objs[0].oid
-        top = self.top
-        end = top + count * size
-        store.address[first:first + count] = array("q", range(top, end, size))
+        addresses = array("q", accumulate(sizes, initial=self.top))
+        self.top = addresses.pop()
+        store.address[first:first + count] = addresses
         store.space[first:first + count] = (
             array("b", [SPACE_CODES[self.space_id]]) * count
         )
-        self.top = end
         self.objects.extend(objs)
         self._addr_cache = None
         self._oid_cache = None

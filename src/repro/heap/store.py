@@ -143,18 +143,19 @@ class HeapStore:
         return oid
 
     def new_objects(
-        self, count: int, size: int, names: Sequence[str], flags: int
+        self, sizes: Sequence[int], names: Sequence[str], flags: int
     ) -> List[object]:
-        """``count`` reference-free rows of one ``size``, in one pass.
+        """One reference-free row per entry of ``sizes``, in one pass.
 
-        The rows, oids and edge version equal ``count`` calls of
-        :meth:`new_object` with no references and a scan factor of 1.0;
-        returns the rows' canonical handles in oid order.
+        The rows, oids and edge version equal one :meth:`new_object` call
+        per size with no references and a scan factor of 1.0; returns the
+        rows' canonical handles in oid order.
         """
         from .object_model import HeapObject
 
+        count = len(sizes)
         first = len(self.size)
-        self.size.extend(array("q", [size]) * count)
+        self.size.extend(sizes)
         self.space.extend(array("b", [SPACE_EDEN]) * count)
         self.address.extend(array("q", [-1]) * count)
         self.age.extend(array("q", [0]) * count)

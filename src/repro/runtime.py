@@ -25,6 +25,8 @@ from .heap.audit import HeapAuditor, make_auditor
 from .heap.store import (
     FLAG_SERIALIZABLE,
     MIN_OBJECT_SIZE,
+    SPACE_H2,
+    SPACE_OLD,
     HeapStore,
     check_object_size,
 )
@@ -424,52 +426,82 @@ class JavaVM:
         frame: Optional[StackFrame] = None,
     ) -> List[HeapObject]:
         """Allocate ``count`` plain ``element_size``-byte objects (no
-        references), named ``name[i]`` or by the sequence ``names``.
-
-        Same oids, names, addresses, charges and GC points as one
-        :meth:`allocate` per element.  Each stretch that fits in eden is
-        created, charged and bump-placed in one pass; the element that
-        does not fit takes :meth:`allocate`'s slow path.  Elements are
-        pushed on ``frame`` as they are placed, so a collection later in
-        the run keeps them.
-        """
+        references), named ``name[i]`` or by the sequence ``names``:
+        :meth:`allocate_many` with one size."""
         if names is None:
             if name:
                 names = [f"{name}[{i}]" for i in range(count)]
             else:
                 names = [""] * count
-        elif len(names) != count:
-            raise ValueError(f"{len(names)} names for {count} elements")
-        return self._allocate_run(element_size, names, frame)
+        return self.allocate_many([element_size] * count, names, frame)
 
-    def _allocate_run(
+    def allocate_many(
         self,
-        size: int,
+        sizes: Sequence[int],
         names: Sequence[str],
         frame: Optional[StackFrame] = None,
+        into: Optional[HeapObject] = None,
         oom_message: str = "",
     ) -> List[HeapObject]:
-        """One object of ``size`` per name: the run allocator."""
-        count = len(names)
+        """Allocate one plain object (no references) per entry of
+        ``sizes``, named by ``names``: the run allocator.
+
+        Same oids, names, addresses, charges and GC points as one
+        :meth:`allocate` per element.  Each stretch that fits in eden is
+        created, charged and bump-placed in one pass; it ends at the
+        first element that does not fit or that goes to the old
+        generation, and that element takes :meth:`allocate`'s slow path.
+        Elements are pushed on ``frame`` as they are placed, so a
+        collection later in the run keeps them.
+
+        ``into`` also stores every element into ``into`` as it is placed,
+        which equals :meth:`write_ref` ``(into, obj)`` after each
+        allocation: a stretch charges allocation and barrier by turns and
+        applies the barrier's card mark once.  While ``into`` is
+        H2-resident or freed, and on G1, each element takes the slow path
+        and its own :meth:`write_ref`.
+        """
+        count = len(sizes)
+        if len(names) != count:
+            raise ValueError(f"{len(names)} names for {count} elements")
         if count:
-            check_object_size(size)
-        heap, store = self.heap, self.store
+            check_object_size(min(sizes))
+        heap, store, clock = self.heap, self.store, self.clock
+        barrier = self.barrier
+        batch_into = into is not None and isinstance(barrier, WriteBarrier)
+        alloc_cost = self.cost.alloc_cost
         objs: List[HeapObject] = []
         done = 0
         while done < count:
-            fit = min(heap.eden_room(size), count - done)
+            fit = 0
+            if into is None or (batch_into and into.in_h1):
+                fit = heap.eden_room(sizes, done)
             if fit:
+                end = done + fit
+                run_sizes = sizes[done:end]
                 run = store.new_objects(
-                    fit, size, names[done:done + fit], FLAG_SERIALIZABLE
+                    run_sizes, names[done:end], FLAG_SERIALIZABLE
                 )
-                self.clock.charge_repeated(
-                    self.cost.alloc_cost, fit, Bucket.OTHER
-                )
-                heap.allocate_run(run, size)
-                done += fit
+                if into is None:
+                    clock.charge_repeated(alloc_cost, fit, Bucket.OTHER)
+                else:
+                    # per element: the allocation charge, then the barrier's
+                    charges = (
+                        (alloc_cost, Bucket.OTHER),
+                        (barrier.store_cost, None),
+                    )
+                    clock.charge_cycle(charges, fit)
+                heap.allocate_run(run, run_sizes)
+                if into is not None:
+                    store.refs[into.oid].extend([obj.oid for obj in run])
+                    store.edge_version += fit
+                    barrier.on_reference_stores(into, fit)
+                done = end
             else:
-                obj = HeapObject(size, name=names[done], store=store)
+                obj = HeapObject(sizes[done], name=names[done], store=store)
                 run = [self._place(obj, oom_message)]
+                if into is not None:
+                    self.write_ref(into, obj)
                 done += 1
             if frame is not None:
                 frame.push_all(run)
@@ -488,11 +520,12 @@ class JavaVM:
             return
         full, tail = divmod(nbytes, TEMP_CHUNK)
         message = "temporary allocation failed"
-        self._allocate_run(TEMP_CHUNK, ["sd-temp"] * full, oom_message=message)
+        sizes = [TEMP_CHUNK] * full
         if tail:
-            self._allocate_run(
-                max(tail, MIN_OBJECT_SIZE), ["sd-temp"], oom_message=message
-            )
+            sizes.append(max(tail, MIN_OBJECT_SIZE))
+        self.allocate_many(
+            sizes, ["sd-temp"] * len(sizes), oom_message=message
+        )
 
     # ==================================================================
     # Mutator object access
@@ -523,6 +556,8 @@ class JavaVM:
 
     def clear_refs(self, src: HeapObject) -> None:
         """Drop all outgoing references of ``src``."""
+        if src.space is SpaceId.FREED:
+            raise SegmentationFault(f"write to reclaimed object #{src.oid}")
         src.refs = []
 
     def read_object(
@@ -567,23 +602,40 @@ class JavaVM:
 
         Same charges, in the same order, as one :meth:`read_object` per
         object: each run of consecutive H2-resident objects faults
-        through the mapping as one batch, and every other object goes
-        through :meth:`read_object`.
+        through the mapping as one batch, and each run of consecutive
+        DRAM objects is charged in one clock call.  Freed objects, and
+        every object on a memory-mode or Panthera heap (whose old
+        generation may sit on NVM), go through :meth:`read_object`.
         """
-        h2 = self.h2
-        if h2 is None:
+        if self.config.collector in ("memmode", "panthera"):
             for obj in objs:
                 self.read_object(obj, pattern)
             return
+        h2 = self.h2
+        latency, bandwidth = self.cost.dram_latency, self.cost.dram_read_bw
+        dram: List[float] = []
         batch: List[HeapObject] = []
         for obj in objs:
-            if obj.in_h2:
+            store, oid = obj._store, obj.oid
+            code = store.space[oid]
+            if code <= SPACE_OLD:
+                if batch:
+                    h2.mutator_load_many(batch, pattern)
+                    batch = []
+                dram.append(latency + store.size[oid] / bandwidth)
+                continue
+            if dram:
+                self.clock.charge_each(dram)
+                dram = []
+            if code == SPACE_H2 and h2 is not None:
                 batch.append(obj)
                 continue
             if batch:
                 h2.mutator_load_many(batch, pattern)
                 batch = []
             self.read_object(obj, pattern)
+        if dram:
+            self.clock.charge_each(dram)
         if batch:
             h2.mutator_load_many(batch, pattern)
 

@@ -10,9 +10,9 @@ clock buckets and sub-buckets, GC counts, device traffic, and the oid,
 name, size, address and space of every object ever allocated.
 
 The rest of the file holds the run allocator (``JavaVM.allocate_array``
-and ``allocate_temp``) to a per-object reference loop kept here: after
-every run, the store columns, heap spaces, allocation counters, clock
-totals and GC counts must be bit-identical.
+and ``allocate_temp``) to the per-object reference loops in
+``helpers.py``: after every run, the store columns, heap spaces,
+allocation counters, clock totals and GC counts must be bit-identical.
 """
 
 import hashlib
@@ -21,13 +21,17 @@ from contextlib import nullcontext
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    PRETENURE,
+    make_vm,
+    reference_many,
+    reference_place,
+    vm_state,
+)
 from repro import JavaVM, OutOfMemoryError, VMConfig, gb
-from repro.clock import Bucket
-from repro.config import G1Config
 from repro.devices.nvme import NVMeSSD
 from repro.frameworks.spark import CachePolicy, SparkConf, SparkContext
 from repro.frameworks.spark.workloads import SPARK_WORKLOADS
-from repro.gc.g1 import G1Heap
 from repro.heap.object_model import HeapObject, SpaceId
 from repro.heap.store import MIN_OBJECT_SIZE
 from repro.runtime import TEMP_CHUNK
@@ -104,49 +108,12 @@ def test_sd_lr_golden_digest():
 # ---------------------------------------------------------------------
 # The run allocator == a per-object allocation loop
 # ---------------------------------------------------------------------
-HEAP = 768 * KiB
-#: the Panthera-style pretenuring cut used by the "pretenure" VM
-PRETENURE = 4 * KiB
 VM_KINDS = ("ps", "pretenure", "g1")
 
 
-def make_vm(kind: str) -> JavaVM:
-    """A small VM: a few dozen KiB-sized objects fill eden."""
-    config = VMConfig(heap_size=HEAP, collector="g1" if kind == "g1" else "ps")
-    if kind == "g1":
-        config.g1 = G1Config(region_size=32 * KiB)
-    vm = JavaVM(config)
-    if kind == "pretenure":
-        vm.heap.pretenure_threshold = PRETENURE
-    return vm
-
-
-def reference_place(vm, obj, message):
-    """The single-object path as a plain loop would run it."""
-    vm.clock.charge(vm.cost.alloc_cost, Bucket.OTHER)
-    if vm.heap.try_allocate(obj):
-        return obj
-    vm.minor_gc()
-    if vm.heap.try_allocate(obj):
-        return obj
-    vm.major_gc()
-    if vm.heap.try_allocate(obj):
-        return obj
-    if vm._emergency_backpressure(obj):
-        return obj
-    vm.oom = True
-    raise OutOfMemoryError(message)
-
-
 def reference_array(vm, count, size, name, frame=None):
-    objs = []
-    for i in range(count):
-        obj = HeapObject(size, name=f"{name}[{i}]", store=vm.store)
-        reference_place(vm, obj, f"cannot allocate {size} B after full GC")
-        if frame is not None:
-            frame.push(obj)
-        objs.append(obj)
-    return objs
+    names = [f"{name}[{i}]" for i in range(count)]
+    return reference_many(vm, [size] * count, names, frame)
 
 
 def run_array(vm, count, size, name, frame=None):
@@ -161,40 +128,6 @@ def reference_temp(vm, nbytes):
         obj = HeapObject(chunk, name="sd-temp", store=vm.store)
         reference_place(vm, obj, "temporary allocation failed")
         remaining -= chunk
-
-
-_ARRAY_COLUMNS = (
-    "size", "space", "address", "age", "region_id", "mark_epoch",
-    "forward_address", "forward_space", "scan_factor", "flags",
-)
-
-
-def vm_state(vm) -> dict:
-    """Everything a run of allocations can touch, floats as exact hex."""
-    store, heap, clock = vm.store, vm.heap, vm.clock
-    state = {c: getattr(store, c).tobytes() for c in _ARRAY_COLUMNS}
-    state.update(
-        label=list(store.label),
-        name=list(store.name),
-        refs=[list(r) for r in store.refs],
-        edge_version=store.edge_version,
-        allocated=(heap.allocated_objects, heap.allocated_bytes),
-        totals={k: v.hex() for k, v in clock.breakdown().items()},
-        subs={k: v.hex() for k, v in clock.sub_breakdown().items()},
-        events=[(t.hex(), n, d.hex()) for t, n, d in clock.events],
-        gcs=(vm.collector.stats.minor_count, vm.collector.stats.major_count),
-        oom=vm.oom,
-        roots=vm.roots.oids(),
-    )
-    if isinstance(heap, G1Heap):
-        state["regions"] = [
-            (r.state, r.top, [o.oid for o in r.objects]) for r in heap.regions
-        ]
-    else:
-        state["spaces"] = [
-            (s.name, s.top, [o.oid for o in s.objects]) for s in heap.spaces()
-        ]
-    return state
 
 
 def apply(vm, frames, op, runs: bool):

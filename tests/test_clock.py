@@ -271,3 +271,52 @@ def test_parallel_charges_nothing_on_exception_exit():
                 raise RuntimeError("crash at safepoint")
     assert clock.now == pytest.approx(1.0)
     assert clock.total(Bucket.MAJOR_GC) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "buckets",
+    [(Bucket.OTHER, None), (Bucket.OTHER, Bucket.SD_IO), (None, None)],
+)
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_charge_cycle_equals_interleaved_charges(buckets, n):
+    # Sums of these depend on the order of the adds.
+    charges = tuple(zip((1e-7 / 3, 2e-8 / 7), buckets))
+    cycles, loop = Clock(), Clock()
+    for clock in (cycles, loop):
+        clock.charge(0.1, Bucket.OTHER)
+    with cycles.sub_context("phase"):
+        cycles.charge_cycle(charges, n)
+    with loop.sub_context("phase"):
+        for _ in range(n):
+            for seconds, bucket in charges:
+                loop.charge(seconds, bucket)
+    assert cycles.breakdown() == loop.breakdown()
+    assert cycles.sub_breakdown() == loop.sub_breakdown()
+
+
+@pytest.mark.parametrize("bucket", [None, Bucket.SD_IO])
+def test_charge_each_equals_charge_loop(bucket):
+    seconds = [1e-7 / k for k in range(1, 50)]
+    each, loop = Clock(), Clock()
+    with each.context(Bucket.MINOR_GC), each.sub_context("phase"):
+        each.charge_each(seconds, bucket)
+        each.charge_each([], bucket)
+    with loop.context(Bucket.MINOR_GC), loop.sub_context("phase"):
+        for s in seconds:
+            loop.charge(s, bucket)
+    assert each.breakdown() == loop.breakdown()
+    assert each.sub_breakdown() == loop.sub_breakdown()
+
+
+def test_charge_each_and_cycle_reject_bad_input():
+    clock = Clock()
+    with pytest.raises(ValueError, match="unknown clock bucket"):
+        clock.charge_each([1.0], "other")
+    with pytest.raises(ValueError, match="negative"):
+        clock.charge_each([1.0, -1.0])
+    with pytest.raises(ValueError, match="unknown clock bucket"):
+        clock.charge_cycle(((1.0, None), (1.0, "other")), 2)
+    with pytest.raises(ValueError, match="negative"):
+        clock.charge_cycle(((1.0, None), (-1.0, None)), 2)
+    assert clock.now == 0.0
+    assert clock.sub_breakdown() == {}

@@ -104,6 +104,16 @@ def test_clear_refs(vm):
     assert a.refs == []
 
 
+def test_clear_refs_of_reclaimed_object_faults(vm):
+    a, b = vm.allocate(64), vm.allocate(64)
+    vm.write_ref(a, b)
+    vm.major_gc()  # nothing roots ``a``
+    assert a.space is SpaceId.FREED
+    with pytest.raises(SegmentationFault, match="reclaimed object"):
+        vm.clear_refs(a)
+    assert a.refs == [b]
+
+
 def test_breakdown_and_elapsed(vm):
     vm.allocate(1024)
     assert vm.elapsed() == sum(vm.breakdown().values())
