@@ -15,10 +15,9 @@ from .engine import (
     WorkerStats,
     summarize_executions,
 )
-from .tasks import BatchBuilder, GCTask, TaskBag, chunked_sweep
+from .tasks import GCTask, TaskBag, chunked_sweep
 
 __all__ = [
-    "BatchBuilder",
     "BatchController",
     "GCTask",
     "GCTaskEngine",

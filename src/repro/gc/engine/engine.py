@@ -246,15 +246,17 @@ class GCTaskEngine:
             )
 
         # Distribute: affinity-carrying tasks go to their owner's deque
-        # (stripe ownership); the rest round-robin.
+        # (stripe ownership); the rest round-robin.  A single lane runs
+        # the bag in order and never reads the deques.
         deques: List[deque] = [deque() for _ in range(n)]
-        rr = 0
-        for task in task_list:
-            if task.affinity is not None:
-                deques[task.affinity % n].append(task)
-            else:
-                deques[rr % n].append(task)
-                rr += 1
+        if n > 1:
+            rr = 0
+            for task in task_list:
+                if task.affinity is not None:
+                    deques[task.affinity % n].append(task)
+                else:
+                    deques[rr % n].append(task)
+                    rr += 1
 
         stats = [WorkerStats(i) for i in range(n)]
         dispatch = self.cost.gc_task_dispatch_cost
@@ -271,8 +273,35 @@ class GCTaskEngine:
             )
         with region as lanes:
             remaining = len(task_list)
+            if n == 1:
+                # No choice of lane and no victim to steal from: lane 0
+                # takes the same sequential adds ``advance`` would make,
+                # without the per-task lane selection.
+                if dispatch < 0:
+                    raise ValueError(f"cannot advance a lane by {dispatch}")
+                trace = self.trace
+                busy = lanes.busy[0]
+                overhead = lanes.overhead[0]
+                for task in task_list:
+                    cost = task.cost
+                    if cost < 0:
+                        raise ValueError(f"cannot advance a lane by {cost}")
+                    start = busy + overhead
+                    overhead += dispatch
+                    busy += cost
+                    if trace:
+                        self._trace(
+                            task, phase, t0, start, busy + overhead, 0
+                        )
+                lanes.busy[0] = busy
+                lanes.overhead[0] = overhead
+                stats[0].tasks = remaining
+                remaining = 0
+            # Each lane's time, refreshed whenever that lane advances: the
+            # next task goes to the least-loaded lane, lowest index first.
+            times = [lanes.lane_time(i) for i in range(n)]
             while remaining:
-                w = min(range(n), key=lambda i: (lanes.lane_time(i), i))
+                w = min(range(n), key=times.__getitem__)
                 if not deques[w]:
                     victims = [i for i in range(n) if deques[i]]
                     # NUMA affinity: steal from the thief's own node when
@@ -302,21 +331,9 @@ class GCTaskEngine:
                 lanes.advance(w, task.cost, kind="busy")
                 stats[w].tasks += 1
                 remaining -= 1
+                times[w] = lanes.lane_time(w)
                 if self.trace:
-                    self.trace_events.append(
-                        {
-                            "name": task.name,
-                            "cat": phase,
-                            "ph": "X",
-                            "ts": round((t0 + start) * 1e6, 3),
-                            "dur": round(
-                                (lanes.lane_time(w) - start) * 1e6, 3
-                            ),
-                            "pid": 1,
-                            "tid": w,
-                            "args": {"kind": task.kind},
-                        }
-                    )
+                    self._trace(task, phase, t0, start, times[w], w)
             if n > 1:
                 # Termination protocol: every worker spins/offers before
                 # the pause can end (single-threaded GCs skip it).
@@ -354,3 +371,26 @@ class GCTaskEngine:
         self.total_hidden_seconds += execution.hidden_seconds
         self.phase_log.append(execution.stat_record())
         return execution
+
+    def _trace(
+        self,
+        task: GCTask,
+        phase: str,
+        t0: float,
+        start: float,
+        end: float,
+        lane: int,
+    ) -> None:
+        """Record one executed task as a chrome-trace complete event."""
+        self.trace_events.append(
+            {
+                "name": task.name,
+                "cat": phase,
+                "ph": "X",
+                "ts": round((t0 + start) * 1e6, 3),
+                "dur": round((end - start) * 1e6, 3),
+                "pid": 1,
+                "tid": lane,
+                "args": {"kind": task.kind},
+            }
+        )

@@ -12,7 +12,9 @@ worker's deque and only migrate by stealing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 
 @dataclass
@@ -43,10 +45,41 @@ class TaskBag:
             raise ValueError(f"task {name!r} has negative cost {cost}")
         self.tasks.append(GCTask(name, cost, kind, affinity))
 
-    def batcher(
-        self, name: str, kind: str, batch_items: int
-    ) -> "BatchBuilder":
-        return BatchBuilder(self, name, kind, batch_items)
+    def add_batches(
+        self, name: str, kind: str, costs: Sequence[float], k: int
+    ) -> None:
+        """Fold per-object ``costs`` into one task per ``k`` objects.
+
+        Object scanning and copying are too fine-grained to schedule one
+        object at a time; real collectors claim them in chunks (promotion
+        buffers, PLAB-sized copy batches).  Task ``i`` is named
+        ``f"{name}-{i}"`` and costs the sum of its batch, added strictly
+        left to right from 0.0 — the float a ``+=`` loop would give.
+        ``np.cumsum`` accumulates sequentially; ``np.sum`` (pairwise) and
+        the builtin ``sum`` (compensated since Python 3.12) would round
+        differently.  The tail batch may hold fewer than ``k`` costs.
+        """
+        if k < 1:
+            raise ValueError(f"batch size must be >=1, got {k}")
+        costs = np.asarray(costs, dtype=np.float64)
+        if not costs.size:
+            return
+        negative = costs < 0
+        if negative.any():
+            raise ValueError(
+                f"task {name!r} has negative cost "
+                f"{costs[negative.argmax()]}"
+            )
+        full = costs.size // k
+        totals = np.cumsum(costs[: full * k].reshape(full, k), axis=1)[:, -1]
+        if full * k < costs.size:
+            tail = np.cumsum(costs[full * k:])[-1:]
+            totals = np.concatenate((totals, tail))
+        # ``+ 0.0`` turns an all-negative-zero batch into the loop's 0.0.
+        self.tasks.extend(
+            GCTask(f"{name}-{i}", cost, kind)
+            for i, cost in enumerate((totals + 0.0).tolist())
+        )
 
     @property
     def serial_seconds(self) -> float:
@@ -60,42 +93,6 @@ class TaskBag:
 
     def __iter__(self) -> Iterator[GCTask]:
         return iter(self.tasks)
-
-
-class BatchBuilder:
-    """Folds per-object costs into fixed-size batch tasks.
-
-    Object scanning and copying are too fine-grained to schedule one
-    object at a time; real collectors claim them in chunks (promotion
-    buffers, PLAB-sized copy batches).  ``add`` accumulates cost and
-    emits one task every ``batch_items`` objects; call ``flush`` at the
-    end of the phase for the partial tail batch.
-    """
-
-    def __init__(self, bag: TaskBag, name: str, kind: str, batch_items: int):
-        if batch_items < 1:
-            raise ValueError(f"batch size must be >=1, got {batch_items}")
-        self.bag = bag
-        self.name = name
-        self.kind = kind
-        self.batch_items = batch_items
-        self._cost = 0.0
-        self._count = 0
-        self._index = 0
-
-    def add(self, cost: float) -> None:
-        self._cost += cost
-        self._count += 1
-        if self._count >= self.batch_items:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._count == 0:
-            return
-        self.bag.add(f"{self.name}-{self._index}", self._cost, self.kind)
-        self._index += 1
-        self._cost = 0.0
-        self._count = 0
 
 
 def chunked_sweep(

@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Sequence, Set
 
+import numpy as np
+
 from ..clock import Bucket, Clock
 from ..config import VMConfig
 from ..errors import OutOfMemoryError
@@ -293,13 +295,11 @@ class G1Collector(Collector):
         space_arr = st.space
         epoch_arr = st.mark_epoch
         refs_arr = st.refs
-        sf_arr = st.scan_factor
         visit_cost = cost.gc_visit_cost
         ref_cost = cost.gc_ref_cost
         batch = self.batch.scan_batch_objects
-        bag = TaskBag()
-        remset_scan = bag.batcher("g1-remset", "root", batch)
         stack = [o.oid for o in self.roots if space_arr[o.oid] <= SPACE_TO]
+        scanned: List[int] = []
         for oid in list(self.remset_sources):
             src = self.remset_objects.get(oid)
             if src is None or space_arr[oid] != SPACE_OLD:
@@ -307,7 +307,7 @@ class G1Collector(Collector):
                 self.remset_objects.pop(oid, None)
                 continue
             targets = refs_arr[oid]
-            remset_scan.add(visit_cost + ref_cost * len(targets))
+            scanned.append(oid)
             has_young = False
             for t in targets:
                 if space_arr[t] <= SPACE_TO:
@@ -317,8 +317,13 @@ class G1Collector(Collector):
                 # Precise cleaning: the entry carries no young refs.
                 self.remset_sources.discard(oid)
                 self.remset_objects.pop(oid, None)
-        remset_scan.flush()
-        scan = bag.batcher("g1-young-scan", "scan", batch)
+        bag = TaskBag()
+        bag.add_batches(
+            "g1-remset",
+            "root",
+            st.scan_costs(scanned, visit_cost, ref_cost, scaled=False),
+            batch,
+        )
         # Order-preserving DFS over the store columns: identical
         # stack-pop order to the old handle traversal, so scan-batch
         # boundaries and the engine schedule are unchanged.
@@ -329,12 +334,15 @@ class G1Collector(Collector):
                 continue
             epoch_arr[oid] = epoch
             live.append(oid)
-            targets = refs_arr[oid]
-            scan.add(visit_cost * sf_arr[oid] + ref_cost * len(targets))
-            for t in targets:
+            for t in refs_arr[oid]:
                 if space_arr[t] <= SPACE_TO and epoch_arr[t] < epoch:
                     stack.append(t)
-        scan.flush()
+        bag.add_batches(
+            "g1-young-scan",
+            "scan",
+            st.scan_costs(live, visit_cost, ref_cost),
+            batch,
+        )
         self._run_phase(bag, "g1-young-trace")
         return live
 
@@ -343,29 +351,30 @@ class G1Collector(Collector):
         cost = self.cost
         st = self.store
         space_arr = st.space
-        size_arr = st.size
         handle = st.handle
         dest_code = SPACE_EDEN if state in _YOUNG_STATES else SPACE_OLD
         target = self.heap.take_free_region(state)
         if target is None and oids:
             return False
-        bag = TaskBag()
-        copier = bag.batcher(
-            "g1-copy", "copy", self.batch.copy_batch_objects
-        )
+        copied = 0
         for oid in oids:
             obj = handle(oid)
             while target is not None and not target.allocate(obj):
                 target = self.heap.take_free_region(state)
             if target is None:
-                copier.flush()
-                self._run_phase(bag, "g1-evacuate")
-                return False
+                break
             space_arr[oid] = dest_code
-            copier.add(size_arr[oid] / cost.gc_copy_bw)
-        copier.flush()
+            copied += 1
+        bag = TaskBag()
+        bag.add_batches(
+            "g1-copy",
+            "copy",
+            st.size_view()[np.asarray(oids[:copied], dtype=np.int64)]
+            / cost.gc_copy_bw,
+            self.batch.copy_batch_objects,
+        )
         self._run_phase(bag, "g1-evacuate")
-        return True
+        return copied == len(oids)
 
     # ------------------------------------------------------------------
     def minor_gc(self) -> GCCycle:
@@ -446,13 +455,8 @@ class G1Collector(Collector):
         space_arr = st.space
         epoch_arr = st.mark_epoch
         refs_arr = st.refs
-        sf_arr = st.scan_factor
         visit_cost = cost.gc_visit_cost
         ref_cost = cost.gc_ref_cost
-        bag = TaskBag()
-        mark = bag.batcher(
-            "g1-mark", "scan", self.batch.scan_batch_objects
-        )
         stack = [
             o.oid for o in self.roots if space_arr[o.oid] != SPACE_FREED
         ]
@@ -463,12 +467,14 @@ class G1Collector(Collector):
                 continue
             epoch_arr[oid] = epoch
             live.append(oid)
-            targets = refs_arr[oid]
-            mark.add(visit_cost * sf_arr[oid] + ref_cost * len(targets))
-            for t in targets:
+            for t in refs_arr[oid]:
                 if epoch_arr[t] < epoch:
                     stack.append(t)
-        mark.flush()
+        scan_costs = st.scan_costs(live, visit_cost, ref_cost)
+        bag = TaskBag()
+        bag.add_batches(
+            "g1-mark", "scan", scan_costs, self.batch.scan_batch_objects
+        )
         other_now = self.clock.total(Bucket.OTHER)
         budget = max(0.0, other_now - self._concurrent_baseline)
         execution = self.engine.run(
@@ -485,26 +491,20 @@ class G1Collector(Collector):
         # STW remark: re-examine the roots and drain the SATB-logged
         # fraction of the marking work on the full (paused) pool.
         remark_bag = TaskBag()
-        rescan = remark_bag.batcher(
-            "g1-remark-roots", "root", self.batch.scan_batch_objects
+        remark_bag.add_batches(
+            "g1-remark-roots",
+            "root",
+            np.full(len(self.roots), cost.gc_root_scan_cost),
+            self.batch.scan_batch_objects,
         )
-        for _ in self.roots:
-            rescan.add(cost.gc_root_scan_cost)
-        rescan.flush()
         fraction = self.config.g1.remark_fraction
         if fraction > 0.0:
-            satb = remark_bag.batcher(
-                "g1-remark-satb", "scan", self.batch.scan_batch_objects
+            remark_bag.add_batches(
+                "g1-remark-satb",
+                "scan",
+                fraction * scan_costs,
+                self.batch.scan_batch_objects,
             )
-            for oid in live:
-                satb.add(
-                    fraction
-                    * (
-                        visit_cost * sf_arr[oid]
-                        + ref_cost * len(refs_arr[oid])
-                    )
-                )
-            satb.flush()
         remark = self._run_phase(remark_bag, "g1-remark")
         self._last_remark_pause = remark.critical_path
         return live
@@ -581,29 +581,29 @@ class G1Collector(Collector):
         space_arr = st.space
         epoch_arr = st.mark_epoch
         refs_arr = st.refs
-        sf_arr = st.scan_factor
-        size_arr = st.size
         visit_cost = cost.gc_visit_cost
         ref_cost = cost.gc_ref_cost
-        bag = TaskBag()
-        mark = bag.batcher(
-            "g1-full-mark", "scan", self.batch.scan_batch_objects
-        )
         stack = [
             o.oid for o in self.roots if space_arr[o.oid] != SPACE_FREED
         ]
+        marked: List[int] = []
         while stack:
             oid = stack.pop()
             if epoch_arr[oid] >= epoch:
                 continue
             epoch_arr[oid] = epoch
-            targets = refs_arr[oid]
-            # Scan cost honours the object's scan factor, consistent
-            # with _trace_young and _mark_all: full GCs must not
-            # under-charge scan-heavy objects.
-            mark.add(visit_cost * sf_arr[oid] + ref_cost * len(targets))
-            stack.extend(t for t in targets if epoch_arr[t] < epoch)
-        mark.flush()
+            marked.append(oid)
+            stack.extend(t for t in refs_arr[oid] if epoch_arr[t] < epoch)
+        bag = TaskBag()
+        # Scan cost honours the object's scan factor, consistent with
+        # _trace_young and _mark_all: full GCs must not under-charge
+        # scan-heavy objects.
+        bag.add_batches(
+            "g1-full-mark",
+            "scan",
+            st.scan_costs(marked, visit_cost, ref_cost),
+            self.batch.scan_batch_objects,
+        )
         # Compact every non-humongous live object into fresh old regions.
         movable: List[int] = []
         for region in heap.regions:
@@ -628,14 +628,13 @@ class G1Collector(Collector):
         heap._current_eden = None
         # Sliding the survivors out of their regions before re-placement
         # (the subsequent evacuation pays the copy into fresh regions).
-        compact = bag.batcher(
+        bag.add_batches(
             "g1-full-compact",
             "compact",
+            st.size_view()[np.asarray(movable, dtype=np.int64)]
+            / cost.gc_copy_bw,
             self.batch.copy_batch_objects,
         )
-        for oid in movable:
-            compact.add(size_arr[oid] / cost.gc_copy_bw)
-        compact.flush()
         self._run_phase(bag, "g1-full-mark")
         if not self._evacuate(movable, RegionState.OLD):
             raise OutOfMemoryError(

@@ -159,6 +159,17 @@ class HeapAuditor:
         return int(sizes.sum()) == used
 
     def _check_space(self, space: Space, out: List[Violation]) -> None:
+        if space.top > space.end:
+            # Extents are checked against [base, top) below, so a bump
+            # pointer past the space's end would otherwise go unnoticed.
+            out.append(
+                Violation(
+                    "space-overrun",
+                    f"{space.name} bump pointer",
+                    f"top <= end == {space.end:#x}",
+                    f"top == {space.top:#x}",
+                )
+            )
         objs = space.objects
         if objs and self._extent_clean(
             objs[0]._store,

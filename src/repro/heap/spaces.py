@@ -92,6 +92,35 @@ class Space:
         self._addr_cache = None
         self._oid_cache = None
 
+    def place_many(self, store, oids: np.ndarray) -> int:
+        """Bump-place the existing rows ``oids``, in order, until one
+        does not fit; returns how many were placed.
+
+        The placed prefix ends up as one :meth:`allocate` per object
+        would leave it (addresses, space codes, ``objects``, ``top``);
+        the rest of ``oids`` is untouched.
+        """
+        if not len(oids):
+            return 0
+        ends = np.cumsum(store.size_view()[oids]) + self.top
+        count = int(np.searchsorted(ends, self.end, side="right"))
+        if not count:
+            return 0
+        placed = oids[:count]
+        ends = ends[:count]
+        starts = np.empty_like(ends)
+        starts[0] = self.top
+        starts[1:] = ends[:-1]
+        store.address_view()[placed] = starts
+        store.space_view()[placed] = SPACE_CODES[self.space_id]
+        self.objects.extend(map(store.handle, placed.tolist()))
+        self.top = int(ends[-1])
+        if self._addr_cache is not None:
+            self._addr_cache = np.concatenate((self._addr_cache, starts))
+        if self._oid_cache is not None:
+            self._oid_cache = np.concatenate((self._oid_cache, placed))
+        return count
+
     def reset(self) -> None:
         """Empty the space (end of scavenge for eden/from-space)."""
         self.top = self.base
@@ -148,9 +177,19 @@ class OldGeneration(Space):
     def __init__(self, base: int, capacity: int):
         super().__init__(SpaceId.OLD, base, capacity, name="old")
 
-    def rebuild_after_compaction(self, survivors: List[HeapObject]) -> None:
-        """Install the post-compaction object list (already address-sorted)."""
+    def rebuild_after_compaction(
+        self,
+        survivors: List[HeapObject],
+        oids: Optional[np.ndarray] = None,
+        addresses: Optional[np.ndarray] = None,
+    ) -> None:
+        """Install the post-compaction object list (already address-sorted).
+
+        ``oids`` and ``addresses``, when the caller has them, are the
+        survivors' oids and new addresses in the same order; they seed
+        the index caches so the next sweep need not rebuild them.
+        """
         self.objects = survivors
         self.top = survivors[-1].end_address() if survivors else self.base
-        self._addr_cache = None
-        self._oid_cache = None
+        self._addr_cache = addresses
+        self._oid_cache = oids

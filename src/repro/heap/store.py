@@ -200,6 +200,39 @@ class HeapStore:
     def epoch_view(self) -> np.ndarray:
         return np.frombuffer(self.mark_epoch, dtype=np.int64)
 
+    def forward_address_view(self) -> np.ndarray:
+        return np.frombuffer(self.forward_address, dtype=np.int64)
+
+    def forward_space_view(self) -> np.ndarray:
+        return np.frombuffer(self.forward_space, dtype=np.int8)
+
+    def scan_factor_view(self) -> np.ndarray:
+        return np.frombuffer(self.scan_factor, dtype=np.float64)
+
+    def scan_costs(
+        self,
+        oids: Sequence[int],
+        visit_cost: float,
+        ref_cost: float,
+        scaled: bool = True,
+    ) -> np.ndarray:
+        """Per-object GC scan cost of ``oids``, in order.
+
+        ``visit_cost * scan_factor + ref_cost * len(refs)``, or with
+        ``scaled=False`` ``visit_cost + ref_cost * len(refs)``: the same
+        float operations, element by element, as the scalar expression.
+        """
+        visit = visit_cost
+        if scaled:
+            idx = np.asarray(oids, dtype=np.int64)
+            visit = visit_cost * self.scan_factor_view()[idx]
+        ref_counts = np.fromiter(
+            map(len, map(self.refs.__getitem__, oids)),
+            dtype=np.int64,
+            count=len(oids),
+        )
+        return visit + ref_cost * ref_counts
+
     # -- CSR edge table ------------------------------------------------
     def edge_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Snapshot the adjacency lists as (ref_offsets, ref_targets).

@@ -295,10 +295,7 @@ class TeraHeapCollector(ParallelScavenge):
         # Order-preserving DFS over the store columns: same stack-pop
         # order (and batch boundaries) as the old per-handle traversal.
         groups: Dict[str, List[HeapObject]] = {}
-        bag = TaskBag()
-        closure = bag.batcher(
-            "h2-closure", "scan", self.batch.scan_batch_objects
-        )
+        claimed: List[int] = []
         for root in self.hints.tagged_roots():
             root_oid = root.oid
             if epoch_arr[root_oid] < epoch or space_arr[root_oid] > SPACE_OLD:
@@ -328,14 +325,19 @@ class TeraHeapCollector(ParallelScavenge):
                 label_list[oid] = label
                 flags_arr[oid] = flags | FLAG_H2_CANDIDATE
                 members.append(handle(oid))
-                targets = refs_arr[oid]
-                closure.add(visit_cost + ref_cost * len(targets))
-                for t in targets:
+                claimed.append(oid)
+                for t in refs_arr[oid]:
                     if space_arr[t] <= SPACE_OLD and not (
                         flags_arr[t] & FLAG_H2_CANDIDATE
                     ):
                         stack.append(t)
-        closure.flush()
+        bag = TaskBag()
+        bag.add_batches(
+            "h2-closure",
+            "scan",
+            st.scan_costs(claimed, visit_cost, ref_cost, scaled=False),
+            self.batch.scan_batch_objects,
+        )
         self._run_phase(bag, "h2-closure", workers=self.major_workers())
 
         # Include groups tagged in earlier GCs but not yet transferred.

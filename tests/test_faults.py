@@ -367,6 +367,24 @@ def test_audit_detects_address_corruption():
     assert vm.auditor.violations_found > 0
 
 
+def test_audit_detects_bump_pointer_past_space_end():
+    vm = JavaVM(VMConfig(heap_size=768 * KiB, audit="cheap"))
+    eden = vm.heap.eden
+    # Hand-built overrun: one object that starts at eden's base and runs
+    # 512 B past its end.  Membership, bounds against [base, top),
+    # overlap and accounting all hold; only the end is crossed.
+    obj = HeapObject(eden.capacity + 512, store=vm.store)
+    obj.address = eden.base
+    obj.space = SpaceId.EDEN
+    eden.objects.append(obj)
+    eden.top = obj.end_address()
+    with pytest.raises(InvariantViolation) as excinfo:
+        vm.auditor.audit("minor", vm.collector.mark_epoch)
+    checks = [v.check for v in excinfo.value.violations]
+    assert checks == ["space-overrun"]
+    assert "eden" in excinfo.value.violations[0].subject
+
+
 def test_audit_detects_h2_dangling_reference():
     vm = JavaVM(th_config(audit="full"))
     root, _ = make_group(vm, count=4, size=2 * KiB, name="a")

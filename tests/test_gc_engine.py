@@ -34,16 +34,13 @@ def test_task_bag_rejects_negative_cost():
         bag.add("bad", -1.0)
 
 
-def test_batch_builder_emits_fixed_size_batches():
+def test_add_batches_emits_fixed_size_batches():
     bag = TaskBag()
-    b = bag.batcher("scan", "scan", 4)
-    for _ in range(10):
-        b.add(0.5)
-    b.flush()
+    bag.add_batches("scan", "scan", [0.5] * 10, 4)
     assert len(bag) == 3  # 4 + 4 + 2
     assert bag.serial_seconds == pytest.approx(5.0)
     assert [t.name for t in bag] == ["scan-0", "scan-1", "scan-2"]
-    b.flush()  # idempotent on an empty builder
+    bag.add_batches("scan", "scan", [], 4)  # no costs, no tasks
     assert len(bag) == 3
 
 

@@ -166,3 +166,26 @@ def test_live_exceeding_heap_raises_oom():
             o = vm.allocate(64 * 1024)
             vm.roots.add(o)
             kept.append(o)
+
+
+def test_full_gc_raises_oom_when_stayers_overflow_eden():
+    """First fit leaves a gap in old that the total-size check ignores."""
+    from repro.errors import OutOfMemoryError
+    from repro.units import KiB
+
+    vm = JavaVM(VMConfig(heap_size=768 * KiB))
+    heap = vm.heap
+    old = vm.roots.add(vm.allocate(heap.old.capacity - 20 * KiB))
+    survivor = vm.roots.add(vm.allocate(25 * KiB))
+    vm.minor_gc()
+    young = [vm.roots.add(vm.allocate(95 * KiB)) for _ in range(2)]
+    assert old.space is SpaceId.OLD
+    assert survivor.space is SpaceId.FROM
+    assert all(o.space is SpaceId.EDEN for o in young)
+    # Every stayer fits in old + eden, but neither eden object nor the
+    # survivor fits the 20 KiB gap, so eden would need 10,444 B more.
+    stayers = old.size + survivor.size + sum(o.size for o in young)
+    assert stayers <= heap.old.capacity + heap.eden.capacity
+    with pytest.raises(OutOfMemoryError, match="exceeds heap after full GC"):
+        vm.major_gc()
+    assert heap.eden.top <= heap.eden.end
