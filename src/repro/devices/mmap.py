@@ -10,7 +10,9 @@ frequency for streaming access (Section 6).
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from ..errors import SegmentationFault
 from .base import AccessPattern, Device
@@ -59,11 +61,14 @@ class MappedFile:
         offset = address - self.base
         last = offset + max(nbytes, 1) - 1
         if offset < 0 or last >= self.size:
-            raise SegmentationFault(
-                f"access [{address:#x}, +{nbytes}) outside mapping "
-                f"[{self.base:#x}, +{self.size})"
-            )
+            raise self._outside(address, nbytes)
         return range(offset // self.page_size, last // self.page_size + 1)
+
+    def _outside(self, address: int, nbytes: int) -> SegmentationFault:
+        return SegmentationFault(
+            f"access [{address:#x}, +{nbytes}) outside mapping "
+            f"[{self.base:#x}, +{self.size})"
+        )
 
     def _maybe_sigbus(self, address: int, misses: int) -> None:
         """Simulated SIGBUS: an I/O error surfacing through a page fault.
@@ -102,27 +107,33 @@ class MappedFile:
 
     def load_many(
         self,
-        spans: Iterable[Tuple[int, int]],
+        addresses: Sequence[int],
+        sizes: Sequence[int],
         pattern: AccessPattern = AccessPattern.SEQUENTIAL,
     ) -> Tuple[int, int]:
-        """Read several ``(address, nbytes)`` spans in order, as one
+        """Read the spans ``addresses[i], sizes[i]`` in order, as one
         :meth:`load` per span would, in one page-cache pass.
 
-        Spans up to the first one outside the mapping are loaded; that
-        one then raises the same :class:`SegmentationFault` as
-        :meth:`load`.  No SIGBUS is consulted here: callers under a
-        fault plan load object by object.
+        The spans' first and stop pages come from one numpy pass over
+        the two columns.  Spans up to the first one outside the mapping
+        are loaded; that one then raises the same
+        :class:`SegmentationFault` as :meth:`load`.  No SIGBUS is
+        consulted here: callers under a fault plan load object by object.
         """
-        pages_for = self._pages_for
-        ranges = []
+        address = np.asarray(addresses, dtype=np.int64)
+        nbytes = np.asarray(sizes, dtype=np.int64)
+        offset = address - self.base
+        last = offset + np.maximum(nbytes, 1) - 1
+        outside = (offset < 0) | (last >= self.size)
         fault = None
-        for address, nbytes in spans:
-            try:
-                ranges.append(pages_for(address, nbytes))
-            except SegmentationFault as exc:
-                fault = exc
-                break
-        hits, misses = self.cache.access_many(ranges, pattern=pattern)
+        if outside.any():
+            bad = int(outside.argmax())
+            fault = self._outside(int(address[bad]), int(nbytes[bad]))
+            offset, last = offset[:bad], last[:bad]
+        page = self.page_size
+        hits, misses = self.cache.access_many(
+            offset // page, last // page + 1, pattern
+        )
         self.page_faults += misses
         if fault is not None:
             raise fault

@@ -280,7 +280,7 @@ def test_load_many_stops_at_the_span_outside_the_mapping():
 
     before = touched()
     with pytest.raises(SegmentationFault) as batched:
-        mapping.load_many(spans)
+        mapping.load_many(*zip(*spans))
     # The span before the bad one was loaded, the bad one not at all.
     assert touched() - before == len(mapping.pages_for(*spans[0]))
     before = touched()
