@@ -314,13 +314,13 @@ class RDD:
             else:
                 # Source partition: records stream in from external storage.
                 vm.compute(spec.num_chunks * self.compute_ops_per_chunk)
-            chunks = []
-            for i in range(spec.num_chunks):
-                chunk = vm.allocate(
-                    spec.chunk_size, name=f"{self.name}-p{index}-c{i}"
-                )
-                chunk.scan_factor = spec.scan_factor
-                chunks.append(frame.push(chunk))
+            count = spec.num_chunks
+            chunks = vm.allocate_many(
+                [spec.chunk_size] * count,
+                [f"{self.name}-p{index}-c{i}" for i in range(count)],
+                frame,
+                scan_factor=spec.scan_factor,
+            )
             root = vm.allocate(
                 root_size_for(spec),
                 refs=chunks,

@@ -320,13 +320,12 @@ class StreamingExecutor:
         scan_factor: float,
         name: str,
     ) -> List[HeapObject]:
-        vm = self.vm
-        chunks = []
-        for i in range(count):
-            chunk = vm.allocate(chunk_size, name=f"{name}-c{i}")
-            chunk.scan_factor = scan_factor
-            chunks.append(frame.push(chunk))
-        return chunks
+        return self.vm.allocate_many(
+            [chunk_size] * count,
+            [f"{name}-c{i}" for i in range(count)],
+            frame,
+            scan_factor=scan_factor,
+        )
 
     def _run_block(
         self,

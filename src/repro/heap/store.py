@@ -143,12 +143,16 @@ class HeapStore:
         return oid
 
     def new_objects(
-        self, sizes: Sequence[int], names: Sequence[str], flags: int
+        self,
+        sizes: Sequence[int],
+        names: Sequence[str],
+        flags: int,
+        scan_factor: float = 1.0,
     ) -> List[object]:
         """One reference-free row per entry of ``sizes``, in one pass.
 
         The rows, oids and edge version equal one :meth:`new_object` call
-        per size with no references and a scan factor of 1.0; returns the
+        per size with no references and ``scan_factor``; returns the
         rows' canonical handles in oid order.
         """
         from .object_model import HeapObject
@@ -163,7 +167,7 @@ class HeapStore:
         self.mark_epoch.extend(array("q", [0]) * count)
         self.forward_address.extend(array("q", [-1]) * count)
         self.forward_space.extend(array("b", [NO_SPACE]) * count)
-        self.scan_factor.extend(array("d", [1.0]) * count)
+        self.scan_factor.extend(array("d", [scan_factor]) * count)
         self.flags.extend(array("b", [flags]) * count)
         self.label.extend([None] * count)
         self.name.extend(names)

@@ -442,6 +442,7 @@ class JavaVM:
         frame: Optional[StackFrame] = None,
         into: Optional[HeapObject] = None,
         oom_message: str = "",
+        scan_factor: float = 1.0,
     ) -> List[HeapObject]:
         """Allocate one plain object (no references) per entry of
         ``sizes``, named by ``names``: the run allocator.
@@ -460,6 +461,11 @@ class JavaVM:
         applies the barrier's card mark once.  While ``into`` is
         H2-resident or freed, and on G1, each element takes the slow path
         and its own :meth:`write_ref`.
+
+        Every element is created with ``scan_factor``.  Only GC scans of
+        reachable rows read it, and no element is reachable before it is
+        placed, so this equals setting it on each element after its
+        :meth:`allocate`.
         """
         count = len(sizes)
         if len(names) != count:
@@ -480,7 +486,7 @@ class JavaVM:
                 end = done + fit
                 run_sizes = sizes[done:end]
                 run = store.new_objects(
-                    run_sizes, names[done:end], FLAG_SERIALIZABLE
+                    run_sizes, names[done:end], FLAG_SERIALIZABLE, scan_factor
                 )
                 if into is None:
                     clock.charge_repeated(alloc_cost, fit, Bucket.OTHER)
@@ -498,7 +504,12 @@ class JavaVM:
                     barrier.on_reference_stores(into, fit)
                 done = end
             else:
-                obj = HeapObject(sizes[done], name=names[done], store=store)
+                obj = HeapObject(
+                    sizes[done],
+                    name=names[done],
+                    scan_factor=scan_factor,
+                    store=store,
+                )
                 run = [self._place(obj, oom_message)]
                 if into is not None:
                     self.write_ref(into, obj)

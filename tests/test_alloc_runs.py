@@ -32,6 +32,7 @@ from repro import JavaVM, OutOfMemoryError, VMConfig, gb
 from repro.devices.nvme import NVMeSSD
 from repro.frameworks.spark import CachePolicy, SparkConf, SparkContext
 from repro.frameworks.spark.workloads import SPARK_WORKLOADS
+from repro.gc.parallel_scavenge import PromotionFailure
 from repro.heap.object_model import HeapObject, SpaceId
 from repro.heap.store import MIN_OBJECT_SIZE
 from repro.runtime import TEMP_CHUNK
@@ -266,3 +267,67 @@ def test_size_below_minimum_rejected(kind):
         vm.allocate_array(3, MIN_OBJECT_SIZE - 1)
     assert vm_state(vm) == before
     assert vm.allocate_array(0, 8) == []
+
+
+def reference_chunks(vm, sizes, names, frame, scan_factor):
+    """Allocate, then set the scan factor, per element: the chunk loop
+    Spark partitions and streaming blocks were built with."""
+    chunks = []
+    for size, name in zip(sizes, names):
+        chunk = vm.allocate(size, name=name)
+        chunk.scan_factor = scan_factor
+        chunks.append(frame.push(chunk))
+    return chunks
+
+
+def run_chunks(vm, sizes, names, frame, scan_factor):
+    """The run allocator, called like :func:`reference_chunks`."""
+    return vm.allocate_many(sizes, names, frame, scan_factor=scan_factor)
+
+
+@pytest.mark.parametrize("kind", VM_KINDS)
+def test_scan_factor_runs_match_allocate_then_set(kind):
+    """Runs with a scan factor across scavenges, pretenured elements and
+    a promotion failure that escalates to a full GC, on PS and G1."""
+
+    def fill(vm, chunks):
+        failures = []
+        if kind != "g1":
+            scavenge = vm.collector.minor_gc
+
+            def minor_gc():
+                try:
+                    scavenge()
+                except PromotionFailure:
+                    failures.append(vm.collector.stats.minor_count)
+                    raise
+
+            vm.collector.minor_gc = minor_gc
+        frames = []
+        for step in range(12):
+            frame = vm.roots.open_frame()
+            frames.append(frame)
+            sizes = [
+                PRETENURE + 512 if i % 7 == 3 else (i % 4 + 1) * KiB
+                for i in range(24)
+            ]
+            names = [f"s{step}-c{i}" for i in range(24)]
+            chunks(vm, sizes, names, frame, 0.25 + step)
+            if len(frames) > 5:
+                vm.roots.close_frame(frames.pop(0))
+        return failures
+
+    vm, failures, ref_failures = run_both(
+        kind,
+        lambda vm: fill(vm, run_chunks),
+        lambda vm: fill(vm, reference_chunks),
+    )
+    assert failures == ref_failures
+    assert vm.collector.stats.minor_count > 0
+    if kind != "g1":
+        assert failures, "no scavenge escalated to a full GC"
+    if kind == "pretenure":
+        assert any(
+            o.space is SpaceId.OLD and o.size > PRETENURE
+            for o in vm.heap.old.objects
+        )
