@@ -5,7 +5,11 @@ small enough that the heap overflows and the scheduler has to reach all
 three of its tiers: edge arrays, the incoming message store and whole
 vertex partitions.  The digest covers every simulated quantity the
 scheduler influences, so any change to victim order, device traffic or
-clock charging shows up as a mismatch.
+clock charging shows up as a mismatch.  A second digest of the same job
+covers the heap and the out-of-core store row by row: every store row
+(name, size, space, address, references), the out-of-core file's
+offset map, the page cache's LRU order and the root-set depth, so a
+change to how reloaded data is re-allocated or linked shows up too.
 """
 
 import hashlib
@@ -28,6 +32,8 @@ from repro.workloads.generators import make_graph
 
 #: digest of :func:`ooc_summary` for the pinned CDLP job below
 GOLDEN_OOC_CDLP_DIGEST = "596787902de57683"
+#: digest of :func:`ooc_store_summary` for the same job
+GOLDEN_OOC_CDLP_STORE_DIGEST = "ca6fb7f3ec6baf62"
 
 
 def run_ooc_cdlp():
@@ -82,8 +88,52 @@ def ooc_summary(vm, job) -> str:
     return "\n".join(lines)
 
 
-def test_ooc_cdlp_golden_digest():
-    vm, job, fired = run_ooc_cdlp()
+@pytest.fixture(scope="module")
+def ooc_cdlp():
+    return run_ooc_cdlp()
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def ooc_store_summary(vm, job) -> str:
+    """Store rows, out-of-core offsets, page-cache LRU and heap bookkeeping."""
+    store = vm.store
+    ooc = job.ooc
+    rows = [
+        (
+            store.name[oid],
+            store.size[oid],
+            store.space[oid],
+            store.address[oid],
+            store.refs[oid],
+        )
+        for oid in range(len(store))
+    ]
+    heap = vm.heap
+    lines = [
+        f"rows={_sha(rows)}",
+        f"offsets={_sha(list(ooc._offsets.items()))}",
+        f"next_offset={ooc._next_offset!r}",
+        f"lru={_sha(list(ooc.cache._pages.items()))}",
+        f"roots={len(vm.roots)!r}",
+        f"frames={len(vm.roots._frames)!r}",
+        f"edge_version={store.edge_version!r}",
+        f"barrier_count={vm.barrier.barrier_count!r}",
+        f"dirty_cards={_sha(sorted(heap.card_table.dirty_cards()))}",
+        f"allocated={(heap.allocated_objects, heap.allocated_bytes)!r}",
+        f"tops={[s.top for s in heap.spaces()]!r}",
+        f"resident_edges={_sha([sorted(s) for s in job.resident_edges])}",
+        f"resident_vertices={_sha([sorted(s) for s in job.resident_vertices])}",
+        f"dropped_estimate={ooc.dropped_estimate!r}",
+        f"victim_cursor={ooc._victim_cursor!r}",
+    ]
+    return "\n".join(lines)
+
+
+def test_ooc_cdlp_golden_digest(ooc_cdlp):
+    vm, job, fired = ooc_cdlp
     assert job.graph.num_vertices == 2000
     # Every offload tier fires: edges (always first), then the message
     # store, then whole vertex partitions.
@@ -93,6 +143,13 @@ def test_ooc_cdlp_golden_digest():
     summary = ooc_summary(vm, job)
     digest = hashlib.sha256(summary.encode()).hexdigest()[:16]
     assert digest == GOLDEN_OOC_CDLP_DIGEST, summary
+
+
+def test_ooc_cdlp_store_golden_digest(ooc_cdlp):
+    vm, job, _ = ooc_cdlp
+    summary = ooc_store_summary(vm, job)
+    digest = hashlib.sha256(summary.encode()).hexdigest()[:16]
+    assert digest == GOLDEN_OOC_CDLP_STORE_DIGEST, summary
 
 
 def assert_resident_sets_exact(job):
