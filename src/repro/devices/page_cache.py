@@ -314,12 +314,19 @@ class PageCache:
         pending: Tuple[List[int], List[int]],
         pattern: AccessPattern,
     ) -> int:
-        """Touch one span inside :meth:`access_many`; returns its hits."""
+        """Touch one span inside :meth:`access_many`; returns its hits.
+
+        One pass moves each hit to the LRU tail and collects the misses:
+        a span's pages are distinct, so no miss can turn into a hit
+        before the misses are inserted.
+        """
         cached = self._pages
-        miss_pages = [page for page in pages if page not in cached]
+        miss_pages = []
         for page in pages:
             if page in cached:
                 cached.move_to_end(page)
+            else:
+                miss_pages.append(page)
         if not miss_pages:
             return len(pages)
         pending[0].append(len(miss_pages) * self.page_size)
