@@ -109,3 +109,37 @@ def vm_state(vm) -> dict:
             (s.name, s.top, [o.oid for o in s.objects]) for s in heap.spaces()
         ]
     return state
+
+
+def log_charges(clock) -> dict:
+    """Record every charge ``clock`` takes, per bucket, in order.
+
+    Bucket totals can come out equal even when a batch adds its charges
+    in another order; the log cannot.
+    """
+    log = {}
+    charge, charge_each, charge_cycle = (
+        clock.charge, clock.charge_each, clock.charge_cycle
+    )
+
+    def entries(bucket):
+        return log.setdefault((bucket or clock.current).value, [])
+
+    def logged_charge(seconds, bucket=None):
+        entries(bucket).append(seconds)
+        charge(seconds, bucket)
+
+    def logged_charge_each(seconds, bucket=None):
+        entries(bucket).extend(seconds)
+        charge_each(seconds, bucket)
+
+    def logged_charge_cycle(charges, n):
+        for _ in range(n):
+            for seconds, bucket in charges:
+                entries(bucket).append(seconds)
+        charge_cycle(charges, n)
+
+    clock.charge = logged_charge
+    clock.charge_each = logged_charge_each
+    clock.charge_cycle = logged_charge_cycle
+    return log

@@ -8,7 +8,10 @@ and H2 moves, and so the hub vertices' message batches outgrow
 combiner, which collapses every batch to one value.  The digest covers
 clock buckets and sub-buckets, GC counts, H2 and page-cache counters,
 device traffic, the write-barrier counters, and the name, size,
-address, space and references of every object ever allocated.
+address, space and references of every object ever allocated.  A second
+digest covers what equal counters can hide: the H2 page cache's LRU
+order and dirty bits, the dirty H1 cards, the H2 card states and the
+store's edge version.
 
 The rest of the file holds the batch operations that path uses to
 per-object reference loops: ``JavaVM.allocate_many(..., into=src)``
@@ -48,6 +51,12 @@ from repro.units import KiB
 GOLDEN_TH_CDLP_DIGESTS = {
     None: "3ea681be8fdcfa8d",
     "sum": "d34bcc5e81b5fd86",
+}
+
+#: digest of :func:`cdlp_state` for the same job, per combiner
+GOLDEN_TH_CDLP_STATE_DIGESTS = {
+    None: "d8cae925aa16932a",
+    "sum": "c8f35135f5dd9741",
 }
 
 
@@ -131,9 +140,33 @@ def cdlp_summary(vm, job) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("combiner", [None, "sum"])
-def test_th_cdlp_golden_digest(combiner):
-    vm, job = run_th_cdlp(combiner)
+def cdlp_state(vm, job) -> str:
+    """The order-sensitive state :func:`cdlp_summary` only counts: the
+    H2 page cache's LRU order with each page's dirty bit, the dirty H1
+    cards, the H2 card states and mutator marks, page faults, barrier H2
+    marks and the store's edge version."""
+    h2 = vm.h2
+    lines = [
+        f"lru={_sha(list(h2.page_cache._pages.items()))}",
+        f"h1_cards={_sha(list(vm.heap.card_table.dirty_cards()))}",
+        f"h2_cards={_sha(list(h2.card_table.iter_states()))}",
+        f"h2_mutator_marks={h2.card_table.mutator_marks!r}",
+        f"page_faults={h2.mapping.page_faults!r}",
+        f"h2_marks={vm.barrier.h2_marks!r}",
+        f"edge_version={vm.store.edge_version!r}",
+        f"supersteps={job.supersteps_run!r}",
+    ]
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module", params=[None, "sum"])
+def th_cdlp(request):
+    """One run of the pinned job per combiner, shared by both digests."""
+    return request.param, *run_th_cdlp(request.param)
+
+
+def test_th_cdlp_golden_digest(th_cdlp):
+    combiner, vm, job = th_cdlp
     stats = vm.collector.stats
     # The job crosses both collections and moves objects to H2.
     assert stats.minor_count > 0
@@ -147,6 +180,18 @@ def test_th_cdlp_golden_digest(combiner):
         )
     summary = cdlp_summary(vm, job)
     assert _sha(summary) == GOLDEN_TH_CDLP_DIGESTS[combiner], summary
+
+
+def test_th_cdlp_state_golden_digest(th_cdlp):
+    combiner, vm, job = th_cdlp
+    # Every kind of state the digest covers is populated.
+    h2 = vm.h2
+    assert h2.page_cache._pages and h2.page_cache.writebacks > 0
+    assert vm.heap.card_table.dirty_count > 0
+    assert list(h2.card_table.iter_states()) and h2.card_table.mutator_marks
+    assert h2.mapping.page_faults > 0
+    state = cdlp_state(vm, job)
+    assert _sha(state) == GOLDEN_TH_CDLP_STATE_DIGESTS[combiner], state
 
 
 # ---------------------------------------------------------------------
