@@ -8,7 +8,7 @@ Section 4).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Set, Tuple
+from typing import Iterable, Iterator, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -48,6 +48,18 @@ class CardTable:
     def mark(self, address: int) -> None:
         """Dirty the card covering ``address`` (post-write barrier)."""
         self._dirty.add(self.card_index(address))
+
+    def mark_many(self, addresses: Sequence[int]) -> None:
+        """Dirty the cards one :meth:`mark` per address would, each
+        distinct card once.  The addresses before the first one outside
+        the table are marked; that one raises :meth:`mark`'s error."""
+        offsets = np.asarray(addresses, dtype=np.int64) - self.base
+        outside = (offsets < 0) | (offsets >= self.size)
+        stop = int(outside.argmax()) if outside.any() else len(offsets)
+        cards = np.unique(offsets[:stop] // self.card_size)
+        self._dirty.update(cards.tolist())
+        if stop < len(offsets):
+            self.card_index(int(addresses[stop]))
 
     def mark_object(self, address: int, size: int) -> None:
         """Dirty every card an object spans (object-start barriers vary;

@@ -1,5 +1,6 @@
 """Object model, spaces, H1 card table, roots, managed heap."""
 
+import numpy as np
 import pytest
 
 from repro.config import VMConfig
@@ -179,6 +180,40 @@ class TestCardTable:
     def test_invalid_card_size(self):
         with pytest.raises(ValueError):
             CardTable(0, 4096, card_size=0)
+
+    @pytest.mark.parametrize(
+        "addresses",
+        [
+            [],
+            [1000, 1100, 1511, 1512, 5095, 1000],
+            [3000, 999, 1600],  # below the table: marks 3000 first
+            [1200, 5096, 2000],  # past the end
+            [5096],
+        ],
+    )
+    def test_mark_many_matches_a_mark_loop(self, addresses):
+        def error_of(mark):
+            try:
+                mark()
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        tables = [CardTable(1000, 4096) for _ in range(3)]
+        for table in tables:
+            table.mark(4000)
+        a, b, ref = tables
+        errors = {
+            error_of(lambda: a.mark_many(addresses)),
+            error_of(lambda: b.mark_many(np.array(addresses, np.int64))),
+            error_of(lambda: [ref.mark(address) for address in addresses]),
+        }
+        assert len(errors) == 1
+        outside = any(not 1000 <= address < 5096 for address in addresses)
+        assert (None in errors) is not outside
+        for table in (a, b):
+            assert list(table.dirty_cards()) == list(ref.dirty_cards())
+            assert all(type(card) is int for card in table.dirty_cards())
 
 
 # ---------------------------------------------------------------------
