@@ -322,6 +322,17 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Crash scheduling (FaultKind.CRASH)
     # ------------------------------------------------------------------
+    @property
+    def crash_armed(self) -> bool:
+        """Does the config schedule any crash?  Unarmed plans neither
+        count safepoint visits nor kill at them."""
+        cfg = self.config
+        return (
+            cfg.crash_point is not None
+            or cfg.crash_stage is not None
+            or cfg.crash_rate > 0.0
+        )
+
     def crash_batch_cut(self, safepoint: str, npages: int) -> Optional[int]:
         """Should the process die at this safepoint visit — and where?
 
@@ -334,15 +345,9 @@ class FaultPlan:
         the crash RNG, never the I/O stream.  Suspended queries neither
         count nor draw, mirroring :meth:`suspend`'s guarantee.
         """
-        if self.suspended or self.crashed:
+        if self.suspended or self.crashed or not self.crash_armed:
             return None
         cfg = self.config
-        if (
-            cfg.crash_point is None
-            and cfg.crash_stage is None
-            and cfg.crash_rate <= 0.0
-        ):
-            return None
         hits = self.safepoint_hits.get(safepoint, 0) + 1
         self.safepoint_hits[safepoint] = hits
         fire = (

@@ -32,7 +32,7 @@ from ..clock import Bucket, Clock
 from ..config import VMConfig
 from ..errors import OutOfMemoryError
 from ..heap.heap import ManagedHeap
-from ..heap.object_model import HeapObject, SpaceId
+from ..heap.object_model import HeapObject
 from ..heap.roots import RootSet
 from ..heap.store import (
     NO_SPACE,
@@ -84,6 +84,23 @@ class PromotionFailure(Exception):
     """Internal: a scavenge could not promote; the VM must run a full GC."""
 
 
+class Movers:
+    """Objects a major GC moves to H2, as columns in move order."""
+
+    __slots__ = ("oids", "labels", "nbytes")
+
+    def __init__(self, oids: List[int], labels: List[str], nbytes: int = 0):
+        #: mover oids
+        self.oids = oids
+        #: each mover's group label
+        self.labels = labels
+        #: bytes placed in H2 (0 until placement)
+        self.nbytes = nbytes
+
+    def __len__(self) -> int:
+        return len(self.oids)
+
+
 class ParallelScavenge(Collector):
     """The PS collector over a :class:`ManagedHeap`."""
 
@@ -130,10 +147,6 @@ class ParallelScavenge(Collector):
     # ==================================================================
     # TeraHeap hook points (no-ops in plain PS)
     # ==================================================================
-    def is_fenced(self, obj: HeapObject) -> bool:
-        """True when traversal must not cross into ``obj`` (H2 residents)."""
-        return obj.space in (SpaceId.H2, SpaceId.FREED)
-
     def on_mark_visit(self, obj: HeapObject) -> None:
         """Per-object hook during major marking (Panthera charges NVM I/O)."""
 
@@ -143,8 +156,9 @@ class ParallelScavenge(Collector):
     def on_minor_copy(self, obj: HeapObject) -> None:
         """Per-object hook during scavenge copying (memory-mode charges)."""
 
-    def on_forward_reference(self, target: HeapObject) -> None:
-        """Called for each H1-to-H2 edge found during major marking."""
+    def on_forward_references(self, targets: List[int]) -> None:
+        """Called with the H1-to-H2 edge targets major marking found, in
+        visit order: first those of the roots, then those of the trace."""
 
     def minor_h2_roots(self) -> List[int]:
         """Oids of young H1 objects kept alive by H2 backward references."""
@@ -161,33 +175,29 @@ class ParallelScavenge(Collector):
         return []
 
     def select_h2_movers(
-        self, live_oids: List[int], live_bytes: int, epoch: int
-    ) -> "List[Tuple[HeapObject, str]]":
-        """Choose (object, label) pairs to transfer to H2 this GC."""
-        return []
+        self, live: np.ndarray, live_bytes: int, epoch: int
+    ) -> Movers:
+        """Choose the objects (and their labels) to transfer to H2."""
+        return Movers([], [])
 
     def after_marking(self, epoch: int) -> None:
         """Free dead H2 regions (end of marking)."""
 
-    def assign_h2_addresses(
-        self, movers: "List[Tuple[HeapObject, str]]", epoch: int
-    ) -> "List[Tuple[HeapObject, str]]":
+    def assign_h2_addresses(self, movers: Movers, epoch: int) -> Movers:
         """Pre-compaction for movers: pick region + address per object.
 
-        Returns the movers that actually received an H2 address; the
-        rest stay in H1 and compact with the stayers.
+        Returns the movers that actually received an H2 address, with
+        their bytes; the rest stay in H1 and compact with the stayers.
         """
         return movers
 
-    def adjust_mover_references(
-        self, movers: "List[Tuple[HeapObject, str]]", stayers: Set[int]
-    ) -> None:
+    def adjust_mover_references(self, movers: Movers) -> None:
         """Record new cross-region and backward references for movers."""
 
     def adjust_h2_backward_refs(self) -> None:
         """Rewrite H2-resident backward references to new H1 locations."""
 
-    def compact_movers(self, movers: "List[Tuple[HeapObject, str]]") -> None:
+    def compact_movers(self, movers: Movers) -> None:
         """Write movers to the device through promotion buffers."""
 
     def on_major_complete(self, epoch: int) -> None:
@@ -404,29 +414,32 @@ class ParallelScavenge(Collector):
                 handle = st.handle
                 # Hook dispatch: hoisting the no-op defaults out of the
                 # trace loop saves a handle lookup per visit; subclasses
-                # that override (Panthera NVM charges, TeraHeap fences)
-                # still see every object they used to.
+                # that override (Panthera NVM charges) still see every
+                # object they used to.  Fences (TeraHeap) get the
+                # forward-reference targets as one oid list per pass.
                 visit_hook = (
                     None
                     if type(self).on_mark_visit
                     is ParallelScavenge.on_mark_visit
                     else self.on_mark_visit
                 )
-                fwd_hook = (
-                    None
-                    if type(self).on_forward_reference
-                    is ParallelScavenge.on_forward_reference
-                    else self.on_forward_reference
+                fences = (
+                    type(self).on_forward_references
+                    is not ParallelScavenge.on_forward_references
                 )
                 self.pre_major_mark()
                 stack: List[int] = []
-                for obj in self.roots:
-                    if obj.in_h1:
-                        stack.append(obj.oid)
-                    elif self.is_fenced(obj):
+                forward: List[int] = []
+                for oid in self.roots.oids():
+                    if space_arr[oid] <= SPACE_OLD:
+                        stack.append(oid)
+                    else:
                         # Stack/static roots referencing H2 directly count
                         # as forward references: they pin the region.
-                        self.on_forward_reference(obj)
+                        forward.append(oid)
+                if fences:
+                    self.on_forward_references(forward)
+                    forward = []
                 stack.extend(self.major_h2_roots())
                 # Order-preserving DFS kernel over the store's columns:
                 # identical stack-pop visit order (and therefore batch
@@ -450,10 +463,12 @@ class ParallelScavenge(Collector):
                     # crosses from H1 into H2.
                     targets = refs_arr[oid]
                     push(targets)
-                    if fwd_hook is not None:
+                    if fences:
                         for t in targets:
                             if space_arr[t] > SPACE_OLD:
-                                fwd_hook(handle(t))
+                                forward.append(t)
+                if fences:
+                    self.on_forward_references(forward)
                 bag = TaskBag()
                 bag.add_batches(
                     "major-mark",
@@ -462,8 +477,9 @@ class ParallelScavenge(Collector):
                     batch.scan_batch_objects,
                 )
                 self._run_phase(bag, "major-mark", workers=workers)
-                live_bytes = st.sum_sizes(live)
-                movers = self.select_h2_movers(live, live_bytes, epoch)
+                live_arr = np.asarray(live, dtype=np.int64)
+                live_bytes = st.sum_sizes(live_arr)
+                movers = self.select_h2_movers(live_arr, live_bytes, epoch)
                 self.after_marking(epoch)
             phases["marking"] = self.clock.now - t0
 
@@ -475,14 +491,10 @@ class ParallelScavenge(Collector):
                 # treated as a stayer, so the stayer set is only known
                 # after placement.
                 movers = self.assign_h2_addresses(movers, epoch)
-                stayers = np.asarray(live, dtype=np.int64)
-                if movers:
-                    mover_ids = np.fromiter(
-                        (obj.oid for obj, _ in movers),
-                        dtype=np.int64,
-                        count=len(movers),
-                    )
-                    stayers = stayers[~np.isin(stayers, mover_ids)]
+                stayers = live_arr
+                if len(movers):
+                    # Placed movers are the live rows now resident in H2.
+                    stayers = stayers[st.space_view()[stayers] <= SPACE_OLD]
                 # Sliding compaction: preserve address order so the
                 # stable prefix of long-lived data (e.g. the cached
                 # partitions at the bottom of the old gen) is not
@@ -548,7 +560,7 @@ class ParallelScavenge(Collector):
                 # that follow may dirty those same cards with *new*
                 # backward references that must not be clobbered.
                 self.adjust_h2_backward_refs()
-                self.adjust_mover_references(movers, set(stayers.tolist()))
+                self.adjust_mover_references(movers)
                 self._run_phase(bag, "major-adjust", workers=workers)
             phases["adjust"] = self.clock.now - t0
 
@@ -622,13 +634,12 @@ class ParallelScavenge(Collector):
 
             self.on_major_complete(epoch)
             duration = self.clock.now - start
-            moved_bytes = sum(o.size for o, _ in movers)
             cycle = GCCycle(
                 kind="major",
                 start_time=start,
                 duration=duration,
                 live_bytes=live_bytes,
-                moved_to_h2_bytes=moved_bytes,
+                moved_to_h2_bytes=movers.nbytes,
                 old_occupancy_after=heap.old.occupancy,
                 phases=phases,
             )

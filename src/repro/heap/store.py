@@ -210,6 +210,9 @@ class HeapStore:
     def forward_space_view(self) -> np.ndarray:
         return np.frombuffer(self.forward_space, dtype=np.int8)
 
+    def flags_view(self) -> np.ndarray:
+        return np.frombuffer(self.flags, dtype=np.int8)
+
     def scan_factor_view(self) -> np.ndarray:
         return np.frombuffer(self.scan_factor, dtype=np.float64)
 

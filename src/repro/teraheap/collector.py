@@ -19,15 +19,18 @@ Major GC extends all four PS phases:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..clock import Clock
 from ..config import VMConfig
 from ..errors import DeviceFullError, SegmentationFault, SimulatedCrash
 from ..gc.engine import TaskBag, chunked_sweep
-from ..gc.parallel_scavenge import ParallelScavenge
+from ..gc.parallel_scavenge import Movers, ParallelScavenge
 from ..heap.heap import ManagedHeap
-from ..heap.object_model import HeapObject, SpaceId
+from ..heap.object_model import HeapObject
 from ..heap.roots import RootSet
 from ..heap.store import (
     FLAG_H2_CANDIDATE,
@@ -260,18 +263,32 @@ class TeraHeapCollector(ParallelScavenge):
         roots, self._major_scanned = self._scan_h2_cards(major=True)
         return roots
 
-    def on_forward_reference(self, target: HeapObject) -> None:
-        if target.space is SpaceId.FREED:
+    def on_forward_references(self, targets: List[int]) -> None:
+        """Fence H1-to-H2 edges: count them and set region live bits.
+
+        Dependency lists do not change while marking traces, so marking
+        the distinct target regions live in one walk sets the same live
+        bits as one call per edge.  A reclaimed target faults at the
+        first such edge; the edges before it stay fenced.
+        """
+        if not targets:
+            return
+        st = self.store
+        idx = np.asarray(targets, dtype=np.int64)
+        freed = np.flatnonzero(st.space_view()[idx] == SPACE_FREED)
+        fenced = idx if not freed.size else idx[: int(freed[0])]
+        self.forward_refs_fenced += int(fenced.size)
+        regions = st.region_view()[fenced]
+        self.h2.mark_regions_live(dict.fromkeys(regions[regions >= 0].tolist()))
+        if freed.size:
             raise SegmentationFault(
-                f"live H1 object references reclaimed H2 object #{target.oid}"
+                "live H1 object references reclaimed H2 object "
+                f"#{targets[int(freed[0])]}"
             )
-        self.forward_refs_fenced += 1
-        if target.region_id >= 0:
-            self.h2.mark_region_live(target.region_id)
 
     def select_h2_movers(
-        self, live_oids: List[int], live_bytes: int, epoch: int
-    ) -> List[Tuple[HeapObject, str]]:
+        self, live: np.ndarray, live_bytes: int, epoch: int
+    ) -> Movers:
         if (
             self.h2.resilience is not None
             and self.h2.resilience.degraded
@@ -280,7 +297,7 @@ class TeraHeapCollector(ParallelScavenge):
             # stay in H1 (the serialization-fallback baseline).  Tagged
             # candidates keep their labels in case H2 recovers in a
             # future configuration.
-            return []
+            return Movers([], [])
         cost = self.cost
         st = self.store
         space_arr = st.space
@@ -288,13 +305,13 @@ class TeraHeapCollector(ParallelScavenge):
         refs_arr = st.refs
         flags_arr = st.flags
         label_list = st.label
-        handle = st.handle
         visit_cost = cost.gc_visit_cost
         ref_cost = cost.gc_ref_cost
         # --- transitive closure of tagged root key-objects --------------
         # Order-preserving DFS over the store columns: same stack-pop
         # order (and batch boundaries) as the old per-handle traversal.
-        groups: Dict[str, List[HeapObject]] = {}
+        skip = FLAG_H2_CANDIDATE | FLAG_METADATA | FLAG_REFERENCE
+        groups: Dict[str, List[int]] = {}
         claimed: List[int] = []
         for root in self.hints.tagged_roots():
             root_oid = root.oid
@@ -302,35 +319,28 @@ class TeraHeapCollector(ParallelScavenge):
                 continue  # dead or already-moved roots do not transfer
             label = label_list[root_oid]
             members = groups.setdefault(label, [])
+            # Every target is pushed; the pop-time check skips the ones
+            # already tagged or outside H1, which flags only ever gain
+            # during the walk, so the visit order is that of pushing
+            # only untagged H1 targets.
             stack = [root_oid]
+            pop = stack.pop
+            push = stack.extend
             while stack:
-                oid = stack.pop()
-                if space_arr[oid] > SPACE_OLD:
+                oid = pop()
+                # Tagged objects belong to a group already; JVM metadata
+                # and java.lang.ref.Reference objects are excluded from
+                # the closure (Section 3.2).
+                if space_arr[oid] > SPACE_OLD or flags_arr[oid] & skip:
                     continue
-                flags = flags_arr[oid]
-                if (
-                    label_list[oid] == label
-                    and oid != root_oid
-                    and flags & FLAG_H2_CANDIDATE
-                ):
-                    continue
-                if flags & (FLAG_METADATA | FLAG_REFERENCE):
-                    # JVM metadata and java.lang.ref.Reference objects are
-                    # excluded from the closure (Section 3.2).
-                    continue
-                if label_list[oid] is not None and label_list[oid] != label:
+                current = label_list[oid]
+                if current is not None and current != label:
                     continue  # claimed by another group first
-                if flags & FLAG_H2_CANDIDATE:
-                    continue
                 label_list[oid] = label
-                flags_arr[oid] = flags | FLAG_H2_CANDIDATE
-                members.append(handle(oid))
+                flags_arr[oid] |= FLAG_H2_CANDIDATE
+                members.append(oid)
                 claimed.append(oid)
-                for t in refs_arr[oid]:
-                    if space_arr[t] <= SPACE_OLD and not (
-                        flags_arr[t] & FLAG_H2_CANDIDATE
-                    ):
-                        stack.append(t)
+                push(refs_arr[oid])
         bag = TaskBag()
         bag.add_batches(
             "h2-closure",
@@ -340,48 +350,54 @@ class TeraHeapCollector(ParallelScavenge):
         )
         self._run_phase(bag, "h2-closure", workers=self.major_workers())
 
-        # Include groups tagged in earlier GCs but not yet transferred.
-        grouped_oids = {
-            o.oid for members in groups.values() for o in members
-        }
-        for oid in live_oids:
-            if (
-                flags_arr[oid] & FLAG_H2_CANDIDATE
-                and label_list[oid] is not None
-                and oid not in grouped_oids
-            ):
-                groups.setdefault(label_list[oid], []).append(handle(oid))
-                grouped_oids.add(oid)
+        # Include groups tagged in earlier GCs but not yet transferred,
+        # in live order.
+        tagged = live[(st.flags_view()[live] & FLAG_H2_CANDIDATE) != 0]
+        if claimed and tagged.size:
+            tagged = tagged[~np.isin(tagged, claimed)]
+        for oid in tagged.tolist():
+            label = label_list[oid]
+            if label is not None:
+                groups.setdefault(label, []).append(oid)
 
         # --- transfer decision ------------------------------------------
         decision = self.policy.decide(live_bytes)
-        movers: List[Tuple[HeapObject, str]] = []
+        size_arr = st.size
+        oids: List[int] = []
+        labels: List[str] = []
         moved_labels: Set[str] = set()
+
+        def take(label: str, budget: Optional[int]) -> Optional[int]:
+            """Move the label's group while ``budget`` bytes (None: no
+            cap) last; returns the budget left."""
+            members = groups.pop(label)
+            count = len(members)
+            if budget is not None:
+                count = 0
+                for oid in members:
+                    if budget <= 0:
+                        break
+                    count += 1
+                    budget -= size_arr[oid]
+            oids.extend(members[:count])
+            labels.extend([label] * count)
+            if count == len(members):
+                moved_labels.add(label)
+            # Untaken members keep their candidate tag and move at a
+            # later GC (or with their h2_move hint).
+            return budget
+
         if decision.move_hinted:
             # The governor may cap hinted bytes (circuit open / half-open
-            # probe); None means unlimited, the normal case.
+            # probe); None means unlimited, the normal case.  A partially
+            # moved hinted label keeps its pending hint and candidate
+            # tags; the rest follows once the circuit allows it.
             hinted_budget = decision.hinted_budget
             for label in list(groups):
                 if hinted_budget is not None and hinted_budget <= 0:
                     break
                 if self.hints.is_move_pending(label):
-                    members = groups.pop(label)
-                    if hinted_budget is None:
-                        movers.extend((o, label) for o in members)
-                        moved_labels.add(label)
-                        continue
-                    taken = []
-                    for obj in members:
-                        if hinted_budget <= 0:
-                            break
-                        taken.append(obj)
-                        hinted_budget -= obj.size
-                    movers.extend((o, label) for o in taken)
-                    if len(taken) == len(members):
-                        moved_labels.add(label)
-                    # A partially-moved hinted label keeps its pending
-                    # hint and candidate tags; the rest follows once the
-                    # circuit allows it.
+                    hinted_budget = take(label, hinted_budget)
         if decision.move_unhinted and groups:
             # Pressure transfer: move marked objects oldest-label-first
             # until the byte budget runs out (the low threshold, §3.2).
@@ -391,30 +407,22 @@ class TeraHeapCollector(ParallelScavenge):
             for label in list(groups):
                 if budget is not None and budget <= 0:
                     break
-                members = groups.pop(label)
-                taken = []
-                for obj in members:
-                    if budget is not None and budget <= 0:
-                        break
-                    taken.append(obj)
-                    if budget is not None:
-                        budget -= obj.size
-                movers.extend((o, label) for o in taken)
-                if len(taken) == len(members):
-                    moved_labels.add(label)
-                # Untaken members keep their candidate tag and move at a
-                # later GC (or with their h2_move hint).
+                budget = take(label, budget)
         self._moved_labels = moved_labels
         # Whatever was not selected keeps its candidate tag and waits for
         # its h2_move() or for heap pressure.
-        return [(o, lbl) for o, lbl in movers if o.mark_epoch >= epoch]
+        if oids:
+            marked = st.epoch_view()[oids] >= epoch
+            if not marked.all():
+                keep = marked.tolist()
+                oids = list(compress(oids, keep))
+                labels = list(compress(labels, keep))
+        return Movers(oids, labels)
 
     def after_marking(self, epoch: int) -> None:
         self.h2.reclaim_dead_regions(epoch)
 
-    def assign_h2_addresses(
-        self, movers: List[Tuple[HeapObject, str]], epoch: int
-    ) -> List[Tuple[HeapObject, str]]:
+    def assign_h2_addresses(self, movers: Movers, epoch: int) -> Movers:
         """Place movers in H2; returns the subset that actually got an
         address.
 
@@ -424,62 +432,58 @@ class TeraHeapCollector(ParallelScavenge):
         not retryable), so repeated denials degrade H2 gracefully
         instead of aborting the collection.
         """
-        placed: List[Tuple[HeapObject, str]] = []
         res = self.h2.resilience
-        denied = 0
-        abort = False
-        for obj, label in movers:
-            if abort or (res is not None and res.degraded):
-                denied += 1
-                continue
-            try:
-                self.h2.assign_address(obj, label, epoch)
-            except DeviceFullError as exc:
-                denied += 1
-                if self.governor is not None:
-                    # Circuit-breaker fail-fast: one denial is evidence
-                    # enough.  Skipping the cycle's remaining movers
-                    # (they keep their candidate tags) protects the
-                    # legacy failure budget the governor supersedes and
-                    # lets the circuit trip before the budget burns.
-                    abort = True
-                if getattr(exc, "budget_denial", False):
-                    # An arbiter-imposed byte budget, not a sick device:
-                    # the movers fall back to H1 this cycle, but the
-                    # denial must not burn the resilience failure budget
-                    # — the quota may well grow back next epoch.
-                    abort = True
-                    continue
-                if res is not None:
-                    res.note_failure("h2_assign_address", exc)
-                    continue
-                raise
-            obj.h2_candidate = False
-            placed.append((obj, label))
+
+        def on_denied(exc: DeviceFullError) -> bool:
+            """Handle one denial; True denies the cycle's other movers."""
+            if getattr(exc, "budget_denial", False):
+                # An arbiter-imposed byte budget, not a sick device: the
+                # movers fall back to H1 this cycle, but the denial must
+                # not burn the resilience failure budget — the quota may
+                # well grow back next epoch.
+                return True
+            if res is None:
+                raise exc
+            res.note_failure("h2_assign_address", exc)
+            # Circuit-breaker fail-fast: with a governor one denial is
+            # evidence enough.  Skipping the cycle's remaining movers
+            # (they keep their candidate tags) protects the legacy
+            # failure budget the governor supersedes and lets the
+            # circuit trip before the budget burns.
+            return self.governor is not None or res.degraded
+
+        if res is not None and res.degraded:
+            placed = Movers([], [])
+        else:
+            placed = Movers(
+                *self.h2.place_objects(
+                    movers.oids, movers.labels, epoch, on_denied
+                )
+            )
+        denied = len(movers) - len(placed)
         self.h2_transfers_denied += denied
         self._cycle_denied = denied
-        self._cycle_placed_bytes = sum(o.size for o, _ in placed)
+        self._cycle_placed_bytes = placed.nbytes
         return placed
 
-    def adjust_mover_references(
-        self, movers: List[Tuple[HeapObject, str]], stayers: Set[int]
-    ) -> None:
+    def adjust_mover_references(self, movers: Movers) -> None:
         table = self.h2.card_table
         st = self.store
         space_arr = st.space
         refs_arr = st.refs
         region_arr = st.region_id
         addr_arr = st.address
-        for obj, _ in movers:
-            oid = obj.oid
+        fwd_space_arr = st.forward_space
+        for oid in movers.oids:
             own_region = region_arr[oid]
             for t in refs_arr[oid]:
                 if space_arr[t] == SPACE_H2 and region_arr[t] != own_region:
                     self.h2.record_cross_region_ref(
                         own_region, region_arr[t]
                     )
-                elif t in stayers:
-                    # New backward (H2 -> H1) reference.
+                elif fwd_space_arr[t] != NO_SPACE:
+                    # New backward (H2 -> H1) reference: the target is a
+                    # stayer, forwarded in pre-compaction.
                     table.mark_dirty(addr_arr[oid])
 
     def adjust_h2_backward_refs(self) -> None:
@@ -593,31 +597,52 @@ class TeraHeapCollector(ParallelScavenge):
                 batches.append(batch)
         return batches
 
-    def compact_movers(self, movers: List[Tuple[HeapObject, str]]) -> None:
+    def _region_grouped(self, oids: List[int]) -> np.ndarray:
+        """``oids`` grouped by destination region (regions in order of
+        first appearance, objects in order within each): the order
+        :meth:`mover_copy_batches` writes them in."""
+        idx = np.asarray(oids, dtype=np.int64)
+        regions = self.store.region_view()[idx]
+        if idx.size < 2 or bool((regions[1:] >= regions[:-1]).all()):
+            return idx
+        _, first, inverse = np.unique(
+            regions, return_index=True, return_inverse=True
+        )
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return idx[np.argsort(rank[inverse], kind="stable")]
+
+    def compact_movers(self, movers: Movers) -> None:
         res = self.h2.resilience
         plan = res.plan if res is not None else None
-        # Mover copy cost is the device write itself (the CPU copy into
-        # the promotion buffer overlaps it), so batches only shape crash
-        # granularity — they add no charge of their own.
-        for seq, batch in enumerate(self.mover_copy_batches(movers)):
-            if plan is not None and plan.crash_outcome("major_compact"):
-                # Killed between copy batches: buffered-but-unflushed
-                # objects and all DRAM metadata die with the process.
-                log = self.h2.page_cache.resilience_log
-                if log is not None:
-                    log.record_crash(
-                        self.clock.now,
-                        "major_compact",
-                        f"batch {seq} of {len(batch)} objects",
+        if plan is None or not plan.crash_armed:
+            self.h2.write_objects(self._region_grouped(movers.oids))
+        else:
+            # Mover copy cost is the device write itself (the CPU copy
+            # into the promotion buffer overlaps it), so batches only
+            # shape crash granularity — they add no charge of their own.
+            handle = self.store.handle
+            batches = self.mover_copy_batches(
+                list(zip(map(handle, movers.oids), movers.labels))
+            )
+            for seq, batch in enumerate(batches):
+                if plan.crash_outcome("major_compact"):
+                    # Killed between copy batches: buffered-but-unflushed
+                    # objects and all DRAM metadata die with the process.
+                    log = self.h2.page_cache.resilience_log
+                    if log is not None:
+                        log.record_crash(
+                            self.clock.now,
+                            "major_compact",
+                            f"batch {seq} of {len(batch)} objects",
+                        )
+                    raise SimulatedCrash(
+                        "simulated kill mid major-GC compaction "
+                        f"(copy batch {seq})",
+                        safepoint="major_compact",
+                        op_index=plan.op_index,
                     )
-                raise SimulatedCrash(
-                    "simulated kill mid major-GC compaction "
-                    f"(copy batch {seq})",
-                    safepoint="major_compact",
-                    op_index=plan.op_index,
-                )
-            for obj, _ in batch:
-                self.h2.write_object(obj)
+                self.h2.write_objects([obj.oid for obj, _ in batch])
         self.h2.finish_compaction()
         if self._moved_labels:
             self.hints.consume_moved(self._moved_labels)

@@ -229,3 +229,23 @@ def test_two_groups_reclaim_independently(vm):
     vm.major_gc()
     assert root_a.space is SpaceId.FREED
     assert root_b.space is SpaceId.H2
+
+
+def test_card_scan_edge_keeps_its_target_region_live(vm):
+    a_root, _ = make_group(vm, name="a")
+    b_root, b_children = make_group(vm, name="b")
+    for root, label in ((a_root, "a"), (b_root, "b")):
+        vm.h2_tag_root(root, label)
+        vm.h2_move(label)
+    vm.major_gc()
+    target = b_children[0]
+    assert a_root.space is SpaceId.H2 and target.space is SpaceId.H2
+    vm.roots.remove(b_root)
+    # Only this mutator edge keeps the target's region alive.  The next
+    # marking fences the root a_root first and finds the edge later, in
+    # the H2 card scan, so liveness must be propagated again afterwards.
+    vm.write_ref(a_root, target)
+    vm.major_gc()
+    assert target.space is SpaceId.H2
+    assert vm.h2.regions[target.region_id].live
+    assert target.region_id in vm.h2.regions[a_root.region_id].deps
