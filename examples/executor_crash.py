@@ -15,6 +15,7 @@ Run:  python examples/executor_crash.py
 """
 
 from repro import FaultConfig, JavaVM, TeraHeapConfig, VMConfig, gb
+from repro.faults import AdoptionEvent, CrashEvent
 from repro.frameworks.spark import (
     CachePolicy,
     SparkConf,
@@ -87,9 +88,9 @@ def main() -> None:
         print(f"  [restart] {report.describe()}")
         print(f"            committed epoch {report.recovery.committed_epoch}")
     log = ctx.vm.resilience.log
-    for ev in log.crashes:
+    for ev in log.of(CrashEvent):
         print(f"  [crash]   t={ev.time:.4f}s at {ev.safepoint}: {ev.detail}")
-    for ev in log.adoptions:
+    for ev in log.of(AdoptionEvent):
         print(f"  [adopt]   {ev.label}: {ev.outcome} {ev.detail}")
 
     recovery_wall = ctx.vm.clock.now

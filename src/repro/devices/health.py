@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from ..clock import Clock
 
@@ -70,7 +70,12 @@ class HealthConfig:
 
 @dataclass
 class HealthTransition:
-    """One device-state change, timestamped on the simulated clock."""
+    """One device-state change, timestamped on the simulated clock.
+
+    Also a resilience-log event (see :mod:`repro.faults.events`).
+    """
+
+    event: ClassVar[str] = "health"
 
     time: float
     device: str
@@ -83,6 +88,17 @@ class HealthTransition:
             f"{self.time:.6f}\t{self.device}\t"
             f"{self.old.value}->{self.new.value}\t{self.reason}"
         )
+
+    def cells(self) -> Tuple[Any, Any, Any]:
+        return (
+            self.device, f"{self.old.value}->{self.new.value}", self.reason
+        )
+
+    def instant(self) -> Tuple[str, Dict[str, Any]]:
+        return f"health:{self.new.value}", {
+            "device": self.device, "from": self.old.value,
+            "reason": self.reason,
+        }
 
 
 class _DeviceHealth:

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from .events import (
     AdoptionEvent,
-    CircuitEvent,
     CrashEvent,
     DegradationEvent,
     FaultEvent,
-    HealthEvent,
     RecoveryEvent,
     ResilienceLog,
     RestartEvent,
@@ -42,8 +40,6 @@ __all__ = [
     "FaultEvent",
     "RetryEvent",
     "StallEvent",
-    "HealthEvent",
-    "CircuitEvent",
     "DegradationEvent",
     "CrashEvent",
     "RecoveryEvent",

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence
 
 from ..devices.base import AccessPattern, Device
 from ..errors import DeviceIOError
-from .events import ResilienceLog
+from .events import FaultEvent, ResilienceLog, StallEvent
 from .plan import FaultKind, FaultPlan
 
 
@@ -64,8 +64,8 @@ class FaultInjector:
         kind = FaultKind.READ_ERROR if op == "read" else FaultKind.WRITE_ERROR
         cost = latency * max(requests, 1)
         self.inner.clock.charge(cost)
-        self.log.record_fault(
-            self.inner.clock.now, self.inner.name, op, kind.value
+        self.log.record(
+            FaultEvent(self.inner.clock.now, self.inner.name, op, kind.value)
         )
         if self.monitor is not None:
             self.monitor.observe_error(self.inner.name, op)
@@ -80,12 +80,14 @@ class FaultInjector:
         """Charge the latency-spike surcharge on top of a completed op."""
         extra = base_cost * (multiplier - 1.0)
         self.inner.clock.charge(extra)
-        self.log.record_fault(
-            self.inner.clock.now,
-            self.inner.name,
-            op,
-            FaultKind.LATENCY_SPIKE.value,
-            detail=f"x{multiplier:g}",
+        self.log.record(
+            FaultEvent(
+                self.inner.clock.now,
+                self.inner.name,
+                op,
+                FaultKind.LATENCY_SPIKE.value,
+                detail=f"x{multiplier:g}",
+            )
         )
         return extra
 
@@ -104,8 +106,8 @@ class FaultInjector:
         """Park this op for the configured stall-burst delay."""
         extra = self.plan.config.stall_seconds
         self.inner.clock.charge(extra)
-        self.log.record_stall(
-            self.inner.clock.now, self.inner.name, op, extra
+        self.log.record(
+            StallEvent(self.inner.clock.now, self.inner.name, op, extra)
         )
         return extra
 

@@ -25,7 +25,7 @@ from typing import Callable, List, TypeVar
 
 from ..clock import Clock
 from ..errors import DeviceIOError, SegmentationFault
-from .events import ResilienceLog
+from .events import DegradationEvent, ResilienceLog, RetryEvent
 from .injector import FaultInjector
 from .plan import FaultConfig, FaultPlan
 
@@ -79,13 +79,15 @@ class RetryPolicy:
                     raise
                 failures += 1
                 if failures >= cfg.max_attempts:
-                    self.log.record_retry(
-                        self.clock.now,
-                        op,
-                        failures,
-                        spent,
-                        success=False,
-                        reason="attempts",
+                    self.log.record(
+                        RetryEvent(
+                            self.clock.now,
+                            op,
+                            failures,
+                            spent,
+                            success=False,
+                            reason="attempts",
+                        )
                     )
                     raise
                 step = self._jittered(delay)
@@ -96,13 +98,15 @@ class RetryPolicy:
                     # Spending the next delay would blow the total-elapsed
                     # cap: give up now instead of spinning — the op counts
                     # as exhausted-by-deadline against the failure budget.
-                    self.log.record_retry(
-                        self.clock.now,
-                        op,
-                        failures,
-                        spent,
-                        success=False,
-                        reason="deadline",
+                    self.log.record(
+                        RetryEvent(
+                            self.clock.now,
+                            op,
+                            failures,
+                            spent,
+                            success=False,
+                            reason="deadline",
+                        )
                     )
                     raise
                 # Back off before the next attempt; the stall is simulated
@@ -112,8 +116,10 @@ class RetryPolicy:
                 delay *= cfg.backoff_factor
                 continue
             if failures:
-                self.log.record_retry(
-                    self.clock.now, op, failures, spent, success=True
+                self.log.record(
+                    RetryEvent(
+                        self.clock.now, op, failures, spent, success=True
+                    )
                 )
             return result
 
@@ -179,7 +185,9 @@ class ResiliencePolicy:
         ):
             self.degraded = True
             reason = f"{op}: {exc}"
-            self.log.record_degradation(self.clock.now, reason, self.failures)
+            self.log.record(
+                DegradationEvent(self.clock.now, reason, self.failures)
+            )
             self.clock.record_event("h2_degraded", 0.0)
 
     # ------------------------------------------------------------------

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ...clock import Bucket
+from ...faults.events import AdoptionEvent
 from ...heap.object_model import HeapObject
 from ...runtime import JavaVM
 from ...serdes.serializer import SerializedBlob
@@ -146,10 +147,12 @@ class BlockManager:
                 self.recomputes += 1
                 log = self._log()
                 if log is not None:
-                    log.record_adoption(
-                        self.vm.clock.now,
-                        block_label(rdd.cache_label, index),
-                        "recomputed",
+                    log.record(
+                        AdoptionEvent(
+                            self.vm.clock.now,
+                            block_label(rdd.cache_label, index),
+                            "recomputed",
+                        )
                     )
             part = compute(index)
             with self.vm.roots.frame() as frame:
@@ -534,7 +537,9 @@ class BlockManager:
                 self.lost_blocks += 1
             self._dropped_keys.add(key)
             if log is not None:
-                log.record_adoption(vm.clock.now, label, outcome, detail)
+                log.record(
+                    AdoptionEvent(vm.clock.now, label, outcome, detail)
+                )
             return outcome
 
         if label in quarantined_labels:
@@ -569,8 +574,10 @@ class BlockManager:
         self.adoptions += 1
         self.adopted_bytes += part.size_bytes
         if log is not None:
-            log.record_adoption(
-                vm.clock.now, label, "adopted", f"{part.size_bytes}B"
+            log.record(
+                AdoptionEvent(
+                    vm.clock.now, label, "adopted", f"{part.size_bytes}B"
+                )
             )
         return "adopted"
 

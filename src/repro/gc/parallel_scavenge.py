@@ -239,9 +239,7 @@ class ParallelScavenge(Collector):
             ref_cost = cost.gc_ref_cost
             for card in heap.card_table.dirty_cards():
                 lo, hi = heap.card_table.card_range(card)
-                on_card = [
-                    o.oid for o in heap.old.objects_overlapping(lo, hi)
-                ]
+                on_card = heap.old.oids_overlapping(lo, hi)
                 scanned_cards.append((card, on_card))
                 work = 0.0
                 for old_oid in on_card:

@@ -1,12 +1,7 @@
 """Result collection: execution-time breakdowns, per-run reports, and
 GC-schedule trace export (CSV + Chrome Trace Event JSON)."""
 
-from .chrome_trace import (
-    chrome_trace_events,
-    chrome_trace_json,
-    vm_engine,
-    write_chrome_trace,
-)
+from .chrome_trace import chrome_trace_events, chrome_trace_json, vm_engine
 from .report import ExperimentResult, collect_result, normalize
 
 __all__ = [
@@ -16,5 +11,4 @@ __all__ = [
     "collect_result",
     "normalize",
     "vm_engine",
-    "write_chrome_trace",
 ]

@@ -70,100 +70,16 @@ def _instant(
 def resilience_trace_events(log: Any) -> List[Dict[str, Any]]:
     """A :class:`~repro.faults.events.ResilienceLog` as instant events.
 
-    Faults, retries, stalls, health/circuit transitions, degradations,
-    crashes, recoveries, executor restarts and block adoptions render
-    as global instant markers ("ph": "i",
+    Every logged event (faults, retries, stalls, health/circuit
+    transitions, degradations, crashes, recoveries, executor restarts
+    and block adoptions) renders as a global instant marker ("ph": "i",
     scope "g"), so fault activity lines up against the GC task lanes on
-    the same timeline.
+    the same timeline.  Markers are sorted by ``ts``; ties keep the
+    log's kind order, then record order.
     """
-    events: List[Dict[str, Any]] = []
     if log is None:
-        return events
-    for ev in log.faults:
-        events.append(
-            _instant(
-                ev.time,
-                f"fault:{ev.kind}",
-                {"device": ev.device, "op": ev.op, "detail": ev.detail},
-            )
-        )
-    for ev in log.retries:
-        events.append(
-            _instant(
-                ev.time,
-                "retry",
-                {
-                    "op": ev.op,
-                    "attempts": ev.attempts,
-                    "delay_s": ev.delay,
-                    "success": ev.success,
-                },
-            )
-        )
-    for ev in log.stalls:
-        events.append(
-            _instant(
-                ev.time,
-                "stall",
-                {"device": ev.device, "op": ev.op, "seconds": ev.seconds},
-            )
-        )
-    for ev in log.health:
-        events.append(
-            _instant(
-                ev.time,
-                f"health:{ev.new}",
-                {"device": ev.device, "from": ev.old, "reason": ev.reason},
-            )
-        )
-    for ev in log.circuit:
-        events.append(
-            _instant(
-                ev.time,
-                f"circuit:{ev.new}",
-                {"from": ev.old, "reason": ev.reason},
-            )
-        )
-    for ev in log.degradations:
-        events.append(
-            _instant(
-                ev.time,
-                "degradation",
-                {"reason": ev.reason, "failures": ev.failures},
-            )
-        )
-    for ev in log.crashes:
-        events.append(
-            _instant(ev.time, f"crash:{ev.safepoint}", {"detail": ev.detail})
-        )
-    for ev in log.recoveries:
-        events.append(
-            _instant(
-                ev.time,
-                "recovery",
-                {
-                    "recovered": ev.recovered,
-                    "quarantined": ev.quarantined,
-                    "detail": ev.detail,
-                },
-            )
-        )
-    for ev in log.restarts:
-        events.append(
-            _instant(
-                ev.time,
-                "restart",
-                {"incarnation": ev.incarnation, "detail": ev.detail},
-            )
-        )
-    for ev in log.adoptions:
-        events.append(
-            _instant(
-                ev.time,
-                f"adoption:{ev.outcome}",
-                {"label": ev.label, "detail": ev.detail},
-            )
-        )
+        return []
+    events = [_instant(ev.time, *ev.instant()) for ev in log.grouped()]
     events.sort(key=lambda e: e["ts"])
     return events
 
@@ -289,12 +205,23 @@ def server_trace_events(box: Any) -> List[Dict[str, Any]]:
     return events
 
 
+def _document(
+    other_data: Dict[str, Any], events: List[Dict[str, Any]]
+) -> str:
+    """A Chrome Trace Event document, serialized deterministically."""
+    doc = {
+        "displayTimeUnit": "ms",
+        "otherData": other_data,
+        "traceEvents": events,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def server_chrome_trace_json(box: Any, label: str = "serverscale") -> str:
     """Serialize a finished server box as a Chrome Trace document."""
     report = box._report()
-    doc = {
-        "displayTimeUnit": "ms",
-        "otherData": {
+    return _document(
+        {
             "label": label,
             "tenants": box.spec.tenants,
             "arbiter": box.spec.arbiter,
@@ -304,9 +231,8 @@ def server_chrome_trace_json(box: Any, label: str = "serverscale") -> str:
             "deviceBusyFraction": round(report.device_busy_fraction, 6),
             "fairnessGap": round(report.fairness_gap, 6),
         },
-        "traceEvents": server_trace_events(box),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        server_trace_events(box),
+    )
 
 
 def chrome_trace_json(
@@ -323,9 +249,8 @@ def chrome_trace_json(
     events = chrome_trace_events(engine)
     events.extend(resilience_trace_events(resilience))
     events.extend(streaming_counter_events(streaming))
-    doc = {
-        "displayTimeUnit": "ms",
-        "otherData": {
+    return _document(
+        {
             "label": label,
             "workers": getattr(engine, "workers", 0),
             "phases": getattr(engine, "total_phases", 0),
@@ -343,26 +268,10 @@ def chrome_trace_json(
             # execution order (tasks/steals/idle/imbalance per phase).
             "phaseStats": list(getattr(engine, "phase_log", [])),
         },
-        "traceEvents": events,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        events,
+    )
 
 
 def vm_engine(vm: Any) -> Optional[Any]:
     """The GC task engine of a VM's collector, if it has one."""
     return getattr(getattr(vm, "collector", None), "engine", None)
-
-
-def write_chrome_trace(
-    path: str, engine: Any, label: str = "run", resilience: Any = None,
-    streaming: Any = None,
-) -> None:
-    """Write the engine's schedule to ``path`` (open with Perfetto or
-    ``chrome://tracing``)."""
-    with open(path, "w") as f:
-        f.write(
-            chrome_trace_json(
-                engine, label=label, resilience=resilience,
-                streaming=streaming,
-            )
-        )

@@ -1,18 +1,19 @@
 """GC/execution trace export (CSV), the raw series behind the figures.
 
 The paper's artifact emits CSVs that its plotting scripts consume; this
-module provides the same: per-cycle GC records (Figure 7), the execution
-breakdown (Figures 6/8/12), and per-region liveness (Figure 10).
+module provides the same: per-cycle GC records (Figure 7) and
+per-region liveness (Figure 10), plus the streaming, server and
+resilience ledgers of the gated experiments.  Every exporter is one
+header and one row per record through :func:`_csv`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, List
+from typing import Iterable, List, Sequence
 
 from ..gc.base import GCCycle
-from ..runtime import JavaVM
 from ..teraheap.regions import RegionLiveness
 
 
@@ -38,11 +39,18 @@ def engine_phase_detail(cycle: GCCycle) -> str:
     )
 
 
-def gc_timeline_csv(cycles: Iterable[GCCycle]) -> str:
-    """CSV of per-cycle GC records: the Figure 7 series."""
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """``header`` then ``rows`` as CSV text with ``\\n`` line ends."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def gc_timeline_csv(cycles: Iterable[GCCycle]) -> str:
+    """CSV of per-cycle GC records: the Figure 7 series."""
+    return _csv(
         [
             "kind",
             "start_time_s",
@@ -67,10 +75,8 @@ def gc_timeline_csv(cycles: Iterable[GCCycle]) -> str:
             "concurrent_hidden_s",
             "remark_pause_s",
             "engine_phases",
-        ]
-    )
-    for c in cycles:
-        writer.writerow(
+        ],
+        (
             [
                 c.kind,
                 f"{c.start_time:.6f}",
@@ -96,28 +102,14 @@ def gc_timeline_csv(cycles: Iterable[GCCycle]) -> str:
                 f"{c.remark_pause:.6f}",
                 engine_phase_detail(c),
             ]
-        )
-    return out.getvalue()
-
-
-def breakdown_csv(vm: JavaVM, label: str = "run") -> str:
-    """One-row CSV of the four-way execution-time breakdown."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    breakdown = vm.breakdown()
-    writer.writerow(["label", "total_s"] + list(breakdown))
-    writer.writerow(
-        [label, f"{vm.elapsed():.6f}"]
-        + [f"{v:.6f}" for v in breakdown.values()]
+            for c in cycles
+        ),
     )
-    return out.getvalue()
 
 
 def region_liveness_csv(liveness: List[RegionLiveness]) -> str:
     """CSV of per-region liveness: the Figure 10 CDF inputs."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
+    return _csv(
         [
             "total_objects",
             "live_objects",
@@ -126,10 +118,8 @@ def region_liveness_csv(liveness: List[RegionLiveness]) -> str:
             "live_bytes",
             "live_space_fraction",
             "unused_fraction",
-        ]
-    )
-    for lv in liveness:
-        writer.writerow(
+        ],
+        (
             [
                 lv.total_objects,
                 lv.live_objects,
@@ -139,8 +129,9 @@ def region_liveness_csv(liveness: List[RegionLiveness]) -> str:
                 f"{lv.live_space_fraction:.4f}",
                 f"{lv.unused_fraction:.4f}",
             ]
-        )
-    return out.getvalue()
+            for lv in liveness
+        ),
+    )
 
 
 def streaming_blocks_csv(result) -> str:
@@ -152,23 +143,9 @@ def streaming_blocks_csv(result) -> str:
     (consumed / persisted / spilled-h2 / spilled-ser), plus a trailing
     ``totals`` row carrying the run-wide streaming counters.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["partition", "block", "chunks", "bytes", "admit_stalls", "fate"]
-    )
-    for row in result.block_rows:
-        writer.writerow(
-            [
-                row["partition"],
-                row["block"],
-                row["chunks"],
-                row["bytes"],
-                row["admit_stalls"],
-                row["fate"],
-            ]
-        )
-    writer.writerow(
+    columns = ["partition", "block", "chunks", "bytes", "admit_stalls", "fate"]
+    rows = [[row[name] for name in columns] for row in result.block_rows]
+    rows.append(
         [
             "totals",
             result.blocks,
@@ -181,7 +158,7 @@ def streaming_blocks_csv(result) -> str:
             f"hidden_s={result.hidden_seconds:.6f}",
         ]
     )
-    return out.getvalue()
+    return _csv(columns, rows)
 
 
 def server_tenants_csv(report) -> str:
@@ -191,172 +168,67 @@ def server_tenants_csv(report) -> str:
     ``box`` row carries the aggregate (makespan, throughput, device
     saturation, fairness gap, arbitration epochs).
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
+    header = [
+        "tenant",
+        "dataset_bytes",
+        "processed_bytes",
+        "finish_s",
+        "velocity_bps",
+        "progress_rate",
+        "gc_s",
+        "stall_s",
+        "alloc_stalls",
+        "pauses",
+        "p99_pause_s",
+        "h2_moved_bytes",
+        "cache_hit_ratio",
+        "device_read",
+        "device_written",
+    ]
+    rows = [
         [
-            "tenant",
-            "dataset_bytes",
-            "processed_bytes",
-            "finish_s",
-            "velocity_bps",
-            "progress_rate",
-            "gc_s",
-            "stall_s",
-            "alloc_stalls",
-            "pauses",
-            "p99_pause_s",
-            "h2_moved_bytes",
-            "cache_hit_ratio",
-            "device_read",
-            "device_written",
+            t.name,
+            t.dataset_bytes,
+            t.processed_bytes,
+            f"{t.finish_time:.6f}",
+            f"{t.velocity:.3f}",
+            f"{t.progress_rate:.6f}",
+            f"{t.gc_seconds:.6f}",
+            f"{t.stall_seconds:.6f}",
+            t.alloc_stalls,
+            t.pauses,
+            f"{t.p99_pause:.6f}",
+            t.h2_moved_bytes,
+            f"{t.cache_hit_ratio:.4f}",
+            t.device_read,
+            t.device_written,
         ]
-    )
-    for t in report.tenants:
-        writer.writerow(
-            [
-                t.name,
-                t.dataset_bytes,
-                t.processed_bytes,
-                f"{t.finish_time:.6f}",
-                f"{t.velocity:.3f}",
-                f"{t.progress_rate:.6f}",
-                f"{t.gc_seconds:.6f}",
-                f"{t.stall_seconds:.6f}",
-                t.alloc_stalls,
-                t.pauses,
-                f"{t.p99_pause:.6f}",
-                t.h2_moved_bytes,
-                f"{t.cache_hit_ratio:.4f}",
-                t.device_read,
-                t.device_written,
-            ]
-        )
-    writer.writerow(
-        [
-            "box",
-            report.spec_tenants,
-            "arbiter" if report.arbiter else "static",
-            f"{report.makespan:.6f}",
-            f"{report.aggregate_throughput:.3f}",
-            f"{report.fairness_gap:.6f}",
-            f"{report.device_busy_fraction:.6f}",
-            f"epochs={report.epochs}",
-            "",
-            "",
-            "",
-            "",
-            "",
-            "",
-            "",
-        ]
-    )
-    return out.getvalue()
+        for t in report.tenants
+    ]
+    box = [
+        "box",
+        report.spec_tenants,
+        "arbiter" if report.arbiter else "static",
+        f"{report.makespan:.6f}",
+        f"{report.aggregate_throughput:.3f}",
+        f"{report.fairness_gap:.6f}",
+        f"{report.device_busy_fraction:.6f}",
+        f"epochs={report.epochs}",
+    ]
+    rows.append(box + [""] * (len(header) - len(box)))
+    return _csv(header, rows)
 
 
 def resilience_events_csv(log) -> str:
-    """CSV of a :class:`~repro.faults.events.ResilienceLog`'s timeline."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["time_s", "event", "op_or_device", "kind", "detail"])
-    for event in log.faults:
-        writer.writerow(
-            [f"{event.time:.6f}", "fault", event.device, event.kind, event.detail]
-        )
-    for event in log.retries:
-        kind = "success" if event.success else "exhausted"
-        if not event.success and event.reason:
-            kind = f"exhausted:{event.reason}"
-        writer.writerow(
-            [
-                f"{event.time:.6f}",
-                "retry",
-                event.op,
-                kind,
-                f"attempts={event.attempts} backoff={event.delay:.6f}",
-            ]
-        )
-    for event in log.stalls:
-        writer.writerow(
-            [
-                f"{event.time:.6f}",
-                "stall",
-                event.device,
-                event.op,
-                f"seconds={event.seconds:.6f}",
-            ]
-        )
-    for event in log.health:
-        writer.writerow(
-            [
-                f"{event.time:.6f}",
-                "health",
-                event.device,
-                f"{event.old}->{event.new}",
-                event.reason,
-            ]
-        )
-    for event in log.circuit:
-        writer.writerow(
-            [
-                f"{event.time:.6f}",
-                "circuit",
-                "h2-governor",
-                f"{event.old}->{event.new}",
-                event.reason,
-            ]
-        )
-    for event in log.degradations:
-        writer.writerow(
-            [
-                f"{event.time:.6f}",
-                "degradation",
-                "h2",
-                f"failures={event.failures}",
-                event.reason,
-            ]
-        )
-    for event in log.crashes:
-        writer.writerow(
-            [
-                f"{event.time:.6f}",
-                "crash",
-                "process",
-                event.safepoint,
-                event.detail,
-            ]
-        )
-    for event in log.recoveries:
-        writer.writerow(
-            [
-                f"{event.time:.6f}",
-                "recovery",
-                "h2",
-                f"recovered={event.recovered} quarantined={event.quarantined}",
-                event.detail,
-            ]
-        )
-    for event in log.restarts:
-        writer.writerow(
-            [
-                f"{event.time:.6f}",
-                "restart",
-                "executor",
-                f"incarnation={event.incarnation}",
-                event.detail,
-            ]
-        )
-    for event in log.adoptions:
-        writer.writerow(
-            [
-                f"{event.time:.6f}",
-                "adoption",
-                event.label,
-                event.outcome,
-                event.detail,
-            ]
-        )
-    return out.getvalue()
+    """CSV of a :class:`~repro.faults.events.ResilienceLog`'s timeline,
+    grouped by event kind."""
+    return _csv(
+        ["time_s", "event", "op_or_device", "kind", "detail"],
+        (
+            [f"{event.time:.6f}", event.event, *event.cells()]
+            for event in log.grouped()
+        ),
+    )
 
 
 def write_csv(path: str, content: str) -> None:

@@ -141,13 +141,7 @@ class JavaVM:
                             self.clock, gov_cfg.health
                         )
                     log = self.resilience.log
-                    self.health.add_listener(
-                        lambda t: log.record_health(
-                            t.time, t.device, t.old.value, t.new.value,
-                            t.reason,
-                        ),
-                        owner=self,
-                    )
+                    self.health.add_listener(log.record, owner=self)
                     self.resilience.attach_monitor(self.health)
                     self.governor = H2Governor(
                         gov_cfg, self.health, self.clock, log=log,

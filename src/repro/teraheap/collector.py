@@ -27,6 +27,7 @@ import numpy as np
 from ..clock import Clock
 from ..config import VMConfig
 from ..errors import DeviceFullError, SegmentationFault, SimulatedCrash
+from ..faults.events import CrashEvent
 from ..gc.engine import TaskBag, chunked_sweep
 from ..gc.parallel_scavenge import Movers, ParallelScavenge
 from ..heap.heap import ManagedHeap
@@ -155,9 +156,7 @@ class TeraHeapCollector(ParallelScavenge):
             if region is None or region.is_empty:
                 table.set_state(card, CardState.CLEAN)
                 continue
-            on_card = [
-                o.oid for o in region.objects_overlapping(lo, hi)
-            ]
+            on_card = region.oids_overlapping(lo, hi)
             # Reading device-resident objects to inspect their references.
             self.h2.scan_load(lo, hi - lo)
             card_work = 0.0
@@ -504,7 +503,7 @@ class TeraHeapCollector(ParallelScavenge):
                 continue
             # Recompute the segment's contents: pre-compaction may have
             # placed fresh movers into this card since the marking scan.
-            oids = [o.oid for o in region.objects_overlapping(lo, hi)]
+            oids = region.oids_overlapping(lo, hi)
             has_backward = any(
                 space_arr[t] <= SPACE_OLD or fwd_space_arr[t] != NO_SPACE
                 for oid in oids
@@ -631,10 +630,12 @@ class TeraHeapCollector(ParallelScavenge):
                     # objects and all DRAM metadata die with the process.
                     log = self.h2.page_cache.resilience_log
                     if log is not None:
-                        log.record_crash(
-                            self.clock.now,
-                            "major_compact",
-                            f"batch {seq} of {len(batch)} objects",
+                        log.record(
+                            CrashEvent(
+                                self.clock.now,
+                                "major_compact",
+                                f"batch {seq} of {len(batch)} objects",
+                            )
                         )
                     raise SimulatedCrash(
                         "simulated kill mid major-GC compaction "

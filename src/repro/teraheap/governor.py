@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from ..clock import Clock
 from ..devices.health import DeviceHealthMonitor, DeviceState, HealthTransition
@@ -47,7 +47,12 @@ class CircuitState(enum.Enum):
 
 @dataclass
 class CircuitTransition:
-    """One circuit-state change, timestamped on the simulated clock."""
+    """One circuit-state change, timestamped on the simulated clock.
+
+    Also a resilience-log event (see :mod:`repro.faults.events`).
+    """
+
+    event: ClassVar[str] = "circuit"
 
     time: float
     old: CircuitState
@@ -59,6 +64,16 @@ class CircuitTransition:
             f"{self.time:.6f}\t{self.old.value}->{self.new.value}"
             f"\t{self.reason}"
         )
+
+    def cells(self) -> Tuple[Any, Any, Any]:
+        return (
+            "h2-governor", f"{self.old.value}->{self.new.value}", self.reason
+        )
+
+    def instant(self) -> Tuple[str, Dict[str, Any]]:
+        return f"circuit:{self.new.value}", {
+            "from": self.old.value, "reason": self.reason
+        }
 
 
 class H2Governor:
@@ -128,13 +143,10 @@ class H2Governor:
             return
         old = self.state
         self.state = new
-        self.transitions.append(
-            CircuitTransition(self.clock.now, old, new, reason)
-        )
+        transition = CircuitTransition(self.clock.now, old, new, reason)
+        self.transitions.append(transition)
         if self.log is not None:
-            self.log.record_circuit(
-                self.clock.now, old.value, new.value, reason
-            )
+            self.log.record(transition)
         self.clock.record_event(f"governor_{new.value}", 0.0)
 
     # ------------------------------------------------------------------

@@ -35,6 +35,7 @@ from ..errors import (
     SimulatedCrash,
     UnrecoverableCrash,
 )
+from ..faults.events import CrashEvent, RecoveryEvent
 from ..heap.object_model import HeapObject
 from ..heap.store import FLAG_H2_CANDIDATE, SPACE_FREED, SPACE_H2
 from .h2_card_table import CardState, H2CardTable
@@ -439,10 +440,12 @@ class H2Heap:
                     image.commit_superblock(epoch, manifest, note)
                 log = self.page_cache.resilience_log
                 if log is not None:
-                    log.record_crash(
-                        self.clock.now,
-                        "epoch_commit",
-                        f"epoch={epoch} cut={cut}/1",
+                    log.record(
+                        CrashEvent(
+                            self.clock.now,
+                            "epoch_commit",
+                            f"epoch={epoch} cut={cut}/1",
+                        )
                     )
                 raise SimulatedCrash(
                     f"simulated kill committing epoch {epoch}",
@@ -594,11 +597,13 @@ class H2Heap:
         self.checkpoint_note = image.checkpoint_note
         self.recovery_report = report
         if self.resilience is not None:
-            self.resilience.log.record_recovery(
-                self.clock.now,
-                report.regions_recovered,
-                report.regions_quarantined,
-                detail=f"epoch={report.committed_epoch}",
+            self.resilience.log.record(
+                RecoveryEvent(
+                    self.clock.now,
+                    report.regions_recovered,
+                    report.regions_quarantined,
+                    detail=f"epoch={report.committed_epoch}",
+                )
             )
         return report
 

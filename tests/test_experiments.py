@@ -133,6 +133,18 @@ def test_fig13_thread_scaling_directions():
     # Spark-SD stalls (GC pressure grows); TeraHeap keeps scaling.
     assert th16.total < th8.total
     assert (sd16.total / sd8.total) > (th16.total / th8.total)
+    # CC and CDLP: TeraHeap gains more from 16 threads than its baseline.
+    for workload, base, th in [
+        ("CC", "spark-sd", "teraheap"),
+        ("CDLP", "giraph-ooc", "giraph-th"),
+    ]:
+        ratio = {}
+        for system in (base, th):
+            runs = results[workload][system]
+            r8, r16 = runs[8], runs[16]
+            assert not (r8.oom or r16.oom)
+            ratio[system] = r16.total / r8.total
+        assert ratio[th] < ratio[base], (workload, ratio)
 
 
 def test_runner_oom_is_captured_not_raised():

@@ -233,14 +233,6 @@ class TestTraceExport:
         assert lines[1].startswith("minor,")
         assert lines[2].startswith("major,")
 
-    def test_breakdown_csv(self):
-        vm = JavaVM(VMConfig(heap_size=gb(4)))
-        vm.allocate(1024)
-        csv_text = trace.breakdown_csv(vm, label="x")
-        lines = csv_text.strip().splitlines()
-        assert "other" in lines[0]
-        assert lines[1].startswith("x,")
-
     def test_region_liveness_csv(self, tmp_path):
         from repro.teraheap.regions import RegionLiveness
 

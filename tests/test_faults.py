@@ -35,6 +35,7 @@ from repro.faults import (
     FaultPlan,
     ResilienceLog,
     ResiliencePolicy,
+    RetryEvent,
     RetryPolicy,
 )
 from repro.heap.object_model import HeapObject, SpaceId
@@ -215,7 +216,7 @@ def test_retry_does_not_touch_persistent_faults():
     with pytest.raises(DeviceIOError):
         retry.call("op", broken)
     assert calls["n"] == 1
-    assert not retry.log.retries
+    assert not retry.log.of(RetryEvent)
 
 
 def test_exhaustion_degrades_then_falls_back():

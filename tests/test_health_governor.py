@@ -10,7 +10,7 @@ from repro.devices.health import (
     HealthConfig,
 )
 from repro.errors import DeviceIOError, OutOfMemoryError
-from repro.faults.events import ResilienceLog
+from repro.faults.events import ResilienceLog, RetryEvent
 from repro.faults.plan import FaultConfig
 from repro.faults.policy import RetryPolicy
 from repro.frameworks.spark.block_manager import BlockManager
@@ -283,8 +283,8 @@ class TestRetryJitterDeadline:
 
         with pytest.raises(DeviceIOError):
             policy.call("write", always_fail)
-        assert log.retries[-1].success is False
-        assert log.retries[-1].reason == "deadline"
+        assert log.of(RetryEvent)[-1].success is False
+        assert log.of(RetryEvent)[-1].reason == "deadline"
         assert log.deadline_exhaustions == 1
         # The deadline bounds total charged backoff.
         assert clock.now <= cfg.retry_deadline
@@ -300,7 +300,7 @@ class TestRetryJitterDeadline:
 
         with pytest.raises(DeviceIOError):
             policy.call("write", always_fail)
-        assert log.retries[-1].reason == "attempts"
+        assert log.of(RetryEvent)[-1].reason == "attempts"
         assert log.deadline_exhaustions == 0
 
 

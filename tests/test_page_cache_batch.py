@@ -35,6 +35,7 @@ from repro.devices.nvm import NVM, NVMMemoryMode
 from repro.devices.nvme import NVMeSSD
 from repro.devices.page_cache import PageCache
 from repro.errors import DeviceIOError
+from repro.faults.events import FaultEvent
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.frameworks.spark import CachePolicy, SparkConf, SparkContext
@@ -316,7 +317,7 @@ def run_faulted_reads(config, sizes, requests, batched: bool):
         error,
         plan.op_index,
         repr(injector.log.summary()),
-        [(f.time.hex(), f.op, f.kind) for f in injector.log.faults],
+        [(f.time.hex(), f.op, f.kind) for f in injector.log.of(FaultEvent)],
         device_state(injector.inner, clock),
     )
 
