@@ -29,9 +29,13 @@ class RunSession:
         self._policies: List[Tuple[FaultPlan, ResilienceLog]] = []
         self._tallies: List[object] = []
 
+    def tracks(self, policy: ResiliencePolicy) -> bool:
+        """Whether ``policy`` is counted in the summary."""
+        return any(plan is policy.plan for plan, _ in self._policies)
+
     def track_policy(self, policy: ResiliencePolicy) -> None:
         """Count ``policy`` in the summary (once, however often tracked)."""
-        if all(plan is not policy.plan for plan, _ in self._policies):
+        if not self.tracks(policy):
             self._policies.append((policy.plan, policy.log))
 
     def track_auditor(self, auditor) -> None:
