@@ -3,96 +3,32 @@
 Usage::
 
     python -m repro list
-    python -m repro fig06 --workloads PR LR --scale 0.5
-    python -m repro fig12 --panel spark-mo
+    python -m repro fig06 --smoke
+    python -m repro fig08
     python -m repro gcscale --smoke
     python -m repro phoenix --csv-out phoenix.csv --trace-out phoenix.json
 
-Figures and tables take ``--workloads``, ``--scale`` and ``--panel``.
-The gated experiments run on the experiment harness (``--smoke`` picks
-the small matrix; exit 1 on digest drift or a failed check), and those
-with an exporter take ``--csv-out``/``--trace-out``.  Every experiment
-takes ``--faults SEED`` (with ``--fault-rate``), ``--fault-seed`` and
-``--audit``; the first and last arm one
-:class:`~repro.faults.session.RunSession` that every VM the experiment
-builds takes its defaults from and reports into.
+Every experiment — the paper's figures and tables and the gated
+experiments — runs on the experiment harness: ``--smoke`` picks the
+small matrix tier-1 runs, every cell runs twice, and the exit status is
+1 on digest drift or a failed check.  Those with an exporter take
+``--csv-out``/``--trace-out``.  Every experiment takes ``--faults SEED``
+(with ``--fault-rate``), ``--fault-seed`` and ``--audit``; the first and
+last arm one :class:`~repro.faults.session.RunSession` that every VM the
+experiment builds takes its defaults from and reports into.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict
 
 from .faults.plan import FaultConfig
 from .faults.session import RunSession
-from .experiments import (
-    barrier,
-    fig06,
-    fig07,
-    fig08,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    harness,
-    table5,
-)
+from .experiments import harness
 
-
-def _fig06(args: argparse.Namespace, session: RunSession) -> str:
-    text = fig06.format_results(
-        fig06.run_spark(
-            workloads=args.workloads, scale=args.scale, session=session
-        )
-    )
-    if not args.workloads:
-        text += "\n" + fig06.format_results(fig06.run_giraph(session=session))
-    return text
-
-
-#: figure/table name -> report text for the parsed arguments and session
-FIGURES: Dict[str, Callable[[argparse.Namespace, RunSession], str]] = {
-    "table5": lambda a, s: table5.format_results(table5.run()),
-    "barrier": lambda a, s: barrier.format_result(barrier.run(session=s)),
-    "fig06": _fig06,
-    "fig07": lambda a, s: fig07.format_results(
-        fig07.run(scale=a.scale, session=s)
-    ),
-    "fig08": lambda a, s: fig08.format_results(
-        fig08.run(workloads=a.workloads, scale=a.scale, session=s)
-    ),
-    "fig09a": lambda a, s: fig09.format_pairs(
-        fig09.run_hint_ablation(a.workloads, session=s)
-    ),
-    "fig09b": lambda a, s: fig09.format_pairs(
-        fig09.run_low_threshold_ablation(session=s)
-    ),
-    "fig10": lambda a, s: fig10.format_results(
-        fig10.run(workloads=a.workloads, session=s)
-    ),
-    "fig11a": lambda a, s: fig11.format_card_sweep(
-        fig11.run_card_segment_sweep(workloads=a.workloads, session=s)
-    ),
-    "fig11b": lambda a, s: fig11.format_phases(
-        fig11.run_major_phase_breakdown(workloads=a.workloads, session=s)
-    ),
-    "fig12": lambda a, s: fig12.format_pairs(
-        fig12.run_panel(
-            a.panel, workloads=a.workloads, scale=a.scale, session=s
-        )
-    ),
-    "fig13a": lambda a, s: fig13.format_thread_scaling(
-        fig13.run_thread_scaling(scale=a.scale, session=s)
-    ),
-    "fig13b": lambda a, s: fig13.format_dataset_scaling(
-        fig13.run_dataset_scaling(scale=a.scale, session=s)
-    ),
-}
-
-#: gated experiment name -> harness spec
-GATED = harness.specs()
+#: experiment name -> harness spec, in CLI order
+SPECS = harness.specs()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,19 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="verify heap invariants after every GC cycle",
     )
-    figure = argparse.ArgumentParser(add_help=False)
-    figure.add_argument(
-        "--workloads", nargs="*", default=None, help="subset of workloads"
-    )
-    figure.add_argument(
-        "--scale", type=float, default=1.0, help="iteration-count scale"
-    )
-    figure.add_argument(
-        "--panel",
-        default="spark-sd",
-        choices=["spark-sd", "spark-mo", "panthera"],
-        help="figure 12 panel",
-    )
 
     parser = argparse.ArgumentParser(
         prog="repro", description="TeraHeap reproduction experiment runner"
@@ -146,19 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
         dest="experiment", required=True, metavar="experiment"
     )
     sub.add_parser("list", help="print every experiment name")
-    for name in FIGURES:
-        sub.add_parser(name, parents=[common, figure], help="paper result")
-    for name, spec in GATED.items():
-        gated = sub.add_parser(name, parents=[common], help=spec.description)
-        gated.add_argument(
+    for name, spec in SPECS.items():
+        experiment = sub.add_parser(
+            name, parents=[common], help=spec.description
+        )
+        experiment.add_argument(
             "--smoke", action="store_true", help="the small CI matrix"
         )
         if spec.csv:
-            gated.add_argument(
+            experiment.add_argument(
                 "--csv-out", metavar="PATH", help="write the CSV artifact"
             )
         if spec.trace:
-            gated.add_argument(
+            experiment.add_argument(
                 "--trace-out",
                 metavar="PATH",
                 help="write the Chrome-trace artifact",
@@ -171,11 +94,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
-        print("\n".join([*FIGURES, *GATED]))
+        print("\n".join(SPECS))
         return 0
 
+    spec = SPECS[args.experiment]
     if args.fault_rate is not None and args.faults is None:
         parser.error("--fault-rate has no effect without --faults")
+    seeded = any("fault_seed" in p for _, p in spec.cells(args.smoke))
+    if args.fault_seed is not None and args.faults is None and not seeded:
+        parser.error("--fault-seed has no effect on this matrix without --faults")
     faults = None
     if args.faults is not None:
         rate = 0.01 if args.fault_rate is None else args.fault_rate
@@ -189,18 +116,14 @@ def main(argv=None) -> int:
             device_full_rate=rate / 10,
         )
     session = RunSession(faults=faults, audit=args.audit)
-    status = 0
-    if args.experiment in FIGURES:
-        print(FIGURES[args.experiment](args, session))
-    else:
-        status = harness.run_cli(
-            GATED[args.experiment],
-            smoke=args.smoke,
-            fault_seed=args.fault_seed,
-            csv_out=getattr(args, "csv_out", None),
-            trace_out=getattr(args, "trace_out", None),
-            session=session,
-        )
+    status = harness.run_cli(
+        spec,
+        smoke=args.smoke,
+        fault_seed=args.fault_seed,
+        csv_out=getattr(args, "csv_out", None),
+        trace_out=getattr(args, "trace_out", None),
+        session=session,
+    )
 
     if args.faults is not None or args.audit is not None:
         summary = session.summary()

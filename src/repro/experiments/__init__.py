@@ -1,9 +1,8 @@
-"""Experiment drivers: one module per paper figure/table.
+"""Experiment drivers: one module per paper figure/table and per gated
+experiment, each exposing a harness ``SPEC`` (see :mod:`.harness`).
 
-Every driver exposes ``run(scale=1.0)`` returning a structured result the
-benchmarks print, with ``scale`` shrinking iteration counts for quick
-runs.  ``configs`` encodes Tables 1-4; ``runner`` builds configured VMs
-and executes workloads under each system.
+``configs`` encodes Tables 1-4; ``runner`` builds configured VMs and
+executes workloads under each system.
 """
 
 from . import configs, runner

@@ -8,7 +8,7 @@ cache (DR2); Giraph's DR2 is per-workload (Table 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: DRAM reserved for system use (driver + page cache) in Spark runs (§6)
 SPARK_DR2_GB = 16
@@ -76,6 +76,26 @@ GIRAPH_WORKLOADS_TABLE4: Dict[str, GiraphWorkloadConfig] = {
     "SSSP": GiraphWorkloadConfig("SSSP", 90, [78, 90], 75, 15, 50, 40),
 }
 
+#: dataset GB of the Giraph cells in the figures' smoke matrices; their
+#: DRAM shrinks by the same ratio (Figure 13b's rule), which keeps every
+#: direction the smoke checks assert at about a quarter of the run time
+SMOKE_GIRAPH_DATASET_GB = 25
+
+
+def giraph_size(
+    workload: str, smoke: bool, dram_gb: Optional[int] = None
+) -> Dict[str, Optional[int]]:
+    """A Giraph cell's ``dram_gb``/``dataset_gb`` parameters: Table 4's
+    (``dram_gb`` defaults to the largest point), or scaled down to
+    :data:`SMOKE_GIRAPH_DATASET_GB`."""
+    cfg = GIRAPH_WORKLOADS_TABLE4[workload]
+    dram = cfg.drams[-1] if dram_gb is None else dram_gb
+    if not smoke:
+        return dict(dram_gb=dram, dataset_gb=None)
+    dataset = SMOKE_GIRAPH_DATASET_GB
+    return dict(dram_gb=int(dataset * dram / cfg.dataset_gb), dataset_gb=dataset)
+
+
 #: Figure 12(c): Panthera comparison configuration (§7.5) — 64 GB heap,
 #: 16 GB DRAM component, young gen 1/6 on DRAM, old gen 6 GB DRAM + 48 GB
 #: NVM; TeraHeap gets a 16 GB H1 and H2 on NVM.
@@ -88,13 +108,8 @@ TERAHEAP_H1_VS_PANTHERA_GB = 16
 #: Figure 12(c) workload list (KMeans appears here only)
 PANTHERA_WORKLOADS = ["PR", "CC", "SSSP", "SVD", "LR", "LgR", "KM", "SVM", "BC"]
 
-#: Figure 13(a): thread-scaling workloads and thread counts
+#: Figure 13(a): thread counts
 SCALING_THREADS = [4, 8, 16]
-SCALING_WORKLOADS: List[Tuple[str, str]] = [
-    ("spark", "CC"),
-    ("spark", "LR"),
-    ("giraph", "CDLP"),
-]
 
 #: Figure 13(b): small vs large dataset GB per workload
 DATASET_SCALING: Dict[str, Tuple[int, int]] = {

@@ -5,73 +5,94 @@ TeraHeap at its two points; for every Giraph workload, Giraph-OOC and
 TeraHeap run at the Table 4 DRAM points.  Results are normalised to the
 first non-OOM bar, and OOM bars are reported as missing — reproducing
 both the speedups (up to 73% / 28%) and the DRAM-reduction story (up to
-4.6x / 1.2x less DRAM at equal-or-better performance).
+4.6x / 1.2x less DRAM at equal-or-better performance).  The smoke matrix
+is Spark SVD and Giraph BFS, the latter on the small smoke dataset.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
-from ..faults.session import RunSession
-from ..metrics.report import ExperimentResult, normalize
-from .configs import GIRAPH_WORKLOADS_TABLE4, SPARK_WORKLOADS_TABLE3
-from .runner import run_giraph_workload, run_spark_workload
+from ..metrics.report import ExperimentResult
+from .configs import GIRAPH_WORKLOADS_TABLE4, SPARK_WORKLOADS_TABLE3, giraph_size
+from .harness import Cell, Params, Spec, nest
+from .runner import cell, run_cell
+
+#: iteration-count scale of the Spark cells
+SPARK_SCALE = 0.4
+
+#: Spark workloads whose best Spark-SD bar, at the largest DRAM point
+#: (about 1.8x TeraHeap's largest), beats TeraHeap's best bar
+SD_BEST_AT_MORE_DRAM = {"PR", "CC", "BC"}
 
 
-def run_spark(
-    workloads: Optional[List[str]] = None,
-    scale: float = 1.0,
-    drams_per_workload: Optional[int] = None,
-    session: Optional[RunSession] = None,
-) -> Dict[str, List[ExperimentResult]]:
-    """Spark half of Figure 6."""
-    results: Dict[str, List[ExperimentResult]] = {}
-    for name in workloads or list(SPARK_WORKLOADS_TABLE3):
+def cells(smoke: bool) -> List[Tuple[str, Params]]:
+    out = []
+    for name in ["SVD"] if smoke else SPARK_WORKLOADS_TABLE3:
         cfg = SPARK_WORKLOADS_TABLE3[name]
-        rows: List[ExperimentResult] = []
-        sd_points = cfg.sd_drams
-        th_points = cfg.th_drams
-        if drams_per_workload:
-            sd_points = sd_points[-drams_per_workload:]
-            th_points = th_points[-drams_per_workload:]
-        for dram in sd_points:
-            rows.append(
-                run_spark_workload(
-                    name, "spark-sd", dram, cfg, scale=scale, session=session
-                )
+        out += [
+            cell("spark", name, system, dram_gb=dram, scale=SPARK_SCALE)
+            for system, drams in (
+                ("spark-sd", cfg.sd_drams),
+                ("teraheap", cfg.th_drams),
             )
-        for dram in th_points:
-            rows.append(
-                run_spark_workload(
-                    name, "teraheap", dram, cfg, scale=scale, session=session
-                )
-            )
-        results[name] = normalize(rows)
-    return results
+            for dram in drams
+        ]
+    for name in ["BFS"] if smoke else GIRAPH_WORKLOADS_TABLE4:
+        out += [
+            cell("giraph", name, system, **giraph_size(name, smoke, dram))
+            for system in ("giraph-ooc", "giraph-th")
+            for dram in GIRAPH_WORKLOADS_TABLE4[name].drams
+        ]
+    return out
 
 
-def run_giraph(
-    workloads: Optional[List[str]] = None,
-    scale: float = 1.0,
-    session: Optional[RunSession] = None,
-) -> Dict[str, List[ExperimentResult]]:
-    """Giraph half of Figure 6."""
-    results: Dict[str, List[ExperimentResult]] = {}
-    for name in workloads or list(GIRAPH_WORKLOADS_TABLE4):
-        cfg = GIRAPH_WORKLOADS_TABLE4[name]
-        rows: List[ExperimentResult] = []
-        for dram in cfg.drams:
-            res, _, _ = run_giraph_workload(
-                name, "giraph-ooc", dram, cfg, session=session
-            )
-            rows.append(res)
-        for dram in cfg.drams:
-            res, _, _ = run_giraph_workload(
-                name, "giraph-th", dram, cfg, session=session
-            )
-            rows.append(res)
-        results[name] = normalize(rows)
-    return results
+def _bars(cells: List[Cell], framework: str):
+    """``framework``'s results[workload][system][DRAM GB]."""
+    return nest(cells, "workload", "system", "dram_gb", framework=framework)
+
+
+def _completed(bars: Dict[float, ExperimentResult]) -> Dict[float, float]:
+    return {dram: r.total for dram, r in bars.items() if not r.oom}
+
+
+def check(cells: List[Cell]) -> List[str]:
+    """Per workload, both systems complete somewhere and the best TeraHeap
+    bar beats the best baseline bar (Spark: except
+    :data:`SD_BEST_AT_MORE_DRAM`); TeraHeap beats Spark-SD at every DRAM
+    point both run (paper: 18-73%); some Spark bar OOMs (Figure 6's
+    missing bars)."""
+    failures = []
+    compared = 0
+    for framework, base_system, th_system, exempt in (
+        ("spark", "spark-sd", "teraheap", SD_BEST_AT_MORE_DRAM),
+        ("giraph", "giraph-ooc", "giraph-th", ()),
+    ):
+        for name, by in _bars(cells, framework).items():
+            base, th = _completed(by[base_system]), _completed(by[th_system])
+            if not (base and th):
+                failures.append(f"{name}: {base_system} or {th_system} "
+                                "never completes")
+                continue
+            best_base, best_th = min(base.values()), min(th.values())
+            if name not in exempt and round(1 - best_th / best_base, 3) <= 0:
+                failures.append(f"{name}: best {th_system} {best_th:.1f} s "
+                                f"not below best {base_system} "
+                                f"{best_base:.1f} s")
+            if framework == "spark":
+                for dram in sorted(set(base) & set(th)):
+                    compared += 1
+                    if round(1 - th[dram] / base[dram], 3) <= 0:
+                        failures.append(
+                            f"{name}@{dram}GB: teraheap {th[dram]:.1f} s "
+                            f"not below spark-sd {base[dram]:.1f} s"
+                        )
+    spark = [c.result for c in cells if c.params["framework"] == "spark"]
+    if spark and not compared:
+        failures.append("no DRAM point where both Spark systems complete")
+    if spark and not any(r.oom for r in spark):
+        failures.append("no OOM bar among the Spark cells")
+    return failures
 
 
 def format_results(results: Dict[str, List[ExperimentResult]]) -> str:
@@ -86,12 +107,24 @@ def format_results(results: Dict[str, List[ExperimentResult]]) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    spark = run_spark(scale=0.5)
-    giraph = run_giraph()
-    print(format_results(spark))
-    print(format_results(giraph))
+def report(cells: List[Cell]) -> str:
+    """The Spark half, then the Giraph half."""
+    return "\n".join(
+        format_results(
+            {
+                name: [r for bars in by.values() for r in bars.values()]
+                for name, by in _bars(cells, framework).items()
+            }
+        )
+        for framework in ("spark", "giraph")
+    )
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+SPEC = Spec(
+    name="fig06",
+    description="Figure 6: Spark-SD and Giraph-OOC vs TeraHeap at fixed DRAM",
+    cells=cells,
+    run_cell=run_cell,
+    check=check,
+    report=report,
+)

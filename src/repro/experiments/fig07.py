@@ -3,17 +3,22 @@
 The paper contrasts Spark-SD (many cheap major GCs, each reclaiming ~10%
 of a perpetually-full old generation) with TeraHeap (an order of magnitude
 fewer majors, each dominated by H2 compaction I/O, and minor-GC time
-reduced because fewer old-to-young cards need scanning).
+reduced because fewer old-to-young cards need scanning).  Both matrices
+run the two systems at iteration scale 0.4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..faults.session import RunSession
+from ..frameworks.spark.workloads import SPARK_WORKLOADS
 from ..gc.base import GCCycle
+from ..units import gb
 from .configs import SPARK_WORKLOADS_TABLE3
+from .harness import Cell, Params, Spec
+from .runner import build_spark_vm
 
 
 @dataclass
@@ -49,31 +54,45 @@ class GCTimeline:
         ]
 
 
-def run(
-    scale: float = 1.0,
-    dram_gb: int = 80,
-    session: Optional[RunSession] = None,
-) -> List[GCTimeline]:
-    """Run Spark PR under both systems and capture the GC record."""
-    cfg = SPARK_WORKLOADS_TABLE3["PR"]
-    timelines = []
-    for system in ("spark-sd", "teraheap"):
-        # Collect cycles via a fresh run; the runner returns only the
-        # summary, so re-run with direct VM access.
-        from .runner import build_spark_vm
-        from ..frameworks.spark.workloads import SPARK_WORKLOADS
-        from ..units import gb
+def cells(smoke: bool) -> List[Tuple[str, Params]]:
+    return [
+        (system, dict(system=system, scale=0.4))
+        for system in ("spark-sd", "teraheap")
+    ]
 
-        vm, ctx = build_spark_vm(system, dram_gb, cfg, session=session)
-        SPARK_WORKLOADS["PR"](ctx, gb(cfg.dataset_gb), scale=scale)
-        timelines.append(
-            GCTimeline(
-                system=system,
-                cycles=list(vm.collector.stats.cycles),
-                total=vm.elapsed(),
-            )
-        )
-    return timelines
+
+def run_cell(
+    system: str, scale: float, session: Optional[RunSession] = None
+) -> GCTimeline:
+    """Run Spark PR at 80 GB DRAM under ``system``; capture its GC record."""
+    cfg = SPARK_WORKLOADS_TABLE3["PR"]
+    vm, ctx = build_spark_vm(system, 80, cfg, session=session)
+    SPARK_WORKLOADS["PR"](ctx, gb(cfg.dataset_gb), scale=scale)
+    return GCTimeline(
+        system=system, cycles=list(vm.collector.stats.cycles), total=vm.elapsed()
+    )
+
+
+def check(cells: List[Cell]) -> List[str]:
+    """Spark-SD's majors are many and cheap, TeraHeap's few and I/O-bound;
+    TeraHeap's minor-GC total is lower (fewer cards to scan); both runs
+    have an occupancy series to plot."""
+    by = {c.result.system: c.result for c in cells}
+    sd, th = by["spark-sd"], by["teraheap"]
+    failures = []
+    if len(th.major_cycles) >= len(sd.major_cycles):
+        failures.append(f"teraheap runs {len(th.major_cycles)} majors, "
+                        f"spark-sd only {len(sd.major_cycles)}")
+    if th.mean_major <= sd.mean_major:
+        failures.append(f"teraheap's mean major {th.mean_major:.2f} s not "
+                        f"above spark-sd's {sd.mean_major:.2f} s")
+    if th.total_minor >= sd.total_minor:
+        failures.append(f"teraheap's minor-GC total {th.total_minor:.1f} s "
+                        f"not below spark-sd's {sd.total_minor:.1f} s")
+    for t in (sd, th):
+        if not t.occupancy_series():
+            failures.append(f"{t.system}: empty occupancy series")
+    return failures
 
 
 def format_results(timelines: List[GCTimeline]) -> str:
@@ -87,5 +106,11 @@ def format_results(timelines: List[GCTimeline]) -> str:
     return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    print(format_results(run(scale=0.5)))
+SPEC = Spec(
+    name="fig07",
+    description="Figure 7: GC timeline of Spark PR, Spark-SD vs TeraHeap",
+    cells=cells,
+    run_cell=run_cell,
+    check=check,
+    report=lambda cells: format_results([c.result for c in cells]),
+)

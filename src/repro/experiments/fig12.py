@@ -9,6 +9,9 @@
 (c) Panthera vs TeraHeap at equal DRAM and NVM budgets: TH wins 7-69% —
     Panthera still scans/compacts its whole NVM old generation each major
     GC.
+
+The full matrix runs every panel's workloads at iteration scale 0.4; the
+smoke matrix is panel (a)'s SVD pair at 0.3.
 """
 
 from __future__ import annotations
@@ -17,8 +20,18 @@ from typing import Dict, List, Optional, Tuple
 
 from ..faults.session import RunSession
 from ..metrics.report import ExperimentResult
-from .configs import PANTHERA_WORKLOADS, SPARK_WORKLOADS_TABLE3, SparkWorkloadConfig
+from .configs import (
+    PANTHERA_DRAM_GB,
+    PANTHERA_WORKLOADS,
+    SPARK_WORKLOADS_TABLE3,
+    TERAHEAP_H1_VS_PANTHERA_GB,
+    SparkWorkloadConfig,
+)
+from .harness import Cell, Params, Spec, nest
 from .runner import run_spark_workload
+
+#: the panels' baselines, in figure order
+PANELS = ("spark-sd", "spark-mo", "panthera")
 
 #: KMeans runs only in panel (c); give it an LR-like configuration
 _KM_CFG = SparkWorkloadConfig(
@@ -32,69 +45,94 @@ def _cfg(name: str) -> SparkWorkloadConfig:
     return SPARK_WORKLOADS_TABLE3[name]
 
 
-def run_panel(
-    baseline: str,
-    workloads: Optional[List[str]] = None,
-    scale: float = 1.0,
-    session: Optional[RunSession] = None,
-) -> Dict[str, Tuple[ExperimentResult, ExperimentResult]]:
-    """Run (baseline, teraheap) pairs on the NVM device."""
-    if workloads is None:
-        workloads = (
-            PANTHERA_WORKLOADS
-            if baseline == "panthera"
-            else list(SPARK_WORKLOADS_TABLE3)
+def cells(smoke: bool) -> List[Tuple[str, Params]]:
+    panels = {p: list(SPARK_WORKLOADS_TABLE3) for p in PANELS}
+    panels["panthera"] = PANTHERA_WORKLOADS
+    if smoke:
+        panels = {"spark-sd": ["SVD"]}
+    scale = 0.3 if smoke else 0.4
+    return [
+        (
+            f"{panel}/{name}/{system}",
+            dict(panel=panel, workload=name, system=system, scale=scale),
         )
-    out = {}
-    for name in workloads:
-        cfg = _cfg(name)
-        if baseline == "panthera":
-            from .configs import PANTHERA_DRAM_GB, TERAHEAP_H1_VS_PANTHERA_GB
-
-            # Panthera's heap is fixed at 64 GB (Section 7.5) regardless
-            # of the dataset: cached data that does not fit is dropped and
-            # recomputed (MEMORY_ONLY semantics), which is the churn that
-            # makes Panthera's NVM old-gen scans so costly.
-            dataset = min(cfg.dataset_gb, 55)
-            base = run_spark_workload(
-                name, "panthera", PANTHERA_DRAM_GB, cfg,
-                device_kind="nvm", scale=scale, dataset_gb=dataset,
-                session=session,
-            )
-            th = run_spark_workload(
-                name,
-                "teraheap",
-                TERAHEAP_H1_VS_PANTHERA_GB + 16,
-                cfg,
-                device_kind="nvm",
-                scale=scale,
-                dataset_gb=dataset,
-                session=session,
-            )
-        else:
-            dram = cfg.sd_drams[-2] if len(cfg.sd_drams) > 1 else cfg.sd_drams[-1]
-            base = run_spark_workload(
-                name, baseline, dram, cfg, device_kind="nvm", scale=scale,
-                session=session,
-            )
-            th = run_spark_workload(
-                name, "teraheap", dram, cfg, device_kind="nvm", scale=scale,
-                session=session,
-            )
-        out[name] = (base, th)
-    return out
+        for panel, workloads in panels.items()
+        for name in workloads
+        for system in (panel, "teraheap")
+    ]
 
 
-def run(
-    scale: float = 1.0,
-    workloads: Optional[List[str]] = None,
+def run_cell(
+    panel: str,
+    workload: str,
+    system: str,
+    scale: float,
     session: Optional[RunSession] = None,
-):
+) -> ExperimentResult:
+    """One system of ``panel``'s pair on the NVM device."""
+    cfg = _cfg(workload)
+    if panel == "panthera":
+        # Panthera's heap is fixed at 64 GB (Section 7.5) regardless of
+        # the dataset: cached data that does not fit is dropped and
+        # recomputed (MEMORY_ONLY semantics), which is the churn that
+        # makes Panthera's NVM old-gen scans so costly.
+        dram = (
+            PANTHERA_DRAM_GB
+            if system == "panthera"
+            else TERAHEAP_H1_VS_PANTHERA_GB + 16
+        )
+        dataset = min(cfg.dataset_gb, 55)
+    else:
+        dram = cfg.sd_drams[-2] if len(cfg.sd_drams) > 1 else cfg.sd_drams[-1]
+        dataset = None
+    return run_spark_workload(
+        workload,
+        system,
+        dram,
+        cfg,
+        device_kind="nvm",
+        scale=scale,
+        dataset_gb=dataset,
+        session=session,
+    )
+
+
+def _pairs(
+    cells: List[Cell], panel: str
+) -> Dict[str, Tuple[ExperimentResult, ExperimentResult]]:
+    """``panel``'s (baseline, teraheap) pairs by workload."""
     return {
-        "sd_vs_th": run_panel("spark-sd", workloads, scale, session),
-        "mo_vs_th": run_panel("spark-mo", workloads, scale, session),
-        "panthera_vs_th": run_panel("panthera", workloads, scale, session),
+        name: (by[panel], by["teraheap"])
+        for name, by in nest(cells, "workload", "system", panel=panel).items()
     }
+
+
+def check(cells: List[Cell]) -> List[str]:
+    """TeraHeap beats Spark-SD and Panthera on every workload both run,
+    and Spark-MO on average; every panel run has a pair both complete."""
+    failures = []
+    for panel in PANELS:
+        pairs = _pairs(cells, panel)
+        if not pairs:
+            continue
+        gains = {
+            name: round(1 - th.total / base.total, 3)
+            for name, (base, th) in pairs.items()
+            if not base.oom and not th.oom and base.total
+        }
+        if not gains:
+            failures.append(f"{panel}: no pair where both systems complete")
+        elif panel == "spark-mo":
+            mean = sum(gains.values()) / len(gains)
+            if mean <= 0:
+                failures.append(f"spark-mo: mean TeraHeap gain {mean:.1%}")
+        else:
+            failures += [
+                f"{panel}/{name}: TeraHeap gain {g:.1%}"
+                for name, g in gains.items()
+                if g <= 0
+            ]
+    return failures
 
 
 def format_pairs(pairs) -> str:
@@ -111,7 +149,20 @@ def format_pairs(pairs) -> str:
     return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    for panel, pairs in run(scale=0.5, workloads=["PR", "LR"]).items():
-        print(f"-- {panel} --")
-        print(format_pairs(pairs))
+def report(cells: List[Cell]) -> str:
+    """One block of pairs per panel run, in figure order."""
+    return "\n".join(
+        format_pairs(pairs)
+        for pairs in (_pairs(cells, panel) for panel in PANELS)
+        if pairs
+    )
+
+
+SPEC = Spec(
+    name="fig12",
+    description="Figure 12: Spark-SD, Spark-MO and Panthera vs TeraHeap on NVM",
+    cells=cells,
+    run_cell=run_cell,
+    check=check,
+    report=report,
+)

@@ -1,7 +1,9 @@
-"""One harness for the gated experiments: a spec per experiment, one runner.
+"""One harness for every experiment: a spec each, one runner.
 
-A :class:`Spec` lists a matrix's cells, runs one, checks the finished
-matrix and renders it (and, optionally, its CSV/Chrome-trace artifacts).
+A :class:`Spec` lists a matrix's cells (the full one, or the smoke one
+tier-1 runs), runs one, checks the finished matrix and renders it (and,
+optionally, its CSV/Chrome-trace artifacts).  The paper's figures and
+tables and the six gated experiments are all specs.
 The runner digests each cell's result (sha256 of its sorted-key JSON;
 floats in ``repr`` form), runs every cell twice and fails on any drift,
 then applies the check; artifacts are rendered from the first runs, so
@@ -26,7 +28,21 @@ from ..faults.session import RunSession
 
 Params = Dict[str, Any]
 
-#: the modules holding a ``SPEC``, in CLI order
+#: the paper's figures and tables, one ``SPEC`` each, in CLI order
+FIGURE_MODULES: Tuple[str, ...] = (
+    "table5",
+    "barrier",
+    "fig06",
+    "fig07",
+    "fig08",
+    "fig09",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+)
+
+#: the gated experiments, one ``SPEC`` each, in CLI order
 GATED_MODULES: Tuple[str, ...] = (
     "gc_scaling",
     "chaoskill",
@@ -58,6 +74,11 @@ def canonical(value: Any) -> Any:
         return {str(k): canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [canonical(v) for v in value]
+    if hasattr(type(value), "__slots__"):  # a slotted record
+        return {
+            name: canonical(getattr(value, name))
+            for name in type(value).__slots__
+        }
     return value
 
 
@@ -80,9 +101,22 @@ class Cell:
     session: Optional[RunSession]
 
 
+def nest(cells: List[Cell], *axes: str, **where: Any) -> Dict[Any, Any]:
+    """The results of the cells whose params match ``where``, nested by
+    the params named in ``axes``, in cell order."""
+    out: Dict[Any, Any] = {}
+    for c in cells:
+        if all(c.params.get(k) == v for k, v in where.items()):
+            node = out
+            for axis in axes[:-1]:
+                node = node.setdefault(c.params[axis], {})
+            node[c.params[axes[-1]]] = c.result
+    return out
+
+
 @dataclass(frozen=True)
 class Spec:
-    """A gated experiment as the runner sees it."""
+    """An experiment as the runner sees it."""
 
     name: str
     description: str
@@ -158,7 +192,10 @@ def run_cli(
     return 0
 
 
-def specs() -> Dict[str, Spec]:
-    """Every gated experiment's spec, keyed by CLI name, in CLI order."""
-    found = [import_module(f"{__package__}.{m}").SPEC for m in GATED_MODULES]
+def specs(
+    modules: Tuple[str, ...] = FIGURE_MODULES + GATED_MODULES,
+) -> Dict[str, Spec]:
+    """The specs of ``modules`` (default: every experiment), keyed by CLI
+    name, in CLI order."""
+    found = [import_module(f"{__package__}.{m}").SPEC for m in modules]
     return {spec.name: spec for spec in found}

@@ -30,8 +30,10 @@ from ..metrics.report import ExperimentResult, collect_result
 from ..runtime import JavaVM
 from ..units import KiB, gb
 from .configs import (
+    GIRAPH_WORKLOADS_TABLE4,
     GiraphWorkloadConfig,
     SPARK_DR2_GB,
+    SPARK_WORKLOADS_TABLE3,
     SparkWorkloadConfig,
 )
 
@@ -260,3 +262,38 @@ def run_giraph_workload(
         oom=oom,
     )
     return result, vm, job
+
+
+def cell(framework: str, workload: str, system: str, **params):
+    """A ``(key, params)`` matrix entry for :func:`run_cell`."""
+    return f"{workload}/{system}@{params['dram_gb']}GB", dict(
+        framework=framework, workload=workload, system=system, **params
+    )
+
+
+def run_cell(
+    framework: str,
+    workload: str,
+    system: str,
+    dram_gb: float,
+    scale: float = 1.0,
+    threads: int = 8,
+    dataset_gb: Optional[float] = None,
+    teraheap_overrides: Optional[dict] = None,
+    session: Optional[RunSession] = None,
+) -> ExperimentResult:
+    """One figure cell by workload name, under Table 3's (``"spark"``) or
+    Table 4's (``"giraph"``; ``scale`` unused) configuration."""
+    kwargs = dict(
+        threads=threads,
+        dataset_gb=dataset_gb,
+        teraheap_overrides=teraheap_overrides,
+        session=session,
+    )
+    if framework == "spark":
+        cfg = SPARK_WORKLOADS_TABLE3[workload]
+        return run_spark_workload(
+            workload, system, dram_gb, cfg, scale=scale, **kwargs
+        )
+    cfg = GIRAPH_WORKLOADS_TABLE4[workload]
+    return run_giraph_workload(workload, system, dram_gb, cfg, **kwargs)[0]

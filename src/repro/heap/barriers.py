@@ -5,7 +5,7 @@ a card-table mark.  TeraHeap extends the barrier (in the interpreter and
 the C1/C2 JIT templates) with a reference range check that selects the H1
 or the H2 card table (Section 4).  The paper measures the extra check at
 <=3% on DaCapo and exactly zero when ``EnableTeraHeap`` is off; the
-benchmark in ``benchmarks/test_barrier_overhead.py`` reproduces that.
+``barrier`` experiment (``python -m repro barrier``) reproduces that.
 """
 
 from __future__ import annotations

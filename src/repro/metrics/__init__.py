@@ -2,13 +2,12 @@
 GC-schedule trace export (CSV + Chrome Trace Event JSON)."""
 
 from .chrome_trace import chrome_trace_events, chrome_trace_json, vm_engine
-from .report import ExperimentResult, collect_result, normalize
+from .report import ExperimentResult, collect_result
 
 __all__ = [
     "ExperimentResult",
     "chrome_trace_events",
     "chrome_trace_json",
     "collect_result",
-    "normalize",
     "vm_engine",
 ]

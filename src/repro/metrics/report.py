@@ -9,7 +9,7 @@ paper's missing bars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..runtime import JavaVM
 
@@ -113,12 +113,3 @@ def collect_result(
         )
     return result
 
-
-def normalize(results: List[ExperimentResult]) -> List[ExperimentResult]:
-    """Scale totals so the first non-OOM result is 1.0 (paper's plots)."""
-    baseline = next((r.total for r in results if not r.oom and r.total), None)
-    if not baseline:
-        return results
-    for r in results:
-        r.extras["normalized"] = (r.total / baseline) if not r.oom else float("nan")
-    return results

@@ -229,8 +229,3 @@ def resilience_events_csv(log) -> str:
             for event in log.grouped()
         ),
     )
-
-
-def write_csv(path: str, content: str) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(content)

@@ -54,6 +54,6 @@ def test_teraheap_range_check_costs_extra():
 
 def test_barrier_overhead_within_paper_bound():
     """Section 4: <=3% on DaCapo-style pointer churn; zero when off."""
-    result = barrier_exp.run(updates=4000)
+    result = barrier_exp.run(operations=4000)
     assert 0.0 <= result.overhead <= 0.03
     assert result.teraheap_barriers == result.baseline_barriers

@@ -1,4 +1,11 @@
-"""Experiment drivers: quick smoke of every figure/table harness."""
+"""The paper's figures on the experiment harness.
+
+Every figure's smoke matrix runs through ``harness.run`` and must pass
+its own check.  Smoke runs only ever show a check passing, so each
+figure's check also runs on synthetic cells: a matrix shaped like the
+figure's own, once with the paper's shape (no failure) and once broken
+in one headline claim (that failure reported).
+"""
 
 import pytest
 
@@ -12,6 +19,7 @@ from repro.experiments import (
     fig11,
     fig12,
     fig13,
+    harness,
     table5,
 )
 from repro.experiments.configs import (
@@ -19,6 +27,31 @@ from repro.experiments.configs import (
     SPARK_WORKLOADS_TABLE3,
 )
 from repro.experiments.runner import run_giraph_workload, run_spark_workload
+from repro.gc.base import GCCycle
+from repro.metrics.report import ExperimentResult
+from repro.teraheap.regions import RegionLiveness
+
+FIGURES = harness.specs(harness.FIGURE_MODULES)
+
+
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_smoke_matrix_passes_its_check(name):
+    _, failures = harness.run(FIGURES[name], smoke=True)
+    assert failures == []
+
+
+def fake(module, result, smoke=True):
+    """``module``'s matrix with ``result(params)`` in place of each run."""
+    return [
+        harness.Cell(key, params, result(params), "", None)
+        for key, params in module.cells(smoke)
+    ]
+
+
+def run_result(p, total, oom=False):
+    system = p.get("variant", p.get("system"))
+    return ExperimentResult(p["workload"], system, p.get("dram_gb", 0), 0.0,
+                            total=total, oom=oom)
 
 
 def test_configs_cover_all_paper_workloads():
@@ -26,125 +59,184 @@ def test_configs_cover_all_paper_workloads():
         "PR", "CC", "SSSP", "SVD", "TR", "LR", "LgR", "SVM", "BC", "RL",
     }
     assert set(GIRAPH_WORKLOADS_TABLE4) == {"PR", "CDLP", "WCC", "BFS", "SSSP"}
+    for module in FIGURES:
+        assert FIGURES[module].cells(True)
 
 
 def test_table5_matches_paper():
-    results = table5.run()
-    for size_mb, measured in results.items():
-        assert measured == pytest.approx(
-            table5.PAPER_TABLE5[size_mb], rel=0.25
-        )
-    assert "417" in table5.format_results(results)
+    cells = fake(table5, lambda p: table5.run_cell(**p))
+    assert table5.check(cells) == []
+    assert "417" in table5.SPEC.report(cells)
+    cells[0].result = 430.0
+    assert table5.check(cells) == ["1 MB: 430.0 MB/TB does not round to 417"]
 
 
 def test_barrier_overhead_driver():
-    r = barrier.run(updates=2000)
-    assert r.overhead <= 0.03
+    def overhead(per_benchmark):
+        return lambda p: barrier.BarrierOverhead(
+            100.0, 101.0, 10, 10, per_benchmark=per_benchmark
+        )
+
+    assert barrier.check(fake(barrier, overhead({"a": 0.01}))) == []
+    failures = barrier.check(fake(barrier, overhead({"a": 0.08, "b": 0.0})))
+    assert failures == [
+        "ops=2000: mean overhead 4.00% > 3%",
+        "ops=2000: max overhead 8.00% > 5%",
+    ]
+
+
+def fig06_result(th_spark=50.0, th_giraph=50.0):
+    totals = {
+        "spark-sd": 100.0,
+        "teraheap": th_spark,
+        "giraph-ooc": 100.0,
+        "giraph-th": th_giraph,
+    }
+    return lambda p: run_result(
+        p,
+        totals[p["system"]],
+        oom=p["system"] == "spark-sd" and p["dram_gb"] < 40,
+    )
 
 
 def test_fig06_spark_th_beats_sd():
-    results = fig06.run_spark(workloads=["SVD"], scale=0.4)
-    rows = results["SVD"]
-    sd = [r for r in rows if r.system == "spark-sd" and not r.oom]
-    th = [r for r in rows if r.system == "teraheap" and not r.oom]
-    assert sd and th
-    # Best TH beats best SD (the Figure 6 headline).
-    assert min(t.total for t in th) < min(s.total for s in sd)
-    assert "SVD" in fig06.format_results(results)
+    cells = fake(fig06, fig06_result())
+    assert fig06.check(cells) == []
+    assert "== SVD ==" in fig06.SPEC.report(cells)
+    failures = fig06.check(fake(fig06, fig06_result(th_spark=120.0)))
+    assert "SVD: best teraheap 120.0 s not below best spark-sd 100.0 s" in (
+        failures
+    )
+    assert "SVD@40GB: teraheap 120.0 s not below spark-sd 100.0 s" in failures
 
 
 def test_fig06_giraph_th_beats_ooc():
-    results = fig06.run_giraph(workloads=["BFS"])
-    rows = results["BFS"]
-    ooc = [r for r in rows if r.system == "giraph-ooc" and not r.oom]
-    th = [r for r in rows if r.system == "giraph-th" and not r.oom]
-    assert ooc and th
-    assert min(t.total for t in th) < min(o.total for o in ooc)
+    failures = fig06.check(fake(fig06, fig06_result(th_giraph=100.0)))
+    assert failures == [
+        "BFS: best giraph-th 100.0 s not below best giraph-ooc 100.0 s"
+    ]
 
 
 def test_fig07_gc_timeline_shape():
-    timelines = fig07.run(scale=0.4)
-    by_system = {t.system: t for t in timelines}
-    sd = by_system["spark-sd"]
-    th = by_system["teraheap"]
-    # TeraHeap: fewer majors, each costlier (device compaction I/O).
-    assert len(th.major_cycles) <= len(sd.major_cycles)
-    assert th.mean_major > sd.mean_major
-    # Minor GC total drops under TeraHeap (fewer cards to scan).
-    assert th.total_minor < sd.total_minor
-    assert sd.occupancy_series()
+    def timeline(majors, major_s, minor_s):
+        cycles = [GCCycle("major", i, major_s) for i in range(majors)]
+        cycles.append(GCCycle("minor", majors, minor_s))
+        return fig07.GCTimeline(cycles=cycles, system="")
+
+    shapes = {"spark-sd": (8, 1.0, 9.0), "teraheap": (2, 5.0, 3.0)}
+
+    def result(p):
+        t = timeline(*shapes[p["system"]])
+        t.system = p["system"]
+        return t
+
+    assert fig07.check(fake(fig07, result)) == []
+    shapes["teraheap"] = (8, 5.0, 3.0)
+    assert fig07.check(fake(fig07, result)) == [
+        "teraheap runs 8 majors, spark-sd only 8"
+    ]
 
 
 def test_fig08_g1_ooms_on_humongous_workload():
-    results = fig08.run(workloads=["SVM"], scale=0.3)
-    rows = {r.system: r for r in results["SVM"]}
-    assert rows["spark-g1"].oom
-    assert not rows["spark-sd11"].oom
-    assert not rows["teraheap"].oom
-    assert rows["teraheap"].total < rows["spark-sd11"].total
+    totals = {"spark-sd11": 100.0, "spark-g1": 120.0, "teraheap": 80.0}
+
+    def result(p, tr_teraheap=80.0, g1_victims=("SVM", "BC", "RL")):
+        total = totals[p["system"]]
+        if p["workload"] == "TR" and p["system"] == "teraheap":
+            total = tr_teraheap
+        oom = p["system"] == "spark-g1" and p["workload"] in g1_victims
+        return run_result(p, total, oom)
+
+    assert fig08.check(fake(fig08, result, smoke=False)) == []
+    slow_tr = fig08.check(
+        fake(fig08, lambda p: result(p, tr_teraheap=114.0), smoke=False)
+    )
+    assert slow_tr == [
+        "TR: TeraHeap 114.0 s vs PS 100.0 s (allowed ratio 1.10)"
+    ]
+    g1_runs_bc = fig08.check(
+        fake(fig08, lambda p: result(p, g1_victims=("SVM", "RL")), False)
+    )
+    assert g1_runs_bc == ["BC: G1 completes; expected a humongous OOM"]
 
 
 def test_fig09_hint_ablation():
-    pairs = fig09.run_hint_ablation(workloads=["WCC"])
-    no_hint, with_hint = pairs["WCC"]
-    assert with_hint.total < no_hint.total  # the hint wins (Fig 9a)
-    assert "WCC" in fig09.format_pairs(pairs)
+    def result(hint_total):
+        return lambda p: run_result(
+            p, hint_total if p["variant"] == "th-hint" else 100.0
+        )
+
+    cells = fake(fig09, result(80.0))
+    assert fig09.check(cells) == []
+    assert fig09.SPEC.report(cells).startswith("WCC: th-nohint=")
+    assert fig09.check(fake(fig09, result(101.0))) == [
+        "no hint gain above 5%: {'WCC': -0.01}",
+        "WCC: the hint does not win",
+    ]
 
 
 def test_fig10_region_cdfs():
-    results = fig10.run(workloads=["PR"], region_sizes_mb=[16])
-    cdf = results["PR"][0]
-    assert cdf.allocated_regions > 0
-    assert 0 <= cdf.reclaimed_fraction <= 1
-    fractions = cdf.live_object_fractions()
-    assert fractions == sorted(fractions)
-    assert all(0 <= f <= 1 for f in fractions)
-    # PR reclaims many regions (dead message stores).
-    assert cdf.reclaimed_fraction > 0.2
+    def result(dead, live):
+        regions = [RegionLiveness(4, 0, 100, 0, 128)] * dead
+        regions += [RegionLiveness(4, 2, 100, 50, 128)] * live
+        return lambda p: fig10.RegionCDF("PR", 16, regions)
+
+    assert fig10.check(fake(fig10, result(1, 1))) == []
+    assert fig10.check(fake(fig10, result(1, 9))) == [
+        "PR@16MB: reclaims 10% (<= 20%)"
+    ]
+    assert "PR@16MB: no H2 region allocated" in fig10.check(
+        fake(fig10, result(0, 0))
+    )
+
+
+def fig11_result(card_16k=0.5, bfs_th_compact=2.0):
+    def result(p):
+        if p["panel"] == "a":
+            return card_16k if p["card_segment_size"] == 16384 else 1.0
+        if p["system"] == "giraph-ooc":
+            return {"marking": 1.0, "compact": 3.0}
+        return {"marking": 0.5, "compact": bfs_th_compact}
+
+    return result
 
 
 def test_fig11_card_sweep_improves_with_larger_segments():
-    results = fig11.run_card_segment_sweep(
-        workloads=["PR"], segment_sizes=[512, 16384]
-    )
-    per_size = results["PR"]
-    assert per_size[16384] < per_size[512]  # Fig 11a direction
+    assert fig11.check(fake(fig11, fig11_result())) == []
+    assert fig11.check(fake(fig11, fig11_result(card_16k=1.0))) == [
+        "PR: 16 KB segments scan 1.000 s, 512 B 1.000 s"
+    ]
 
 
 def test_fig11_major_phases():
-    results = fig11.run_major_phase_breakdown(workloads=["BFS"])
-    ooc = results["BFS"]["giraph-ooc"]
-    th = results["BFS"]["giraph-th"]
-    assert sum(th.values()) < sum(ooc.values())  # TH majors cheaper overall
-    assert set(ooc) >= {"marking", "compact"}
+    assert fig11.check(fake(fig11, fig11_result(bfs_th_compact=4.0))) == [
+        "BFS: TeraHeap major GC 4.5 s vs OOC 4.0 s",
+        "TeraHeap major GC 4.5 s vs OOC 4.0 s",
+    ]
 
 
 def test_fig12_sd_panel():
-    pairs = fig12.run_panel("spark-sd", workloads=["SVD"], scale=0.3)
-    base, th = pairs["SVD"]
-    assert th.total < base.total
+    def result(th):
+        return lambda p: run_result(p, th if p["system"] == "teraheap" else 100)
+
+    assert fig12.check(fake(fig12, result(50.0))) == []
+    assert fig12.check(fake(fig12, result(100.0))) == [
+        "spark-sd/SVD: TeraHeap gain 0.0%"
+    ]
 
 
 def test_fig13_thread_scaling_directions():
-    results = fig13.run_thread_scaling(scale=0.25, threads=[8, 16])
-    lr = results["LR"]
-    sd8, sd16 = lr["spark-sd"][8], lr["spark-sd"][16]
-    th8, th16 = lr["teraheap"][8], lr["teraheap"][16]
-    # Spark-SD stalls (GC pressure grows); TeraHeap keeps scaling.
-    assert th16.total < th8.total
-    assert (sd16.total / sd8.total) > (th16.total / th8.total)
-    # CC and CDLP: TeraHeap gains more from 16 threads than its baseline.
-    for workload, base, th in [
-        ("CC", "spark-sd", "teraheap"),
-        ("CDLP", "giraph-ooc", "giraph-th"),
-    ]:
-        ratio = {}
-        for system in (base, th):
-            runs = results[workload][system]
-            r8, r16 = runs[8], runs[16]
-            assert not (r8.oom or r16.oom)
-            ratio[system] = r16.total / r8.total
-        assert ratio[th] < ratio[base], (workload, ratio)
+    def result(cdlp_th_16t):
+        at_16 = {"spark-sd": 120.0, "teraheap": 90.0, "giraph-ooc": 120.0}
+        at_16["giraph-th"] = cdlp_th_16t
+        return lambda p: run_result(
+            p, at_16[p["system"]] if p["threads"] == 16 else 100.0
+        )
+
+    assert fig13.check(fake(fig13, result(90.0))) == []
+    assert fig13.check(fake(fig13, result(120.0))) == [
+        "CDLP: 16/8-thread time ratio {'giraph-ooc': 1.2, 'giraph-th': 1.2}"
+    ]
 
 
 def test_runner_oom_is_captured_not_raised():

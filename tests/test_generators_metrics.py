@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import JavaVM, VMConfig, gb
-from repro.metrics.report import ExperimentResult, collect_result, normalize
+from repro.metrics.report import ExperimentResult, collect_result
 from repro.workloads.generators import (
     make_graph,
     make_ml_dataset,
@@ -95,16 +95,6 @@ class TestReporting:
     def test_oom_row(self):
         r = ExperimentResult("PR", "x", 32, 16, oom=True)
         assert "OOM" in r.row()
-
-    def test_normalize(self):
-        rows = [
-            ExperimentResult("PR", "sd", 32, 16, oom=True),
-            ExperimentResult("PR", "sd", 48, 32, total=100.0),
-            ExperimentResult("PR", "th", 48, 32, total=50.0),
-        ]
-        normalize(rows)
-        assert rows[1].extras["normalized"] == pytest.approx(1.0)
-        assert rows[2].extras["normalized"] == pytest.approx(0.5)
 
     def test_share_zero_total(self):
         r = ExperimentResult("PR", "x", 1, 1)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments import harness
+from repro.teraheap.regions import RegionLiveness
 
 
 @dataclass
@@ -31,6 +32,10 @@ def test_digest_stable_for_equal_values_and_sensitive_to_the_last_bit():
     # A list of dataclasses digests like the dataclasses it holds.
     assert harness.digest([a]) == harness.digest([b])
     assert harness.digest((a,)) == harness.digest([a])
+    # A slotted record digests by its slots.
+    assert harness.digest(RegionLiveness(4, 2, 100, 50, 128)) != (
+        harness.digest(RegionLiveness(4, 1, 100, 50, 128))
+    )
 
 
 def _spec(run_cell, **kwargs):
@@ -94,6 +99,25 @@ def test_fault_rate_without_faults_is_rejected(capsys):
         main(["table5", "--fault-rate", "0.05"])
     assert exc.value.code == 2
     assert "--fault-rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["table5"], ["streamscale", "--smoke"]])
+def test_fault_seed_is_rejected_where_it_has_no_effect(argv, capsys):
+    # Neither matrix has a cell taking a fault_seed, and without
+    # --faults no fault plan takes one either.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--fault-seed", "3"])
+    assert exc.value.code == 2
+    assert "--fault-seed" in capsys.readouterr().err
+
+
+def test_list_prints_every_experiment_once(capsys):
+    assert main(["list"]) == 0
+    names = capsys.readouterr().out.split()
+    assert names == list(harness.specs())
+    assert len(names) == len(
+        harness.FIGURE_MODULES + harness.GATED_MODULES
+    ) == len(set(names))
 
 
 @pytest.mark.parametrize("flag", ["--csv-out", "--trace-out"])
