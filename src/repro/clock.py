@@ -350,6 +350,3 @@ class ClockSnapshot:
         return {
             b.value: clock.total(b) - self._totals.get(b, 0.0) for b in Bucket
         }
-
-    def sub_delta(self, clock: Clock, name: str) -> float:
-        return clock.sub_total(name) - self._sub.get(name, 0.0)

@@ -98,11 +98,6 @@ class BlockManager:
         #: entries shed by emergency backpressure
         self.sheds = 0
         self.shed_bytes = 0
-        #: heap entries spilled to a serialized blob instead of dropped
-        self.spilled_blocks = 0
-        self.spilled_bytes = 0
-        #: spilled entries read back (deserialized) on a later access
-        self.unspills = 0
         #: computes of partitions that *were* cached but got dropped/shed
         self.recomputes = 0
         #: stores re-routed away from H2 by an open governor circuit
@@ -116,7 +111,6 @@ class BlockManager:
         #: committed, or shape-mismatched against the partition spec)
         self.lost_blocks = 0
         self._dropped_keys: Set[Tuple[int, int]] = set()
-        self._spilled_keys: Set[Tuple[int, int]] = set()
         self._access_seq = 0
         if getattr(vm, "governor", None) is not None:
             vm.register_pressure_handler(self.shed_blocks)
@@ -274,7 +268,7 @@ class BlockManager:
         A TERAHEAP entry is stored charged to ``onheap_used``; once the
         collector moves its label group to H2 those bytes no longer
         occupy H1.  Shedding such an entry would free nothing, so the
-        shed path (and :meth:`cached_bytes`) reconciles first.
+        shed path reconciles first.
         """
         for entry in self.entries.values():
             if (
@@ -291,7 +285,6 @@ class BlockManager:
     def _remove_entry(self, key: Tuple[int, int]) -> int:
         """Unroot and uncharge one entry; returns the H1 bytes it freed."""
         entry = self.entries.pop(key)
-        self._spilled_keys.discard(key)
         size = entry.charged_bytes()
         if entry.kind == "heap" and entry.partition is not None:
             self.vm.write_ref(
@@ -389,72 +382,6 @@ class BlockManager:
             self._store(rdd, index, part)
 
     # ------------------------------------------------------------------
-    # Spill / unspill (streaming backpressure)
-    # ------------------------------------------------------------------
-    def spill_entry(self, key: Tuple[int, int]) -> int:
-        """Spill one H1-charged heap entry to a serialized blob.
-
-        The streaming executor's answer to pressure: instead of dropping
-        a block and paying lineage recompute later, serialize it and
-        re-insert the blob — to the off-heap device normally, or as a
-        serialized-on-heap holder when the governor circuit is OPEN (the
-        device is exactly what must not absorb new bytes then).  The
-        entry leaves and re-enters through the normal paths
-        (:meth:`_remove_entry` / a fresh :class:`CacheEntry`), so the
-        residency counters keep their single-exit invariant.
-
-        Returns the H1 bytes freed; 0 if the entry is absent, already a
-        blob, pinned by an executing task, or no longer H1-resident.
-        """
-        entry = self.entries.get(key)
-        if (
-            entry is None
-            or entry.kind != "heap"
-            or entry.charged != "h1"
-            or entry.partition is None
-            or self._pinned(entry)
-        ):
-            return 0
-        vm = self.vm
-        part = entry.partition
-        blob = vm.serializer.serialize(part.root)
-        freed = self._remove_entry(key)
-        governor = getattr(vm, "governor", None)
-        circuit_open = governor is not None and governor.blocks_h2_caching()
-        device = self.conf.offheap_device
-        if device is None and vm.h2 is not None:
-            device = vm.h2.device
-        if device is not None and not circuit_open:
-            with vm.clock.context(Bucket.SD_IO):
-                device.write(blob.size_bytes)
-            new = CacheEntry(
-                kind="blob",
-                blob=blob,
-                num_chunks=len(part.chunks),
-                chunk_size=part.chunks[0].size if part.chunks else 0,
-                charged="offheap",
-            )
-            self.offheap_bytes += blob.size_bytes
-        else:
-            holder = vm.allocate(blob.size_bytes, name=f"spill-{key}")
-            vm.write_ref(self.cache_root, holder)
-            new = CacheEntry(
-                kind="blob",
-                blob=blob,
-                num_chunks=len(part.chunks),
-                chunk_size=part.chunks[0].size if part.chunks else 0,
-                heap_blob=holder,
-                charged="h1",
-            )
-            self.onheap_used += blob.size_bytes
-            freed = max(0, freed - blob.size_bytes)
-        self._stamp(new)
-        self.entries[key] = new
-        self._spilled_keys.add(key)
-        self.spilled_blocks += 1
-        self.spilled_bytes += blob.size_bytes
-        return freed
-
     def _read_offheap(
         self, rdd: RDD, index: int, entry: CacheEntry
     ) -> MaterializedPartition:
@@ -473,10 +400,6 @@ class BlockManager:
                 device.read(entry.blob.size_bytes)
         vm.serializer.deserialize_cost(entry.blob)
         self.deserializations += 1
-        if (rdd.rdd_id, index) in self._spilled_keys:
-            # First read-back of a spilled block: the unspill penalty.
-            self._spilled_keys.discard((rdd.rdd_id, index))
-            self.unspills += 1
         with vm.roots.frame() as frame:
             prefix = f"{rdd.name}-p{index}-d"
             chunks = vm.allocate_array(
@@ -587,7 +510,3 @@ class BlockManager:
         self.reconcile_residency()
         for key in [k for k in self.entries if k[0] == rdd.rdd_id]:
             self._remove_entry(key)
-
-    def cached_bytes(self) -> int:
-        self.reconcile_residency()
-        return self.onheap_used + self.offheap_bytes + self.h2_bytes

@@ -95,14 +95,6 @@ class Lineage:
     compute_ops_per_chunk: int
     size_factor: float = 1.0
 
-    def describe(self) -> str:
-        if self.parent_id is None:
-            return f"{self.op}(ops={self.compute_ops_per_chunk})"
-        return (
-            f"{self.op}(parent=rdd-{self.parent_id}, "
-            f"ops={self.compute_ops_per_chunk}, x{self.size_factor:g})"
-        )
-
     # -- streaming-aware chunk specs -----------------------------------
     def output_chunks(self, input_chunks: int) -> int:
         """Chunks one stage emits for an ``input_chunks``-chunk block.
@@ -199,18 +191,6 @@ class RDD:
     def block_label(self, index: int) -> str:
         """Per-partition H2 label used by the block manager."""
         return block_label(self.cache_label, index)
-
-    def lineage_chain(self) -> List[str]:
-        """The lineage from this RDD back to its source, for diagnostics."""
-        chain: List[str] = []
-        rdd: Optional[RDD] = self
-        while rdd is not None:
-            chain.append(f"{rdd.name}={rdd.lineage.describe()}")
-            parent_id = rdd.lineage.parent_id
-            rdd = (
-                self.ctx.rdd(parent_id) if parent_id is not None else None
-            )
-        return chain
 
     def lineage_stages(self) -> List["RDD"]:
         """The operator chain ``source -> ... -> self``, via lineage.

@@ -59,13 +59,6 @@ class GCCycle:
     #: controller action taken after observing this cycle
     batch_action: str = "hold"
 
-    @property
-    def parallel_speedup(self) -> float:
-        """Emergent speedup of this cycle's engine-scheduled work."""
-        if self.parallel_seconds <= 0.0:
-            return 1.0
-        return self.parallel_serial_seconds / self.parallel_seconds
-
 
 @dataclass
 class GCStats:
@@ -129,21 +122,6 @@ class GCStats:
             "grows": sum(1 for c in self.cycles if c.batch_action == "grow"),
         }
 
-    def total_concurrent_hidden(self, kind: str = "") -> float:
-        """Marking seconds hidden behind the mutator across cycles."""
-        return sum(
-            c.concurrent_hidden
-            for c in self.cycles
-            if not kind or c.kind == kind
-        )
-
-    def total_remark_pause(self, kind: str = "") -> float:
-        return sum(
-            c.remark_pause
-            for c in self.cycles
-            if not kind or c.kind == kind
-        )
-
     def total_idle(self, kind: str = "") -> float:
         return sum(
             c.idle_seconds
@@ -161,17 +139,6 @@ class GCStats:
             acc += c.imbalance * c.parallel_seconds
             weight += c.parallel_seconds
         return acc / weight if weight > 0.0 else 1.0
-
-    def parallel_efficiency(self, kind: str = "") -> float:
-        """serial / (threads * parallel) over the engine-scheduled work."""
-        serial = 0.0
-        bound = 0.0
-        for c in self.cycles:
-            if kind and c.kind != kind:
-                continue
-            serial += c.parallel_serial_seconds
-            bound += c.gc_threads * c.parallel_seconds
-        return serial / bound if bound > 0.0 else 1.0
 
     @property
     def minor_count(self) -> int:

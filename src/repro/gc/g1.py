@@ -114,9 +114,6 @@ class G1Heap:
             if r.state is not RegionState.FREE
         )
 
-    def free_regions(self) -> List[G1Region]:
-        return [r for r in self.regions if r.state is RegionState.FREE]
-
     def young_regions(self) -> List[G1Region]:
         return [r for r in self.regions if r.state in _YOUNG_STATES]
 

@@ -8,7 +8,7 @@ Section 4).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Set, Tuple
+from typing import Iterator, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -61,13 +61,6 @@ class CardTable:
         if stop < len(offsets):
             self.card_index(int(addresses[stop]))
 
-    def mark_object(self, address: int, size: int) -> None:
-        """Dirty every card an object spans (object-start barriers vary;
-        spanning marks are the conservative choice)."""
-        first = self.card_index(address)
-        last = self.card_index(address + max(size, 1) - 1)
-        self._dirty.update(range(first, last + 1))
-
     def is_dirty(self, index: int) -> bool:
         return index in self._dirty
 
@@ -84,10 +77,6 @@ class CardTable:
     @property
     def dirty_count(self) -> int:
         return len(self._dirty)
-
-    def retain(self, indices: Iterable[int]) -> None:
-        """Keep only the given cards dirty (post-scan precise cleaning)."""
-        self._dirty = set(indices) & set(range(self.num_cards))
 
     # ------------------------------------------------------------------
     def dirty_index_array(self) -> np.ndarray:

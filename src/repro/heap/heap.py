@@ -70,10 +70,6 @@ class ManagedHeap:
     def used(self) -> int:
         return sum(s.used for s in self.spaces())
 
-    def live_occupancy(self) -> float:
-        """Fraction of H1 occupied, the input to the threshold policy."""
-        return self.used() / self.capacity
-
     # ------------------------------------------------------------------
     def _eden_max(self) -> int:
         """The largest object eden takes: anything larger, which eden

@@ -1,5 +1,6 @@
-"""Result collection: execution-time breakdowns, per-run reports, and
-GC-schedule trace export (CSV + Chrome Trace Event JSON)."""
+"""Result collection: execution-time breakdowns, per-run reports, the
+gated experiments' CSV ledgers, and GC-schedule Chrome Trace Event
+JSON."""
 
 from .chrome_trace import chrome_trace_events, chrome_trace_json, vm_engine
 from .report import ExperimentResult, collect_result

@@ -1,42 +1,15 @@
-"""GC/execution trace export (CSV), the raw series behind the figures.
+"""CSV export of the gated experiments' ledgers.
 
-The paper's artifact emits CSVs that its plotting scripts consume; this
-module provides the same: per-cycle GC records (Figure 7) and
-per-region liveness (Figure 10), plus the streaming, server and
-resilience ledgers of the gated experiments.  Every exporter is one
-header and one row per record through :func:`_csv`.
+The streaming, server and resilience records behind ``--csv-out``.
+Every exporter is one header and one row per record through
+:func:`_csv`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, List, Sequence
-
-from ..gc.base import GCCycle
-from ..teraheap.regions import RegionLiveness
-
-
-def engine_phase_detail(cycle: GCCycle) -> str:
-    """One cycle's per-phase engine stats, folded into a CSV-safe cell.
-
-    ``phase:workers:tasks:steals:remote_steals:hidden_s:idle_s:
-    imbalance`` per phase execution, ``|``-joined in execution order.
-    """
-    return "|".join(
-        "{phase}:{workers}:{tasks}:{steals}:{remote_steals}:"
-        "{hidden:.6f}:{idle:.6f}:{imb:.4f}".format(
-            phase=p["phase"],
-            workers=p["workers"],
-            tasks=p["tasks"],
-            steals=p["steals"],
-            remote_steals=p["remote_steals"],
-            hidden=p.get("hidden_s", 0.0),
-            idle=p["idle_s"],
-            imb=p["imbalance"],
-        )
-        for p in cycle.engine_phases
-    )
+from typing import Iterable, Sequence
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -46,92 +19,6 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
-
-
-def gc_timeline_csv(cycles: Iterable[GCCycle]) -> str:
-    """CSV of per-cycle GC records: the Figure 7 series."""
-    return _csv(
-        [
-            "kind",
-            "start_time_s",
-            "duration_s",
-            "live_bytes",
-            "reclaimed_bytes",
-            "promoted_bytes",
-            "moved_to_h2_bytes",
-            "old_occupancy_after",
-            "marking_s",
-            "precompact_s",
-            "adjust_s",
-            "compact_s",
-            "gc_threads",
-            "tasks",
-            "steals",
-            "remote_steals",
-            "idle_s",
-            "imbalance",
-            "parallel_speedup",
-            "batch_scale",
-            "concurrent_hidden_s",
-            "remark_pause_s",
-            "engine_phases",
-        ],
-        (
-            [
-                c.kind,
-                f"{c.start_time:.6f}",
-                f"{c.duration:.6f}",
-                c.live_bytes,
-                c.reclaimed_bytes,
-                c.promoted_bytes,
-                c.moved_to_h2_bytes,
-                f"{c.old_occupancy_after:.4f}",
-                f"{c.phases.get('marking', 0.0):.6f}",
-                f"{c.phases.get('precompact', 0.0):.6f}",
-                f"{c.phases.get('adjust', 0.0):.6f}",
-                f"{c.phases.get('compact', 0.0):.6f}",
-                c.gc_threads,
-                c.tasks_executed,
-                c.steals,
-                c.remote_steals,
-                f"{c.idle_seconds:.6f}",
-                f"{c.imbalance:.4f}",
-                f"{c.parallel_speedup:.4f}",
-                f"{c.batch_scale:.4f}",
-                f"{c.concurrent_hidden:.6f}",
-                f"{c.remark_pause:.6f}",
-                engine_phase_detail(c),
-            ]
-            for c in cycles
-        ),
-    )
-
-
-def region_liveness_csv(liveness: List[RegionLiveness]) -> str:
-    """CSV of per-region liveness: the Figure 10 CDF inputs."""
-    return _csv(
-        [
-            "total_objects",
-            "live_objects",
-            "live_object_fraction",
-            "used_bytes",
-            "live_bytes",
-            "live_space_fraction",
-            "unused_fraction",
-        ],
-        (
-            [
-                lv.total_objects,
-                lv.live_objects,
-                f"{lv.live_object_fraction:.4f}",
-                lv.used_bytes,
-                lv.live_bytes,
-                f"{lv.live_space_fraction:.4f}",
-                f"{lv.unused_fraction:.4f}",
-            ]
-            for lv in liveness
-        ),
-    )
 
 
 def streaming_blocks_csv(result) -> str:

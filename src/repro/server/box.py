@@ -19,7 +19,7 @@ budgets, DR2 quotas and H1 watermarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..clock import Bucket, Clock
 from ..config import GovernorConfig, TeraHeapConfig, VMConfig

@@ -63,11 +63,6 @@ class H2CardTable:
         self.mutator_marks = 0
 
     # ------------------------------------------------------------------
-    @property
-    def table_bytes(self) -> int:
-        """DRAM footprint: one byte per card, like the vanilla JVM."""
-        return self.num_cards
-
     def card_index(self, address: int) -> int:
         if not self.base <= address < self.base + self.size:
             raise ValueError(f"address {address:#x} outside H2 card table")

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..heap.object_model import HeapObject, SpaceId
-from ..heap.store import SPACE_FREED
 from ..units import TiB
 
 # Figure 2 metadata, sized per region (measured on the authors' struct
@@ -156,18 +155,6 @@ class Region:
             live_bytes=live_bytes,
             capacity=self.capacity,
         )
-
-    def reclaim(self) -> List[HeapObject]:
-        """Free the region in bulk: zero the allocation pointer, delete the
-        dependency list (Section 3.3).  Returns the dropped objects."""
-        dropped = self.objects
-        if dropped:
-            store = dropped[0]._store
-            oids = self.oid_array()
-            store.set_space_batch(oids, SPACE_FREED)
-            store.region_view()[oids] = -1
-        self.clear()
-        return dropped
 
     def clear(self) -> None:
         """Reset the metadata to an empty, unlabelled region; the objects'

@@ -43,17 +43,3 @@ def fmt_bytes(n: float) -> str:
     if n >= MB:
         return f"{n / MB:.1f} MB"
     return f"{int(n)} B"
-
-
-def align_up(value: int, alignment: int) -> int:
-    """Round ``value`` up to the next multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    return (value + alignment - 1) // alignment * alignment
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to the previous multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    return value // alignment * alignment

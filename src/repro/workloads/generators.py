@@ -104,10 +104,6 @@ class MLDataset:
     def total_bytes(self) -> int:
         return self.num_chunks * self.chunk_size
 
-    @property
-    def num_records(self) -> int:
-        return self.num_chunks * self.records_per_chunk
-
 
 def make_ml_dataset(
     target_bytes: int,

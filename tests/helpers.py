@@ -4,7 +4,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, List
 
 from repro import JavaVM, OutOfMemoryError, TeraHeapConfig, VMConfig, gb
 from repro.clock import Bucket
@@ -21,11 +21,9 @@ from repro.faults.events import (
     RetryEvent,
     StallEvent,
 )
-from repro.gc.base import GCCycle
 from repro.gc.g1 import G1Heap
 from repro.heap.object_model import HeapObject
 from repro.teraheap.governor import CircuitState, CircuitTransition
-from repro.teraheap.regions import RegionLiveness
 from repro.units import KiB
 
 
@@ -346,120 +344,6 @@ def reference_fence(collector, targets):
 # verbatim.  tests/test_exporters.py compares today's exporters with
 # these byte for byte.
 # ----------------------------------------------------------------------
-
-
-def reference_engine_phase_detail(cycle: GCCycle) -> str:
-    """One cycle's per-phase engine stats, folded into a CSV-safe cell.
-
-    ``phase:workers:tasks:steals:remote_steals:hidden_s:idle_s:
-    imbalance`` per phase execution, ``|``-joined in execution order.
-    """
-    return "|".join(
-        "{phase}:{workers}:{tasks}:{steals}:{remote_steals}:"
-        "{hidden:.6f}:{idle:.6f}:{imb:.4f}".format(
-            phase=p["phase"],
-            workers=p["workers"],
-            tasks=p["tasks"],
-            steals=p["steals"],
-            remote_steals=p["remote_steals"],
-            hidden=p.get("hidden_s", 0.0),
-            idle=p["idle_s"],
-            imb=p["imbalance"],
-        )
-        for p in cycle.engine_phases
-    )
-
-
-def reference_gc_timeline_csv(cycles: Iterable[GCCycle]) -> str:
-    """CSV of per-cycle GC records: the Figure 7 series."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "kind",
-            "start_time_s",
-            "duration_s",
-            "live_bytes",
-            "reclaimed_bytes",
-            "promoted_bytes",
-            "moved_to_h2_bytes",
-            "old_occupancy_after",
-            "marking_s",
-            "precompact_s",
-            "adjust_s",
-            "compact_s",
-            "gc_threads",
-            "tasks",
-            "steals",
-            "remote_steals",
-            "idle_s",
-            "imbalance",
-            "parallel_speedup",
-            "batch_scale",
-            "concurrent_hidden_s",
-            "remark_pause_s",
-            "engine_phases",
-        ]
-    )
-    for c in cycles:
-        writer.writerow(
-            [
-                c.kind,
-                f"{c.start_time:.6f}",
-                f"{c.duration:.6f}",
-                c.live_bytes,
-                c.reclaimed_bytes,
-                c.promoted_bytes,
-                c.moved_to_h2_bytes,
-                f"{c.old_occupancy_after:.4f}",
-                f"{c.phases.get('marking', 0.0):.6f}",
-                f"{c.phases.get('precompact', 0.0):.6f}",
-                f"{c.phases.get('adjust', 0.0):.6f}",
-                f"{c.phases.get('compact', 0.0):.6f}",
-                c.gc_threads,
-                c.tasks_executed,
-                c.steals,
-                c.remote_steals,
-                f"{c.idle_seconds:.6f}",
-                f"{c.imbalance:.4f}",
-                f"{c.parallel_speedup:.4f}",
-                f"{c.batch_scale:.4f}",
-                f"{c.concurrent_hidden:.6f}",
-                f"{c.remark_pause:.6f}",
-                reference_engine_phase_detail(c),
-            ]
-        )
-    return out.getvalue()
-
-
-def reference_region_liveness_csv(liveness: List[RegionLiveness]) -> str:
-    """CSV of per-region liveness: the Figure 10 CDF inputs."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "total_objects",
-            "live_objects",
-            "live_object_fraction",
-            "used_bytes",
-            "live_bytes",
-            "live_space_fraction",
-            "unused_fraction",
-        ]
-    )
-    for lv in liveness:
-        writer.writerow(
-            [
-                lv.total_objects,
-                lv.live_objects,
-                f"{lv.live_object_fraction:.4f}",
-                lv.used_bytes,
-                lv.live_bytes,
-                f"{lv.live_space_fraction:.4f}",
-                f"{lv.unused_fraction:.4f}",
-            ]
-        )
-    return out.getvalue()
 
 
 def reference_streaming_blocks_csv(result) -> str:

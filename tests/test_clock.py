@@ -85,16 +85,6 @@ def test_snapshot_delta():
     assert delta["other"] == pytest.approx(0.0)
 
 
-def test_snapshot_sub_delta():
-    clock = Clock()
-    with clock.sub_context("x"):
-        clock.charge(1.0)
-    snap = clock.snapshot()
-    with clock.sub_context("x"):
-        clock.charge(0.5)
-    assert snap.sub_delta(clock, "x") == pytest.approx(0.5)
-
-
 def test_record_event():
     clock = Clock()
     clock.charge(5.0)

@@ -82,10 +82,11 @@ class TestLineage:
     def test_chain_reaches_source(self):
         ctx = make_ctx()
         src, _, top = build_chain(ctx)
-        chain = top.lineage_chain()
-        assert len(chain) == 3
-        assert chain[0].startswith("top=")
-        assert chain[-1].startswith("src=source")
+        chain = [top]
+        while chain[-1].lineage.parent_id is not None:
+            chain.append(ctx.rdd(chain[-1].lineage.parent_id))
+        assert [rdd.name for rdd in chain] == ["top", "mid", "src"]
+        assert chain[-1] is src
 
     def test_registry_survives_restart(self):
         """The RDD graph is driver state: identical across incarnations."""

@@ -3,9 +3,9 @@
 ``tests/helpers.py`` keeps the exporters and the resilience log as they
 stood before the log became one event stream.  Every case here renders
 the same run with both and requires identical bytes: the gated
-experiments' exported artifacts, a brownout and a chaoskill log, a small
-TeraHeap run's GC series, and random logs of every event kind with tied
-timestamps and one or two ``absorb`` hops.
+experiments' exported artifacts, a brownout and a chaoskill log, and
+random logs of every event kind with tied timestamps and one or two
+``absorb`` hops.
 """
 
 import json
@@ -17,12 +17,8 @@ from helpers import (
     REFERENCE_KINDS,
     ReferenceResilienceLog,
     legacy_view,
-    make_group,
-    make_vm,
     record_event,
     reference_chrome_trace_json,
-    reference_gc_timeline_csv,
-    reference_region_liveness_csv,
     reference_resilience_events_csv,
     reference_resilience_trace_events,
     reference_server_chrome_trace_json,
@@ -47,11 +43,7 @@ from repro.metrics.chrome_trace import (
     resilience_trace_events,
     vm_engine,
 )
-from repro.metrics.trace import (
-    gc_timeline_csv,
-    region_liveness_csv,
-    resilience_events_csv,
-)
+from repro.metrics.trace import resilience_events_csv
 from repro.teraheap.governor import CircuitState
 
 
@@ -165,26 +157,6 @@ class TestExperimentLogs:
         fresh.resilience.log.absorb(vm.resilience.log)
         text = assert_log_matches(fresh.resilience.log)
         assert {"crash", "recovery"} <= event_names(text)
-
-
-def test_gc_timeline_and_region_liveness():
-    vm = make_vm("teraheap")
-    for i in range(4):
-        root, _ = make_group(vm, count=12, name=f"g{i}")
-        vm.h2_tag_root(root, f"g{i}")
-        vm.h2_move(f"g{i}")
-        vm.major_gc()
-    cycles = vm.collector.stats.cycles
-    assert cycles
-    assert gc_timeline_csv(cycles) == reference_gc_timeline_csv(cycles)
-    liveness = [
-        region.live_object_stats(vm.collector.mark_epoch)
-        for region in vm.h2.regions.values()
-    ]
-    assert liveness
-    assert region_liveness_csv(liveness) == (
-        reference_region_liveness_csv(liveness)
-    )
 
 
 # ---------------------------------------------------------------------

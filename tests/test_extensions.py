@@ -1,15 +1,9 @@
 """The paper's future-work extensions: adaptive thresholds (§7.2),
-size-aware H2 placement (§7.3), DataFrame/Dataset APIs, trace export,
-the CLI, and Giraph vertex offloading."""
-
-import pytest
+size-aware H2 placement (§7.3), the CLI, and Giraph vertex
+offloading."""
 
 from repro import JavaVM, TeraHeapConfig, VMConfig, gb
 from repro.devices.nvme import NVMeSSD
-from repro.frameworks.spark import CachePolicy, SparkConf, SparkContext
-from repro.frameworks.spark.sql_api import Dataset, Schema, read_table
-from repro.heap.object_model import SpaceId
-from repro.metrics import trace
 from repro.teraheap.thresholds import AdaptiveThresholdPolicy
 from repro.units import KiB
 
@@ -141,105 +135,6 @@ class TestSizeAwarePlacement:
         small_regions = {o.region_id for o in small}
         large_regions = {o.region_id for o in large}
         assert small_regions & large_regions
-
-
-# ---------------------------------------------------------------------
-# DataFrame / Dataset API
-# ---------------------------------------------------------------------
-class TestDataFrameAPI:
-    def make_ctx(self, th=False):
-        thc = (
-            TeraHeapConfig(enabled=True, h2_size=gb(64), region_size=64 * KiB)
-            if th
-            else TeraHeapConfig()
-        )
-        vm = JavaVM(
-            VMConfig(heap_size=gb(8), teraheap=thc, page_cache_size=gb(2))
-        )
-        return SparkContext(
-            vm,
-            SparkConf(
-                cache_policy=(
-                    CachePolicy.TERAHEAP if th else CachePolicy.SD
-                ),
-                offheap_device=NVMeSSD(vm.clock),
-            ),
-        )
-
-    def test_schema_projection(self):
-        schema = Schema([("a", 8), ("b", 100), ("c", 20)])
-        projected = schema.project(["a", "c"])
-        assert projected.column_names() == ["a", "c"]
-        assert projected.row_bytes == 28
-
-    def test_select_shrinks_rows(self):
-        ctx = self.make_ctx()
-        df = read_table(
-            ctx, gb(2), Schema([("k", 8), ("v", 120)]), name="t"
-        )
-        small = df.select("k")
-        assert small.rdd.size_bytes < df.rdd.size_bytes
-
-    def test_where_selectivity_validated(self):
-        ctx = self.make_ctx()
-        df = read_table(ctx, gb(1))
-        with pytest.raises(ValueError):
-            df.where(0.0)
-
-    def test_join_shuffles_and_widens(self):
-        ctx = self.make_ctx()
-        left = read_table(ctx, gb(1), Schema([("k", 8), ("a", 56)]))
-        right = read_table(ctx, gb(1), Schema([("k", 8), ("b", 56)]))
-        joined = left.join(right)
-        assert ctx.shuffle_manager.shuffles >= 2
-        assert len(joined.schema.columns) == 4
-
-    def test_cached_dataframe_migrates_to_h2(self):
-        ctx = self.make_ctx(th=True)
-        df = read_table(ctx, gb(1)).where(0.5).persist()
-        df.count()
-        ctx.vm.major_gc()
-        entry = ctx.block_manager.entries[(df.rdd.rdd_id, 0)]
-        assert entry.partition.root.space is SpaceId.H2
-
-    def test_dataset_typed_overhead(self):
-        ctx = self.make_ctx()
-        ds = Dataset(read_table(ctx, gb(1)).rdd, Schema([("k", 8)]))
-        mapped = ds.map_elements(2)
-        assert isinstance(mapped, Dataset)
-        assert mapped.rdd.compute_ops_per_chunk > 2
-
-    def test_group_by_reduces(self):
-        ctx = self.make_ctx()
-        df = read_table(ctx, gb(2))
-        grouped = df.group_by(reduction=0.1)
-        assert grouped.rdd.size_bytes < df.rdd.size_bytes
-
-
-# ---------------------------------------------------------------------
-# Trace export
-# ---------------------------------------------------------------------
-class TestTraceExport:
-    def test_gc_timeline_csv(self):
-        vm = JavaVM(VMConfig(heap_size=gb(4)))
-        root = vm.allocate(4 * KiB)
-        vm.roots.add(root)
-        vm.minor_gc()
-        vm.major_gc()
-        csv_text = trace.gc_timeline_csv(vm.collector.stats.cycles)
-        lines = csv_text.strip().splitlines()
-        assert lines[0].startswith("kind,start_time_s")
-        assert len(lines) == 3  # header + 2 cycles
-        assert lines[1].startswith("minor,")
-        assert lines[2].startswith("major,")
-
-    def test_region_liveness_csv(self):
-        from repro.teraheap.regions import RegionLiveness
-
-        csv_text = trace.region_liveness_csv(
-            [RegionLiveness(10, 5, 8000, 4000, 16384)]
-        )
-        assert "0.5000" in csv_text
 
 
 # ---------------------------------------------------------------------

@@ -18,7 +18,6 @@ def test_geometry(table):
     assert table.num_cards == 128
     assert table.cards_per_stripe == 8
     assert table.num_stripes == 16
-    assert table.table_bytes == 128  # one byte per card
 
 
 def test_default_state_clean(table):

@@ -155,11 +155,6 @@ class TestCardTable:
         ct.clear(1)
         assert not ct.is_dirty(1)
 
-    def test_mark_object_spans_cards(self):
-        ct = CardTable(base=0, size=4096)
-        ct.mark_object(400, 300)  # spans cards 0 and 1
-        assert ct.is_dirty(0) and ct.is_dirty(1)
-
     def test_dirty_cards_sorted(self):
         ct = CardTable(base=0, size=4096)
         ct.mark(3000)
@@ -170,14 +165,6 @@ class TestCardTable:
         ct = CardTable(base=1000, size=4096)
         lo, hi = ct.card_range(0)
         assert (lo, hi) == (1000, 1512)
-
-    def test_retain(self):
-        ct = CardTable(base=0, size=4096)
-        ct.mark(0)
-        ct.mark(1024)
-        ct.retain([2])
-        assert not ct.is_dirty(0)
-        assert ct.is_dirty(2)
 
     def test_invalid_card_size(self):
         with pytest.raises(ValueError):
@@ -317,4 +304,3 @@ class TestManagedHeap:
         heap = self.make_heap()
         heap.try_allocate(HeapObject(1024, store=store))
         assert heap.used() == 1024
-        assert 0 < heap.live_occupancy() < 1

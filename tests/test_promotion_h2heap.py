@@ -8,7 +8,7 @@ from repro.devices.mmap import MappedFile
 from repro.devices.nvme import NVMeSSD
 from repro.devices.page_cache import PageCache
 from repro.errors import OutOfMemoryError
-from repro.heap.object_model import HeapObject
+from repro.heap.object_model import HeapObject, SpaceId
 from repro.teraheap.h2_heap import H2_BASE, H2Heap
 from repro.teraheap.promotion import DIRECT_WRITE_THRESHOLD, PromotionManager
 from repro.units import KiB, gb
@@ -128,8 +128,9 @@ class TestH2Heap:
     def test_directionality_allows_reclaiming_upstream(self, h2, store):
         """X->Y->Z with only Z referenced: X and Y reclaimable (the win
         over region groups, Section 3.3)."""
-        for label in ("x", "y", "z"):
-            h2.assign_address(HeapObject(1024, store=store), label, 1)
+        objs = [HeapObject(1024, store=store) for _ in range(3)]
+        for obj, label in zip(objs, ("x", "y", "z")):
+            h2.assign_address(obj, label, 1)
         h2.record_cross_region_ref(0, 1)
         h2.record_cross_region_ref(1, 2)
         h2.reset_live_bits()
@@ -137,6 +138,16 @@ class TestH2Heap:
         reclaimed = h2.reclaim_dead_regions(epoch=2)
         assert reclaimed == 2
         assert not h2.regions[2].is_empty
+        # Bulk free: pointer zeroed, dependency list and label dropped,
+        # the objects freed.
+        for index in (0, 1):
+            region = h2.regions[index]
+            assert region.is_empty and region.deps == set()
+            assert not region.live and region.label is None
+        assert [o.space for o in objs] == [
+            SpaceId.FREED, SpaceId.FREED, SpaceId.H2,
+        ]
+        assert [o.region_id for o in objs] == [-1, -1, 2]
 
     def test_group_policy_keeps_whole_group(self, store):
         clock = Clock()

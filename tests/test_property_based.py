@@ -233,7 +233,7 @@ def _bm_cache(vm, bm, rdd, index):
     st.lists(
         st.tuples(
             st.sampled_from(
-                ["store", "spill", "shed", "evict", "gc", "reconcile"]
+                ["store", "shed", "evict", "gc", "reconcile"]
             ),
             st.integers(min_value=0, max_value=7),
         ),
@@ -244,7 +244,7 @@ def _bm_cache(vm, bm, rdd, index):
 def test_block_manager_residency_never_drifts(ops):
     """Counters always equal ground truth recomputed from the entries.
 
-    Whatever interleaving of stores, spills, sheds, evictions, major GCs
+    Whatever interleaving of stores, sheds, evictions, major GCs
     (H1 -> H2 migration) and reconciles runs, ``onheap_used`` /
     ``h2_bytes`` / ``offheap_bytes`` must equal the sum of
     ``charged_bytes()`` over entries charged to that bucket — the
@@ -264,8 +264,6 @@ def test_block_manager_residency_never_drifts(ops):
     for op, index in ops:
         if op == "store":
             _bm_cache(vm, bm, rdd, index)
-        elif op == "spill":
-            bm.spill_entry((1, index))
         elif op == "shed":
             bm.shed_blocks(16 * KiB)
         elif op == "evict":

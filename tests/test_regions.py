@@ -36,21 +36,6 @@ def test_allocation_fails_when_full(region, store):
     assert not region.allocate(HeapObject(64, store=store))
 
 
-def test_reclaim_zeroes_pointer_and_frees_objects(region, store):
-    objs = [HeapObject(1000, store=store) for _ in range(3)]
-    for o in objs:
-        region.allocate(o)
-    region.deps.add(5)
-    region.live = True
-    dropped = region.reclaim()
-    assert dropped == objs
-    assert region.is_empty
-    assert region.deps == set()
-    assert not region.live
-    assert region.label is None
-    assert all(o.space is SpaceId.FREED for o in objs)
-
-
 def test_liveness_stats(region, store):
     live, dead = HeapObject(1000, store=store), HeapObject(3000, store=store)
     region.allocate(live)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.clock import Clock
 from repro.config import GovernorConfig, TeraHeapConfig, VMConfig
-from repro.devices.base import AccessPattern
 from repro.devices.health import DeviceHealthMonitor, DeviceState
 from repro.devices.nvme import NVMeSSD
 from repro.devices.page_cache import PageCache

@@ -1,7 +1,5 @@
 """Block-streaming executor: budgets, backpressure, spills, satellites."""
 
-import pytest
-
 from repro import JavaVM, TeraHeapConfig, VMConfig, gb
 from repro.__main__ import main
 from repro.clock import Bucket
@@ -278,52 +276,6 @@ class TestPinnedEviction:
             accounting_invariant(bm)
         finally:
             vm.roots.close_frame(frame)
-
-
-class TestSpillEntry:
-    def test_spill_and_read_back(self):
-        vm = plain_vm()
-        bm = BlockManager(vm, SparkConf(cache_policy=CachePolicy.TERAHEAP))
-        rdd = _RDDStub(1)
-        cache_partition(vm, bm, rdd, 0)
-        freed = bm.spill_entry((1, 0))
-        assert freed > 0
-        entry = bm.entries[(1, 0)]
-        assert entry.kind == "blob"
-        assert entry.charged == "offheap"
-        assert bm.spilled_blocks == 1
-        accounting_invariant(bm)
-        # First access after the spill pays the unspill penalty once.
-        bm.get_or_compute(rdd, 0, lambda _: pytest.fail("recompute"))
-        assert bm.unspills == 1
-        assert bm.deserializations == 1
-
-    def test_spill_pinned_entry_refused(self):
-        vm = plain_vm()
-        bm = BlockManager(vm, SparkConf(cache_policy=CachePolicy.TERAHEAP))
-        rdd = _RDDStub(1)
-        part = cache_partition(vm, bm, rdd, 0)
-        frame = vm.roots.open_frame()
-        frame.push(part.root)
-        try:
-            assert bm.spill_entry((1, 0)) == 0
-            assert bm.entries[(1, 0)].kind == "heap"
-            assert bm.spilled_blocks == 0
-        finally:
-            vm.roots.close_frame(frame)
-
-    def test_spill_with_open_circuit_stays_on_heap(self):
-        vm = plain_vm(governed=True)
-        bm = BlockManager(vm, SparkConf(cache_policy=CachePolicy.TERAHEAP))
-        rdd = _RDDStub(1)
-        cache_partition(vm, bm, rdd, 0)
-        trip_circuit(vm)
-        bm.spill_entry((1, 0))
-        entry = bm.entries[(1, 0)]
-        assert entry.kind == "blob"
-        assert entry.charged == "h1"
-        assert entry.heap_blob is not None
-        accounting_invariant(bm)
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,4 @@
-"""Unit helpers: scale conversion and alignment."""
-
-import pytest
+"""Unit helpers: scale conversion and byte formatting."""
 
 from repro import units
 
@@ -37,19 +35,3 @@ def test_fmt_bytes_tb():
 def test_fmt_bytes_small():
     assert units.fmt_bytes(17) == "17 B"
 
-
-def test_align_up():
-    assert units.align_up(10, 8) == 16
-    assert units.align_up(16, 8) == 16
-    assert units.align_up(0, 8) == 0
-
-
-def test_align_down():
-    assert units.align_down(10, 8) == 8
-    assert units.align_down(16, 8) == 16
-
-
-@pytest.mark.parametrize("func", [units.align_up, units.align_down])
-def test_align_rejects_nonpositive(func):
-    with pytest.raises(ValueError):
-        func(10, 0)
