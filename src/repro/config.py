@@ -142,8 +142,9 @@ class TeraHeapConfig:
     #: stops large dead arrays pinning regions full of small live objects
     size_aware_placement: bool = False
     #: cross-region tracking policy: per-region dependency lists with
-    #: direction ("deps", the paper's design) or undirected union-find
-    #: region groups ("groups", the Section 3.3 alternative)
+    #: direction ("deps", the paper's design) or region groups ("groups",
+    #: the Section 3.3 alternative): the same edges with direction
+    #: dropped, so a group is a connected component and lives whole
     region_policy: str = "deps"
     #: promotion buffer used to batch small-object writes (Section 3.2).
     #: Expressed in real bytes — one buffer comfortably spans a region.

@@ -205,12 +205,6 @@ class G1Heap:
         for i in range(head.index, head.index + needed):
             self.regions[i].reset()
 
-    def all_objects(self) -> List[HeapObject]:
-        out: List[HeapObject] = []
-        for region in self.regions:
-            out.extend(region.objects)
-        return out
-
 
 class G1WriteBarrier:
     """G1's post-write barrier: dirties the source's remembered-set entry.

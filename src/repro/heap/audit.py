@@ -382,7 +382,6 @@ class HeapAuditor:
         reference means the next reclamation could.
         """
         h2 = self.h2
-        groups = h2.region_groups
         for region in h2.regions.values():
             if self._h2_refs_clean(region):
                 continue
@@ -402,25 +401,19 @@ class HeapAuditor:
                     if (
                         ref.space is SpaceId.H2
                         and ref.region_id != region.index
+                        and ref.region_id not in region.deps
                     ):
-                        if groups is not None:
-                            linked = groups.find(region.index) == groups.find(
-                                ref.region_id
+                        out.append(
+                            Violation(
+                                "h2-dependency-closure",
+                                f"cross-region reference #{obj.oid} "
+                                f"(region {region.index}) -> "
+                                f"#{ref.oid} (region {ref.region_id})",
+                                f"dependency edge {region.index} -> "
+                                f"{ref.region_id}",
+                                "no recorded edge",
                             )
-                        else:
-                            linked = ref.region_id in region.deps
-                        if not linked:
-                            out.append(
-                                Violation(
-                                    "h2-dependency-closure",
-                                    f"cross-region reference #{obj.oid} "
-                                    f"(region {region.index}) -> "
-                                    f"#{ref.oid} (region {ref.region_id})",
-                                    f"dependency edge {region.index} -> "
-                                    f"{ref.region_id}",
-                                    "no recorded edge",
-                                )
-                            )
+                        )
 
     def _h2_refs_clean(self, region) -> bool:
         """Vectorized no-dangling / dependency-closure sweep of a region."""
@@ -441,10 +434,6 @@ class HeapAuditor:
         cross = np.unique(target_regions[target_regions != region.index])
         if not cross.size:
             return True
-        groups = self.h2.region_groups
-        if groups is not None:
-            mine = groups.find(region.index)
-            return all(groups.find(int(r)) == mine for r in cross)
         return all(int(r) in region.deps for r in cross)
 
     def _check_live_bits(self, out: List[Violation], epoch: int) -> None:

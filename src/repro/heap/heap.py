@@ -61,9 +61,6 @@ class ManagedHeap:
     def end(self) -> int:
         return self.old.end
 
-    def contains_address(self, address: int) -> bool:
-        return H1_BASE <= address < self.end
-
     def spaces(self) -> List[Space]:
         return [self.eden, self.survivor_from, self.survivor_to, self.old]
 

@@ -52,9 +52,6 @@ class Space:
     def end(self) -> int:
         return self.base + self.capacity
 
-    def contains_address(self, address: int) -> bool:
-        return self.base <= address < self.end
-
     def has_room(self, size: int) -> bool:
         return self.free >= size
 

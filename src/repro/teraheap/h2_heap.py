@@ -41,7 +41,6 @@ from ..heap.store import FLAG_H2_CANDIDATE, SPACE_FREED, SPACE_H2
 from .h2_card_table import CardState, H2CardTable
 from .promotion import PromotionManager
 from .recovery import RecoveryReport, RegionJournalEntry, header_page
-from .region_groups import RegionGroups
 from .regions import PER_REGION_METADATA_BYTES, Region, RegionLiveness
 
 #: smallest batch :meth:`H2Heap.mutator_load_many` hands to the page
@@ -109,12 +108,10 @@ class H2Heap:
         self._next_fresh = 0
         #: open (current) region per label, for append placement
         self._open_by_label: Dict[str, int] = {}
-        #: union-find groups, used only under the "groups" policy
-        self.region_groups: Optional[RegionGroups] = (
-            RegionGroups() if config.region_policy == "groups" else None
-        )
-        #: group representatives marked live this GC (groups policy)
-        self._live_group_roots: Set[int] = set()
+        #: "groups" policy: record each cross-region edge in both
+        #: regions' dependency lists, so liveness spreads over the
+        #: undirected connected component (a region group, Section 3.3)
+        self._undirected_deps = config.region_policy == "groups"
         #: per-GC record of region liveness, feeding Figure 10
         self.liveness_log: List[RegionLiveness] = []
         self.regions_reclaimed = 0
@@ -360,21 +357,24 @@ class H2Heap:
     def _journal_deps(self, region: Region) -> tuple:
         """The dependency edges a region's header journal persists.
 
-        Under the "groups" policy the union-find structure carries the
-        cross-region information, so the journal records the region's
-        group co-members instead; recovery re-unions them.
+        Under the "groups" policy the journal records the region's group
+        co-members, the other active regions of its connected component;
+        recovery restores them as edges, which connect the same group.
         """
-        if self.region_groups is not None:
-            root = self.region_groups.find(region.index)
-            return tuple(
-                sorted(
-                    other.index
-                    for other in self.active_regions()
-                    if other.index != region.index
-                    and self.region_groups.find(other.index) == root
-                )
-            )
-        return tuple(sorted(region.deps))
+        if not self._undirected_deps:
+            return tuple(sorted(region.deps))
+        regions = self.regions
+        group: Set[int] = set()
+        stack = [region.index]
+        while stack:
+            index = stack.pop()
+            if index not in group:
+                group.add(index)
+                stack.extend(regions[index].deps if index in regions else ())
+        group.discard(region.index)
+        return tuple(
+            sorted(i for i in group if i in regions and not regions[i].is_empty)
+        )
 
     def commit_epoch(
         self, epoch: int, note: str = "", fsync_cost: float = 0.0
@@ -569,9 +569,6 @@ class H2Heap:
                 region.allocate(obj)
                 obj.label = entry.label
             region.deps = set(entry.deps)
-            if self.region_groups is not None:
-                for dep in entry.deps:
-                    self.region_groups.union(index, dep)
             # Rescan the surviving bytes through the page cache.
             self._io(
                 "h2_recovery_scan",
@@ -615,10 +612,9 @@ class H2Heap:
         ``dst_region`` was created (during object transfer)."""
         if src_region == dst_region:
             return
-        if self.region_groups is not None:
-            self.region_groups.union(src_region, dst_region)
-        else:
-            self.regions[src_region].deps.add(dst_region)
+        self.regions[src_region].deps.add(dst_region)
+        if self._undirected_deps:
+            self.regions[dst_region].deps.add(src_region)
 
     # ------------------------------------------------------------------
     # Liveness (major GC marking, Section 3.3 / Section 4)
@@ -626,7 +622,6 @@ class H2Heap:
     def reset_live_bits(self) -> None:
         for region in self.regions.values():
             region.live = False
-        self._live_group_roots = set()
 
     def mark_region_live(self, index: int) -> None:
         """Set a region's live bit and propagate along dependency lists."""
@@ -637,15 +632,6 @@ class H2Heap:
         lists, in one walk: the live bits come out as with one
         :meth:`mark_region_live` per index."""
         regions = self.regions
-        if self.region_groups is not None:
-            # Group policy: any H1 reference into the group revives it
-            # all; membership resolves lazily at reclaim time.
-            for index in indices:
-                region = regions.get(index)
-                if region is not None:
-                    region.live = True
-                self._live_group_roots.add(self.region_groups.find(index))
-            return
         # Always walk each start's dependency list — edges may have been
         # recorded after its live bit was first set.
         stack: List[int] = []
@@ -671,24 +657,9 @@ class H2Heap:
         # Re-propagate liveness along dependency lists: edges recorded
         # after a region's live bit was set (e.g. during the card scan)
         # must still pin their targets.
-        if self.region_groups is not None:
-            # Any member of a live group is live.
-            for region in self.regions.values():
-                if region.live:
-                    self._live_group_roots.add(
-                        self.region_groups.find(region.index)
-                    )
-            for region in self.regions.values():
-                if (
-                    not region.is_empty
-                    and self.region_groups.find(region.index)
-                    in self._live_group_roots
-                ):
-                    region.live = True
-        else:
-            self.mark_regions_live(
-                [r.index for r in self.regions.values() if r.live and r.deps]
-            )
+        self.mark_regions_live(
+            [r.index for r in self.regions.values() if r.live and r.deps]
+        )
         reclaimed = []
         dropped = []
         for region in self.regions.values():
@@ -721,8 +692,6 @@ class H2Heap:
             if index in doomed
         ]:
             del self._open_by_label[label]
-        if self.region_groups is not None and reclaimed:
-            self.region_groups.remove(reclaimed)
         self.regions_reclaimed += len(reclaimed)
         return len(reclaimed)
 

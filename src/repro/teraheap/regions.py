@@ -69,7 +69,8 @@ class Region:
         #: so whole groups die together)
         self.label: Optional[str] = None
         #: dependency list: indices of regions referenced by objects here.
-        #: The paper keeps direction — this set holds *outgoing* edges.
+        #: The paper keeps direction — this set holds *outgoing* edges;
+        #: under the "groups" policy it holds incoming edges too.
         self.deps: Set[int] = set()
         self.objects: List[HeapObject] = []
         self.allocated_epoch = 0

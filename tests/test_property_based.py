@@ -10,7 +10,6 @@ from repro.heap.object_model import HeapObject
 from repro.heap.store import HeapStore
 from repro.heap.spaces import Space, SpaceId
 from repro.teraheap.h2_card_table import CardState, H2CardTable
-from repro.teraheap.region_groups import RegionGroups
 from repro.teraheap.regions import Region, metadata_bytes_per_tb
 from repro.units import KiB, MiB
 
@@ -118,54 +117,6 @@ def test_h2_card_scan_sets_consistent(transitions):
     assert minor <= major  # minor scans a subset of major's set
     for idx in major - minor:
         assert table.state(idx) is CardState.OLD_GEN
-
-
-# ---------------------------------------------------------------------
-# Union-find region groups
-# ---------------------------------------------------------------------
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=30),
-            st.integers(min_value=0, max_value=30),
-        ),
-        max_size=60,
-    )
-)
-def test_region_groups_equivalence_relation(unions):
-    g = RegionGroups()
-    for a, b in unions:
-        g.union(a, b)
-    regions = {r for pair in unions for r in pair}
-    for r in regions:
-        assert g.same_group(r, r)  # reflexive
-        members = g.group_members(r)
-        assert r in members
-        for other in members:
-            assert g.same_group(other, r)  # symmetric
-            assert g.group_members(other) == members  # transitive closure
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=20),
-            st.integers(min_value=0, max_value=20),
-        ),
-        min_size=1,
-        max_size=30,
-    ),
-    st.sets(st.integers(min_value=0, max_value=20), max_size=5),
-)
-def test_region_groups_liveness_closed(unions, live_seed):
-    g = RegionGroups()
-    for a, b in unions:
-        g.union(a, b)
-    live = g.live_regions(live_seed)
-    # Liveness is closed over groups: any group member of a live region
-    # is live.
-    for r in live:
-        assert g.group_members(r) <= live
 
 
 # ---------------------------------------------------------------------

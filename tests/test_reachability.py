@@ -9,39 +9,72 @@ namesake on another object) does not count.  String constants count
 because ``bench/layers.py`` wraps its entry points by name.  Dunder
 methods are called by Python itself and are skipped.
 
-Names only tests refer to are listed in :data:`ALLOWED`, each with the
-reason it stays; anything else unreferenced is dead code to delete.
+Definitions only tests refer to are listed in :data:`ALLOWED`, each
+keyed by its one definition (``path:Qualname``) with the reason it stays,
+so an entry never covers a namesake defined elsewhere; anything else
+unreferenced is dead code to delete.
 """
 
 import ast
 from functools import cache
 from pathlib import Path
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "bench", "examples")
 
-#: names no program code refers to, kept on purpose
+#: definitions (``path:Qualname``) no program code refers to, kept on
+#: purpose
 ALLOWED: Dict[str, str] = {
-    "all_objects": "test observation accessor (every live heap object)",
-    "assign_address": "one-object form tests compare place_objects with",
-    "attach_vm": "tenant restart hook the tenant-isolation tests drive",
-    "charged_seconds": "test observation accessor (engine phase charge)",
-    "contains_address": "test observation accessor (space/region bounds)",
-    "dirty_count": "test observation accessor (card table)",
-    "group_members": "test observation accessor (union-find groups)",
-    "is_dirty": "test observation accessor (card table)",
-    "is_durable": "test observation accessor (crash image pages)",
-    "live_regions": "union-find liveness rule the region-group tests state",
-    "mark_region_live": "one-region form tests and their reference use",
-    "num_edges": "test observation accessor (graph dataset size)",
-    "same_group": "test observation accessor (union-find groups)",
-    "slo_violations": "test observation accessor (device health)",
-    "snapshot": "test observation accessor (clock and device traffic)",
-    "state_of": "test observation accessor (device health)",
-    "sub_breakdown": "test observation accessor (golden clock digests)",
-    "unpersist": "Spark API twin of persist; tests evict through it",
-    "write_object": "one-object form tests compare write_many with",
+    "src/repro/clock.py:Clock.snapshot": "test observation accessor",
+    "src/repro/clock.py:Clock.sub_breakdown": (
+        "test observation accessor (golden clock digests)"
+    ),
+    "src/repro/devices/base.py:DeviceTraffic.snapshot": (
+        "test observation accessor"
+    ),
+    "src/repro/devices/durability.py:DurableImage.is_durable": (
+        "test observation accessor (crash image pages)"
+    ),
+    "src/repro/devices/health.py:DeviceHealthMonitor.slo_violations": (
+        "test observation accessor"
+    ),
+    "src/repro/devices/health.py:DeviceHealthMonitor.state_of": (
+        "test observation accessor"
+    ),
+    "src/repro/frameworks/spark/rdd.py:RDD.unpersist": (
+        "Spark API twin of persist; tests evict through it"
+    ),
+    "src/repro/gc/engine/engine.py:PhaseExecution.charged_seconds": (
+        "test observation accessor (engine phase charge)"
+    ),
+    "src/repro/heap/card_table.py:CardTable.dirty_count": (
+        "test observation accessor"
+    ),
+    "src/repro/heap/card_table.py:CardTable.is_dirty": (
+        "test observation accessor"
+    ),
+    "src/repro/heap/heap.py:ManagedHeap.all_objects": (
+        "test observation accessor (every live heap object)"
+    ),
+    "src/repro/server/box.py:Tenant.attach_vm": (
+        "tenant restart hook the tenant-isolation tests drive"
+    ),
+    "src/repro/teraheap/h2_heap.py:H2Heap.assign_address": (
+        "one-object form tests compare place_objects with"
+    ),
+    "src/repro/teraheap/h2_heap.py:H2Heap.mark_region_live": (
+        "one-region form tests and their reference use"
+    ),
+    "src/repro/teraheap/promotion.py:PromotionManager.write_object": (
+        "one-object form tests compare write_many with"
+    ),
+    "src/repro/teraheap/regions.py:Region.contains_address": (
+        "test observation accessor (region bounds)"
+    ),
+    "src/repro/workloads/generators.py:GraphDataset.num_edges": (
+        "test observation accessor (graph dataset size)"
+    ),
 }
 
 
@@ -49,14 +82,15 @@ class _Scan(ast.NodeVisitor):
     """Collects definitions (``src`` only) and references (everywhere)."""
 
     def __init__(self) -> None:
-        self.defined: Dict[str, List[str]] = {}
+        #: ``path:Qualname`` -> the definition's name and line
+        self.defined: Dict[str, Tuple[str, int]] = {}
         self.referenced: Set[str] = set()
         self._where = ""
         self._collect_defs = False
         self._enclosing: List[str] = []
 
     def scan(self, path: Path, collect_defs: bool) -> None:
-        self._where = str(path.relative_to(ROOT))
+        self._where = path.relative_to(ROOT).as_posix()
         self._collect_defs = collect_defs
         self.visit(ast.parse(path.read_text(), self._where))
 
@@ -66,8 +100,9 @@ class _Scan(ast.NodeVisitor):
 
     def _define(self, node) -> None:
         if self._collect_defs:
-            self.defined.setdefault(node.name, []).append(
-                f"{self._where}:{node.lineno}"
+            qualname = ".".join(self._enclosing + [node.name])
+            self.defined.setdefault(
+                f"{self._where}:{qualname}", (node.name, node.lineno)
             )
         self._enclosing.append(node.name)
         self.generic_visit(node)
@@ -101,10 +136,12 @@ def _scan() -> _Scan:
     return scan
 
 
-def _unreferenced(scan: _Scan) -> Dict[str, List[str]]:
+def _unreferenced(scan: _Scan) -> Dict[str, int]:
+    """``path:Qualname`` -> line of every definition whose name nothing
+    refers to."""
     return {
-        name: where
-        for name, where in sorted(scan.defined.items())
+        key: line
+        for key, (name, line) in sorted(scan.defined.items())
         if not (name.startswith("__") and name.endswith("__"))
         and name not in scan.referenced
     }
@@ -112,13 +149,11 @@ def _unreferenced(scan: _Scan) -> Dict[str, List[str]]:
 
 def test_every_definition_is_reached_or_allowed():
     dead = {
-        name: where
-        for name, where in _unreferenced(_scan()).items()
-        if name not in ALLOWED
+        key: line
+        for key, line in _unreferenced(_scan()).items()
+        if key not in ALLOWED
     }
-    listing = "\n".join(
-        f"  {name}: {', '.join(where)}" for name, where in dead.items()
-    )
+    listing = "\n".join(f"  {key} (line {line})" for key, line in dead.items())
     assert not dead, (
         "unreferenced definitions (delete, or allow with a reason):\n"
         + listing
@@ -129,5 +164,5 @@ def test_allowlist_names_only_unreferenced_definitions():
     """An entry whose name got a caller, or whose definition went, is
     stale and must leave the list."""
     unreferenced = _unreferenced(_scan())
-    stale = sorted(name for name in ALLOWED if name not in unreferenced)
+    stale = sorted(key for key in ALLOWED if key not in unreferenced)
     assert not stale, f"stale ALLOWED entries: {stale}"

@@ -127,7 +127,7 @@ def test_h2_regions_reclaimed_only_when_dead(seed):
 
 
 def test_region_group_policy_is_safe_but_conservative():
-    """Union-find groups must never reclaim a live region; they may keep
+    """Region groups must never reclaim a live region; they may keep
     dead ones (the Section 3.3 trade-off)."""
     for policy in ("deps", "groups"):
         vm = JavaVM(
