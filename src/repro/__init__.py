@@ -31,7 +31,6 @@ from .config import (
 )
 from .errors import (
     ConfigError,
-    DegradationError,
     DeviceFullError,
     DeviceIOError,
     InvalidHintError,
@@ -59,7 +58,6 @@ __all__ = [
     "Clock",
     "ConfigError",
     "CostModel",
-    "DegradationError",
     "DeviceFullError",
     "DeviceIOError",
     "FaultConfig",

@@ -11,7 +11,7 @@ from .base import AccessPattern, Device, DeviceTraffic
 from .dram import DRAM
 from .durability import DurableImage, image_of
 from .mmap import MappedFile
-from .nvm import NVM, NVMMode
+from .nvm import NVM
 from .nvme import NVMeSSD
 from .page_cache import PageCache
 
@@ -24,7 +24,6 @@ __all__ = [
     "image_of",
     "MappedFile",
     "NVM",
-    "NVMMode",
     "NVMeSSD",
     "PageCache",
 ]

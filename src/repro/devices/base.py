@@ -92,6 +92,40 @@ class Device:
         pages = (nbytes + self.page_size - 1) // self.page_size
         return max(pages, 1) * self.page_size
 
+    def _transfer(
+        self,
+        write: bool,
+        nbytes: int,
+        pattern: AccessPattern,
+        requests: int,
+        share: float = 1.0,
+    ) -> float:
+        """Charge one transfer of ``nbytes`` in ``requests`` requests at
+        ``share`` of the device's bandwidth; returns its cost.
+
+        The one request body: :meth:`read` and :meth:`write` call it,
+        and a device variant overrides or calls it rather than copying
+        it per direction.
+        """
+        moved = self._granular(nbytes)
+        if write:
+            latency, bw = self.write_latency, self.write_bw
+        else:
+            latency, bw = self.read_latency, self.read_bw
+        latency *= requests
+        if pattern is AccessPattern.RANDOM:
+            latency *= self.random_penalty
+        cost = latency + moved / (bw * share)
+        self.clock.charge(cost)
+        traffic = self.traffic
+        if write:
+            traffic.bytes_written += moved
+            traffic.write_ops += requests
+        else:
+            traffic.bytes_read += moved
+            traffic.read_ops += requests
+        return cost
+
     def read(
         self,
         nbytes: int,
@@ -99,15 +133,7 @@ class Device:
         requests: int = 1,
     ) -> float:
         """Charge the cost of reading ``nbytes`` in ``requests`` requests."""
-        moved = self._granular(nbytes)
-        latency = self.read_latency * requests
-        if pattern is AccessPattern.RANDOM:
-            latency *= self.random_penalty
-        cost = latency + moved / self.read_bw
-        self.clock.charge(cost)
-        self.traffic.bytes_read += moved
-        self.traffic.read_ops += requests
-        return cost
+        return self._transfer(False, nbytes, pattern, requests)
 
     def read_many(
         self,
@@ -121,10 +147,10 @@ class Device:
         The costs, clock totals and traffic equal one :meth:`read` per
         entry, bit for bit: each cost is :meth:`read`'s expression taken
         elementwise, and :meth:`Clock.charge_each` adds them left to
-        right.  A subclass that overrides :meth:`read` gets a loop over
-        its own :meth:`read`, so its per-request cost model is kept.
+        right.  A class that overrides :meth:`_transfer` gets a loop over
+        :meth:`read`, so its per-request cost model is kept.
         """
-        if type(self).read is not Device.read:
+        if type(self)._transfer is not Device._transfer:
             read = self.read
             return [read(n, pattern, r) for n, r in zip(sizes, requests)]
         nbytes = np.asarray(sizes, dtype=np.int64)
@@ -150,15 +176,7 @@ class Device:
         requests: int = 1,
     ) -> float:
         """Charge the cost of writing ``nbytes`` in ``requests`` requests."""
-        moved = self._granular(nbytes)
-        latency = self.write_latency * requests
-        if pattern is AccessPattern.RANDOM:
-            latency *= self.random_penalty
-        cost = latency + moved / self.write_bw
-        self.clock.charge(cost)
-        self.traffic.bytes_written += moved
-        self.traffic.write_ops += requests
-        return cost
+        return self._transfer(True, nbytes, pattern, requests)
 
     def read_modify_write(self, nbytes: int) -> float:
         """An in-place update on a block device: read page(s), then write.

@@ -2,37 +2,24 @@
 
 from __future__ import annotations
 
-import enum
-
 from ..clock import Clock
 from ..units import GB, MiB
-from .base import Device
-
-
-class NVMMode(enum.Enum):
-    """Optane operating modes used in the paper (Section 6, Table 2)."""
-
-    #: mounted on ext4-DAX; direct load/store mappings (H2 backing, Spark-SD
-    #: off-heap backing)
-    APP_DIRECT = "app_direct"
-    #: NVM as main memory with DRAM as a hardware-managed cache (Spark-MO)
-    MEMORY = "memory"
+from .base import AccessPattern, Device
+from .dram import DRAM
 
 
 class NVM(Device):
-    """Byte-addressable NVM: ~3x DRAM read latency, lower write bandwidth.
+    """Byte-addressable NVM in App Direct mode (Section 6, Table 2).
 
-    Ratios follow the Optane characterisation literature cited by the paper
-    (Izraelevitz et al. 2019, Yang et al. 2020): reads ~2-3x slower than
-    DRAM, writes ~5x slower, no page-granularity amplification.
+    Mounted on ext4-DAX with direct load/store mappings: H2's backing
+    device and Spark-SD's off-heap store.  Ratios follow the Optane
+    characterisation literature cited by the paper (Izraelevitz et al.
+    2019, Yang et al. 2020): reads ~2-3x slower than DRAM, writes ~5x
+    slower, no page-granularity amplification.
     """
 
     def __init__(
-        self,
-        clock: Clock,
-        capacity: int = 3072 * GB,
-        mode: NVMMode = NVMMode.APP_DIRECT,
-        name: str = "nvm",
+        self, clock: Clock, capacity: int = 3072 * GB, name: str = "nvm"
     ):
         super().__init__(
             name=name,
@@ -45,10 +32,9 @@ class NVM(Device):
             random_penalty=1.3,
             clock=clock,
         )
-        self.mode = mode
 
 
-class NVMMemoryMode(Device):
+class NVMMemoryMode(NVM):
     """NVM in Memory mode with DRAM acting as a direct-mapped cache.
 
     The CPU memory controller moves data between DRAM and NVM with no
@@ -65,20 +51,9 @@ class NVMMemoryMode(Device):
         capacity: int = 1024 * GB,
         name: str = "nvm-memmode",
     ):
-        super().__init__(
-            name=name,
-            capacity=capacity,
-            read_latency=300e-9,
-            write_latency=500e-9,
-            read_bw=4.0 * MiB,
-            write_bw=1.6 * MiB,
-            page_size=1,
-            random_penalty=1.3,
-            clock=clock,
-        )
+        super().__init__(clock, capacity, name)
         self.dram_cache_size = dram_cache_size
         self.working_set = 0
-        self._dram = DRAMCosts()
         #: hit ratio for GC accesses: collectors stream through the whole
         #: heap with no temporal locality, defeating the direct-mapped
         #: hardware cache (the paper measures 5.3x/11.8x more NVM
@@ -96,79 +71,52 @@ class NVMMemoryMode(Device):
         ratio = self.dram_cache_size / self.working_set
         return max(0.10, min(self.mutator_hit_cap, self.mutator_hit_cap * ratio))
 
-    def read(self, nbytes, pattern=None, requests=1):  # noqa: D102
-        from .base import AccessPattern
-
-        pattern = pattern or AccessPattern.SEQUENTIAL
-        hit = self.hit_ratio()
+    def _blend(
+        self,
+        write: bool,
+        nbytes: int,
+        pattern: AccessPattern,
+        requests: int,
+        hit: float,
+    ) -> float:
+        """Serve the ``hit`` fraction of ``nbytes`` from the DRAM cache
+        (one DRAM latency, whatever ``requests``) and the rest from NVM."""
         dram_part = int(nbytes * hit)
         nvm_part = nbytes - dram_part
         cost = 0.0
         if dram_part:
-            cost += self._dram.latency + dram_part / self._dram.read_bw
-            self.clock.charge(self._dram.latency + dram_part / self._dram.read_bw)
-        if nvm_part:
-            cost += super().read(nvm_part, pattern, requests)
-        else:
-            self.traffic.read_ops += requests
-        return cost
-
-    def write(self, nbytes, pattern=None, requests=1):  # noqa: D102
-        from .base import AccessPattern
-
-        pattern = pattern or AccessPattern.SEQUENTIAL
-        hit = self.hit_ratio()
-        dram_part = int(nbytes * hit)
-        nvm_part = nbytes - dram_part
-        cost = 0.0
-        if dram_part:
-            cost += self._dram.latency + dram_part / self._dram.write_bw
-            self.clock.charge(self._dram.latency + dram_part / self._dram.write_bw)
-        if nvm_part:
-            cost += super().write(nvm_part, pattern, requests)
-        else:
-            self.traffic.write_ops += requests
-        return cost
-
-    # -- GC access path (streaming, low cache hit ratio) ----------------
-    def _gc_blend(self, nbytes: int, write: bool, pattern, requests: int) -> float:
-        dram_part = int(nbytes * self.gc_hit_ratio)
-        nvm_part = nbytes - dram_part
-        bw = self._dram.write_bw if write else self._dram.read_bw
-        cost = 0.0
-        if dram_part:
-            piece = self._dram.latency + dram_part / bw
+            bw = DRAM.WRITE_BW if write else DRAM.READ_BW
+            piece = DRAM.LATENCY + dram_part / bw
             self.clock.charge(piece)
             cost += piece
         if nvm_part:
-            op = Device.write if write else Device.read
-            cost += op(self, nvm_part, pattern, requests=requests)
+            cost += super()._transfer(write, nvm_part, pattern, requests)
         return cost
 
-    def gc_read(self, nbytes: int, pattern=None, requests: int = 1) -> float:
-        from .base import AccessPattern
+    def _transfer(self, write, nbytes, pattern, requests, share=1.0):
+        """Mutator access at the working set's hit ratio.  An empty
+        request touches neither memory but still counts as issued."""
+        if not nbytes:
+            if write:
+                self.traffic.write_ops += requests
+            else:
+                self.traffic.read_ops += requests
+            return 0.0
+        return self._blend(write, nbytes, pattern, requests, self.hit_ratio())
 
-        return self._gc_blend(
-            nbytes,
-            write=False,
-            pattern=pattern or AccessPattern.RANDOM,
-            requests=requests,
-        )
+    # -- GC access path (streaming, low cache hit ratio) ----------------
+    def gc_read(
+        self,
+        nbytes: int,
+        pattern: AccessPattern = AccessPattern.RANDOM,
+        requests: int = 1,
+    ) -> float:
+        return self._blend(False, nbytes, pattern, requests, self.gc_hit_ratio)
 
-    def gc_write(self, nbytes: int, pattern=None, requests: int = 1) -> float:
-        from .base import AccessPattern
-
-        return self._gc_blend(
-            nbytes,
-            write=True,
-            pattern=pattern or AccessPattern.RANDOM,
-            requests=requests,
-        )
-
-
-class DRAMCosts:
-    """DRAM cost constants used inside the memory-mode blend."""
-
-    latency = 100e-9
-    read_bw = 10.0 * MiB
-    write_bw = 8.0 * MiB
+    def gc_write(
+        self,
+        nbytes: int,
+        pattern: AccessPattern = AccessPattern.RANDOM,
+        requests: int = 1,
+    ) -> float:
+        return self._blend(True, nbytes, pattern, requests, self.gc_hit_ratio)

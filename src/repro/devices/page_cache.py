@@ -111,11 +111,22 @@ class PageCache:
         return self.max_pages
 
     # ------------------------------------------------------------------
-    def _crash_cut(self, safepoint: str, npages: int):
-        """Consult the fault plan for a kill at this batch-write safepoint."""
-        if self.fault_plan is None:
-            return None
-        return self.fault_plan.crash_batch_cut(safepoint, npages)
+    def _write_batch(
+        self, pages: List[int], runs: int, safepoint: str
+    ) -> None:
+        """Write ``pages`` to the device as one batch of ``runs``
+        requests and commit them to the durable image in order.
+
+        The batch is the crash safepoint ``safepoint``: when the fault
+        plan kills the process here, a prefix of ``pages`` lands, the
+        page at the cut tears and :class:`SimulatedCrash` is raised.
+        """
+        if self.fault_plan is not None:
+            cut = self.fault_plan.crash_batch_cut(safepoint, len(pages))
+            if cut is not None:
+                self._crash(safepoint, pages, cut)
+        self.device.write(len(pages) * self.page_size, requests=runs)
+        self.durable_image.commit(pages)
 
     def _crash(self, safepoint: str, pages: List[int], cut: int) -> None:
         """Die mid-batch: the first ``cut`` pages landed, the page at the
@@ -368,12 +379,7 @@ class PageCache:
         pages = list(pages)
         if not pages:
             return 0
-        cut = self._crash_cut(safepoint, len(pages))
-        if cut is not None:
-            self._crash(safepoint, pages, cut)
-        runs = _count_runs(pages)
-        self.device.write(len(pages) * self.page_size, requests=runs)
-        self.durable_image.commit(pages)
+        self._write_batch(pages, _count_runs(pages), safepoint)
         for page in pages:
             self._insert(page, dirty=False)
         return len(pages)
@@ -387,14 +393,8 @@ class PageCache:
         against these pages install when the write commits.
         """
         pages = sorted(pages)
-        if not pages:
-            return 0
-        cut = self._crash_cut(safepoint, len(pages))
-        if cut is not None:
-            self._crash(safepoint, pages, cut)
-        runs = _count_runs(pages)
-        self.device.write(len(pages) * self.page_size, requests=runs)
-        self.durable_image.commit(pages)
+        if pages:
+            self._write_batch(pages, _count_runs(pages), safepoint)
         return len(pages)
 
     def invalidate(self, pages: Iterable[int]) -> None:
@@ -411,12 +411,7 @@ class PageCache:
         """
         dirty = [p for p, d in self._pages.items() if d]
         if dirty:
-            cut = self._crash_cut(safepoint, len(dirty))
-            if cut is not None:
-                self._crash(safepoint, dirty, cut)
-            runs = _count_runs(sorted(dirty))
-            self.device.write(len(dirty) * self.page_size, requests=runs)
-            self.durable_image.commit(dirty)
+            self._write_batch(dirty, _count_runs(sorted(dirty)), safepoint)
             for page in dirty:
                 self._pages[page] = False
             self.writebacks += len(dirty)

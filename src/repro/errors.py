@@ -144,15 +144,6 @@ class InvariantViolation(ReproError):
         self.violations = list(violations)
 
 
-class DegradationError(ReproError):
-    """An H2 transfer was attempted while H2 is degraded (disabled).
-
-    After the resilience failure budget is exhausted the collector stops
-    selecting H2 movers; any path that still tries to place objects in H2
-    is a bug and trips this error.
-    """
-
-
 class InvalidHintError(ReproError):
     """Raised on misuse of the TeraHeap hint interface."""
 

@@ -706,11 +706,77 @@ def report(cells: List[Cell]) -> str:
     return "\n\n".join(f"== {title} ==\n{body}" for title, body in sections)
 
 
+def check(cells: List[Cell]) -> List[str]:
+    """What the module docstring claims, series by series."""
+    failures: List[str] = []
+    by = {cell.key: cell.result for cell in cells}
+    for policy in STEAL_POLICIES:
+        points = by[policy]
+        for prev, p in zip(points, points[1:]):
+            if p.pause_speedup <= prev.pause_speedup:
+                failures.append(
+                    f"{policy}: pause speedup {p.pause_speedup:.3f} at "
+                    f"{p.gc_threads} threads does not exceed "
+                    f"{prev.pause_speedup:.3f} at {prev.gc_threads}"
+                )
+        for p in points:
+            if p.efficiency > 1.0:
+                failures.append(
+                    f"{policy}: efficiency {p.efficiency:.3f} above 1 at "
+                    f"{p.gc_threads} threads"
+                )
+    one, half = (by[policy] for policy in STEAL_POLICIES)
+    for a, b in zip(one, half):
+        if a.serial_s != b.serial_s:
+            failures.append(
+                f"steal policies: serial_s {a.serial_s!r} != {b.serial_s!r}"
+                f" at {a.gc_threads} threads"
+            )
+    if all(a.steals == b.steals for a, b in zip(one, half)):
+        failures.append("steal policies: steal counts never differ")
+    scan = {p.gc_threads: p for p in by["teraheap"]}
+    for p in scan.values():
+        if p.scan_workers > TH_STRIPES:
+            failures.append(
+                f"teraheap: {p.scan_workers} scan workers above "
+                f"{TH_STRIPES} stripes at {p.gc_threads} threads"
+            )
+    flat = {scan[t].scan_speedup for t in scan if t >= TH_STRIPES}
+    if len(flat) > 1:
+        failures.append(
+            f"teraheap: scan speedup not flat from {TH_STRIPES} threads "
+            f"on: {sorted(flat)}"
+        )
+    wide = scan[max(scan)]
+    if wide.ps_speedup <= wide.scan_speedup:
+        failures.append(
+            f"teraheap: at {wide.gc_threads} threads PS speedup "
+            f"{wide.ps_speedup:.3f} does not exceed the capped scan "
+            f"speedup {wide.scan_speedup:.3f}"
+        )
+    for p in by["adaptive"]:
+        if p.adaptive_imbalance >= p.static_imbalance:
+            failures.append(
+                f"adaptive: imbalance {p.adaptive_imbalance:.4f} not below "
+                f"static {p.static_imbalance:.4f} at {p.gc_threads} threads"
+            )
+    *swept, stress = by["g1"]
+    for prev, p in zip(swept, swept[1:]):
+        if p.hidden_share < prev.hidden_share:
+            failures.append(
+                f"g1: hidden share falls from {prev.hidden_share:.3f} "
+                f"({prev.label}) to {p.hidden_share:.3f} ({p.label})"
+            )
+    if stress.hidden_s != 0.0:
+        failures.append(f"g1: stress run hides {stress.hidden_s!r} s")
+    return failures
+
+
 SPEC = Spec(
     name="gcscale",
     description="GC-thread scaling sweep on the task-based GC engine",
     cells=cells,
     run_cell=run_series,
-    check=lambda cells: [],
+    check=check,
     report=report,
 )

@@ -113,11 +113,14 @@ def build_spark_vm(
     from ..clock import Clock
 
     h2_device = _make_device(device_kind, Clock()) if th_enabled else None
-    vm = JavaVM(vm_config, h2_device=h2_device, session=session)
-    if system == "panthera":
-        nvm = NVM(vm.clock)
-        vm.old_gen_device = nvm
-        vm.collector.nvm = nvm
+    # Panthera's NVM old generation; the VM rebinds it to its own clock.
+    old_gen_device = NVM(Clock()) if system == "panthera" else None
+    vm = JavaVM(
+        vm_config,
+        h2_device=h2_device,
+        old_gen_device=old_gen_device,
+        session=session,
+    )
     offheap = _make_device(device_kind, vm.clock)
     policy = {
         "spark-sd": CachePolicy.SD,

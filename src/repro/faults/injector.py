@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence
 from ..devices.base import AccessPattern, Device
 from ..errors import DeviceIOError
 from .events import FaultEvent, ResilienceLog, StallEvent
-from .plan import FaultKind, FaultPlan
+from .plan import FaultKind, FaultPlan, IOOutcome
 
 
 class FaultInjector:
@@ -59,9 +59,10 @@ class FaultInjector:
     def clock(self, value) -> None:
         self.inner.clock = value
 
-    def _fail(self, op: str, latency: float, requests: int) -> None:
+    def _fail(
+        self, op: str, kind: FaultKind, latency: float, requests: int
+    ) -> None:
         """Charge a failed attempt and raise the transient I/O error."""
-        kind = FaultKind.READ_ERROR if op == "read" else FaultKind.WRITE_ERROR
         cost = latency * max(requests, 1)
         self.inner.clock.charge(cost)
         self.log.record(
@@ -76,46 +77,55 @@ class FaultInjector:
             transient=True,
         )
 
-    def _spike(self, op: str, base_cost: float, multiplier: float) -> float:
-        """Charge the latency-spike surcharge on top of a completed op."""
-        extra = base_cost * (multiplier - 1.0)
-        self.inner.clock.charge(extra)
-        self.log.record(
-            FaultEvent(
-                self.inner.clock.now,
-                self.inner.name,
-                op,
-                FaultKind.LATENCY_SPIKE.value,
-                detail=f"x{multiplier:g}",
-            )
-        )
-        return extra
+    def _surcharge(self, op: str, outcome: IOOutcome, cost: float) -> float:
+        """Charge the extra time of a completed op and return it.
 
-    def _brownout(self, base_cost: float, multiplier: float) -> float:
-        """Charge the degraded-service surcharge of a brownout window.
-
-        Not logged per-op (the plan records each window once when it
-        opens); a window covers many ops and the per-op signal belongs
-        to the health monitor, not the fault log.
+        A latency spike or a brownout window costs the op again
+        ``multiplier - 1`` times; a stall burst parks it for a fixed
+        delay.  Spikes and stalls are logged per op.  Brownouts are not:
+        the plan records each window once when it opens, and the per-op
+        signal belongs to the health monitor, not the fault log.
         """
-        extra = base_cost * (multiplier - 1.0)
-        self.inner.clock.charge(extra)
+        kind = outcome.kind
+        if kind is FaultKind.STALL:
+            extra = self.plan.config.stall_seconds
+        else:
+            extra = cost * (outcome.multiplier - 1.0)
+        clock = self.inner.clock
+        clock.charge(extra)
+        if kind is FaultKind.LATENCY_SPIKE:
+            self.log.record(
+                FaultEvent(
+                    clock.now,
+                    self.inner.name,
+                    op,
+                    kind.value,
+                    detail=f"x{outcome.multiplier:g}",
+                )
+            )
+        elif kind is FaultKind.STALL:
+            self.log.record(StallEvent(clock.now, self.inner.name, op, extra))
         return extra
 
-    def _stall(self, op: str) -> float:
-        """Park this op for the configured stall-burst delay."""
-        extra = self.plan.config.stall_seconds
-        self.inner.clock.charge(extra)
-        self.log.record(
-            StallEvent(self.inner.clock.now, self.inner.name, op, extra)
+    def _request(
+        self, write: bool, nbytes: int, pattern: AccessPattern, requests: int
+    ) -> float:
+        """One read or write: draw its outcome, fail it or run it on the
+        wrapped device, surcharge it, and report it to the monitor."""
+        inner = self.inner
+        op = "write" if write else "read"
+        outcome = self.plan.io_outcome(
+            write=write, device=inner.name, now=inner.clock.now
         )
-        return extra
-
-    def _observe(
-        self, op: str, nbytes: int, actual: float, nominal: float
-    ) -> None:
+        kind = outcome.kind if outcome is not None else None
+        if kind is FaultKind.READ_ERROR or kind is FaultKind.WRITE_ERROR:
+            latency = inner.write_latency if write else inner.read_latency
+            self._fail(op, kind, latency, requests)
+        cost = (inner.write if write else inner.read)(nbytes, pattern, requests)
+        extra = 0.0 if outcome is None else self._surcharge(op, outcome, cost)
         if self.monitor is not None:
-            self.monitor.observe(self.inner.name, op, nbytes, actual, nominal)
+            self.monitor.observe(inner.name, op, nbytes, cost + extra, cost)
+        return cost + extra
 
     def read(
         self,
@@ -123,22 +133,7 @@ class FaultInjector:
         pattern: AccessPattern = AccessPattern.SEQUENTIAL,
         requests: int = 1,
     ) -> float:
-        outcome = self.plan.io_outcome(
-            write=False, device=self.inner.name, now=self.inner.clock.now
-        )
-        if outcome is not None and outcome.kind is FaultKind.READ_ERROR:
-            self._fail("read", self.inner.read_latency, requests)
-        cost = self.inner.read(nbytes, pattern, requests)
-        extra = 0.0
-        if outcome is not None:
-            if outcome.kind is FaultKind.LATENCY_SPIKE:
-                extra = self._spike("read", cost, outcome.multiplier)
-            elif outcome.kind is FaultKind.BROWNOUT:
-                extra = self._brownout(cost, outcome.multiplier)
-            elif outcome.kind is FaultKind.STALL:
-                extra = self._stall("read")
-        self._observe("read", nbytes, cost + extra, cost)
-        return cost + extra
+        return self._request(False, nbytes, pattern, requests)
 
     def read_many(
         self,
@@ -157,22 +152,7 @@ class FaultInjector:
         pattern: AccessPattern = AccessPattern.SEQUENTIAL,
         requests: int = 1,
     ) -> float:
-        outcome = self.plan.io_outcome(
-            write=True, device=self.inner.name, now=self.inner.clock.now
-        )
-        if outcome is not None and outcome.kind is FaultKind.WRITE_ERROR:
-            self._fail("write", self.inner.write_latency, requests)
-        cost = self.inner.write(nbytes, pattern, requests)
-        extra = 0.0
-        if outcome is not None:
-            if outcome.kind is FaultKind.LATENCY_SPIKE:
-                extra = self._spike("write", cost, outcome.multiplier)
-            elif outcome.kind is FaultKind.BROWNOUT:
-                extra = self._brownout(cost, outcome.multiplier)
-            elif outcome.kind is FaultKind.STALL:
-                extra = self._stall("write")
-        self._observe("write", nbytes, cost + extra, cost)
-        return cost + extra
+        return self._request(True, nbytes, pattern, requests)
 
     def read_modify_write(self, nbytes: int) -> float:
         return self.read(nbytes, AccessPattern.RANDOM) + self.write(

@@ -7,10 +7,9 @@ optimised serializer Spark recommends and the paper uses.
 """
 
 from .serializer import (
-    JavaSerializer,
     KryoSerializer,
     SerializedBlob,
     Serializer,
 )
 
-__all__ = ["JavaSerializer", "KryoSerializer", "SerializedBlob", "Serializer"]
+__all__ = ["KryoSerializer", "SerializedBlob", "Serializer"]

@@ -159,10 +159,3 @@ class KryoSerializer(Serializer):
 
     name = "kryo"
     overhead = 1.0
-
-
-class JavaSerializer(Serializer):
-    """Stock Java serialization: ~2.5x slower than Kryo, for comparison."""
-
-    name = "java"
-    overhead = 2.5

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..devices.base import AccessPattern, Device
+from ..devices.base import Device
 
 
 class TenantDevice(Device):
@@ -63,36 +63,11 @@ class TenantDevice(Device):
         self.tenant = tenant
         arbiter.register(tenant)
 
-    def read(
-        self,
-        nbytes: int,
-        pattern: AccessPattern = AccessPattern.SEQUENTIAL,
-        requests: int = 1,
-    ) -> float:
-        share = self.arbiter.share(self.tenant)
-        base = self.read_bw
-        self.read_bw = base * share
-        try:
-            cost = super().read(nbytes, pattern, requests)
-        finally:
-            self.read_bw = base
-        self.arbiter.note(self.tenant, self._granular(nbytes), write=False)
-        return cost
-
-    def write(
-        self,
-        nbytes: int,
-        pattern: AccessPattern = AccessPattern.SEQUENTIAL,
-        requests: int = 1,
-    ) -> float:
-        share = self.arbiter.share(self.tenant)
-        base = self.write_bw
-        self.write_bw = base * share
-        try:
-            cost = super().write(nbytes, pattern, requests)
-        finally:
-            self.write_bw = base
-        self.arbiter.note(self.tenant, self._granular(nbytes), write=True)
+    def _transfer(self, write, nbytes, pattern, requests, share=1.0):
+        cost = super()._transfer(
+            write, nbytes, pattern, requests, self.arbiter.share(self.tenant)
+        )
+        self.arbiter.note(self.tenant, self._granular(nbytes), write=write)
         return cost
 
 

@@ -1,26 +1,18 @@
 """Synthetic dataset generators.
 
-Stand-ins for the paper's inputs: SparkBench's data generators (Spark
-workloads), the KDD12 dataset (Naive Bayes) and LDBC Graphalytics
-``datagen`` graphs (Giraph workloads).  Generators are deterministic per
-seed and produce *descriptors* — record counts, sizes and graph topology —
-that frameworks materialise as heap objects through the VM.
+Stand-ins for the paper's graph inputs, the LDBC Graphalytics
+``datagen`` graphs (Giraph workloads), plus the DaCapo profiles of the
+barrier experiment.  Generators are deterministic per seed and produce
+*descriptors* — sizes and graph topology — that frameworks materialise
+as heap objects through the VM.
 """
 
 from .generators import (
     GraphDataset,
-    MLDataset,
-    TableDataset,
     make_graph,
-    make_ml_dataset,
-    make_table,
 )
 
 __all__ = [
     "GraphDataset",
-    "MLDataset",
-    "TableDataset",
     "make_graph",
-    "make_ml_dataset",
-    "make_table",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic synthetic data generators (graph, ML, tabular)."""
+"""Deterministic synthetic graph generator."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-
-from ..units import KiB
 
 
 @dataclass
@@ -81,75 +79,5 @@ def make_graph(
         out_edges=out_edges,
         bytes_per_edge=bytes_per_edge,
         vertex_value_size=vertex_value_size,
-        seed=seed,
-    )
-
-
-@dataclass
-class MLDataset:
-    """A labelled-point dataset for the MLlib-style workloads.
-
-    Materialised as ``num_chunks`` chunk objects of ``chunk_size`` bytes,
-    each holding ``records_per_chunk`` points — mirroring Spark's row-batch
-    representation of cached training data.
-    """
-
-    num_chunks: int
-    chunk_size: int
-    records_per_chunk: int
-    num_features: int
-    seed: int
-
-    @property
-    def total_bytes(self) -> int:
-        return self.num_chunks * self.chunk_size
-
-
-def make_ml_dataset(
-    target_bytes: int,
-    chunk_size: int = 8 * KiB,
-    num_features: int = 100,
-    seed: int = 7,
-) -> MLDataset:
-    """Size a chunked labelled-point dataset to ``target_bytes``."""
-    num_chunks = max(8, target_bytes // chunk_size)
-    record_bytes = 16 + 8 * num_features
-    return MLDataset(
-        num_chunks=num_chunks,
-        chunk_size=chunk_size,
-        records_per_chunk=max(1, chunk_size // record_bytes),
-        num_features=num_features,
-        seed=seed,
-    )
-
-
-@dataclass
-class TableDataset:
-    """A key/value table for the SQL-style RL (relational) workload."""
-
-    num_chunks: int
-    chunk_size: int
-    rows_per_chunk: int
-    key_cardinality: int
-    seed: int
-
-    @property
-    def total_bytes(self) -> int:
-        return self.num_chunks * self.chunk_size
-
-
-def make_table(
-    target_bytes: int,
-    chunk_size: int = 8 * KiB,
-    row_bytes: int = 128,
-    key_cardinality: int = 1000,
-    seed: int = 11,
-) -> TableDataset:
-    num_chunks = max(8, target_bytes // chunk_size)
-    return TableDataset(
-        num_chunks=num_chunks,
-        chunk_size=chunk_size,
-        rows_per_chunk=max(1, chunk_size // row_bytes),
-        key_cardinality=key_cardinality,
         seed=seed,
     )

@@ -1,5 +1,6 @@
 """Task-based GC engine: scheduling, determinism, scalar-model parity."""
 
+import copy
 import json
 
 import pytest
@@ -255,6 +256,37 @@ def test_scaling_monotone_and_sublinear():
     # Wide pools steal and idle; the serial point cannot.
     assert by_threads[16].steals > 0
     assert by_threads[16].idle_s > by_threads[1].idle_s
+
+
+@pytest.fixture(scope="module")
+def gcscale_smoke():
+    cells, failures = harness.run(gc_scaling.SPEC, smoke=True)
+    assert failures == []
+    return cells
+
+
+@pytest.mark.parametrize(
+    "key, index, field, value, message",
+    [
+        ("steal-one", 2, "pause_speedup", 1.5, "does not exceed"),
+        ("steal-half", 0, "parallel_s", 1.0, "efficiency"),
+        ("steal-half", 3, "serial_s", 1.0, "serial_s"),
+        ("steal-half", 1, "steals", 17, "never differ"),
+        ("teraheap", 4, "scan_workers", 5, "scan workers above"),
+        ("teraheap", 4, "scan_parallel_s", 1e-9, "not flat"),
+        ("teraheap", 4, "ps_speedup", 1.0, "does not exceed"),
+        ("adaptive", 0, "adaptive_imbalance", 2.0, "not below"),
+        ("g1", 2, "hidden_s", 0.0, "hidden share falls"),
+        ("g1", 4, "hidden_s", 0.001, "stress run hides"),
+    ],
+)
+def test_gcscale_check_fires_on_each_claim(
+    gcscale_smoke, key, index, field, value, message
+):
+    cells = copy.deepcopy(gcscale_smoke)
+    point = next(c for c in cells if c.key == key).result[index]
+    setattr(point, field, value)
+    assert any(message in f for f in gc_scaling.check(cells))
 
 
 # ======================================================================

@@ -5,12 +5,7 @@ import pytest
 
 from repro import JavaVM, VMConfig, gb
 from repro.metrics.report import ExperimentResult, collect_result
-from repro.workloads.generators import (
-    make_graph,
-    make_ml_dataset,
-    make_table,
-)
-from repro.units import KiB
+from repro.workloads.generators import make_graph
 
 
 class TestGraphGenerator:
@@ -55,22 +50,6 @@ class TestGraphGenerator:
         assert all(
             g.edge_array_size(v) >= 64 for v in range(g.num_vertices)
         )
-
-
-class TestMLAndTable:
-    def test_ml_dataset_sized(self):
-        ds = make_ml_dataset(gb(2))
-        assert ds.total_bytes == pytest.approx(gb(2), rel=0.1)
-
-    def test_ml_chunking(self):
-        ds = make_ml_dataset(gb(1), chunk_size=4 * KiB)
-        assert ds.chunk_size == 4 * KiB
-        assert ds.num_chunks == gb(1) // (4 * KiB)
-
-    def test_table_sized(self):
-        t = make_table(gb(1))
-        assert t.total_bytes == pytest.approx(gb(1), rel=0.1)
-        assert t.rows_per_chunk > 0
 
 
 class TestReporting:

@@ -2,12 +2,14 @@
 
 What runs is the CLI, the experiment specs, the benchmark jobs and the
 examples, so a definition counts as used when a ``Name``, an
-``Attribute``, an import alias or a string constant somewhere in
-``src/``, ``bench/`` or ``examples/`` carries its name.  A reference
-inside the definition's own body (recursion, or a method calling its
-namesake on another object) does not count.  String constants count
-because ``bench/layers.py`` wraps its entry points by name.  Dunder
-methods are called by Python itself and are skipped.
+``Attribute`` or a string constant somewhere in ``src/``, ``bench/`` or
+``examples/`` carries its name.  Importing or re-exporting a name is not
+a use: an import statement and the strings of an ``__all__`` list do not
+count, and a name imported under an ``as`` alias counts where the alias
+is used.  A reference inside the definition's own body (recursion, or a
+method calling its namesake on another object) does not count.  String
+constants count because ``bench/layers.py`` wraps its entry points by
+name.  Dunder methods are called by Python itself and are skipped.
 
 Definitions only tests refer to are listed in :data:`ALLOWED`, each
 keyed by its one definition (``path:Qualname``) with the reason it stays,
@@ -88,13 +90,17 @@ class _Scan(ast.NodeVisitor):
         self._where = ""
         self._collect_defs = False
         self._enclosing: List[str] = []
+        #: this file's import aliases: alias -> imported name
+        self._aliases: Dict[str, str] = {}
 
     def scan(self, path: Path, collect_defs: bool) -> None:
         self._where = path.relative_to(ROOT).as_posix()
         self._collect_defs = collect_defs
+        self._aliases = {}
         self.visit(ast.parse(path.read_text(), self._where))
 
     def _refer(self, name: str) -> None:
+        name = self._aliases.get(name, name)
         if name not in self._enclosing:
             self.referenced.add(name)
 
@@ -118,9 +124,16 @@ class _Scan(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_alias(self, node: ast.alias) -> None:
-        self._refer(node.name.rsplit(".", 1)[-1])
         if node.asname:
-            self._refer(node.asname)
+            self._aliases[node.asname] = node.name.rsplit(".", 1)[-1]
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return
+        self.generic_visit(node)
 
     def visit_Constant(self, node: ast.Constant) -> None:
         if isinstance(node.value, str):

@@ -7,12 +7,12 @@ from repro.config import CostModel
 from repro.errors import SerializationError
 from repro.heap.object_model import HeapObject
 from repro.heap.store import HeapStore
-from repro.serdes.serializer import JavaSerializer, KryoSerializer
+from repro.serdes.serializer import KryoSerializer
 
 
-def make_serializer(cls=KryoSerializer, temp_sink=None):
+def make_serializer(temp_sink=None):
     clock = Clock()
-    return cls(clock, CostModel(), allocate_temp=temp_sink), clock
+    return KryoSerializer(clock, CostModel(), allocate_temp=temp_sink), clock
 
 
 def make_graph(depth=3, fanout=2, size=512):
@@ -92,14 +92,6 @@ def test_deserialize_cost_charges_sd_bucket():
     before = clock.total(Bucket.SD_IO)
     ser.deserialize_cost(blob)
     assert clock.total(Bucket.SD_IO) > before
-
-
-def test_java_slower_than_kryo():
-    kryo, kc = make_serializer(KryoSerializer)
-    java, jc = make_serializer(JavaSerializer)
-    kryo.serialize(make_graph())
-    java.serialize(make_graph())
-    assert jc.total(Bucket.SD_IO) > kc.total(Bucket.SD_IO)
 
 
 def test_charge_helpers_count_traffic():
