@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .devices.health import HealthConfig
 from .errors import ConfigError
 from .faults.plan import FaultConfig
 from .units import GB, KiB, MB, MiB
@@ -32,7 +31,6 @@ class CostModel:
 
     # --- DRAM ----------------------------------------------------------
     dram_read_bw: float = 10.0 * MiB  # bytes/s at simulation scale
-    dram_write_bw: float = 8.0 * MiB
     dram_latency: float = 100e-9
 
     # --- GC work -------------------------------------------------------
@@ -123,9 +121,6 @@ class TeraHeapConfig:
     region_size: int = 16 * MB
     #: H2 card segment size (Section 3.4 / Figure 11a sweep)
     card_segment_size: int = 8 * KiB
-    #: stripe size; the paper sets stripe size == region size so objects
-    #: never span stripes and boundary cards never stay dirty (Section 3.4)
-    stripe_size: Optional[int] = None
     #: live-occupancy fraction of H1 above which marked objects are moved
     #: without waiting for h2_move() (Section 3.2)
     high_threshold: float = 0.85
@@ -166,8 +161,6 @@ class TeraHeapConfig:
     writeback_policy: str = "none"
 
     def __post_init__(self) -> None:
-        if self.stripe_size is None:
-            self.stripe_size = self.region_size
         if self.region_policy not in ("deps", "groups"):
             raise ConfigError(f"unknown region policy {self.region_policy!r}")
         if self.writeback_policy not in ("none", "commit", "flush"):
@@ -196,8 +189,6 @@ class GCEngineConfig:
     (:class:`~repro.gc.engine.adaptive.BatchController`).
     """
 
-    #: work-stealing RNG seed (victim selection); never the global RNG
-    seed: int = 0x7E2A6C
     #: record per-task events for the chrome://tracing exporter
     trace: bool = False
     #: "steal-one" takes one task off the victim's deque per steal;
@@ -210,7 +201,7 @@ class GCEngineConfig:
     numa_nodes: int = 1
     #: shrink scan/copy batches when a cycle's imbalance exceeds
     #: imbalance_shrink_threshold; grow them back when dispatch overhead
-    #: dominates (overhead_grow_threshold)
+    #: dominates (:data:`~repro.gc.engine.adaptive.OVERHEAD_GROW_THRESHOLD`)
     adaptive_batching: bool = False
     #: cycle imbalance (critical path / mean active lane time) above
     #: which the controller halves the batch scale.  Calibrated to the
@@ -221,17 +212,6 @@ class GCEngineConfig:
     #: controller reacts there instead of the old 1.3 placeholder
     #: (which tolerated a 30% hot lane before doing anything).
     imbalance_shrink_threshold: float = 1.15
-    #: dispatch-overhead share of scheduled work above which the
-    #: controller doubles the batch scale back toward 1.0.  Hassanein,
-    #: "Understanding and improving JVM GC work stealing at the data
-    #: center scale" (ISMM'16) measures steal-and-dispatch overhead
-    #: (steal attempts, spinning, termination) at ~10-15% of GC time in
-    #: production parallel collections before tuning; past ~12% the
-    #: decomposition is oversized and the controller grows batches back
-    #: (the old 0.15 sat at the very top of the measured band).
-    overhead_grow_threshold: float = 0.12
-    #: floor of the controller's multiplicative batch scale
-    min_batch_scale: float = 0.25
     #: objects per marking/scan batch task
     scan_batch_objects: int = 24
     #: objects per copy/compaction batch task (a promotion-buffer fill)
@@ -240,10 +220,6 @@ class GCEngineConfig:
     precompact_batch_objects: int = 64
     #: H1 card-table entries per sweep-chunk task
     card_chunk_cards: int = 2048
-    #: H2 card-table entries per sweep-chunk task (H2 tables are huge)
-    h2_sweep_chunk_cards: int = 16384
-    #: scanned H2 cards are grouped into this many stripe-owned slices
-    h2_slice_groups: int = 64
 
     def __post_init__(self) -> None:
         for name in (
@@ -251,13 +227,9 @@ class GCEngineConfig:
             "copy_batch_objects",
             "precompact_batch_objects",
             "card_chunk_cards",
-            "h2_sweep_chunk_cards",
-            "h2_slice_groups",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not isinstance(self.seed, int):
-            raise ConfigError("engine seed must be an integer")
         if self.steal_policy not in ("steal-one", "steal-half"):
             raise ConfigError(
                 f"unknown steal policy {self.steal_policy!r}; expected "
@@ -265,60 +237,30 @@ class GCEngineConfig:
             )
         if self.numa_nodes < 1:
             raise ConfigError("numa_nodes must be >= 1")
-        if not 0.0 < self.min_batch_scale <= 1.0:
-            raise ConfigError("min_batch_scale must be in (0, 1]")
         if self.imbalance_shrink_threshold <= 1.0:
             raise ConfigError("imbalance_shrink_threshold must be > 1.0")
-        if not 0.0 < self.overhead_grow_threshold < 1.0:
-            raise ConfigError("overhead_grow_threshold must be in (0, 1)")
 
 
 @dataclass
 class GovernorConfig:
-    """Device-health watchdog + H2 circuit breaker + backpressure knobs.
+    """H2 circuit-breaker probe timing (see
+    :mod:`repro.teraheap.governor` for its fixed budgets and watermark).
 
     Lives here (not in :mod:`repro.teraheap.governor`) so it can hang off
     :class:`VMConfig` without an import cycle through the teraheap
     package.
     """
 
-    enabled: bool = True
-    #: health-classification knobs of the device watchdog
-    health: HealthConfig = field(default_factory=HealthConfig)
-    #: unhinted-budget multiplier while the circuit is DEGRADED
-    degraded_budget_scale: float = 0.5
-    #: hinted-transfer byte cap while OPEN (outside probe windows)
-    open_hinted_cap: int = 0
-    #: hinted-byte budget granted to a half-open probe cycle
-    probe_bytes: int = 64 * KiB
     #: initial delay before the first half-open probe (simulated seconds)
     probe_backoff: float = 5e-3
-    probe_backoff_factor: float = 2.0
+    #: cap on the delay between probes, which doubles per failed probe
     probe_backoff_max: float = 160e-3
-    #: clean DEGRADED transfer cycles required to fully close the circuit
-    close_streak: int = 2
-    #: H1 occupancy at which an OPEN circuit arms emergency backpressure
-    emergency_watermark: float = 0.85
-    #: simulated seconds one allocation-stall round parks the mutator
-    alloc_stall_wait: float = 2e-3
-    #: shed/stall/GC rounds before declaring true exhaustion (OOM)
-    max_emergency_rounds: int = 6
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.degraded_budget_scale <= 1.0:
-            raise ConfigError("degraded_budget_scale must be in (0, 1]")
-        if self.open_hinted_cap < 0 or self.probe_bytes < 0:
-            raise ConfigError("byte caps must be non-negative")
-        if self.probe_backoff <= 0 or self.probe_backoff_factor < 1.0:
+        if self.probe_backoff <= 0:
             raise ConfigError("probe backoff must grow from a positive base")
         if self.probe_backoff_max < self.probe_backoff:
             raise ConfigError("probe_backoff_max must be >= probe_backoff")
-        if self.close_streak < 1:
-            raise ConfigError("close_streak must be >= 1")
-        if not 0.0 < self.emergency_watermark <= 1.0:
-            raise ConfigError("emergency_watermark must be in (0, 1]")
-        if self.max_emergency_rounds < 1:
-            raise ConfigError("max_emergency_rounds must be >= 1")
 
 
 @dataclass
@@ -326,8 +268,6 @@ class G1Config:
     """Garbage-First collector parameters (Figure 8 baseline)."""
 
     region_size: int = 32 * MB
-    #: target fraction of the heap collected per mixed collection
-    mixed_collection_fraction: float = 0.25
     #: concurrent marking pool divisor: ``ConcGCThreads = ParallelGCThreads
     #: / 4``, the paper's (and HotSpot's default) configuration.  The
     #: marking cycle runs on this narrower lane set racing mutator
@@ -351,10 +291,15 @@ class PantheraConfig:
     """Panthera baseline layout (Section 7.5): young gen entirely in DRAM,
     old gen split between DRAM and NVM."""
 
+    #: DRAM part of the old generation; the rest of it sits on NVM
     dram_old_size: int = 6 * GB
-    nvm_old_size: int = 48 * GB
     #: objects larger than this are pretenured straight to the NVM old gen
     pretenure_threshold: int = 256 * KiB
+
+
+#: survivor share of the young generation, per survivor space (PS
+#: default eden : survivor : survivor = 8:1:1)
+SURVIVOR_FRACTION = 0.1
 
 
 @dataclass
@@ -364,10 +309,6 @@ class VMConfig:
     heap_size: int = 64 * GB
     #: fraction of the heap given to the young generation (PS default ~1/3)
     young_fraction: float = 1.0 / 3.0
-    #: eden : survivor ratio within the young generation (PS default 8:1:1)
-    survivor_fraction: float = 0.1
-    #: minor-GC survivals before promotion to the old generation
-    tenuring_threshold: int = 2
     #: ps | ps11 | g1 | panthera | memmode (teraheap rides on ps)
     collector: str = "ps"
     gc_threads: int = 16
@@ -428,4 +369,4 @@ class VMConfig:
 
     @property
     def survivor_size(self) -> int:
-        return int(self.young_size * self.survivor_fraction)
+        return int(self.young_size * SURVIVOR_FRACTION)

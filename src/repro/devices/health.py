@@ -10,16 +10,17 @@ cost ratio, the per-op latency and the delivered bandwidth.
 From those it classifies each device into three states:
 
 - ``HEALTHY``: the EWMA cost ratio sits near 1 and recent ops met their
-  service-level objective (cost within ``slo_multiplier`` of nominal);
-- ``DEGRADED``: the ratio EWMA drifted above ``degraded_ratio`` —
+  service-level objective (cost within :data:`SLO_MULTIPLIER` of
+  nominal);
+- ``DEGRADED``: the ratio EWMA drifted above :data:`DEGRADED_RATIO` —
   service is slower than the model says it should be, but usable;
-- ``BROWNOUT``: the ratio EWMA crossed ``brownout_ratio``, or
-  ``violation_streak`` consecutive ops each blew the SLO (including
+- ``BROWNOUT``: the ratio EWMA crossed :data:`BROWNOUT_RATIO`, or
+  :data:`VIOLATION_STREAK` consecutive ops each blew the SLO (including
   injected I/O errors) — the device is effectively unavailable for bulk
   work.
 
 Classification is hysteretic: escalation is immediate, de-escalation
-steps down one state at a time and only after ``recovery_ops``
+steps down one state at a time and only after :data:`RECOVERY_OPS`
 consecutive clean observations, so a device flapping around a threshold
 cannot flap its consumers (most importantly the
 :class:`~repro.teraheap.governor.H2Governor` circuit breaker, which
@@ -33,6 +34,19 @@ from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from ..clock import Clock
+
+#: EWMA smoothing factor for the cost ratio / latency / bandwidth
+EWMA_ALPHA = 0.3
+#: an op whose actual/nominal cost ratio meets this violates its SLO
+SLO_MULTIPLIER = 1.75
+#: ratio EWMA above which the device is DEGRADED
+DEGRADED_RATIO = 1.25
+#: ratio EWMA above which the device is in BROWNOUT
+BROWNOUT_RATIO = 1.9
+#: consecutive SLO violations that force BROWNOUT regardless of EWMA
+VIOLATION_STREAK = 4
+#: consecutive clean ops required to step *down* one state
+RECOVERY_OPS = 8
 
 
 class DeviceState(enum.Enum):
@@ -48,24 +62,6 @@ _SEVERITY = {
     DeviceState.DEGRADED: 1,
     DeviceState.BROWNOUT: 2,
 }
-
-
-@dataclass
-class HealthConfig:
-    """Classification knobs (EWMAs, SLO, hysteresis)."""
-
-    #: EWMA smoothing factor for the cost ratio / latency / bandwidth
-    ewma_alpha: float = 0.3
-    #: an op whose actual/nominal cost ratio meets this violates its SLO
-    slo_multiplier: float = 1.75
-    #: ratio EWMA above which the device is DEGRADED
-    degraded_ratio: float = 1.25
-    #: ratio EWMA above which the device is in BROWNOUT
-    brownout_ratio: float = 1.9
-    #: consecutive SLO violations that force BROWNOUT regardless of EWMA
-    violation_streak: int = 4
-    #: consecutive clean ops required to step *down* one state
-    recovery_ops: int = 8
 
 
 @dataclass
@@ -127,9 +123,8 @@ class _DeviceHealth:
 class DeviceHealthMonitor:
     """Watchdog over every device the H2 I/O stack touches."""
 
-    def __init__(self, clock: Clock, config: Optional[HealthConfig] = None):
+    def __init__(self, clock: Clock):
         self.clock = clock
-        self.config = config or HealthConfig()
         self._devices: Dict[str, _DeviceHealth] = {}
         self.transitions: List[HealthTransition] = []
         #: (owner, callback) pairs; owner None marks unscoped listeners
@@ -189,7 +184,7 @@ class DeviceHealthMonitor:
         """
         self.observations += 1
         health = self._entry(device)
-        alpha = self.config.ewma_alpha
+        alpha = EWMA_ALPHA
         ratio = actual_s / nominal_s if nominal_s > 0 else 1.0
         health.ewma_ratio += alpha * (ratio - health.ewma_ratio)
         health.ewma_latency += alpha * (actual_s - health.ewma_latency)
@@ -201,7 +196,7 @@ class DeviceHealthMonitor:
                 health.ewma_bandwidth += alpha * (
                     bandwidth - health.ewma_bandwidth
                 )
-        violated = ratio >= self.config.slo_multiplier
+        violated = ratio >= SLO_MULTIPLIER
         self._account(
             health,
             device,
@@ -225,7 +220,6 @@ class DeviceHealthMonitor:
         violated: bool,
         reason: str,
     ) -> None:
-        cfg = self.config
         if violated:
             health.violations += 1
             health.bad_streak += 1
@@ -234,11 +228,11 @@ class DeviceHealthMonitor:
             health.bad_streak = 0
             health.clean_streak += 1
         if (
-            health.bad_streak >= cfg.violation_streak
-            or health.ewma_ratio >= cfg.brownout_ratio
+            health.bad_streak >= VIOLATION_STREAK
+            or health.ewma_ratio >= BROWNOUT_RATIO
         ):
             target = DeviceState.BROWNOUT
-        elif health.ewma_ratio >= cfg.degraded_ratio:
+        elif health.ewma_ratio >= DEGRADED_RATIO:
             target = DeviceState.DEGRADED
         else:
             target = DeviceState.HEALTHY
@@ -246,7 +240,7 @@ class DeviceHealthMonitor:
         wanted = _SEVERITY[target]
         if wanted > current:
             self._transition(health, device, target, reason)
-        elif wanted < current and health.clean_streak >= cfg.recovery_ops:
+        elif wanted < current and health.clean_streak >= RECOVERY_OPS:
             # Hysteresis: step down one state at a time, and only after a
             # sustained run of clean observations.
             new = DeviceState(

@@ -24,33 +24,28 @@ class SparkWorkloadConfig:
     sd_drams: List[int]
     #: Figure 6 DRAM points for TeraHeap
     th_drams: List[int]
-    #: Spark-MO heap (NVM Memory mode fits all cached data, Table 3)
-    mo_heap_gb: int
-    #: hand-tuned H1 fraction of (DRAM - DR2) for TeraHeap (§6 explores
-    #: 50-90%)
-    th_h1_fraction: float = 1.0
     #: whether the ML streaming pattern gets huge pages in H2 (§6)
     huge_pages: bool = False
 
 
 #: Table 3 / Figure 6 configurations (NVMe server)
 SPARK_WORKLOADS_TABLE3: Dict[str, SparkWorkloadConfig] = {
-    "PR": SparkWorkloadConfig("PR", 80, [32, 48, 80, 144], [32, 80], 1024),
-    "CC": SparkWorkloadConfig("CC", 84, [33, 50, 84, 152], [33, 84], 1024),
-    "SSSP": SparkWorkloadConfig("SSSP", 58, [27, 37, 58, 100], [37, 58], 650),
-    "SVD": SparkWorkloadConfig("SVD", 40, [22, 28, 40, 64], [28, 40], 500),
-    "TR": SparkWorkloadConfig("TR", 80, [59, 70, 80], [59, 80], 64),
+    "PR": SparkWorkloadConfig("PR", 80, [32, 48, 80, 144], [32, 80]),
+    "CC": SparkWorkloadConfig("CC", 84, [33, 50, 84, 152], [33, 84]),
+    "SSSP": SparkWorkloadConfig("SSSP", 58, [27, 37, 58, 100], [37, 58]),
+    "SVD": SparkWorkloadConfig("SVD", 40, [22, 28, 40, 64], [28, 40]),
+    "TR": SparkWorkloadConfig("TR", 80, [59, 70, 80], [59, 80]),
     "LR": SparkWorkloadConfig(
-        "LR", 70, [29, 43, 70, 124], [43, 70], 1084, huge_pages=True
+        "LR", 70, [29, 43, 70, 124], [43, 70], huge_pages=True
     ),
     "LgR": SparkWorkloadConfig(
-        "LgR", 70, [29, 43, 70, 124], [43, 70], 1084, huge_pages=True
+        "LgR", 70, [29, 43, 70, 124], [43, 70], huge_pages=True
     ),
     "SVM": SparkWorkloadConfig(
-        "SVM", 48, [28, 32, 36, 48], [36, 48], 620, huge_pages=True
+        "SVM", 48, [28, 32, 36, 48], [36, 48], huge_pages=True
     ),
-    "BC": SparkWorkloadConfig("BC", 98, [53, 57, 98, 180], [57, 98], 82),
-    "RL": SparkWorkloadConfig("RL", 63, [24, 37, 63], [37, 63], 96),
+    "BC": SparkWorkloadConfig("BC", 98, [53, 57, 98, 180], [57, 98]),
+    "RL": SparkWorkloadConfig("RL", 63, [24, 37, 63], [37, 63]),
 }
 
 
@@ -102,7 +97,6 @@ def giraph_size(
 PANTHERA_HEAP_GB = 64
 PANTHERA_DRAM_GB = 16
 PANTHERA_DRAM_OLD_GB = 6
-PANTHERA_NVM_OLD_GB = 48
 TERAHEAP_H1_VS_PANTHERA_GB = 16
 
 #: Figure 12(c) workload list (KMeans appears here only)

@@ -34,9 +34,7 @@ from .runner import run_spark_workload
 PANELS = ("spark-sd", "spark-mo", "panthera")
 
 #: KMeans runs only in panel (c); give it an LR-like configuration
-_KM_CFG = SparkWorkloadConfig(
-    "KM", 70, [43, 70], [43, 70], 1084, huge_pages=True
-)
+_KM_CFG = SparkWorkloadConfig("KM", 70, [43, 70], [43, 70], huge_pages=True)
 
 
 def _cfg(name: str) -> SparkWorkloadConfig:

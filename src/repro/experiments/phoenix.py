@@ -33,7 +33,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..config import TeraHeapConfig, VMConfig
 from ..errors import RetryExhausted, UnrecoverableCrash
 from ..faults.plan import FaultConfig
 from ..faults.session import RunSession
@@ -46,7 +45,8 @@ from ..frameworks.spark import (
 from ..metrics.chrome_trace import chrome_trace_json, vm_engine
 from ..metrics.trace import resilience_events_csv
 from ..runtime import JavaVM
-from ..units import KiB, gb
+from ..units import gb
+from .chaoskill import WORKLOAD_SEED, make_vm
 from .harness import Cell, Params, Spec, handle
 
 #: partitions per RDD (also tasks per pass)
@@ -54,9 +54,6 @@ NUM_PARTITIONS = 4
 #: passes over the cached data; a major GC (and, under ``commit``/
 #: ``flush`` writeback, a durable epoch commit) separates them
 PASSES = 3
-REGION_SIZE = 64 * KiB
-PROMOTION_BUFFER = 32 * KiB
-WORKLOAD_SEED = 11
 FAULT_SEED = 2207
 
 POLICIES: Tuple[str, ...] = ("commit", "flush")
@@ -106,29 +103,6 @@ CRASH_POINTS: Tuple[CrashSpec, ...] = (
 NOTHING_PERSISTED_POINTS: Tuple[CrashSpec, ...] = (
     CrashSpec("task-boundary", crash_stage="top", crash_task=10),
 )
-
-
-def make_vm(
-    policy: str,
-    fault: Optional[FaultConfig] = None,
-    session: Optional[RunSession] = None,
-) -> JavaVM:
-    return JavaVM(
-        VMConfig(
-            heap_size=gb(8),
-            teraheap=TeraHeapConfig(
-                enabled=True,
-                h2_size=gb(64),
-                region_size=REGION_SIZE,
-                promotion_buffer_size=PROMOTION_BUFFER,
-                writeback_policy=policy,
-            ),
-            page_cache_size=gb(8),
-            faults=fault,
-            audit="full",
-        ),
-        session=session,
-    )
 
 
 def build_job(ctx: SparkContext, fraction: float):

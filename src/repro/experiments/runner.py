@@ -82,7 +82,8 @@ def build_spark_vm(
         "panthera": "panthera",
     }[system]
     if th_enabled:
-        heap_gb = (dram_gb - SPARK_DR2_GB) * cfg.th_h1_fraction
+        # H1 takes all of DRAM - DR2 (§6 explores 50-90% by hand)
+        heap_gb = float(dram_gb - SPARK_DR2_GB)
     if system == "spark-mo":
         # Spark-MO: the minimum heap that fits all cached data on-heap
         # (Section 6) — large enough that the memory store never evicts;
@@ -90,17 +91,10 @@ def build_spark_vm(
         heap_gb = max(cfg.dataset_gb * 1.8, dram_gb)
     panthera = None
     if system == "panthera":
-        from .configs import (
-            PANTHERA_DRAM_OLD_GB,
-            PANTHERA_HEAP_GB,
-            PANTHERA_NVM_OLD_GB,
-        )
+        from .configs import PANTHERA_DRAM_OLD_GB, PANTHERA_HEAP_GB
 
         heap_gb = PANTHERA_HEAP_GB
-        panthera = PantheraConfig(
-            dram_old_size=gb(PANTHERA_DRAM_OLD_GB),
-            nvm_old_size=gb(PANTHERA_NVM_OLD_GB),
-        )
+        panthera = PantheraConfig(dram_old_size=gb(PANTHERA_DRAM_OLD_GB))
     vm_config = VMConfig(
         heap_size=gb(heap_gb),
         collector=collector,

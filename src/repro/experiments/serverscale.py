@@ -36,7 +36,7 @@ from ..faults.session import RunSession
 from ..metrics.chrome_trace import server_chrome_trace_json
 from ..metrics.trace import server_tenants_csv
 from ..server import ServerBox, ServerSpec
-from ..server.box import BoxReport
+from ..server.box import DR2_BUDGET, EPOCH_SECONDS, H2_CAPACITY, BoxReport
 from ..units import fmt_bytes, gb
 from .harness import Cell, Params, Spec, handle
 
@@ -216,11 +216,10 @@ def cells(smoke: bool) -> List[Tuple[str, Params]]:
 
 
 def report(cells: List[Cell]) -> str:
-    spec = ServerSpec()
     lines = [
-        f"serverscale: shared H2 {fmt_bytes(spec.h2_capacity)}, "
-        f"DR2 budget {fmt_bytes(spec.dr2_budget)}, "
-        f"epoch {spec.epoch_seconds:g}s, spread ±{SPREAD:.0%}",
+        f"serverscale: shared H2 {fmt_bytes(H2_CAPACITY)}, "
+        f"DR2 budget {fmt_bytes(DR2_BUDGET)}, "
+        f"epoch {EPOCH_SECONDS:g}s, spread ±{SPREAD:.0%}",
         "  N  dataset   uniform aggregate    device   "
         "fairness gap (mixed)     worst p99 pause",
     ]

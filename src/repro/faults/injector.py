@@ -31,6 +31,9 @@ from ..errors import DeviceIOError
 from .events import FaultEvent, ResilienceLog, StallEvent
 from .plan import FaultKind, FaultPlan, IOOutcome
 
+#: fixed extra service delay charged to each stalled op, seconds
+STALL_SECONDS = 2e-3
+
 
 class FaultInjector:
     """Proxy device: delegates everything, injects faults on read/write."""
@@ -88,7 +91,7 @@ class FaultInjector:
         """
         kind = outcome.kind
         if kind is FaultKind.STALL:
-            extra = self.plan.config.stall_seconds
+            extra = STALL_SECONDS
         else:
             extra = cost * (outcome.multiplier - 1.0)
         clock = self.inner.clock

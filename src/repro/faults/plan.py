@@ -30,6 +30,13 @@ from dataclasses import dataclass
 from random import Random
 from typing import Dict, Iterator, List, Optional, Tuple
 
+#: service-rate fraction the device retains during a randomly opened
+#: brownout window (every op inside it costs ``1 / fraction`` times its
+#: normal cost)
+BROWNOUT_BANDWIDTH_FRACTION = 0.5
+#: consecutive ops parked once a stall burst starts
+STALL_BURST_OPS = 4
+
 
 class FaultKind(enum.Enum):
     """The injectable failure modes."""
@@ -73,9 +80,6 @@ class FaultConfig:
     brownout_rate: float = 0.0
     #: length of a randomly opened brownout window, simulated seconds
     brownout_duration_s: float = 0.05
-    #: service-rate fraction the device retains during a brownout (every
-    #: op inside the window costs ``1 / fraction`` times its normal cost)
-    brownout_bandwidth_fraction: float = 0.5
     #: explicitly scheduled windows: ``(start_s, duration_s, fraction)``
     #: in simulated time — the chaos-soak experiment's main knob
     brownout_windows: Tuple[Tuple[float, float, float], ...] = ()
@@ -85,16 +89,11 @@ class FaultConfig:
     # --- stall bursts ---------------------------------------------------
     #: per-op probability that a stall burst starts at this operation
     stall_rate: float = 0.0
-    #: fixed extra service delay charged to each stalled op, seconds
-    stall_seconds: float = 2e-3
-    #: consecutive ops parked once a burst starts
-    stall_burst_ops: int = 4
     # --- retry policy -------------------------------------------------
     #: total attempts (first try + retries) before an op counts as failed
     max_attempts: int = 4
     #: first backoff delay in simulated seconds; doubles per retry
     backoff_base: float = 100e-6
-    backoff_factor: float = 2.0
     #: seeded jitter fraction applied to each backoff delay (0 disables);
     #: drawn from a dedicated stream so retries never perturb the fault
     #: schedule, yet lock-step retry convoys are broken up
@@ -106,8 +105,6 @@ class FaultConfig:
     #: failed operations (retry exhaustions + device-full denials)
     #: tolerated before H2 transfers are disabled
     failure_budget: int = 3
-    #: whether exceeding the budget degrades (False: keep limping along)
-    degrade: bool = True
     # --- crash scheduling ----------------------------------------------
     #: named safepoint to kill the process at ("promotion_flush",
     #: "h2_flush", "region_metadata_update", "major_compact",
@@ -257,22 +254,22 @@ class FaultPlan:
         if draw < edge + cfg.brownout_rate:
             # Open (or extend) a random brownout window from this op.
             self._brownout_until = now + cfg.brownout_duration_s
-            self._brownout_fraction = cfg.brownout_bandwidth_fraction
+            self._brownout_fraction = BROWNOUT_BANDWIDTH_FRACTION
             self._record(
                 FaultKind.BROWNOUT,
                 device,
                 detail=(
                     f"opened+{cfg.brownout_duration_s:g}s "
-                    f"x{cfg.brownout_bandwidth_fraction:g}"
+                    f"x{BROWNOUT_BANDWIDTH_FRACTION:g}"
                 ),
             )
         elif (
             draw < edge + cfg.brownout_rate + cfg.stall_rate
             and self._stall_ops_left == 0
         ):
-            self._stall_ops_left = cfg.stall_burst_ops
+            self._stall_ops_left = STALL_BURST_OPS
             self._record(
-                FaultKind.STALL, device, detail=f"burst={cfg.stall_burst_ops}"
+                FaultKind.STALL, device, detail=f"burst={STALL_BURST_OPS}"
             )
         # Ongoing degraded-service conditions surcharge the op even when
         # this op's draw fired nothing itself.

@@ -31,6 +31,9 @@ from .plan import FaultConfig, FaultPlan
 
 T = TypeVar("T")
 
+#: growth of the backoff delay per retry
+BACKOFF_FACTOR = 2.0
+
 
 def is_transient(exc: BaseException) -> bool:
     """Retryable faults: transient device errors and simulated SIGBUS."""
@@ -113,7 +116,7 @@ class RetryPolicy:
                 # time in the caller's current bucket.
                 self.clock.charge(step)
                 spent += step
-                delay *= cfg.backoff_factor
+                delay *= BACKOFF_FACTOR
                 continue
             if failures:
                 self.log.record(
@@ -178,11 +181,7 @@ class ResiliencePolicy:
     def note_failure(self, op: str, exc: BaseException) -> None:
         """Count one failed operation; trip degradation past the budget."""
         self.failures += 1
-        if (
-            self.config.degrade
-            and not self.degraded
-            and self.failures >= self.config.failure_budget
-        ):
+        if not self.degraded and self.failures >= self.config.failure_budget:
             self.degraded = True
             reason = f"{op}: {exc}"
             self.log.record(

@@ -26,12 +26,6 @@ class GiraphConf:
     num_partitions: int = 8
     #: heap-occupancy fraction at which the OOC scheduler offloads
     ooc_threshold: float = 0.72
-    #: simulated bytes per individual message (before per-target batching)
-    bytes_per_message: int = 96
-    #: mutator operations per active vertex per superstep.  One simulated
-    #: vertex stands for thousands of paper-scale vertices (the graph is
-    #: coarsened like every other size), so this carries the coarsening.
-    ops_per_vertex: int = 800
     #: issue h2_move() hints (Figure 9a ablation switches this off)
     use_move_hint: bool = True
     #: optional message combiner ("sum" | "min" | "max"): collapses each

@@ -49,6 +49,11 @@ MESSAGE_BLOCK = 256
 #: label of the out-edge arrays' object group
 EDGES_LABEL = "edges-input"
 
+#: mutator operations per active vertex per superstep.  One simulated
+#: vertex stands for thousands of paper-scale vertices (the graph is
+#: coarsened like every other size), so this carries the coarsening.
+OPS_PER_VERTEX = 800
+
 #: active vertices an OOC reload stretch plans at first; the window
 #: doubles while stretches fill it
 STRETCH_WINDOW = 16
@@ -443,7 +448,7 @@ class GiraphJob:
     def _compute_phase(self, step: int, senders: np.ndarray) -> None:
         vm = self.vm
         active = np.flatnonzero(senders)
-        vm.compute(len(active) * self.conf.ops_per_vertex)
+        vm.compute(len(active) * OPS_PER_VERTEX)
         # Giraph processes one partition at a time; grouping accesses by
         # partition keeps the out-of-core working set coherent instead of
         # thrashing every partition on every vertex.

@@ -32,8 +32,6 @@ class SparkConf:
     num_partitions: int = 64
     #: fraction of the heap the on-heap cache may occupy (Section 6: 50%)
     storage_fraction: float = 0.5
-    #: average serialized record size, used to count shuffle records
-    shuffle_record_bytes: int = 512
 
     # --- Streaming execution (block-streaming executor) ----------------
     #: execution slots of the streaming executor; the bounded in-flight
@@ -43,15 +41,6 @@ class SparkConf:
     #: target size of one streamed block; partitions larger than this are
     #: split into multiple blocks, smaller partitions stream as one
     target_block_bytes: int = 256 * KiB
-    #: H1 occupancy at which the streaming executor applies operator
-    #: backpressure (spill-then-stall) even with a healthy device
-    stream_pressure_watermark: float = 0.85
-    #: simulated seconds one streaming backpressure stall parks the
-    #: operator pipeline before rechecking admission
-    stream_stall_wait: float = 1e-3
-    #: stall rounds per admission before the executor force-admits (the
-    #: block is coming either way; bounded stalling keeps progress)
-    stream_max_stall_rounds: int = 4
 
     @property
     def inflight_budget_bytes(self) -> int:

@@ -12,6 +12,9 @@ from ...clock import Bucket
 from ...runtime import JavaVM
 from .conf import SparkConf
 
+#: average serialized record size, used to count shuffle records
+SHUFFLE_RECORD_BYTES = 512
+
 
 class ShuffleManager:
     """Charges the serialize/spill/fetch/deserialize cycle of a shuffle."""
@@ -34,7 +37,7 @@ class ShuffleManager:
             return
         vm = self.vm
         if records <= 0:
-            records = max(1, nbytes // self.conf.shuffle_record_bytes)
+            records = max(1, nbytes // SHUFFLE_RECORD_BYTES)
         # Shuffle buffers are a bulk allocation burst like any other:
         # under a governor emergency they must stall and shed through the
         # same pressure path the mutator uses, not sail past it.

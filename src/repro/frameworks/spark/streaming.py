@@ -14,7 +14,7 @@ bytes of in-flight data (:attr:`SparkConf.inflight_budget_bytes`).
 
 Admission control: before a new source block is produced, the executor
 checks the budget and the memory-pressure signals (H1 occupancy past
-``stream_pressure_watermark``, or the H2 governor reporting an
+:data:`STREAM_PRESSURE_WATERMARK`, or the H2 governor reporting an
 emergency).  Under pressure it applies **operator backpressure**: the
 producing slot parks (charged to ``Bucket.ALLOC_STALL``) and one
 in-flight block is *spilled* rather than dropped — a raw copy to the H2
@@ -37,6 +37,16 @@ from ...clock import Bucket
 from ...heap.object_model import HeapObject
 from ...heap.roots import StackFrame
 from .rdd import RDD, BlockSpec, MaterializedPartition
+
+#: H1 occupancy at which the streaming executor applies operator
+#: backpressure (spill-then-stall) even with a healthy device
+STREAM_PRESSURE_WATERMARK = 0.85
+#: simulated seconds one streaming backpressure stall parks the
+#: operator pipeline before rechecking admission
+STREAM_STALL_WAIT = 1e-3
+#: stall rounds per admission before the executor force-admits (the
+#: block is coming either way; bounded stalling keeps progress)
+STREAM_MAX_STALL_ROUNDS = 4
 
 #: per-block CSV/trace row fates
 FATE_CONSUMED = "consumed"
@@ -181,20 +191,20 @@ class StreamingExecutor:
         if vm.heap.capacity <= 0:
             return False
         occupancy = vm.heap.used() / vm.heap.capacity
-        return occupancy >= self.conf.stream_pressure_watermark
+        return occupancy >= STREAM_PRESSURE_WATERMARK
 
     def _admit(self, est_bytes: int, outputs: List[StreamBlock]) -> int:
         """Block the producer until ``est_bytes`` fit, spilling as needed.
 
         Each backpressure round parks the producing slot for
-        ``stream_stall_wait`` (charged to ``Bucket.ALLOC_STALL``), spills
+        :data:`STREAM_STALL_WAIT` (charged to ``Bucket.ALLOC_STALL``), spills
         the oldest spillable in-flight block, and scavenges the freed
         chunks.  A stall round is only charged when it can buy something
         — a spill of our own blocks, a shed through the VM's shared
         pressure path under a governor emergency, or a scavenge when the
         budget itself is exceeded; pure occupancy pressure with nothing
         left to shed returns immediately (the allocator's own slow path
-        is the backstop).  After ``stream_max_stall_rounds`` rounds the
+        is the backstop).  After :data:`STREAM_MAX_STALL_ROUNDS` rounds the
         block is force-admitted.  Returns the stall rounds taken.
         """
         conf = self.conf
@@ -221,14 +231,14 @@ class StreamingExecutor:
             )
             if not over and not can_spill and not emergency:
                 return rounds
-            if rounds >= conf.stream_max_stall_rounds:
+            if rounds >= STREAM_MAX_STALL_ROUNDS:
                 result.forced_admissions += 1
                 return rounds
             rounds += 1
             result.backpressure_stalls += 1
-            result.stall_seconds += conf.stream_stall_wait
-            vm.clock.charge(conf.stream_stall_wait, Bucket.ALLOC_STALL)
-            vm.clock.record_event("stream_stall", conf.stream_stall_wait)
+            result.stall_seconds += STREAM_STALL_WAIT
+            vm.clock.charge(STREAM_STALL_WAIT, Bucket.ALLOC_STALL)
+            vm.clock.record_event("stream_stall", STREAM_STALL_WAIT)
             if can_spill and self._spill_one(outputs):
                 # The spilled chunks are garbage now; a scavenge turns
                 # them back into allocatable space.

@@ -7,6 +7,9 @@ from typing import Dict, List
 
 from ..heap.store import HeapStore
 
+#: minor-GC survivals before promotion to the old generation
+TENURING_THRESHOLD = 2
+
 
 @dataclass
 class GCCycle:

@@ -9,6 +9,7 @@ critical path over the lanes.
 
 from .adaptive import BatchController
 from .engine import (
+    ENGINE_SEED,
     GCTaskEngine,
     ParallelCycleSummary,
     PhaseExecution,
@@ -18,6 +19,7 @@ from .engine import (
 from .tasks import GCTask, TaskBag, chunked_sweep
 
 __all__ = [
+    "ENGINE_SEED",
     "BatchController",
     "GCTask",
     "GCTaskEngine",

@@ -34,6 +34,10 @@ from typing import Any, Dict, Iterable, List, Optional
 from ...clock import Clock
 from .tasks import GCTask
 
+#: work-stealing RNG seed (victim selection) of a collector's engine;
+#: never the global RNG
+ENGINE_SEED = 0x7E2A6C
+
 
 @dataclass
 class WorkerStats:

@@ -33,8 +33,14 @@ from ..heap.store import (
     SPACE_TO,
     HeapStore,
 )
-from .base import Collector, GCCycle
-from .engine import BatchController, GCTaskEngine, PhaseExecution, TaskBag
+from .base import TENURING_THRESHOLD, Collector, GCCycle
+from .engine import (
+    ENGINE_SEED,
+    BatchController,
+    GCTaskEngine,
+    PhaseExecution,
+    TaskBag,
+)
 
 
 class RegionState(enum.Enum):
@@ -46,6 +52,9 @@ class RegionState(enum.Enum):
     HUMONGOUS_CONT = "humongous_cont"
 
 _YOUNG_STATES = (RegionState.EDEN, RegionState.SURVIVOR)
+
+#: target fraction of the heap collected per mixed collection
+MIXED_COLLECTION_FRACTION = 0.25
 
 
 class G1Region:
@@ -265,7 +274,7 @@ class G1Collector(Collector):
             clock,
             config.cost,
             workers=self._workers,
-            seed=config.engine.seed,
+            seed=ENGINE_SEED,
             trace=config.engine.trace,
             name=self.name,
             steal_policy=config.engine.steal_policy,
@@ -387,7 +396,7 @@ class G1Collector(Collector):
                         space_arr[obj.oid] = SPACE_FREED
                 region.reset()
             heap._current_eden = None
-            tenuring = self.config.tenuring_threshold
+            tenuring = TENURING_THRESHOLD
             survivors = [o for o in live if age_arr[o] + 1 < tenuring]
             promoted = [o for o in live if age_arr[o] + 1 >= tenuring]
             for oid in live:
@@ -533,9 +542,7 @@ class G1Collector(Collector):
                     (st.sum_sizes(region_live), region, region_live)
                 )
             candidates.sort(key=lambda item: item[0])
-            budget = int(
-                heap.capacity * self.config.g1.mixed_collection_fraction
-            )
+            budget = int(heap.capacity * MIXED_COLLECTION_FRACTION)
             taken = 0
             for region_live_bytes, region, region_live in candidates:
                 if taken >= budget:

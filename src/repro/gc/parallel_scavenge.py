@@ -42,8 +42,9 @@ from ..heap.store import (
     SPACE_TO,
     HeapStore,
 )
-from .base import Collector, GCCycle
+from .base import TENURING_THRESHOLD, Collector, GCCycle
 from .engine import (
+    ENGINE_SEED,
     BatchController,
     GCTaskEngine,
     PhaseExecution,
@@ -124,7 +125,7 @@ class ParallelScavenge(Collector):
             clock,
             config.cost,
             workers=config.gc_threads,
-            seed=config.engine.seed,
+            seed=ENGINE_SEED,
             trace=config.engine.trace,
             name=self.name,
             steal_policy=config.engine.steal_policy,
@@ -298,9 +299,7 @@ class ParallelScavenge(Collector):
             live = np.asarray(live_young, dtype=np.int64)
             st.age_view()[live] += 1
             sizes = st.size_view()[live]
-            young = np.flatnonzero(
-                st.age_view()[live] < self.config.tenuring_threshold
-            )
+            young = np.flatnonzero(st.age_view()[live] < TENURING_THRESHOLD)
             stays = np.zeros(live.size, dtype=bool)
             stays[young[_first_fit(sizes[young], to_space.capacity)]] = True
             survivors = live[stays]

@@ -46,6 +46,10 @@ from .units import KiB
 
 #: granularity of temporary-object allocation bursts (S/D pressure)
 TEMP_CHUNK = 8 * KiB
+#: simulated seconds one allocation-stall round parks the mutator
+ALLOC_STALL_WAIT = 2e-3
+#: shed/stall/GC rounds before declaring true exhaustion (OOM)
+MAX_EMERGENCY_ROUNDS = 6
 
 
 class JavaVM:
@@ -118,7 +122,7 @@ class JavaVM:
                     if config.faults is None:
                         session.track_policy(self.resilience)
                 gov_cfg = config.governor
-                if gov_cfg is not None and gov_cfg.enabled:
+                if gov_cfg is not None:
                     from .teraheap.governor import H2Governor
 
                     if self.resilience is None:
@@ -137,9 +141,7 @@ class JavaVM:
                         self.health = health
                         self._owns_health = False
                     else:
-                        self.health = DeviceHealthMonitor(
-                            self.clock, gov_cfg.health
-                        )
+                        self.health = DeviceHealthMonitor(self.clock)
                     log = self.resilience.log
                     self.health.add_listener(log.record, owner=self)
                     self.resilience.attach_monitor(self.health)
@@ -337,10 +339,9 @@ class JavaVM:
         occupancy = self.heap.used() / self.heap.capacity
         if not self.governor.emergency_active(occupancy):
             return 0
-        gov_cfg = self.governor.config
         self.alloc_stalls += 1
-        self.clock.charge(gov_cfg.alloc_stall_wait, Bucket.ALLOC_STALL)
-        self.clock.record_event("alloc_stall", gov_cfg.alloc_stall_wait)
+        self.clock.charge(ALLOC_STALL_WAIT, Bucket.ALLOC_STALL)
+        self.clock.record_event("alloc_stall", ALLOC_STALL_WAIT)
         target = max(nbytes, int(0.05 * self.heap.capacity))
         freed = 0
         for handler in self.pressure_handlers:
@@ -363,12 +364,11 @@ class JavaVM:
         occupancy = self.heap.used() / self.heap.capacity
         if not self.governor.emergency_active(occupancy):
             return False
-        gov_cfg = self.governor.config
         target = max(obj.size, int(0.05 * self.heap.capacity))
-        for _ in range(gov_cfg.max_emergency_rounds):
+        for _ in range(MAX_EMERGENCY_ROUNDS):
             self.alloc_stalls += 1
-            self.clock.charge(gov_cfg.alloc_stall_wait, Bucket.ALLOC_STALL)
-            self.clock.record_event("alloc_stall", gov_cfg.alloc_stall_wait)
+            self.clock.charge(ALLOC_STALL_WAIT, Bucket.ALLOC_STALL)
+            self.clock.record_event("alloc_stall", ALLOC_STALL_WAIT)
             freed = 0
             for handler in self.pressure_handlers:
                 freed += handler(target)

@@ -107,25 +107,26 @@ class BandwidthArbiter:
     drops to zero immediately, so its whole guarantee becomes surplus
     at the next epoch boundary.
 
-    Shares never drop below ``min_share`` (a tenant can always make
+    Shares never drop below :attr:`MIN_SHARE` (a tenant can always make
     progress and re-grow its EWMA) and never exceed 1.0.
     """
+
+    #: smoothing factor of the per-tenant demand EWMA
+    EWMA_ALPHA = 0.5
+    #: a low-demand tenant keeps this multiple of its measured demand
+    HEADROOM = 1.25
+    #: floor of any tenant's share
+    MIN_SHARE = 0.05
 
     def __init__(
         self,
         read_bw: float,
         write_bw: float,
         work_conserving: bool = True,
-        ewma_alpha: float = 0.5,
-        headroom: float = 1.25,
-        min_share: float = 0.05,
     ):
         self.read_bw = read_bw
         self.write_bw = write_bw
         self.work_conserving = work_conserving
-        self.ewma_alpha = ewma_alpha
-        self.headroom = headroom
-        self.min_share = min_share
         #: insertion-ordered (= tenant boot order): iteration order is
         #: deterministic, which the double-run digest gate relies on
         self._links: Dict[str, _Link] = {}
@@ -184,7 +185,7 @@ class BandwidthArbiter:
         self.epochs += 1
         n = max(1, len(self._links))
         guarantee = 1.0 / n
-        alpha = self.ewma_alpha
+        alpha = self.EWMA_ALPHA
         for link in self._links.values():
             busy = (
                 link.epoch_read / self.read_bw
@@ -208,8 +209,8 @@ class BandwidthArbiter:
                 want[name] = 0.0
             else:
                 want[name] = max(
-                    (link.busy_ewma or 0.0) * self.headroom,
-                    self.min_share,
+                    (link.busy_ewma or 0.0) * self.HEADROOM,
+                    self.MIN_SHARE,
                 )
         # Surplus is what tenants demonstrably leave on the table — but
         # an active tenant is never *capped* at its demand: it keeps its
@@ -228,7 +229,7 @@ class BandwidthArbiter:
         shares: Dict[str, float] = {}
         for name, link in self._links.items():
             if not link.active:
-                link.share = self.min_share
+                link.share = self.MIN_SHARE
             else:
                 extra = 0.0
                 if total_hunger > 0.0 and name in hunger:
@@ -321,6 +322,8 @@ class MemoryPressureArbiter:
     WATERMARK_FLOOR = 0.60
     #: dead-band around the mean pressure before we move anything
     DEAD_BAND = 0.02
+    #: smoothing factor of the per-tenant pressure EWMAs
+    EWMA_ALPHA = 0.5
 
     def __init__(
         self,
@@ -329,14 +332,12 @@ class MemoryPressureArbiter:
         dr2_budget: int,
         page_size: int,
         enabled: bool = True,
-        ewma_alpha: float = 0.5,
     ):
         self.h2_capacity = h2_capacity
         self.region_size = region_size
         self.dr2_budget = dr2_budget
         self.page_size = page_size
         self.enabled = enabled
-        self.ewma_alpha = ewma_alpha
         self._pressure: Dict[str, TenantPressure] = {}
         #: per-tenant configured (relaxed) watermarks, captured at attach
         self._base_high: Dict[str, float] = {}
@@ -365,7 +366,7 @@ class MemoryPressureArbiter:
         stall = vm.clock.total(Bucket.ALLOC_STALL)
         misses = vm.h2.page_cache.misses if vm.h2 is not None else 0
         d_wall = wall - state.wall
-        alpha = self.ewma_alpha
+        alpha = self.EWMA_ALPHA
         if d_wall > 1e-12:
             gc_share = (gc - state.gc_seconds) / d_wall
             stall_share = (stall - state.stall_seconds) / d_wall

@@ -29,7 +29,18 @@ from ..faults.session import RunSession
 from ..runtime import JavaVM
 from ..units import KiB, gb
 from .arbiter import BandwidthArbiter, MemoryPressureArbiter, TenantDevice
-from .workload import CachedAnalyticsWorkload
+from .workload import CHUNK_SIZE, CachedAnalyticsWorkload
+
+#: simulated seconds between arbitration epochs (box virtual time)
+EPOCH_SECONDS = 0.5
+#: shared H2 device byte capacity carved across tenants
+H2_CAPACITY = gb(16)
+#: box-wide DR2 (page cache) budget carved across tenants
+DR2_BUDGET = gb(1)
+#: per-tenant H1 = HEAP_FACTOR * dataset: one iteration fits with
+#: headroom, two cached iterations do not — the previous iteration
+#: lives on H2 and its re-reads are device traffic
+HEAP_FACTOR = 1.6
 
 
 @dataclass
@@ -44,18 +55,6 @@ class ServerSpec:
     #: True = work-conserving bandwidth + pressure arbitration;
     #: False = static 1/N partition everywhere (the control)
     arbiter: bool = True
-    epoch_seconds: float = 0.5
-    #: shared H2 device byte capacity carved across tenants
-    h2_capacity: int = gb(16)
-    #: box-wide DR2 (page cache) budget carved across tenants
-    dr2_budget: int = gb(1)
-    iterations: int = 3
-    chunk_size: int = 8 * KiB
-    batch_chunks: int = 16
-    #: per-tenant H1 = heap_factor * dataset: one iteration fits with
-    #: headroom, two cached iterations do not — the previous iteration
-    #: lives on H2 and its re-reads are device traffic
-    heap_factor: float = 1.6
 
     def dataset_bytes(self, index: int) -> int:
         if self.tenants <= 1:
@@ -65,7 +64,7 @@ class ServerSpec:
                 2.0 * index / (self.tenants - 1) - 1.0
             )
         raw = int(self.mean_dataset_bytes * weight)
-        return max(self.chunk_size, raw - raw % self.chunk_size)
+        return max(CHUNK_SIZE, raw - raw % CHUNK_SIZE)
 
 
 class Tenant:
@@ -197,15 +196,14 @@ class ServerBox:
             write_bw=template.write_bw,
             work_conserving=spec.arbiter,
         )
-        gov_cfg = GovernorConfig()
         #: one health monitor for the one physical device — a brownout
         #: is a single classification every tenant's governor consults
-        self.health = DeviceHealthMonitor(self.clock, gov_cfg.health)
+        self.health = DeviceHealthMonitor(self.clock)
         region_size = TeraHeapConfig().region_size
         self.pressure = MemoryPressureArbiter(
-            h2_capacity=spec.h2_capacity,
+            h2_capacity=H2_CAPACITY,
             region_size=region_size,
-            dr2_budget=spec.dr2_budget,
+            dr2_budget=DR2_BUDGET,
             page_size=4 * KiB,
             enabled=spec.arbiter,
         )
@@ -214,13 +212,11 @@ class ServerBox:
         for index in range(n):
             name = f"vm{index}"
             dataset = spec.dataset_bytes(index)
-            heap = max(32 * spec.chunk_size, int(spec.heap_factor * dataset))
+            heap = max(32 * CHUNK_SIZE, int(HEAP_FACTOR * dataset))
             config = VMConfig(
                 heap_size=heap,
-                teraheap=TeraHeapConfig(
-                    enabled=True, h2_size=spec.h2_capacity
-                ),
-                page_cache_size=max(4 * KiB, spec.dr2_budget // n),
+                teraheap=TeraHeapConfig(enabled=True, h2_size=H2_CAPACITY),
+                page_cache_size=max(4 * KiB, DR2_BUDGET // n),
                 governor=GovernorConfig(),
             )
             vm = JavaVM(
@@ -231,16 +227,9 @@ class ServerBox:
             )
             # Static equal split until the first arbitration epoch (and
             # forever, in the no-arbiter control).
-            budget = spec.h2_capacity // n
+            budget = H2_CAPACITY // n
             vm.h2.byte_budget = budget - budget % region_size
-            workload = CachedAnalyticsWorkload(
-                vm,
-                name,
-                dataset,
-                chunk_size=spec.chunk_size,
-                iterations=spec.iterations,
-                batch_chunks=spec.batch_chunks,
-            )
+            workload = CachedAnalyticsWorkload(vm, name, dataset)
             tenant = Tenant(name, index, vm, workload, dataset)
             self.tenants.append(tenant)
             self.pressure.attach(name, vm)
@@ -253,13 +242,13 @@ class ServerBox:
 
     def _run_epoch(self, boundary: float) -> None:
         self._advance_clock(boundary)
-        shares = self.bandwidth.end_epoch(self.spec.epoch_seconds)
+        shares = self.bandwidth.end_epoch(EPOCH_SECONDS)
         by_name = {tenant.name: tenant for tenant in self.tenants}
         self.pressure.epoch(boundary, by_name, shares)
 
     # ------------------------------------------------------------------
     def run(self) -> BoxReport:
-        next_epoch = self.spec.epoch_seconds
+        next_epoch = EPOCH_SECONDS
         while True:
             pending = [t for t in self.tenants if not t.finished]
             if not pending:
@@ -267,7 +256,7 @@ class ServerBox:
             tenant = min(pending, key=lambda t: (t.now, t.index))
             if tenant.now >= next_epoch:
                 self._run_epoch(next_epoch)
-                next_epoch += self.spec.epoch_seconds
+                next_epoch += EPOCH_SECONDS
                 continue
             tenant.step()
             if tenant.workload.done:

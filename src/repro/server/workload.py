@@ -17,6 +17,17 @@ from ..devices.base import AccessPattern
 from ..heap.object_model import HeapObject
 from ..units import KiB
 
+#: bytes per cached chunk
+CHUNK_SIZE = 8 * KiB
+#: cached iterations a tenant runs
+ITERATIONS = 3
+#: chunks one step allocates
+BATCH_CHUNKS = 16
+#: share of a step's chunks re-read from the previous iteration's cache
+REREAD_FRACTION = 1.0
+#: mutator operations per allocated chunk
+COMPUTE_OPS_PER_CHUNK = 16
+
 
 class CachedAnalyticsWorkload:
     """Iterative job: materialise, cache on H2, re-read, slide window.
@@ -26,25 +37,10 @@ class CachedAnalyticsWorkload:
     so two runs of the same box produce byte-identical schedules.
     """
 
-    def __init__(
-        self,
-        vm,
-        name: str,
-        dataset_bytes: int,
-        chunk_size: int = 8 * KiB,
-        iterations: int = 3,
-        batch_chunks: int = 16,
-        reread_fraction: float = 1.0,
-        compute_ops_per_chunk: int = 16,
-    ):
+    def __init__(self, vm, name: str, dataset_bytes: int):
         self.vm = vm
         self.name = name
-        self.chunk_size = chunk_size
-        self.chunks_total = max(1, dataset_bytes // chunk_size)
-        self.iterations = iterations
-        self.batch_chunks = batch_chunks
-        self.reread_fraction = reread_fraction
-        self.compute_ops_per_chunk = compute_ops_per_chunk
+        self.chunks_total = max(1, dataset_bytes // CHUNK_SIZE)
         self._iteration = 0
         self._cursor = 0
         self._anchors: Dict[int, HeapObject] = {}
@@ -80,7 +76,7 @@ class CachedAnalyticsWorkload:
         vm.major_gc()
         self._iteration += 1
         self._cursor = 0
-        if self._iteration >= self.iterations:
+        if self._iteration >= ITERATIONS:
             self.done = True
 
     # ------------------------------------------------------------------
@@ -93,24 +89,24 @@ class CachedAnalyticsWorkload:
             self._begin_iteration()
         anchor = self._anchors[self._iteration]
         cache = self._cached[self._iteration]
-        batch = min(self.batch_chunks, self.chunks_total - self._cursor)
-        vm.stall_for_capacity(batch * self.chunk_size)
+        batch = min(BATCH_CHUNKS, self.chunks_total - self._cursor)
+        vm.stall_for_capacity(batch * CHUNK_SIZE)
         for _ in range(batch):
-            obj = vm.allocate(self.chunk_size)
+            obj = vm.allocate(CHUNK_SIZE)
             vm.write_ref(anchor, obj)
             cache.append(obj)
-        vm.compute(batch * self.compute_ops_per_chunk)
+        vm.compute(batch * COMPUTE_OPS_PER_CHUNK)
         # Re-read a window of the previous iteration's cache.  Once that
         # iteration moved to H2, these are device reads through the
         # shared page cache — the traffic the bandwidth arbiter carves.
         prev = self._cached.get(self._iteration - 1)
         if prev:
-            rereads = max(1, int(batch * self.reread_fraction))
+            rereads = max(1, int(batch * REREAD_FRACTION))
             for j in range(rereads):
                 obj = prev[(self.steps * 7 + j * 13) % len(prev)]
                 vm.read_object(obj, AccessPattern.RANDOM)
         self._cursor += batch
-        self.processed_bytes += batch * self.chunk_size
+        self.processed_bytes += batch * CHUNK_SIZE
         self.steps += 1
         if self._cursor >= self.chunks_total:
             self._end_iteration()

@@ -50,6 +50,11 @@ from .hints import HintInterface
 from .promotion import DIRECT_WRITE_THRESHOLD
 from .thresholds import AdaptiveThresholdPolicy, ThresholdPolicy
 
+#: H2 card-table entries per sweep-chunk task (H2 tables are huge)
+H2_SWEEP_CHUNK_CARDS = 16384
+#: scanned H2 cards are grouped into this many stripe-owned slices
+H2_SLICE_GROUPS = 64
+
 
 class TeraHeapCollector(ParallelScavenge):
     """Parallel Scavenge + TeraHeap (the paper's system)."""
@@ -120,7 +125,6 @@ class TeraHeapCollector(ParallelScavenge):
         """
         table = self.h2.card_table
         cost = self.cost
-        eng_cfg = self.config.engine
         parallelism = table.scan_parallelism(self.config.gc_threads)
         bag = TaskBag()
         chunked_sweep(
@@ -128,7 +132,7 @@ class TeraHeapCollector(ParallelScavenge):
             "h2-sweep",
             table.num_cards,
             cost.card_check_cost,
-            eng_cfg.h2_sweep_chunk_cards,
+            H2_SWEEP_CHUNK_CARDS,
         )
         cards = table.cards_to_scan(major=major)
         if not self.four_state and not major:
@@ -183,7 +187,7 @@ class TeraHeapCollector(ParallelScavenge):
             # Scanned cards become stripe-owned slice tasks: a slice
             # starts on its owning worker's deque and only migrates to
             # another worker by stealing.
-            group = table.stripe_of_card(card) % eng_cfg.h2_slice_groups
+            group = table.stripe_of_card(card) % H2_SLICE_GROUPS
             slice_work[group] = slice_work.get(group, 0.0) + card_work
             scanned.append((card, on_card))
         for group in sorted(slice_work):

@@ -35,6 +35,20 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from ..clock import Clock
 from ..devices.health import DeviceHealthMonitor, DeviceState, HealthTransition
+from ..units import KiB
+
+#: unhinted-budget multiplier while the circuit is DEGRADED
+DEGRADED_BUDGET_SCALE = 0.5
+#: hinted-transfer byte cap while OPEN (outside probe windows)
+OPEN_HINTED_CAP = 0
+#: hinted-byte budget granted to a half-open probe cycle
+PROBE_BYTES = 64 * KiB
+#: growth of the delay between failed half-open probes
+PROBE_BACKOFF_FACTOR = 2.0
+#: clean DEGRADED transfer cycles required to fully close the circuit
+CLOSE_STREAK = 2
+#: H1 occupancy at which an OPEN circuit arms emergency backpressure
+EMERGENCY_WATERMARK = 0.85
 
 
 class CircuitState(enum.Enum):
@@ -159,16 +173,16 @@ class H2Governor:
         if self.state is CircuitState.CLOSED:
             return True, 1.0, None
         if self.state is CircuitState.DEGRADED:
-            return True, self.config.degraded_budget_scale, None
+            return True, DEGRADED_BUDGET_SCALE, None
         # OPEN: unhinted halted; hinted capped.  Once the backoff expires
         # the next decision becomes a half-open probe with a small budget.
         if self.clock.now >= self._next_probe_at and not self._probe_pending:
             self._probe_pending = True
             self.probes += 1
-            return False, 0.0, int(self.config.probe_bytes)
+            return False, 0.0, PROBE_BYTES
         if self._probe_pending:
-            return False, 0.0, int(self.config.probe_bytes)
-        return False, 0.0, int(self.config.open_hinted_cap)
+            return False, 0.0, PROBE_BYTES
+        return False, 0.0, OPEN_HINTED_CAP
 
     def note_transfer_result(self, placed_bytes: int, denied: int) -> None:
         """Major-GC feedback: did the granted budget actually place?"""
@@ -186,7 +200,7 @@ class H2Governor:
             else:
                 self.probe_failures += 1
                 self._backoff = min(
-                    self._backoff * self.config.probe_backoff_factor,
+                    self._backoff * PROBE_BACKOFF_FACTOR,
                     self.config.probe_backoff_max,
                 )
                 self._next_probe_at = self.clock.now + self._backoff
@@ -195,7 +209,7 @@ class H2Governor:
                 self._trip(f"{denied} placements denied while degraded")
             elif self.monitor.state is DeviceState.HEALTHY:
                 self._close_streak += 1
-                if self._close_streak >= self.config.close_streak:
+                if self._close_streak >= CLOSE_STREAK:
                     self._close(
                         f"{self._close_streak} clean transfer cycles"
                     )
@@ -209,7 +223,7 @@ class H2Governor:
         """Backpressure gate: circuit OPEN *and* H1 past the watermark."""
         return (
             self.state is CircuitState.OPEN
-            and h1_occupancy >= self.config.emergency_watermark
+            and h1_occupancy >= EMERGENCY_WATERMARK
         )
 
     def timeline_digest(self) -> str:

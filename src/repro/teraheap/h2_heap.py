@@ -95,7 +95,9 @@ class H2Heap:
             H2_BASE,
             config.h2_size,
             config.card_segment_size,
-            config.stripe_size,
+            # stripe size == region size, as the paper sets it, so objects
+            # never span stripes and boundary cards never stay dirty (§3.4)
+            config.region_size,
             stripe_aligned=config.stripe_aligned,
         )
         self.promotion = PromotionManager(

@@ -10,7 +10,8 @@ from repro.config import (
     VMConfig,
 )
 from repro.errors import ConfigError
-from repro.units import GB, MB, gb
+from repro.runtime import JavaVM
+from repro.units import GB, MB, KiB, gb
 
 
 def test_default_layout_partitions_heap():
@@ -51,9 +52,10 @@ def test_teraheap_requires_ps_family():
         )
 
 
-def test_teraheap_stripe_defaults_to_region():
-    th = TeraHeapConfig(region_size=4 * MB, h2_size=400 * MB)
-    assert th.stripe_size == th.region_size
+def test_teraheap_stripe_is_region():
+    th = TeraHeapConfig(enabled=True, region_size=32 * KiB, h2_size=gb(4))
+    vm = JavaVM(VMConfig(heap_size=gb(1), teraheap=th))
+    assert vm.h2.card_table.stripe_size == th.region_size
 
 
 def test_teraheap_h2_multiple_of_region():
@@ -94,9 +96,22 @@ def test_cost_model_defaults_sane():
 def test_g1_config_defaults():
     g1 = G1Config()
     assert g1.region_size == 32 * MB
-    assert 0 < g1.mixed_collection_fraction <= 1
 
 
 def test_panthera_split():
-    p = PantheraConfig(dram_old_size=6 * GB, nvm_old_size=48 * GB)
-    assert p.dram_old_size < p.nvm_old_size
+    p = PantheraConfig(dram_old_size=6 * GB)
+    assert p.dram_old_size < VMConfig(panthera=p).old_size
+
+
+def test_vm_charges_by_its_config_cost_model():
+    """A VM and its collector charge by the CostModel its config carries,
+    the way a calibration sweep varies it."""
+    slow = CostModel(mutator_op_cost=2 * CostModel().mutator_op_cost)
+    base, scaled = (
+        JavaVM(VMConfig(heap_size=gb(1), cost=cost))
+        for cost in (CostModel(), slow)
+    )
+    for vm in (base, scaled):
+        vm.compute(1000)
+    assert scaled.clock.now == pytest.approx(2 * base.clock.now)
+    assert scaled.collector.cost is slow

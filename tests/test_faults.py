@@ -189,7 +189,7 @@ def test_suspended_queries_consume_no_draws():
 # ======================================================================
 def test_retry_recovers_and_charges_backoff():
     clock = Clock()
-    cfg = FaultConfig(max_attempts=4, backoff_base=1e-3, backoff_factor=2.0)
+    cfg = FaultConfig(max_attempts=4, backoff_base=1e-3)
     retry = RetryPolicy(cfg, clock, ResilienceLog())
     calls = {"n": 0}
 

@@ -5,6 +5,7 @@ import pytest
 from repro import JavaVM, OutOfMemoryError, VMConfig, gb
 from repro.clock import Bucket
 from repro.config import ConfigError, CostModel, G1Config
+from repro.gc.base import TENURING_THRESHOLD
 from repro.gc.g1 import G1Heap, RegionState
 from repro.heap.object_model import HeapObject, SpaceId
 from repro.units import KiB
@@ -285,7 +286,7 @@ class TestAccountingFixes:
                 g1=G1Config(region_size=32 * KiB),
             )
         )
-        threshold = vm.config.tenuring_threshold
+        threshold = TENURING_THRESHOLD
         for i in range(4):
             obj = vm.roots.add(vm.allocate(4 * KiB, name=f"live-{i}"))
             if i % 2:

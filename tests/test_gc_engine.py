@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.experiments.configs import SPARK_DR2_GB, SPARK_WORKLOADS_TABLE3
 from repro.frameworks.spark import CachePolicy, SparkConf, SparkContext
 from repro.frameworks.spark.workloads import SPARK_WORKLOADS
 from repro.gc.base import GCCycle, GCStats
-from repro.gc.engine import GCTaskEngine, TaskBag, chunked_sweep
+from repro.gc.engine import ENGINE_SEED, GCTaskEngine, TaskBag, chunked_sweep
 from repro.metrics import chrome_trace_json
 from repro.runtime import JavaVM
 from repro.units import gb
@@ -164,9 +165,10 @@ def test_two_runs_are_byte_identical():
     assert vm1.collector.engine.total_steals > 0
 
 
-def test_engine_seed_comes_from_config():
-    vm = gc_scaling.run_churn(2, batches=2)
-    assert vm.config.engine.seed == 0x7E2A6C
+def test_engine_seed_is_the_engine_constant():
+    vm = JavaVM(VMConfig(heap_size=gb(1)))
+    fresh = random.Random(ENGINE_SEED)
+    assert vm.collector.engine.rng.getstate() == fresh.getstate()
 
 
 # ======================================================================
@@ -654,14 +656,14 @@ def test_batch_controller_disabled_is_inert():
 def test_batch_controller_shrinks_on_imbalance_and_clamps():
     from repro.gc.engine import BatchController
 
-    cfg = adaptive_config(scan_batch_objects=32, min_batch_scale=0.25)
+    cfg = adaptive_config(scan_batch_objects=32)
     ctl = BatchController(cfg)
     assert ctl.observe(summary_with(imbalance=2.0)) == "shrink"
     assert ctl.scale == 0.5
     assert ctl.scan_batch_objects == 16
     assert ctl.observe(summary_with(imbalance=2.0)) == "shrink"
     assert ctl.scale == 0.25
-    # Clamped at min_batch_scale: no further shrink.
+    # Clamped at MIN_BATCH_SCALE (0.25): no further shrink.
     assert ctl.observe(summary_with(imbalance=2.0)) == "hold"
     assert ctl.scale == 0.25
     assert ctl.shrinks == 2

@@ -68,7 +68,6 @@ def run_lr(collector: str) -> JavaVM:
     if collector == "panthera":
         panthera = PantheraConfig(
             dram_old_size=gb(1),
-            nvm_old_size=gb(11),
             pretenure_threshold=64 * KiB,
         )
     if collector in ("panthera", "memmode"):

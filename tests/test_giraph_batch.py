@@ -464,7 +464,6 @@ def make_panthera():
         collector="panthera",
         panthera=PantheraConfig(
             dram_old_size=gb(0.01),
-            nvm_old_size=gb(2.99),
             pretenure_threshold=32 * KiB,
         ),
         young_fraction=1.0 / 6.0,

@@ -333,7 +333,6 @@ def make_panthera():
             collector="panthera",
             panthera=PantheraConfig(
                 dram_old_size=gb(0.2),
-                nvm_old_size=gb(2.8),
                 pretenure_threshold=32 * KiB,
             ),
         )

@@ -4,15 +4,11 @@ import pytest
 
 from repro.clock import Bucket, Clock
 from repro.config import GovernorConfig, TeraHeapConfig, VMConfig
-from repro.devices.health import (
-    DeviceHealthMonitor,
-    DeviceState,
-    HealthConfig,
-)
+from repro.devices.health import DeviceHealthMonitor, DeviceState
 from repro.errors import DeviceIOError, OutOfMemoryError
 from repro.faults.events import ResilienceLog, RetryEvent
 from repro.faults.plan import FaultConfig
-from repro.faults.policy import RetryPolicy
+from repro.faults.policy import BACKOFF_FACTOR, RetryPolicy
 from repro.frameworks.spark.block_manager import BlockManager
 from repro.frameworks.spark.conf import CachePolicy, SparkConf
 from repro.frameworks.spark.rdd import MaterializedPartition
@@ -22,8 +18,8 @@ from repro.teraheap.thresholds import ThresholdPolicy
 from repro.units import KiB, gb
 
 
-def make_monitor(**kw):
-    return DeviceHealthMonitor(Clock(), HealthConfig(**kw))
+def make_monitor():
+    return DeviceHealthMonitor(Clock())
 
 
 def feed(monitor, n, ratio, device="nvme", nbytes=4096):
@@ -65,7 +61,7 @@ class TestDeviceHealthMonitor:
         assert m.errors == 4
 
     def test_recovery_is_hysteretic_one_step_at_a_time(self):
-        m = make_monitor(recovery_ops=8)
+        m = make_monitor()
         feed(m, 4, 1.8)  # -> BROWNOUT
         assert feed(m, 8, 1.0) is DeviceState.DEGRADED
         assert feed(m, 8, 1.0) is DeviceState.HEALTHY
@@ -99,7 +95,7 @@ class TestDeviceHealthMonitor:
 
 def make_governor(**kw):
     clock = Clock()
-    monitor = DeviceHealthMonitor(clock, HealthConfig())
+    monitor = DeviceHealthMonitor(clock)
     cfg = GovernorConfig(**kw)
     return H2Governor(cfg, monitor, clock), monitor, clock
 
@@ -124,7 +120,7 @@ class TestH2Governor:
         assert gov.blocks_h2_caching()
 
     def test_open_halts_unhinted_and_caps_hinted(self):
-        gov, monitor, _ = make_governor(open_hinted_cap=0)
+        gov, monitor, _ = make_governor()
         brownout(monitor)
         allow, scale, hinted = gov.transfer_caps()
         assert not allow
@@ -132,7 +128,7 @@ class TestH2Governor:
         assert hinted == 0
 
     def test_degraded_scales_budget(self):
-        gov, monitor, _ = make_governor(degraded_budget_scale=0.5)
+        gov, monitor, _ = make_governor()
         monitor.observe("nvme", "write", 4096, 2e-4, 1e-4)  # EWMA 1.3
         assert gov.state is CircuitState.DEGRADED
         allow, scale, hinted = gov.transfer_caps()
@@ -141,13 +137,11 @@ class TestH2Governor:
         assert hinted is None
 
     def test_probe_after_backoff_closes_via_degraded(self):
-        gov, monitor, clock = make_governor(
-            probe_backoff=1e-3, probe_bytes=64 * KiB, close_streak=2
-        )
+        gov, monitor, clock = make_governor(probe_backoff=1e-3)
         brownout(monitor)
         # Before the backoff expires: no probe budget.
         _, _, hinted = gov.transfer_caps()
-        assert hinted == int(gov.config.open_hinted_cap)
+        assert hinted == 0
         recover(monitor)  # device healthy again, circuit still OPEN
         assert gov.state is CircuitState.OPEN
         clock.charge(2e-3)
@@ -162,9 +156,7 @@ class TestH2Governor:
         assert gov.state is CircuitState.CLOSED
 
     def test_probe_failure_backs_off_exponentially(self):
-        gov, monitor, clock = make_governor(
-            probe_backoff=1e-3, probe_backoff_factor=2.0
-        )
+        gov, monitor, clock = make_governor(probe_backoff=1e-3)
         brownout(monitor)
         clock.charge(2e-3)
         gov.transfer_caps()
@@ -181,7 +173,7 @@ class TestH2Governor:
         assert gov.state is CircuitState.OPEN
 
     def test_emergency_gate_needs_open_and_watermark(self):
-        gov, monitor, _ = make_governor(emergency_watermark=0.85)
+        gov, monitor, _ = make_governor()
         assert not gov.emergency_active(0.99)
         brownout(monitor)
         assert not gov.emergency_active(0.5)
@@ -267,7 +259,7 @@ class TestRetryJitterDeadline:
         plain = FaultConfig(seed=7)
         _, t_plain, _ = self._run(plain)
         assert t_plain == pytest.approx(
-            plain.backoff_base * (1 + plain.backoff_factor)
+            plain.backoff_base * (1 + BACKOFF_FACTOR)
         )
 
     def test_deadline_exhaustion_recorded_with_reason(self):
@@ -304,7 +296,7 @@ class TestRetryJitterDeadline:
         assert log.deadline_exhaustions == 0
 
 
-def governed_vm(heap=gb(2), **gov_kw):
+def governed_vm(heap=gb(2)):
     return JavaVM(
         VMConfig(
             heap_size=heap,
@@ -312,7 +304,7 @@ def governed_vm(heap=gb(2), **gov_kw):
                 enabled=True, h2_size=gb(64), region_size=32 * KiB
             ),
             page_cache_size=gb(2),
-            governor=GovernorConfig(**gov_kw),
+            governor=GovernorConfig(),
         )
     )
 

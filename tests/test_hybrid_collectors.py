@@ -15,7 +15,6 @@ def make_panthera(heap_gb=4, dram_old_gb=0.5):
         collector="panthera",
         panthera=PantheraConfig(
             dram_old_size=gb(dram_old_gb),
-            nvm_old_size=gb(heap_gb - 1 - dram_old_gb),
             pretenure_threshold=32 * KiB,
         ),
         young_fraction=1.0 / 6.0,

@@ -21,6 +21,7 @@ from repro.server import (
     ServerSpec,
     TenantDevice,
 )
+from repro.server.box import H2_CAPACITY
 from repro.units import KiB, gb
 
 
@@ -171,7 +172,7 @@ def test_tenant_device_scales_bandwidth_by_share_and_survives_rebind():
 # ---------------------------------------------------------------------
 def test_shared_monitor_gives_all_tenants_one_classification():
     box_clock = Clock()
-    monitor = DeviceHealthMonitor(box_clock, GovernorConfig().health)
+    monitor = DeviceHealthMonitor(box_clock)
     vms = [
         JavaVM(
             VMConfig(
@@ -257,7 +258,7 @@ def test_box_pressure_arbiter_keeps_levers_in_bounds():
             assert 0.60 <= high <= 0.85
         budgets = record.h2_budgets
         if budgets:
-            assert sum(budgets.values()) <= spec.h2_capacity
+            assert sum(budgets.values()) <= H2_CAPACITY
             for budget in budgets.values():
                 assert budget % region == 0
         for pages in record.cache_pages.values():
@@ -293,7 +294,7 @@ def test_control_box_keeps_static_budgets():
     spec = _small_spec(arbiter=False)
     box = ServerBox(spec)
     region = TeraHeapConfig().region_size
-    expected = spec.h2_capacity // spec.tenants
+    expected = H2_CAPACITY // spec.tenants
     expected -= expected % region
     box.run()
     for tenant in box.tenants:
