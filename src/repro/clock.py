@@ -70,37 +70,24 @@ class LaneSet:
     Idle time is not advanced explicitly: a lane is idle for whatever gap
     remains between its own time and the critical path.
 
-    Lanes carry a NUMA node id: the pool is block-partitioned over
-    ``nodes`` (lane ``i`` lives on node ``i * nodes // lanes``), so a
-    scheduler can tell same-node from cross-node steals and charge the
-    remote-access premium accordingly.
-
     ``hidden`` is filled in by :meth:`Clock.concurrent` on clean exit:
     the part of the critical path that overlapped already-elapsed
     mutator time and was therefore never charged.  Plain
     :meth:`Clock.parallel` regions leave it at 0.
     """
 
-    __slots__ = ("num_lanes", "busy", "steal", "overhead", "node", "hidden")
+    __slots__ = ("num_lanes", "busy", "steal", "overhead", "hidden")
 
     KINDS = ("busy", "steal", "overhead")
 
-    def __init__(self, lanes: int, nodes: int = 1):
+    def __init__(self, lanes: int):
         if lanes < 1:
             raise ValueError(f"a parallel region needs >=1 lane, got {lanes}")
-        if nodes < 1:
-            raise ValueError(f"a lane set needs >=1 NUMA node, got {nodes}")
-        nodes = min(nodes, lanes)
         self.num_lanes = lanes
         self.busy = [0.0] * lanes
         self.steal = [0.0] * lanes
         self.overhead = [0.0] * lanes
-        self.node = [i * nodes // lanes for i in range(lanes)]
         self.hidden = 0.0
-
-    def node_of(self, lane: int) -> int:
-        """NUMA node that ``lane`` is pinned to."""
-        return self.node[lane]
 
     def advance(self, lane: int, seconds: float, kind: str = "busy") -> None:
         """Move ``lane``'s local time forward by ``seconds``."""
@@ -182,7 +169,7 @@ class Clock:
             self._sub_context.pop()
 
     @contextmanager
-    def parallel(self, lanes: int, nodes: int = 1) -> Iterator[LaneSet]:
+    def parallel(self, lanes: int) -> Iterator[LaneSet]:
         """Open a multi-lane parallel region with ``lanes`` worker lanes.
 
         Lanes advance independently inside the block; on clean exit the
@@ -193,14 +180,12 @@ class Clock:
         counting partially-executed lane time would skew the pre-crash
         clock that crash-recovery reconciliation compares against.
         """
-        lane_set = LaneSet(lanes, nodes)
+        lane_set = LaneSet(lanes)
         yield lane_set
         self.charge(lane_set.critical_path)
 
     @contextmanager
-    def concurrent(
-        self, lanes: int, nodes: int = 1, budget: float = 0.0
-    ) -> Iterator[LaneSet]:
+    def concurrent(self, lanes: int, budget: float = 0.0) -> Iterator[LaneSet]:
         """Open a parallel region racing already-elapsed mutator time.
 
         Concurrent GC phases (G1's marking cycle) run while the
@@ -218,7 +203,7 @@ class Clock:
             raise ValueError(
                 f"concurrent budget must be >= 0, got {budget}"
             )
-        lane_set = LaneSet(lanes, nodes)
+        lane_set = LaneSet(lanes)
         yield lane_set
         critical = lane_set.critical_path
         lane_set.hidden = min(critical, budget)

@@ -59,23 +59,6 @@ class CostModel:
     gc_task_dispatch_cost: float = 0.5e-6
     #: one successful steal: CAS on the victim's deque top + cache misses
     gc_steal_cost: float = 4e-6
-    #: moving one *additional* task in a steal-half grab (the first task
-    #: is covered by gc_steal_cost; bulk transfer amortises the CAS but
-    #: still touches one deque slot per task)
-    gc_steal_transfer_cost: float = 1e-6
-    #: extra latency of a steal whose victim lane lives on another NUMA
-    #: node (remote cache-line transfer across the interconnect).
-    #: Calibrated against published NUMA GC measurements: Gidra et al.,
-    #: "A study of the scalability of stop-the-world garbage collectors
-    #: on multicores" (ASPLOS'13) measure remote DRAM accesses at ~2.2x
-    #: the local latency on their 48-core Magny-Cours testbed, and
-    #: NumaGiC (Gidra et al., ASPLOS'15) reports the same interconnect
-    #: penalty dominating cross-node GC traffic.  A local steal costs
-    #: ``gc_steal_cost`` = 4e-6, so a remote steal at 2.2x local is
-    #: 8.8e-6 total — a premium of 1.2 x 4e-6 = 4.8e-6 (the previous
-    #: 6e-6 was an order-of-magnitude placeholder, i.e. a 2.5x ratio
-    #: nothing in the literature supports).
-    gc_numa_remote_premium: float = 4.8e-6
     #: per-worker share of the termination protocol ending a parallel
     #: phase (offer/spin rounds); single-worker phases skip it
     gc_termination_cost: float = 30e-6
@@ -184,34 +167,12 @@ class GCEngineConfig:
     Batch sizes control task granularity: smaller batches balance better
     across workers but pay more dispatch/steal overhead.  They are fixed
     (not derived from the thread count) so a thread-scaling sweep runs
-    the identical task decomposition at every point — unless
-    ``adaptive_batching`` turns on the per-cycle feedback controller
-    (:class:`~repro.gc.engine.adaptive.BatchController`).
+    the identical task decomposition at every point.  Steals take one
+    task off the victim's deque; every lane sits on one memory node.
     """
 
     #: record per-task events for the chrome://tracing exporter
     trace: bool = False
-    #: "steal-one" takes one task off the victim's deque per steal;
-    #: "steal-half" transfers half the victim's deque (the real Parallel
-    #: Scavenge policy), paying gc_steal_transfer_cost per extra task
-    steal_policy: str = "steal-one"
-    #: simulated NUMA nodes the worker pool is block-partitioned over;
-    #: steals across nodes pay gc_numa_remote_premium and victim
-    #: selection prefers same-node deques
-    numa_nodes: int = 1
-    #: shrink scan/copy batches when a cycle's imbalance exceeds
-    #: imbalance_shrink_threshold; grow them back when dispatch overhead
-    #: dominates (:data:`~repro.gc.engine.adaptive.OVERHEAD_GROW_THRESHOLD`)
-    adaptive_batching: bool = False
-    #: cycle imbalance (critical path / mean active lane time) above
-    #: which the controller halves the batch scale.  Calibrated to the
-    #: 10-15% of pause time Gidra et al. (ASPLOS'13) measure parallel
-    #: GC threads idling at the termination barrier of imbalanced
-    #: stop-the-world phases on NUMA multicores: a critical path more
-    #: than ~15% over the mean lane is exactly that regime, so the
-    #: controller reacts there instead of the old 1.3 placeholder
-    #: (which tolerated a 30% hot lane before doing anything).
-    imbalance_shrink_threshold: float = 1.15
     #: objects per marking/scan batch task
     scan_batch_objects: int = 24
     #: objects per copy/compaction batch task (a promotion-buffer fill)
@@ -230,15 +191,6 @@ class GCEngineConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.steal_policy not in ("steal-one", "steal-half"):
-            raise ConfigError(
-                f"unknown steal policy {self.steal_policy!r}; expected "
-                "'steal-one' or 'steal-half'"
-            )
-        if self.numa_nodes < 1:
-            raise ConfigError("numa_nodes must be >= 1")
-        if self.imbalance_shrink_threshold <= 1.0:
-            raise ConfigError("imbalance_shrink_threshold must be > 1.0")
 
 
 @dataclass

@@ -8,19 +8,15 @@ With the task-based engine the speedup is an *output* — it comes from
 critical paths over simulated worker lanes, not from a scalar divisor —
 so this sweep is the direct check that parallel GC behaves: speedup must
 grow with threads but stay sub-linear (termination protocol, steal
-overhead, and chunky tasks all tax wide pools).
+overhead, and chunky tasks all tax wide pools).  The sweep runs the
+engine's one steal policy, steal-one (one task per steal), with static
+batch sizes.
 
-Four companion series exercise the adaptive scheduler:
+Two companion series ride along:
 
-- **steal policies** — the sweep runs under both ``steal-one`` and
-  ``steal-half``; schedules diverge (different steal counts) while the
-  total task cost stays identical, since policies only move work around.
 - **TeraHeap scan cap** — a TeraHeap churn run whose H2 card-table has
   few stripes, so stripe ownership bounds H2 scan parallelism: the scan
   speedup plateaus at ``scan_parallelism`` while plain PS keeps scaling.
-- **adaptive batching** — static vs feedback-controlled batch sizes at
-  wide worker counts; the controller shrinks batches when imbalance
-  spikes and the reported cycle imbalance drops.
 - **G1 concurrent marking** — a mutator-intensity sweep on the G1
   collector: marking races ``Bucket.OTHER`` progress on the concurrent
   lane set, so the hidden share of marking rises with mutator work
@@ -36,7 +32,7 @@ runs it twice and fails on any digest drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..clock import Bucket
 from ..config import GCEngineConfig, TeraHeapConfig, VMConfig
@@ -47,9 +43,6 @@ from .harness import Cell, Params, Spec
 
 #: gc_threads values of the sweep (the paper's testbed has 16 h/w threads)
 SWEEP_THREADS = (1, 2, 4, 8, 16)
-
-#: steal policies compared head-to-head
-STEAL_POLICIES = ("steal-one", "steal-half")
 
 #: churn-workload shape (objects are 8 KiB simulated chunks)
 OBJECT_SIZE = 8 * KiB
@@ -67,12 +60,6 @@ TH_STRIPES = 4
 TH_REGION_SIZE = 256 * KiB
 TH_PHASES = 10
 TH_MEMBERS = 10
-
-#: thread counts of the adaptive-batching comparison (wide pools)
-ADAPTIVE_THREADS = (8, 16)
-#: experiment-local shrink threshold: low enough that the 8-worker
-#: config (imbalance ~1.1 static) adapts too, not just the 16-worker one
-ADAPTIVE_SHRINK_THRESHOLD = 1.08
 
 #: G1 concurrent-marking series: mutator record-ops between majors
 G1_MUTATOR_INTENSITY = (0, 512, 2048, 8192)
@@ -101,11 +88,8 @@ class ScalingPoint:
     parallel_s: float
     tasks: int
     steals: int
-    remote_steals: int
     idle_s: float
     imbalance: float
-    steal_policy: str = "steal-one"
-    batch_final_scale: float = 1.0
     worker_steals: List[int] = field(default_factory=list)
     worker_idle_s: List[float] = field(default_factory=list)
     #: total-pause speedup vs the 1-thread point (filled by run_scaling)
@@ -124,12 +108,7 @@ class ScalingPoint:
         return self.engine_speedup / self.gc_threads
 
 
-def churn_engine_config(
-    trace: bool = False,
-    steal_policy: str = "steal-one",
-    adaptive: bool = False,
-    numa_nodes: int = 1,
-) -> GCEngineConfig:
+def churn_engine_config(trace: bool = False) -> GCEngineConfig:
     """Engine config of the churn sweep: finer-grained than the defaults
     so 16 lanes have enough tasks to fill."""
     return GCEngineConfig(
@@ -138,10 +117,6 @@ def churn_engine_config(
         copy_batch_objects=6,
         precompact_batch_objects=24,
         card_chunk_cards=512,
-        steal_policy=steal_policy,
-        adaptive_batching=adaptive,
-        imbalance_shrink_threshold=ADAPTIVE_SHRINK_THRESHOLD,
-        numa_nodes=numa_nodes,
     )
 
 
@@ -149,9 +124,6 @@ def run_churn(
     gc_threads: int,
     batches: int = 60,
     trace: bool = False,
-    steal_policy: str = "steal-one",
-    adaptive: bool = False,
-    numa_nodes: int = 1,
     session: Optional[RunSession] = None,
 ) -> JavaVM:
     """Run the deterministic churn workload on a fresh VM.
@@ -168,12 +140,7 @@ def run_churn(
         # the sweep exercises the engine in every phase.
         collector="ps11",
         gc_threads=gc_threads,
-        engine=churn_engine_config(
-            trace=trace,
-            steal_policy=steal_policy,
-            adaptive=adaptive,
-            numa_nodes=numa_nodes,
-        ),
+        engine=churn_engine_config(trace=trace),
     )
     vm = JavaVM(config, session=session)
     table = vm.roots.add(vm.allocate(64 * KiB, name="table"))
@@ -206,7 +173,7 @@ def run_churn(
     return vm
 
 
-def measure(vm: JavaVM, steal_policy: str = "steal-one") -> ScalingPoint:
+def measure(vm: JavaVM) -> ScalingPoint:
     """Fold a finished run's GC stats into one ScalingPoint."""
     stats = vm.collector.stats
     workers = vm.config.gc_threads
@@ -217,7 +184,6 @@ def measure(vm: JavaVM, steal_policy: str = "steal-one") -> ScalingPoint:
             worker_steals[idx] += count
         for idx, sec in enumerate(cycle.worker_idle[:workers]):
             worker_idle[idx] += sec
-    controller = stats.batch_controller_summary()
     return ScalingPoint(
         gc_threads=workers,
         minor_count=stats.minor_count,
@@ -228,11 +194,8 @@ def measure(vm: JavaVM, steal_policy: str = "steal-one") -> ScalingPoint:
         parallel_s=sum(c.parallel_seconds for c in stats.cycles),
         tasks=stats.total_tasks(),
         steals=stats.total_steals(),
-        remote_steals=stats.total_remote_steals(),
         idle_s=stats.total_idle(),
         imbalance=stats.mean_imbalance(),
-        steal_policy=steal_policy,
-        batch_final_scale=controller["final_scale"],
         worker_steals=worker_steals,
         worker_idle_s=worker_idle,
     )
@@ -241,17 +204,13 @@ def measure(vm: JavaVM, steal_policy: str = "steal-one") -> ScalingPoint:
 def run_scaling(
     threads: Sequence[int] = SWEEP_THREADS,
     batches: int = 60,
-    steal_policy: str = "steal-one",
-    adaptive: bool = False,
     session: Optional[RunSession] = None,
 ) -> List[ScalingPoint]:
     """The sweep: one churn run per gc_threads value."""
-    points = [
-        run_churn(t, batches=batches, steal_policy=steal_policy,
-                  adaptive=adaptive, session=session)
+    measured = [
+        measure(run_churn(t, batches=batches, session=session))
         for t in threads
     ]
-    measured = [measure(vm, steal_policy) for vm in points]
     base = next((p for p in measured if p.gc_threads == 1), measured[0])
     for p in measured:
         if p.total_pause_s > 0.0:
@@ -275,27 +234,6 @@ def format_scaling(points: List[ScalingPoint]) -> str:
         idles = ",".join(f"{v:.4f}" for v in p.worker_idle_s)
         lines.append(f"     worker_steals=[{steals}]")
         lines.append(f"     worker_idle_s=[{idles}]")
-    return "\n".join(lines)
-
-
-def format_policy_divergence(
-    by_policy: Dict[str, List[ScalingPoint]]
-) -> str:
-    """Side-by-side steal counts per thread count: schedules diverge,
-    total task cost does not."""
-    lines = [
-        "thr  steals(one) steals(half)  serial(one)  serial(half)"
-        "  pause(one)  pause(half)"
-    ]
-    one = {p.gc_threads: p for p in by_policy.get("steal-one", [])}
-    half = {p.gc_threads: p for p in by_policy.get("steal-half", [])}
-    for t in sorted(set(one) & set(half)):
-        a, b = one[t], half[t]
-        lines.append(
-            f"{t:3d}  {a.steals:11d} {b.steals:12d}  {a.serial_s:11.4f}"
-            f"  {b.serial_s:12.4f}  {a.total_pause_s:10.4f}"
-            f"  {b.total_pause_s:11.4f}"
-        )
     return "\n".join(lines)
 
 
@@ -437,71 +375,6 @@ def format_teraheap_points(points: List[TeraHeapScanPoint]) -> str:
         lines.append(
             f"{p.gc_threads:3d}  {p.scan_workers:12d}  {p.scan_tasks:10d}"
             f"  {p.scan_speedup:12.2f}  {p.ps_speedup:10.2f}"
-        )
-    return "\n".join(lines)
-
-
-# ======================================================================
-# Adaptive batch sizing (static vs feedback-controlled)
-# ======================================================================
-@dataclass
-class AdaptivePoint:
-    """Static vs adaptive batching at one wide worker count."""
-
-    gc_threads: int
-    static_imbalance: float
-    adaptive_imbalance: float
-    static_pause_s: float
-    adaptive_pause_s: float
-    final_scale: float
-    shrinks: int
-    grows: int
-
-
-def run_adaptive_comparison(
-    threads: Sequence[int] = ADAPTIVE_THREADS,
-    batches: int = 60,
-    session: Optional[RunSession] = None,
-) -> List[AdaptivePoint]:
-    points: List[AdaptivePoint] = []
-    for t in threads:
-        static_vm = run_churn(t, batches=batches, session=session)
-        adaptive_vm = run_churn(
-            t, batches=batches, adaptive=True, session=session
-        )
-        controller = adaptive_vm.collector.stats.batch_controller_summary()
-        s_stats = static_vm.collector.stats
-        a_stats = adaptive_vm.collector.stats
-        points.append(
-            AdaptivePoint(
-                gc_threads=t,
-                static_imbalance=s_stats.mean_imbalance(),
-                adaptive_imbalance=a_stats.mean_imbalance(),
-                static_pause_s=(
-                    s_stats.total_time("minor") + s_stats.total_time("major")
-                ),
-                adaptive_pause_s=(
-                    a_stats.total_time("minor") + a_stats.total_time("major")
-                ),
-                final_scale=controller["final_scale"],
-                shrinks=int(controller["shrinks"]),
-                grows=int(controller["grows"]),
-            )
-        )
-    return points
-
-
-def format_adaptive_points(points: List[AdaptivePoint]) -> str:
-    lines = [
-        "thr  imbal(static)  imbal(adaptive)  pause(static)"
-        "  pause(adaptive)  scale  shrinks grows"
-    ]
-    for p in points:
-        lines.append(
-            f"{p.gc_threads:3d}  {p.static_imbalance:13.4f}"
-            f"  {p.adaptive_imbalance:15.4f}  {p.static_pause_s:13.4f}"
-            f"  {p.adaptive_pause_s:15.4f}  {p.final_scale:5.2f}"
-            f"  {p.shrinks:7d} {p.grows:5d}"
         )
     return "\n".join(lines)
 
@@ -657,14 +530,10 @@ def run_series(
     session: Optional[RunSession] = None,
 ) -> list:
     """One gcscale cell: a whole series, as its list of points."""
-    if series in STEAL_POLICIES:
-        return run_scaling(
-            batches=batches, steal_policy=series, session=session
-        )
+    if series == "steal-one":
+        return run_scaling(batches=batches, session=session)
     if series == "teraheap":
         return teraheap_scan_points(phases=phases, session=session)
-    if series == "adaptive":
-        return run_adaptive_comparison(batches=batches, session=session)
     return g1_marking_points(rounds=rounds, session=session)
 
 
@@ -672,9 +541,8 @@ def cells(smoke: bool) -> List[Tuple[str, Params]]:
     batches = 24 if smoke else 60
     phases = max(4, TH_PHASES // 2) if smoke else TH_PHASES
     return [
-        *[(p, dict(series=p, batches=batches)) for p in STEAL_POLICIES],
+        ("steal-one", dict(series="steal-one", batches=batches)),
         ("teraheap", dict(series="teraheap", phases=phases)),
-        ("adaptive", dict(series="adaptive", batches=batches)),
         ("g1", dict(series="g1", rounds=3 if smoke else G1_ROUNDS)),
     ]
 
@@ -682,21 +550,10 @@ def cells(smoke: bool) -> List[Tuple[str, Params]]:
 def report(cells: List[Cell]) -> str:
     by = {cell.key: cell.result for cell in cells}
     sections = [
-        (f"steal policy: {policy}", format_scaling(by[policy]))
-        for policy in STEAL_POLICIES
-    ]
-    sections += [
-        (
-            "policy divergence (same work, different schedules)",
-            format_policy_divergence({p: by[p] for p in STEAL_POLICIES}),
-        ),
+        ("thread sweep (steal-one)", format_scaling(by["steal-one"])),
         (
             "TeraHeap: stripe ownership bounds scan parallelism",
             format_teraheap_points(by["teraheap"]),
-        ),
-        (
-            "adaptive batch sizing (static vs controller)",
-            format_adaptive_points(by["adaptive"]),
         ),
         (
             "G1 concurrent marking (hidden share vs mutator work)",
@@ -710,30 +567,20 @@ def check(cells: List[Cell]) -> List[str]:
     """What the module docstring claims, series by series."""
     failures: List[str] = []
     by = {cell.key: cell.result for cell in cells}
-    for policy in STEAL_POLICIES:
-        points = by[policy]
-        for prev, p in zip(points, points[1:]):
-            if p.pause_speedup <= prev.pause_speedup:
-                failures.append(
-                    f"{policy}: pause speedup {p.pause_speedup:.3f} at "
-                    f"{p.gc_threads} threads does not exceed "
-                    f"{prev.pause_speedup:.3f} at {prev.gc_threads}"
-                )
-        for p in points:
-            if p.efficiency > 1.0:
-                failures.append(
-                    f"{policy}: efficiency {p.efficiency:.3f} above 1 at "
-                    f"{p.gc_threads} threads"
-                )
-    one, half = (by[policy] for policy in STEAL_POLICIES)
-    for a, b in zip(one, half):
-        if a.serial_s != b.serial_s:
+    points = by["steal-one"]
+    for prev, p in zip(points, points[1:]):
+        if p.pause_speedup <= prev.pause_speedup:
             failures.append(
-                f"steal policies: serial_s {a.serial_s!r} != {b.serial_s!r}"
-                f" at {a.gc_threads} threads"
+                f"steal-one: pause speedup {p.pause_speedup:.3f} at "
+                f"{p.gc_threads} threads does not exceed "
+                f"{prev.pause_speedup:.3f} at {prev.gc_threads}"
             )
-    if all(a.steals == b.steals for a, b in zip(one, half)):
-        failures.append("steal policies: steal counts never differ")
+    for p in points:
+        if p.efficiency > 1.0:
+            failures.append(
+                f"steal-one: efficiency {p.efficiency:.3f} above 1 at "
+                f"{p.gc_threads} threads"
+            )
     scan = {p.gc_threads: p for p in by["teraheap"]}
     for p in scan.values():
         if p.scan_workers > TH_STRIPES:
@@ -754,12 +601,6 @@ def check(cells: List[Cell]) -> List[str]:
             f"{wide.ps_speedup:.3f} does not exceed the capped scan "
             f"speedup {wide.scan_speedup:.3f}"
         )
-    for p in by["adaptive"]:
-        if p.adaptive_imbalance >= p.static_imbalance:
-            failures.append(
-                f"adaptive: imbalance {p.adaptive_imbalance:.4f} not below "
-                f"static {p.static_imbalance:.4f} at {p.gc_threads} threads"
-            )
     *swept, stress = by["g1"]
     for prev, p in zip(swept, swept[1:]):
         if p.hidden_share < prev.hidden_share:

@@ -33,8 +33,6 @@ class GCCycle:
     tasks_executed: int = 0
     #: successful work steals across the cycle
     steals: int = 0
-    #: steals that crossed NUMA nodes (paid the remote premium)
-    remote_steals: int = 0
     #: summed per-worker idle time (gap to the critical path)
     idle_seconds: float = 0.0
     #: critical path over mean active lane time (1.0 = balanced)
@@ -57,10 +55,6 @@ class GCCycle:
     worker_steals: List[int] = field(default_factory=list)
     #: per-phase engine stat records (PhaseExecution.stat_record dicts)
     engine_phases: List[Dict] = field(default_factory=list)
-    #: batch-controller scale in effect while this cycle ran
-    batch_scale: float = 1.0
-    #: controller action taken after observing this cycle
-    batch_action: str = "hold"
 
 
 @dataclass
@@ -101,29 +95,6 @@ class GCStats:
         return sum(
             c.steals for c in self.cycles if not kind or c.kind == kind
         )
-
-    def total_remote_steals(self, kind: str = "") -> int:
-        return sum(
-            c.remote_steals
-            for c in self.cycles
-            if not kind or c.kind == kind
-        )
-
-    def batch_scale_series(self) -> List[float]:
-        """Per-cycle batch-controller scale, in cycle order."""
-        return [c.batch_scale for c in self.cycles]
-
-    def batch_controller_summary(self) -> Dict[str, float]:
-        """Controller trajectory: final/min scale and action counts."""
-        scales = self.batch_scale_series()
-        return {
-            "final_scale": scales[-1] if scales else 1.0,
-            "min_scale": min(scales) if scales else 1.0,
-            "shrinks": sum(
-                1 for c in self.cycles if c.batch_action == "shrink"
-            ),
-            "grows": sum(1 for c in self.cycles if c.batch_action == "grow"),
-        }
 
     def total_idle(self, kind: str = "") -> float:
         return sum(
@@ -169,9 +140,6 @@ class Collector:
         self.mark_epoch = 0
         #: engine phase executions of the in-flight cycle
         self._cycle_execs: list = []
-        #: adaptive batch-size controller; collectors that schedule on
-        #: the engine install a BatchController here
-        self.batch = None
 
     def next_epoch(self) -> int:
         self.mark_epoch += 1
@@ -192,7 +160,6 @@ class Collector:
         cycle.gc_threads = workers
         cycle.tasks_executed = summary.tasks
         cycle.steals = summary.steals
-        cycle.remote_steals = summary.remote_steals
         cycle.idle_seconds = summary.idle_seconds
         cycle.imbalance = summary.imbalance
         cycle.parallel_serial_seconds = summary.serial_seconds
@@ -202,11 +169,6 @@ class Collector:
         cycle.worker_idle = summary.worker_idle
         cycle.worker_steals = summary.worker_steals
         cycle.engine_phases = [e.stat_record() for e in self._cycle_execs]
-        if self.batch is not None:
-            # Record the scale this cycle ran under, then feed the cycle
-            # back so the next one can adapt.
-            cycle.batch_scale = self.batch.scale
-            cycle.batch_action = self.batch.observe(summary)
         self._cycle_execs = []
 
     # -- interface ------------------------------------------------------

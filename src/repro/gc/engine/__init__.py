@@ -7,7 +7,6 @@ lanes with seeded work stealing; the pause charged to the mutator is the
 critical path over the lanes.
 """
 
-from .adaptive import BatchController
 from .engine import (
     ENGINE_SEED,
     GCTaskEngine,
@@ -20,7 +19,6 @@ from .tasks import GCTask, TaskBag, chunked_sweep
 
 __all__ = [
     "ENGINE_SEED",
-    "BatchController",
     "GCTask",
     "GCTaskEngine",
     "ParallelCycleSummary",

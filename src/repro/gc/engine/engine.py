@@ -8,20 +8,15 @@ the mutator pause is the critical path, so thread-scaling behaviour —
 speedup, load imbalance, steal and termination overhead — is an output
 of the simulation instead of a ``threads ** 0.8`` assumption.
 
-Two steal policies are modelled.  ``steal-one`` takes a single task off
-the back of the victim's deque per steal.  ``steal-half`` — the real
-Parallel Scavenge policy — transfers half the victim's deque in one
-grab, paying a size-dependent transfer cost, so thieves re-arm with a
-run of work instead of returning to the victim after every task.
-
-The pool is block-partitioned over ``numa_nodes`` simulated NUMA nodes:
-victim selection prefers deques on the thief's own node, and a steal
-that does cross nodes pays the remote-access premium on top of the base
-steal cost.
+A steal takes one task off the back of a victim's deque and costs
+``CostModel.gc_steal_cost``; the victim is drawn uniformly from the
+workers whose deques still hold work.  The pool has no memory topology:
+every lane is equally far from every deque.
 
 Determinism: the only randomness is victim selection, drawn from a
-:class:`random.Random` seeded from ``VMConfig.engine.seed``.  Two runs
-of the same workload produce byte-identical schedules and traces.
+:class:`random.Random` seeded with the engine's ``seed`` (collectors
+pass :data:`ENGINE_SEED`).  Two runs of the same workload produce
+byte-identical schedules and traces.
 """
 
 from __future__ import annotations
@@ -46,10 +41,6 @@ class WorkerStats:
     index: int
     tasks: int = 0
     steals: int = 0
-    #: steals whose victim lane lived on another NUMA node
-    remote_steals: int = 0
-    #: tasks acquired through stealing (> steals under steal-half)
-    tasks_stolen: int = 0
     busy_seconds: float = 0.0
     steal_seconds: float = 0.0
     overhead_seconds: float = 0.0
@@ -74,8 +65,6 @@ class PhaseExecution:
     steals: int
     idle_seconds: float
     imbalance: float
-    remote_steals: int = 0
-    stolen_tasks: int = 0
     #: critical-path seconds hidden behind mutator overlap (concurrent
     #: phases only; stop-the-world phases leave this at 0)
     hidden_seconds: float = 0.0
@@ -99,7 +88,6 @@ class PhaseExecution:
             "workers": self.workers,
             "tasks": self.tasks,
             "steals": self.steals,
-            "remote_steals": self.remote_steals,
             "serial_s": round(self.serial_seconds, 9),
             "critical_s": round(self.critical_path, 9),
             "hidden_s": round(self.hidden_seconds, 9),
@@ -112,16 +100,13 @@ class PhaseExecution:
 class ParallelCycleSummary:
     """Per-GC-cycle aggregate over all of the cycle's engine phases."""
 
-    workers: int = 1
     tasks: int = 0
     steals: int = 0
-    remote_steals: int = 0
     serial_seconds: float = 0.0
     parallel_seconds: float = 0.0
     #: summed concurrent overlap — critical-path time never charged
     hidden_seconds: float = 0.0
     idle_seconds: float = 0.0
-    overhead_seconds: float = 0.0
     imbalance: float = 1.0
     worker_busy: List[float] = field(default_factory=list)
     worker_idle: List[float] = field(default_factory=list)
@@ -133,7 +118,7 @@ def summarize_executions(
 ) -> ParallelCycleSummary:
     """Fold a cycle's phase executions into one summary record."""
     execs = list(execs)
-    summary = ParallelCycleSummary(workers=workers)
+    summary = ParallelCycleSummary()
     lanes = max([workers] + [e.workers for e in execs])
     busy = [0.0] * lanes
     idle = [0.0] * lanes
@@ -147,7 +132,6 @@ def summarize_executions(
     for ex in execs:
         summary.tasks += ex.tasks
         summary.steals += ex.steals
-        summary.remote_steals += ex.remote_steals
         summary.serial_seconds += ex.serial_seconds
         summary.parallel_seconds += ex.critical_path
         summary.hidden_seconds += ex.hidden_seconds
@@ -158,7 +142,6 @@ def summarize_executions(
             idle[ws.index] += ws.idle_seconds
             steals[ws.index] += ws.steals
             phase_active += ws.active_seconds
-            summary.overhead_seconds += ws.overhead_seconds
         mean_active += phase_active / max(1, ex.workers)
     summary.worker_busy = busy
     summary.worker_idle = idle
@@ -180,23 +163,15 @@ class GCTaskEngine:
         seed: int,
         trace: bool = False,
         name: str = "gc",
-        steal_policy: str = "steal-one",
-        numa_nodes: int = 1,
     ):
         if workers < 1:
             raise ValueError(f"engine needs >=1 worker, got {workers}")
-        if steal_policy not in ("steal-one", "steal-half"):
-            raise ValueError(f"unknown steal policy {steal_policy!r}")
-        if numa_nodes < 1:
-            raise ValueError(f"engine needs >=1 NUMA node, got {numa_nodes}")
         self.clock = clock
         self.cost = cost
         self.workers = workers
         self.rng = random.Random(seed)
         self.trace = trace
         self.name = name
-        self.steal_policy = steal_policy
-        self.numa_nodes = min(numa_nodes, workers)
         #: Chrome-trace (chrome://tracing) events, populated when tracing
         self.trace_events: List[Dict[str, Any]] = []
         #: per-phase stat records, in execution order (chrome-trace
@@ -205,7 +180,6 @@ class GCTaskEngine:
         # Lifetime counters (across all phases run on this engine).
         self.total_tasks = 0
         self.total_steals = 0
-        self.total_remote_steals = 0
         self.total_phases = 0
         self.total_hidden_seconds = 0.0
 
@@ -265,16 +239,11 @@ class GCTaskEngine:
         stats = [WorkerStats(i) for i in range(n)]
         dispatch = self.cost.gc_task_dispatch_cost
         steal_cost = self.cost.gc_steal_cost
-        transfer_cost = getattr(self.cost, "gc_steal_transfer_cost", 0.0)
-        remote_premium = getattr(self.cost, "gc_numa_remote_premium", 0.0)
-        steal_half = self.steal_policy == "steal-half"
         t0 = self.clock.now
         if concurrent_budget is None:
-            region = self.clock.parallel(n, nodes=self.numa_nodes)
+            region = self.clock.parallel(n)
         else:
-            region = self.clock.concurrent(
-                n, nodes=self.numa_nodes, budget=concurrent_budget
-            )
+            region = self.clock.concurrent(n, budget=concurrent_budget)
         with region as lanes:
             remaining = len(task_list)
             if n == 1:
@@ -308,27 +277,10 @@ class GCTaskEngine:
                 w = min(range(n), key=times.__getitem__)
                 if not deques[w]:
                     victims = [i for i in range(n) if deques[i]]
-                    # NUMA affinity: steal from the thief's own node when
-                    # any same-node deque has work; go remote otherwise.
-                    local = [
-                        i
-                        for i in victims
-                        if lanes.node_of(i) == lanes.node_of(w)
-                    ]
-                    pool = local or victims
-                    victim = pool[self.rng.randrange(len(pool))]
-                    grab = (
-                        max(1, len(deques[victim]) // 2) if steal_half else 1
-                    )
-                    for _ in range(grab):
-                        deques[w].append(deques[victim].pop())
-                    charge = steal_cost + (grab - 1) * transfer_cost
-                    if lanes.node_of(victim) != lanes.node_of(w):
-                        charge += remote_premium
-                        stats[w].remote_steals += 1
-                    lanes.advance(w, charge, kind="steal")
+                    victim = victims[self.rng.randrange(len(victims))]
+                    deques[w].append(deques[victim].pop())
+                    lanes.advance(w, steal_cost, kind="steal")
                     stats[w].steals += 1
-                    stats[w].tasks_stolen += grab
                 task = deques[w].popleft()
                 start = lanes.lane_time(w)
                 lanes.advance(w, dispatch, kind="overhead")
@@ -363,14 +315,11 @@ class GCTaskEngine:
             steals=sum(s.steals for s in stats),
             idle_seconds=total_idle,
             imbalance=imbalance,
-            remote_steals=sum(s.remote_steals for s in stats),
-            stolen_tasks=sum(s.tasks_stolen for s in stats),
             hidden_seconds=lanes.hidden,
             per_worker=stats,
         )
         self.total_tasks += execution.tasks
         self.total_steals += execution.steals
-        self.total_remote_steals += execution.remote_steals
         self.total_phases += 1
         self.total_hidden_seconds += execution.hidden_seconds
         self.phase_log.append(execution.stat_record())

@@ -36,7 +36,6 @@ from ..heap.store import (
 from .base import TENURING_THRESHOLD, Collector, GCCycle
 from .engine import (
     ENGINE_SEED,
-    BatchController,
     GCTaskEngine,
     PhaseExecution,
     TaskBag,
@@ -277,10 +276,7 @@ class G1Collector(Collector):
             seed=ENGINE_SEED,
             trace=config.engine.trace,
             name=self.name,
-            steal_policy=config.engine.steal_policy,
-            numa_nodes=config.engine.numa_nodes,
         )
-        self.batch = BatchController(config.engine)
         self.full_collections = 0
 
     def _run_phase(self, bag: TaskBag, phase: str) -> PhaseExecution:
@@ -297,7 +293,7 @@ class G1Collector(Collector):
         refs_arr = st.refs
         visit_cost = cost.gc_visit_cost
         ref_cost = cost.gc_ref_cost
-        batch = self.batch.scan_batch_objects
+        batch = self.config.engine.scan_batch_objects
         stack = [o.oid for o in self.roots if space_arr[o.oid] <= SPACE_TO]
         scanned: List[int] = []
         for oid in list(self.remset_sources):
@@ -371,7 +367,7 @@ class G1Collector(Collector):
             "copy",
             st.size_view()[np.asarray(oids[:copied], dtype=np.int64)]
             / cost.gc_copy_bw,
-            self.batch.copy_batch_objects,
+            self.config.engine.copy_batch_objects,
         )
         self._run_phase(bag, "g1-evacuate")
         return copied == len(oids)
@@ -473,7 +469,10 @@ class G1Collector(Collector):
         scan_costs = st.scan_costs(live, visit_cost, ref_cost)
         bag = TaskBag()
         bag.add_batches(
-            "g1-mark", "scan", scan_costs, self.batch.scan_batch_objects
+            "g1-mark",
+            "scan",
+            scan_costs,
+            self.config.engine.scan_batch_objects,
         )
         other_now = self.clock.total(Bucket.OTHER)
         budget = max(0.0, other_now - self._concurrent_baseline)
@@ -495,7 +494,7 @@ class G1Collector(Collector):
             "g1-remark-roots",
             "root",
             np.full(len(self.roots), cost.gc_root_scan_cost),
-            self.batch.scan_batch_objects,
+            self.config.engine.scan_batch_objects,
         )
         fraction = self.config.g1.remark_fraction
         if fraction > 0.0:
@@ -503,7 +502,7 @@ class G1Collector(Collector):
                 "g1-remark-satb",
                 "scan",
                 fraction * scan_costs,
-                self.batch.scan_batch_objects,
+                self.config.engine.scan_batch_objects,
             )
         remark = self._run_phase(remark_bag, "g1-remark")
         self._last_remark_pause = remark.critical_path
@@ -600,7 +599,7 @@ class G1Collector(Collector):
             "g1-full-mark",
             "scan",
             st.scan_costs(marked, visit_cost, ref_cost),
-            self.batch.scan_batch_objects,
+            self.config.engine.scan_batch_objects,
         )
         # Compact every non-humongous live object into fresh old regions.
         movable: List[int] = []
@@ -631,7 +630,7 @@ class G1Collector(Collector):
             "compact",
             st.size_view()[np.asarray(movable, dtype=np.int64)]
             / cost.gc_copy_bw,
-            self.batch.copy_batch_objects,
+            self.config.engine.copy_batch_objects,
         )
         self._run_phase(bag, "g1-full-mark")
         if not self._evacuate(movable, RegionState.OLD):

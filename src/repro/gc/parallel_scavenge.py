@@ -45,7 +45,6 @@ from ..heap.store import (
 from .base import TENURING_THRESHOLD, Collector, GCCycle
 from .engine import (
     ENGINE_SEED,
-    BatchController,
     GCTaskEngine,
     PhaseExecution,
     TaskBag,
@@ -128,10 +127,7 @@ class ParallelScavenge(Collector):
             seed=ENGINE_SEED,
             trace=config.engine.trace,
             name=self.name,
-            steal_policy=config.engine.steal_policy,
-            numa_nodes=config.engine.numa_nodes,
         )
-        self.batch = BatchController(config.engine)
 
     def major_workers(self) -> int:
         """GC threads collecting the old generation (jdk8 PS: one)."""
@@ -288,7 +284,7 @@ class ParallelScavenge(Collector):
                 "minor-scan",
                 "scan",
                 st.scan_costs(live_young, visit_cost, ref_cost),
-                self.batch.scan_batch_objects,
+                eng_cfg.scan_batch_objects,
             )
             self._run_phase(bag, "minor-trace")
 
@@ -333,7 +329,7 @@ class ParallelScavenge(Collector):
                 "minor-copy",
                 "copy",
                 st.size_view()[copied] / cost.gc_copy_bw,
-                self.batch.copy_batch_objects,
+                eng_cfg.copy_batch_objects,
             )
             if type(self).on_minor_copy is not ParallelScavenge.on_minor_copy:
                 for obj in map(st.handle, copied.tolist()):
@@ -391,7 +387,7 @@ class ParallelScavenge(Collector):
         heap = self.heap
         cost = self.cost
         workers = self.major_workers()
-        batch = self.batch
+        batch = self.config.engine
         start = self.clock.now
         phases: Dict[str, float] = {}
         with self.clock.context(Bucket.MAJOR_GC):

@@ -256,14 +256,11 @@ def chrome_trace_json(
             "phases": getattr(engine, "total_phases", 0),
             "tasks": getattr(engine, "total_tasks", 0),
             "steals": getattr(engine, "total_steals", 0),
-            "remoteSteals": getattr(engine, "total_remote_steals", 0),
             # Concurrent-phase critical-path seconds hidden behind the
             # mutator (never charged to any pause).
             "concurrentHidden": round(
                 getattr(engine, "total_hidden_seconds", 0.0), 9
             ),
-            "stealPolicy": getattr(engine, "steal_policy", "steal-one"),
-            "numaNodes": getattr(engine, "numa_nodes", 1),
             # Per-phase attribution: one record per engine phase run, in
             # execution order (tasks/steals/idle/imbalance per phase).
             "phaseStats": list(getattr(engine, "phase_log", [])),

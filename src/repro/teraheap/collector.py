@@ -349,7 +349,7 @@ class TeraHeapCollector(ParallelScavenge):
             "h2-closure",
             "scan",
             st.scan_costs(claimed, visit_cost, ref_cost, scaled=False),
-            self.batch.scan_batch_objects,
+            self.config.engine.scan_batch_objects,
         )
         self._run_phase(bag, "h2-closure", workers=self.major_workers())
 

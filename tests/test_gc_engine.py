@@ -121,6 +121,19 @@ def test_affinity_skew_forces_steals():
     assert sum(w.steals for w in thieves) == execution.steals
 
 
+def test_every_steal_charges_the_steal_cost():
+    engine = make_engine(workers=2)
+    bag = TaskBag()
+    for i in range(8):
+        bag.add(f"t{i}", 1.0, affinity=0)  # all on worker 0's deque
+    execution = engine.run(bag, "phase")
+    assert execution.steals > 0
+    steal_time = sum(ws.steal_seconds for ws in execution.per_worker)
+    assert steal_time == pytest.approx(
+        execution.steals * engine.cost.gc_steal_cost
+    )
+
+
 def test_termination_cost_only_with_multiple_workers():
     cost = CostModel()
     c1, c2 = Clock(), Clock()
@@ -271,13 +284,10 @@ def gcscale_smoke():
     "key, index, field, value, message",
     [
         ("steal-one", 2, "pause_speedup", 1.5, "does not exceed"),
-        ("steal-half", 0, "parallel_s", 1.0, "efficiency"),
-        ("steal-half", 3, "serial_s", 1.0, "serial_s"),
-        ("steal-half", 1, "steals", 17, "never differ"),
+        ("steal-one", 0, "parallel_s", 1.0, "efficiency"),
         ("teraheap", 4, "scan_workers", 5, "scan workers above"),
         ("teraheap", 4, "scan_parallel_s", 1e-9, "not flat"),
         ("teraheap", 4, "ps_speedup", 1.0, "does not exceed"),
-        ("adaptive", 0, "adaptive_imbalance", 2.0, "not below"),
         ("g1", 2, "hidden_s", 0.0, "hidden share falls"),
         ("g1", 4, "hidden_s", 0.001, "stress run hides"),
     ],
@@ -289,6 +299,16 @@ def test_gcscale_check_fires_on_each_claim(
     point = next(c for c in cells if c.key == key).result[index]
     setattr(point, field, value)
     assert any(message in f for f in gc_scaling.check(cells))
+
+
+def test_gcscale_report_renders_every_series(gcscale_smoke):
+    text = gc_scaling.SPEC.report(gcscale_smoke)
+    for title in (
+        "thread sweep (steal-one)",
+        "TeraHeap: stripe ownership bounds scan parallelism",
+        "G1 concurrent marking (hidden share vs mutator work)",
+    ):
+        assert f"== {title} ==" in text
 
 
 # ======================================================================
@@ -512,207 +532,6 @@ def test_summary_imbalance_uniform_workers_unchanged():
 
 
 # ======================================================================
-# Steal policies (tentpole: steal-one vs steal-half)
-# ======================================================================
-def make_policy_engine(policy, workers=4, numa_nodes=1, cost=None,
-                       clock=None):
-    return GCTaskEngine(
-        clock or Clock(), cost or CostModel(), workers=workers, seed=7,
-        steal_policy=policy, numa_nodes=numa_nodes,
-    )
-
-
-def skewed_bag(n=16, cost=0.01):
-    bag = TaskBag()
-    for i in range(n):
-        bag.add(f"t{i}", cost, affinity=0)
-    return bag
-
-
-def test_engine_rejects_unknown_steal_policy():
-    with pytest.raises(ValueError):
-        make_policy_engine("steal-two")
-    with pytest.raises(ValueError):
-        GCTaskEngine(Clock(), CostModel(), workers=2, seed=7, numa_nodes=0)
-
-
-def test_steal_half_moves_more_tasks_per_steal():
-    one = make_policy_engine("steal-one").run(skewed_bag(), "p")
-    half = make_policy_engine("steal-half").run(skewed_bag(), "p")
-    # Same work either way; only the schedules differ.
-    assert one.serial_seconds == pytest.approx(half.serial_seconds)
-    assert one.tasks == half.tasks
-    # steal-one: every stolen task is its own steal operation.
-    assert one.stolen_tasks == one.steals
-    # steal-half: bulk transfers — fewer operations, >1 task per grab.
-    assert half.steals < one.steals
-    assert half.stolen_tasks > half.steals
-
-
-def test_steal_half_transfer_cost_scales_with_grab_size():
-    cost = CostModel(gc_steal_transfer_cost=0.25)
-    execution = make_policy_engine("steal-half", cost=cost).run(
-        skewed_bag(n=32, cost=1.0), "p"
-    )
-    assert execution.stolen_tasks > execution.steals
-    # Each steal charges base cost plus per-extra-task transfer cost:
-    # summed over the run, steal time must equal
-    # steals*base + (stolen_tasks - steals)*transfer exactly.
-    total_steal_time = sum(
-        ws.steal_seconds for ws in execution.per_worker
-    )
-    expected = (
-        execution.steals * cost.gc_steal_cost
-        + (execution.stolen_tasks - execution.steals)
-        * cost.gc_steal_transfer_cost
-    )
-    assert total_steal_time == pytest.approx(expected)
-
-
-def test_scaling_policies_diverge_with_equal_work():
-    one = gc_scaling.run_scaling((2,), batches=24, steal_policy="steal-one")
-    half = gc_scaling.run_scaling(
-        (2,), batches=24, steal_policy="steal-half"
-    )
-    assert one[0].serial_s == pytest.approx(half[0].serial_s)
-    assert one[0].tasks == half[0].tasks
-    assert one[0].steals != half[0].steals
-
-
-# ======================================================================
-# NUMA lanes (tentpole: node-aware victim selection + remote premium)
-# ======================================================================
-def test_local_victims_preferred_when_both_nodes_have_work():
-    engine = make_policy_engine("steal-one", workers=4, numa_nodes=2)
-    bag = TaskBag()
-    for i in range(4):
-        bag.add(f"a{i}", 1.0, affinity=0)  # node 0 (workers 0,1)
-    for i in range(4):
-        bag.add(f"b{i}", 1.0, affinity=2)  # node 1 (workers 2,3)
-    execution = engine.run(bag, "p")
-    assert execution.steals > 0
-    # Each empty worker has a same-node victim the whole run through, so
-    # no steal ever crosses the node boundary.
-    assert execution.remote_steals == 0
-
-
-def test_remote_steals_pay_the_numa_premium():
-    cost = CostModel(gc_numa_remote_premium=0.5)
-    flat = make_policy_engine(
-        "steal-one", workers=2, numa_nodes=1, cost=cost
-    ).run(skewed_bag(n=8, cost=1.0), "p")
-    numa = make_policy_engine(
-        "steal-one", workers=2, numa_nodes=2, cost=cost
-    ).run(skewed_bag(n=8, cost=1.0), "p")
-    # All work sits on worker 0, so worker 1's steals are forced remote
-    # under two nodes.
-    assert flat.remote_steals == 0
-    assert numa.remote_steals == numa.steals > 0
-    # Every steal charges the base cost; remote ones add the premium.
-    total_steal_time = sum(ws.steal_seconds for ws in numa.per_worker)
-    assert total_steal_time == pytest.approx(
-        numa.steals * cost.gc_steal_cost + numa.remote_steals * 0.5
-    )
-
-
-def test_numa_nodes_clamped_to_worker_count():
-    engine = GCTaskEngine(
-        Clock(), CostModel(), workers=2, seed=7, numa_nodes=8
-    )
-    assert engine.numa_nodes == 2
-
-
-# ======================================================================
-# Adaptive batch sizing (tentpole: feedback controller)
-# ======================================================================
-def adaptive_config(**kwargs):
-    from repro.config import GCEngineConfig
-
-    kwargs.setdefault("adaptive_batching", True)
-    return GCEngineConfig(**kwargs)
-
-
-def summary_with(workers=8, imbalance=1.0, serial=1.0, overhead=0.0,
-                 tasks=100, parallel=1.0):
-    from repro.gc.engine.engine import ParallelCycleSummary
-
-    return ParallelCycleSummary(
-        workers=workers, tasks=tasks, serial_seconds=serial,
-        parallel_seconds=parallel, overhead_seconds=overhead,
-        imbalance=imbalance,
-    )
-
-
-def test_batch_controller_disabled_is_inert():
-    from repro.gc.engine import BatchController
-
-    ctl = BatchController(adaptive_config(adaptive_batching=False))
-    assert not ctl.enabled
-    assert ctl.observe(summary_with(imbalance=9.0)) == "hold"
-    assert ctl.scale == 1.0
-    assert ctl.scan_batch_objects == ctl.config.scan_batch_objects
-
-
-def test_batch_controller_shrinks_on_imbalance_and_clamps():
-    from repro.gc.engine import BatchController
-
-    cfg = adaptive_config(scan_batch_objects=32)
-    ctl = BatchController(cfg)
-    assert ctl.observe(summary_with(imbalance=2.0)) == "shrink"
-    assert ctl.scale == 0.5
-    assert ctl.scan_batch_objects == 16
-    assert ctl.observe(summary_with(imbalance=2.0)) == "shrink"
-    assert ctl.scale == 0.25
-    # Clamped at MIN_BATCH_SCALE (0.25): no further shrink.
-    assert ctl.observe(summary_with(imbalance=2.0)) == "hold"
-    assert ctl.scale == 0.25
-    assert ctl.shrinks == 2
-
-
-def test_batch_controller_grows_back_on_dispatch_overhead():
-    from repro.gc.engine import BatchController
-
-    ctl = BatchController(adaptive_config())
-    ctl.observe(summary_with(imbalance=2.0))
-    assert ctl.scale == 0.5
-    # overhead_share = 0.4/(1.0+0.4) ~ 0.29 > 0.15 default threshold.
-    action = ctl.observe(summary_with(serial=1.0, overhead=0.4))
-    assert action == "grow"
-    assert ctl.scale == 1.0
-    # At full scale, overhead alone never grows past 1.0.
-    assert ctl.observe(summary_with(serial=1.0, overhead=0.4)) == "hold"
-    assert ctl.grows == 1
-
-
-def test_batch_controller_never_shrinks_single_worker_cycles():
-    from repro.gc.engine import BatchController
-
-    ctl = BatchController(adaptive_config())
-    assert ctl.observe(summary_with(workers=1, imbalance=9.0)) == "hold"
-    assert ctl.scale == 1.0
-
-
-def test_adaptive_batching_reduces_wide_pool_imbalance():
-    """The acceptance gate: at 8+ workers the controller must beat the
-    static batch sizes on the churn workload."""
-    points = gc_scaling.run_adaptive_comparison((8,), batches=24)
-    p = points[0]
-    assert p.shrinks > 0 and p.final_scale < 1.0
-    assert p.adaptive_imbalance < p.static_imbalance
-    assert p.adaptive_pause_s <= p.static_pause_s
-
-
-def test_adaptive_runs_stay_deterministic():
-    a = gc_scaling.run_churn(8, batches=8, adaptive=True)
-    b = gc_scaling.run_churn(8, batches=8, adaptive=True)
-    assert harness.digest(a.collector.stats.cycles) == harness.digest(
-        b.collector.stats.cycles
-    )
-    scales = [c.batch_scale for c in a.collector.stats.cycles]
-    assert scales == [c.batch_scale for c in b.collector.stats.cycles]
-
-
-# ======================================================================
 # Per-phase engine stats (on each GCCycle and in the chrome trace)
 # ======================================================================
 def test_cycles_carry_per_phase_engine_stats():
@@ -723,7 +542,7 @@ def test_cycles_carry_per_phase_engine_stats():
         assert cycle.engine_phases
         for rec in cycle.engine_phases:
             assert set(rec) == {
-                "phase", "workers", "tasks", "steals", "remote_steals",
+                "phase", "workers", "tasks", "steals",
                 "serial_s", "critical_s", "hidden_s", "idle_s",
                 "imbalance",
             }
@@ -740,9 +559,6 @@ def test_chrome_trace_other_data_has_phase_stats():
     vm = gc_scaling.run_churn(2, batches=6, trace=True)
     doc = json.loads(chrome_trace_json(vm.collector.engine))
     other = doc["otherData"]
-    assert other["stealPolicy"] == "steal-one"
-    assert other["numaNodes"] == 1
-    assert other["remoteSteals"] == 0
     assert other["concurrentHidden"] == 0.0  # PS has no concurrent phase
     stats = other["phaseStats"]
     assert len(stats) == vm.collector.engine.total_phases

@@ -51,13 +51,13 @@ SCAN_FACTORS = (0.5, 1.0, 3.0)
 
 #: digest of :func:`schedule_summary` per job
 GOLDEN_SCHEDULE_DIGESTS = {
-    "lr-ps": "54718bd8e6aa0a4d",
-    "lr-ps11": "6dd969a1f2efba83",
-    "lr-panthera": "313c39b6d0be9d28",
-    "lr-memmode": "0aef572ecca03cfc",
-    "churn-ps": "45da2f0ef179cc17",
-    "churn-ps11": "d34098799da363fd",
-    "churn-teraheap": "6b608008ebf91853",
+    "lr-ps": "4ef6eee03e9ab37f",
+    "lr-ps11": "6f7feab494910e75",
+    "lr-panthera": "e9ee34316adcbd9a",
+    "lr-memmode": "59d9f87adefde69a",
+    "churn-ps": "0d573d24d475d5a1",
+    "churn-ps11": "434c88345dfa06a0",
+    "churn-teraheap": "4a30adb9bfd0d46d",
 }
 
 
@@ -396,37 +396,21 @@ def reference_run(engine, tasks, phase, workers=None, concurrent_budget=None):
             rr += 1
     stats = [WorkerStats(i) for i in range(n)]
     cost = engine.cost
-    steal_half = engine.steal_policy == "steal-half"
     t0 = engine.clock.now
     if concurrent_budget is None:
-        region = engine.clock.parallel(n, nodes=engine.numa_nodes)
+        region = engine.clock.parallel(n)
     else:
-        region = engine.clock.concurrent(
-            n, nodes=engine.numa_nodes, budget=concurrent_budget
-        )
+        region = engine.clock.concurrent(n, budget=concurrent_budget)
     with region as lanes:
         remaining = len(task_list)
         while remaining:
             w = min(range(n), key=lambda i: (lanes.lane_time(i), i))
             if not deques[w]:
                 victims = [i for i in range(n) if deques[i]]
-                local = [
-                    i for i in victims if lanes.node_of(i) == lanes.node_of(w)
-                ]
-                pool = local or victims
-                victim = pool[engine.rng.randrange(len(pool))]
-                grab = max(1, len(deques[victim]) // 2) if steal_half else 1
-                for _ in range(grab):
-                    deques[w].append(deques[victim].pop())
-                charge = cost.gc_steal_cost + (grab - 1) * getattr(
-                    cost, "gc_steal_transfer_cost", 0.0
-                )
-                if lanes.node_of(victim) != lanes.node_of(w):
-                    charge += getattr(cost, "gc_numa_remote_premium", 0.0)
-                    stats[w].remote_steals += 1
-                lanes.advance(w, charge, kind="steal")
+                victim = victims[engine.rng.randrange(len(victims))]
+                deques[w].append(deques[victim].pop())
+                lanes.advance(w, cost.gc_steal_cost, kind="steal")
                 stats[w].steals += 1
-                stats[w].tasks_stolen += grab
             task = deques[w].popleft()
             start = lanes.lane_time(w)
             lanes.advance(w, cost.gc_task_dispatch_cost, kind="overhead")
@@ -471,8 +455,6 @@ def _worker_fields(stats):
             s.index,
             s.tasks,
             s.steals,
-            s.remote_steals,
-            s.tasks_stolen,
             _bits(s.busy_seconds),
             _bits(s.steal_seconds),
             _bits(s.overhead_seconds),
@@ -497,11 +479,9 @@ def _worker_fields(stats):
         max_size=4,
     ),
     pool=st.integers(1, 4),
-    policy=st.sampled_from(["steal-one", "steal-half"]),
-    nodes=st.integers(1, 2),
     trace=st.booleans(),
 )
-def test_engine_run_matches_general_loop(phases, pool, policy, nodes, trace):
+def test_engine_run_matches_general_loop(phases, pool, trace):
     """Single-lane phases and multi-lane ones alike, bit for bit.
 
     Worker stats carry each lane's busy, steal and overhead totals; the
@@ -518,8 +498,6 @@ def test_engine_run_matches_general_loop(phases, pool, policy, nodes, trace):
                     workers=pool,
                     seed=11,
                     trace=trace,
-                    steal_policy=policy,
-                    numa_nodes=nodes,
                 ),
                 clock,
             )
