@@ -135,7 +135,7 @@ def cdlp_summary(vm, job) -> str:
         f"sizes={_sha(store.size.tobytes())}",
         f"addresses={_sha(store.address.tobytes())}",
         f"spaces={_sha(store.space.tobytes())}",
-        f"refs={_sha(store.refs)}",
+        f"refs={_sha([list(r) for r in store.refs])}",
     ]
     return "\n".join(lines)
 

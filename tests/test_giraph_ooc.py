@@ -107,7 +107,7 @@ def ooc_store_summary(vm, job) -> str:
             store.size[oid],
             store.space[oid],
             store.address[oid],
-            store.refs[oid],
+            list(store.refs[oid]),
         )
         for oid in range(len(store))
     ]
