@@ -731,6 +731,7 @@ class GiraphJob:
         alloc, stored = cost.alloc_cost, barrier.store_cost
         latency, bandwidth = cost.dram_latency, cost.dram_read_bw
         size_of, space_of, refs = store.size, store.space, store.refs
+        writable_refs = store.writable_refs
         # Per vertex, in the per-vertex path's order: the vertex reload's
         # allocation and barrier, the vertex read, the edge reload's
         # allocations and barrier, the edge and message reads, and the
@@ -751,7 +752,7 @@ class GiraphJob:
                 vertex = objs[row]
                 row += 1
                 root = self.partition_roots[pid].oid
-                refs[root].append(vertex.oid)
+                writable_refs(root).append(vertex.oid)
                 links += 1
                 if space_of[root] == SPACE_OLD:
                     old_sources.add(root)
@@ -776,7 +777,7 @@ class GiraphJob:
                     refs[edges.oid] = list(range(pieces, edges.oid))
                     row += 1
                     charges += [alloc] * (edges.oid - pieces + 1)
-                refs[oid].append(edges.oid)
+                writable_refs(oid).append(edges.oid)
                 links += 1
                 charges.append(stored)
                 edge_roots[v] = edges

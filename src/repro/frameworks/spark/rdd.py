@@ -73,7 +73,9 @@ class MaterializedPartition:
 
     @property
     def size_bytes(self) -> int:
-        return self.root.size + sum(c.size for c in self.chunks)
+        root = self.root
+        size = root._store.size
+        return size[root.oid] + sum([size[c.oid] for c in self.chunks])
 
 
 @dataclass(frozen=True)

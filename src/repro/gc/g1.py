@@ -387,9 +387,9 @@ class G1Collector(Collector):
             live = self._trace_young(epoch)
             young = heap.young_regions()
             for region in young:
-                for obj in region.objects:
-                    if epoch_arr[obj.oid] < epoch:
-                        space_arr[obj.oid] = SPACE_FREED
+                st.free_rows(
+                    [o.oid for o in region.objects if epoch_arr[o.oid] < epoch]
+                )
                 region.reset()
             heap._current_eden = None
             tenuring = TENURING_THRESHOLD
@@ -516,7 +516,6 @@ class G1Collector(Collector):
             epoch = self.next_epoch()
             self.begin_parallel_cycle()
             st = self.store
-            space_arr = st.space
             epoch_arr = st.mark_epoch
             live = self._mark_all(epoch)
             live_bytes = st.sum_sizes(live)
@@ -526,7 +525,7 @@ class G1Collector(Collector):
                 if region.state is RegionState.HUMONGOUS_START:
                     oid = region.objects[0].oid
                     if epoch_arr[oid] < epoch:
-                        space_arr[oid] = SPACE_FREED
+                        st.free_rows([oid])
                         heap.free_humongous_run(region)
 
             # Garbage-first: evacuate the old regions with least live data.
@@ -547,9 +546,9 @@ class G1Collector(Collector):
                 if taken >= budget:
                     break
                 taken += region.size
-                for obj in region.objects:
-                    if epoch_arr[obj.oid] < epoch:
-                        space_arr[obj.oid] = SPACE_FREED
+                st.free_rows(
+                    [o.oid for o in region.objects if epoch_arr[o.oid] < epoch]
+                )
                 region.reset()
                 if not self._evacuate(region_live, RegionState.OLD):
                     self._full_collection()
@@ -613,14 +612,16 @@ class G1Collector(Collector):
                     and region.objects
                     and epoch_arr[region.objects[0].oid] < epoch
                 ):
-                    space_arr[region.objects[0].oid] = SPACE_FREED
+                    st.free_rows([region.objects[0].oid])
                     heap.free_humongous_run(region)
                 continue
+            dead = []
             for obj in region.objects:
                 if epoch_arr[obj.oid] >= epoch:
                     movable.append(obj.oid)
                 else:
-                    space_arr[obj.oid] = SPACE_FREED
+                    dead.append(obj.oid)
+            st.free_rows(dead)
             region.reset()
         heap._current_eden = None
         # Sliding the survivors out of their regions before re-placement

@@ -37,7 +37,6 @@ from ..heap.roots import RootSet
 from ..heap.store import (
     NO_SPACE,
     SPACE_EDEN,
-    SPACE_FREED,
     SPACE_OLD,
     SPACE_TO,
     HeapStore,
@@ -313,7 +312,7 @@ class ParallelScavenge(Collector):
             )
             dead = young_oids[~st.live_mask(young_oids, epoch)]
             reclaimed = st.sum_sizes(dead)
-            st.set_space_batch(dead, SPACE_FREED)
+            st.free_rows(dead)
 
             heap.eden.reset()
             heap.survivor_from.reset()
@@ -601,7 +600,7 @@ class ParallelScavenge(Collector):
                 ):
                     oids = space.oid_array()
                     dead = oids[~st.live_mask(oids, epoch)]
-                    st.set_space_batch(dead, SPACE_FREED)
+                    st.free_rows(dead)
                 heap.eden.reset()
                 heap.survivor_from.reset()
                 heap.survivor_to.reset()

@@ -17,7 +17,9 @@ Two levels:
   dependency metadata: old-to-young references are covered by dirty
   cards, H2 cross-region references are closed under the dependency
   lists (no H2→H1/H2 dangling refs), and region live bits agree with
-  the regions that survived the last major GC.
+  the regions that survived the last major GC.  It also checks the
+  store's rows: no FREED row keeps a store-held handle, and every
+  reference row is a list or the shared empty ``()``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from ..errors import InvariantViolation
 from .heap import ManagedHeap
 from .object_model import SPACE_CODES, SpaceId
 from .spaces import Space
-from .store import SPACE_FREED, SPACE_H2, SPACE_TO
+from .store import SPACE_FREED, SPACE_H2, SPACE_TO, HeapStore
 
 
 class AuditLevel(enum.Enum):
@@ -83,11 +85,13 @@ class HeapAuditor:
     def __init__(
         self,
         heap: ManagedHeap,
+        store: HeapStore,
         h2=None,
         level: AuditLevel = AuditLevel.CHEAP,
     ):
         self.heap = heap
         self.h2 = h2
+        self.store = store
         self.level = AuditLevel.parse(level)
         self.tally = AuditTally()
 
@@ -112,6 +116,7 @@ class HeapAuditor:
         if self.h2 is not None:
             self._check_h2_regions(violations)
         if self.level is AuditLevel.FULL:
+            self._check_store_rows(violations)
             self._check_card_coverage(violations)
             if self.h2 is not None:
                 self._check_h2_references(violations)
@@ -333,6 +338,41 @@ class HeapAuditor:
     # ------------------------------------------------------------------
     # Full checks: card tables, dependency closure, live bits
     # ------------------------------------------------------------------
+    def _check_store_rows(self, out: List[Violation]) -> None:
+        """FREED rows hold no handle; reference rows are lists or ``()``.
+
+        A handle left on a FREED row is memory the row should no longer
+        cost; any other reference container is one an in-place writer
+        could not go through :meth:`HeapStore.writable_refs` for.
+        """
+        store = self.store
+        handles = store.handles
+        freed = np.flatnonzero(store.space_view() == SPACE_FREED)
+        held = [oid for oid in freed.tolist() if handles[oid] is not None]
+        if held:
+            out.append(
+                Violation(
+                    "store-rows",
+                    f"{len(held)} FREED row(s), first #{held[0]}",
+                    "no store-held handle",
+                    "a handle in store.handles",
+                )
+            )
+        odd = [
+            oid
+            for oid, targets in enumerate(store.refs)
+            if targets.__class__ is not list and targets != ()
+        ]
+        if odd:
+            out.append(
+                Violation(
+                    "store-rows",
+                    f"{len(odd)} reference row(s), first #{odd[0]}",
+                    "a list or ()",
+                    repr(store.refs[odd[0]]),
+                )
+            )
+
     def _check_card_coverage(self, out: List[Violation]) -> None:
         """Every old object with a young reference has a dirty card.
 
@@ -463,4 +503,6 @@ def make_auditor(vm, level) -> Optional[HeapAuditor]:
     heap = getattr(vm, "heap", None)
     if not isinstance(heap, ManagedHeap):
         return None
-    return HeapAuditor(heap, h2=vm.h2, level=AuditLevel.parse(level))
+    return HeapAuditor(
+        heap, vm.store, h2=vm.h2, level=AuditLevel.parse(level)
+    )

@@ -9,14 +9,16 @@ Since the struct-of-arrays refactor the per-object state lives in flat
 parallel columns of :class:`~repro.heap.store.HeapStore`; a
 ``HeapObject`` is a two-slot handle (oid + store pointer) whose
 attributes are properties over its row.  The attribute API is unchanged,
-handles are canonical (one per oid, so ``is`` works), and oids double as
-row indices.
+handles are canonical while their row is not FREED (one per oid, so
+``is`` works), and oids double as row indices.  Once a row is FREED the
+store drops its handle; a handle still held elsewhere keeps its oid and
+store, so it still reads the row as FREED.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional, Sequence
 
 from .store import (
     FLAG_H2_CANDIDATE,
@@ -65,9 +67,11 @@ SPACE_CODES = {space: code for code, space in enumerate(SPACE_BY_CODE)}
 class RefList:
     """Mutable view of one object's outgoing references.
 
-    Reads and writes go straight to the store's adjacency list (target
-    oids); iteration and indexing hand back canonical handles, so the
-    view is interchangeable with the old ``List[HeapObject]`` attribute.
+    Reads and writes go straight to the store's adjacency row (target
+    oids; in-place writes through :meth:`HeapStore.writable_refs`, and
+    :meth:`clear` puts back the shared ``()``); iteration and
+    indexing hand back canonical handles, so the view is interchangeable
+    with the old ``List[HeapObject]`` attribute.
     """
 
     __slots__ = ("_store", "_oid")
@@ -76,24 +80,24 @@ class RefList:
         self._store = store
         self._oid = oid
 
-    def _targets(self) -> List[int]:
+    def _targets(self) -> Sequence[int]:
         return self._store.refs[self._oid]
 
     # -- mutation ------------------------------------------------------
     def append(self, obj: "HeapObject") -> None:
-        self._targets().append(obj.oid)
+        self._store.writable_refs(self._oid).append(obj.oid)
         self._store.edge_version += 1
 
     def extend(self, objs: Iterable["HeapObject"]) -> None:
-        self._targets().extend(o.oid for o in objs)
+        self._store.writable_refs(self._oid).extend(o.oid for o in objs)
         self._store.edge_version += 1
 
     def remove(self, obj: "HeapObject") -> None:
-        self._targets().remove(obj.oid)
+        self._store.writable_refs(self._oid).remove(obj.oid)
         self._store.edge_version += 1
 
     def clear(self) -> None:
-        self._targets().clear()
+        self._store.refs[self._oid] = ()
         self._store.edge_version += 1
 
     # -- access --------------------------------------------------------
@@ -125,7 +129,7 @@ class RefList:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RefList):
-            return self._targets() == other._targets()
+            return list(self._targets()) == list(other._targets())
         if isinstance(other, (list, tuple)):
             mine = self._targets()
             if len(mine) != len(other):
@@ -137,7 +141,7 @@ class RefList:
         return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RefList of #{self._oid}: {self._targets()}>"
+        return f"<RefList of #{self._oid}: {list(self._targets())}>"
 
 
 def _flag_property(bit: int, doc: str):
@@ -295,9 +299,10 @@ class HeapObject:
     def refs(self, value: Iterable["HeapObject"]) -> None:
         store = self._store
         if isinstance(value, RefList):
-            store.refs[self.oid] = list(value._targets())
+            targets = list(value._targets())
         else:
-            store.refs[self.oid] = [o.oid for o in value]
+            targets = [o.oid for o in value]
+        store.refs[self.oid] = targets or ()
         store.edge_version += 1
 
     # ------------------------------------------------------------------

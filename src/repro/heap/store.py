@@ -11,11 +11,19 @@ every per-object field lives in a flat parallel array indexed by oid:
   boolean flag bitfield (metadata / reference / serializable /
   h2-candidate);
 - ``array('d')`` for the GC scan-cost multiplier;
-- Python lists for the (rare, variable-width) label and name strings;
-- an adjacency list of outgoing references (``refs[oid]`` is a list of
-  target oids), from which a CSR-style edge table
-  (``ref_offsets``/``ref_targets``) is snapshotted on demand for the
-  vectorized kernels.
+- list columns of labels and names; names are interned when a row is
+  created, so the many rows that share a name share one string;
+- the outgoing references (``refs[oid]`` is a sequence of target oids),
+  from which a CSR-style edge table (``ref_offsets``/``ref_targets``) is
+  snapshotted on demand for the vectorized kernels.  A row with no
+  references holds the shared immutable ``()``; :meth:`writable_refs`
+  turns it into a list on the row's first in-place write, so every
+  in-place writer goes through it;
+- a list column of handles, one per row that is not FREED.
+
+So a row costs its array columns plus four list slots: no per-row empty
+list, no per-row copy of a repeated name, and no handle once the row is
+FREED (:meth:`free_rows` drops it).
 
 :class:`~repro.heap.object_model.HeapObject` is a thin handle (oid +
 store pointer) over one row, so the object-graph API survives unchanged.
@@ -29,7 +37,8 @@ Two kernel families coexist, on purpose:
   costs into batch tasks *in visit order*, and batch boundaries feed the
   engine's schedule, so any reordering would shift the determinism
   digests the experiments gate on.  These run over the int adjacency
-  lists — no numpy, no reordering, just no per-object attribute chasing.
+  sequences — no numpy, no reordering, just no per-object attribute
+  chasing.
 - **vectorized kernels** (:meth:`mark_batch`, :meth:`bfs_closure_csr`,
   :meth:`sum_sizes`, the masked sweeps) use numpy over column views and
   the CSR snapshot.  They are order-insensitive by construction and back
@@ -41,7 +50,9 @@ in every VM and never alias across co-located VMs.
 
 from __future__ import annotations
 
+import sys
 from array import array
+from itertools import repeat
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,10 +108,13 @@ class HeapStore:
         self.scan_factor = array("d", [0.0])
         self.flags = array("b", [0])
         self.label: List[Optional[str]] = [None]
+        #: interned on row creation
         self.name: List[str] = [""]
-        #: adjacency: refs[oid] -> list of target oids
-        self.refs: List[List[int]] = [[]]
-        #: canonical handle per oid (identity-stable: ``a is b`` works)
+        #: adjacency: refs[oid] -> target oids; ``()`` until first written
+        self.refs: List[Sequence[int]] = [()]
+        #: canonical handle per oid while the row is not FREED
+        #: (identity-stable: ``a is b`` works); None before first use and
+        #: once the row is FREED
         self.handles: List[object] = [None]
         #: bumped on any edge mutation; invalidates the CSR snapshot
         self.edge_version = 0
@@ -136,8 +150,8 @@ class HeapStore:
         self.scan_factor.append(scan_factor)
         self.flags.append(flags)
         self.label.append(None)
-        self.name.append(name)
-        self.refs.append(list(ref_oids))
+        self.name.append(sys.intern(name))
+        self.refs.append(list(ref_oids) if ref_oids else ())
         self.handles.append(None)
         self.edge_version += 1
         return oid
@@ -170,8 +184,8 @@ class HeapStore:
         self.scan_factor.extend(array("d", [scan_factor]) * count)
         self.flags.extend(array("b", [flags]) * count)
         self.label.extend([None] * count)
-        self.name.extend(names)
-        self.refs.extend([[] for _ in range(count)])
+        self.name.extend(map(sys.intern, names))
+        self.refs.extend(repeat((), count))
         new = HeapObject.__new__
         handles = []
         for oid in range(first, first + count):
@@ -182,6 +196,31 @@ class HeapStore:
         self.handles.extend(handles)
         self.edge_version += count
         return handles
+
+    def writable_refs(self, oid: int) -> List[int]:
+        """``refs[oid]`` as a list the caller may change in place.
+
+        A row with no references holds the shared ``()``; its first
+        in-place write swaps in a list of its own.  The caller bumps
+        :attr:`edge_version` for what it changes.
+        """
+        targets = self.refs[oid]
+        if targets.__class__ is not list:
+            targets = self.refs[oid] = list(targets)
+        return targets
+
+    def free_rows(self, oids) -> None:
+        """Mark rows FREED and drop the store's handle for each.
+
+        A handle someone still holds keeps its oid and store, so access
+        through it still sees the FREED space.
+        """
+        idx = np.asarray(oids, dtype=np.int64)
+        if idx.size:
+            self.space_view()[idx] = SPACE_FREED
+            handles = self.handles
+            for oid in idx.tolist():
+                handles[oid] = None
 
     # -- column views --------------------------------------------------
     # array('q'/'d'/'b') exposes the buffer protocol, so these are
@@ -399,8 +438,9 @@ class HeapStore:
     def handle(self, oid: int):
         """The canonical :class:`HeapObject` handle for ``oid``.
 
-        One handle per row, created on demand, so handle identity (`is`)
-        matches object identity everywhere.
+        One handle per row that is not FREED, created on demand, so
+        handle identity (`is`) matches object identity for every live
+        row.  A FREED row gets a fresh, uncached handle each time.
         """
         h = self.handles[oid]
         if h is None:
@@ -409,5 +449,6 @@ class HeapStore:
             h = HeapObject.__new__(HeapObject)
             h.oid = oid
             h._store = self
-            self.handles[oid] = h
+            if self.space[oid] != SPACE_FREED:
+                self.handles[oid] = h
         return h

@@ -493,7 +493,9 @@ class JavaVM:
                     clock.charge_cycle(charges, fit)
                 heap.allocate_run(run, run_sizes)
                 if into is not None:
-                    store.refs[into.oid].extend([obj.oid for obj in run])
+                    store.writable_refs(into.oid).extend(
+                        [obj.oid for obj in run]
+                    )
                     store.edge_version += fit
                     barrier.on_reference_stores(into, fit)
                 done = end

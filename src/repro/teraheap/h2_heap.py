@@ -37,7 +37,7 @@ from ..errors import (
 )
 from ..faults.events import CrashEvent, RecoveryEvent
 from ..heap.object_model import HeapObject
-from ..heap.store import FLAG_H2_CANDIDATE, SPACE_FREED, SPACE_H2
+from ..heap.store import FLAG_H2_CANDIDATE, SPACE_H2
 from .h2_card_table import CardState, H2CardTable
 from .promotion import PromotionManager
 from .recovery import RecoveryReport, RegionJournalEntry, header_page
@@ -684,7 +684,7 @@ class H2Heap:
             reclaimed.append(region.index)
         if dropped:
             oids = np.concatenate(dropped)
-            self.store.set_space_batch(oids, SPACE_FREED)
+            self.store.free_rows(oids)
             self.store.region_view()[oids] = -1
         self._free_indices.extend(reclaimed)
         doomed = set(reclaimed)
