@@ -24,7 +24,6 @@ Quickstart::
 from .clock import Bucket, Clock
 from .config import (
     CostModel,
-    G1Config,
     PantheraConfig,
     TeraHeapConfig,
     VMConfig,
@@ -64,7 +63,6 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "FaultPlan",
-    "G1Config",
     "GB",
     "HeapAuditor",
     "HeapObject",

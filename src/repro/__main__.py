@@ -100,6 +100,8 @@ def main(argv=None) -> int:
     spec = SPECS[args.experiment]
     if args.fault_rate is not None and args.faults is None:
         parser.error("--fault-rate has no effect without --faults")
+    if args.fault_rate is not None and not 0.0 <= args.fault_rate <= 1.0:
+        parser.error("--fault-rate must be in [0, 1]")
     seeded = any("fault_seed" in p for _, p in spec.cells(args.smoke))
     if args.fault_seed is not None and args.faults is None and not seeded:
         parser.error("--fault-seed has no effect on this matrix without --faults")

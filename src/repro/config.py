@@ -95,6 +95,13 @@ class CostModel:
     stream_block_dispatch_cost: float = 2e-3
 
 
+#: live-occupancy fraction of H1 above which marked objects are moved
+#: without waiting for h2_move() (Section 3.2).  Read by
+#: :mod:`repro.teraheap.thresholds`; it lives here because this module
+#: cannot import the teraheap package without a cycle.
+HIGH_THRESHOLD = 0.85
+
+
 @dataclass
 class TeraHeapConfig:
     """TeraHeap (H2) parameters — Section 3 of the paper."""
@@ -104,9 +111,6 @@ class TeraHeapConfig:
     region_size: int = 16 * MB
     #: H2 card segment size (Section 3.4 / Figure 11a sweep)
     card_segment_size: int = 8 * KiB
-    #: live-occupancy fraction of H1 above which marked objects are moved
-    #: without waiting for h2_move() (Section 3.2)
-    high_threshold: float = 0.85
     #: target H1 occupancy when the high threshold fires; ``None`` disables
     #: the low-threshold mechanism (Figure 9b ablation)
     low_threshold: Optional[float] = 0.50
@@ -150,12 +154,10 @@ class TeraHeapConfig:
             raise ConfigError(
                 f"unknown writeback policy {self.writeback_policy!r}"
             )
-        if not 0.0 < self.high_threshold <= 1.0:
-            raise ConfigError("high_threshold must be in (0, 1]")
         if self.low_threshold is not None and not (
-            0.0 < self.low_threshold < self.high_threshold
+            0.0 < self.low_threshold < HIGH_THRESHOLD
         ):
-            raise ConfigError("low_threshold must be below high_threshold")
+            raise ConfigError("low_threshold must be below HIGH_THRESHOLD")
         if self.region_size <= 0 or self.h2_size % self.region_size:
             raise ConfigError("h2_size must be a multiple of region_size")
 
@@ -216,37 +218,12 @@ class GovernorConfig:
 
 
 @dataclass
-class G1Config:
-    """Garbage-First collector parameters (Figure 8 baseline)."""
-
-    region_size: int = 32 * MB
-    #: concurrent marking pool divisor: ``ConcGCThreads = ParallelGCThreads
-    #: / 4``, the paper's (and HotSpot's default) configuration.  The
-    #: marking cycle runs on this narrower lane set racing mutator
-    #: (``Bucket.OTHER``) progress; only marking that outruns the mutator
-    #: lands in the pause.
-    concurrent_divisor: int = 4
-    #: fraction of the marking work redone at the stop-the-world remark
-    #: pause closing a cycle (SATB buffer drain + re-scan of objects the
-    #: mutator touched while marking ran)
-    remark_fraction: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.concurrent_divisor < 1:
-            raise ConfigError("concurrent_divisor must be >= 1")
-        if not 0.0 <= self.remark_fraction < 1.0:
-            raise ConfigError("remark_fraction must be in [0, 1)")
-
-
-@dataclass
 class PantheraConfig:
     """Panthera baseline layout (Section 7.5): young gen entirely in DRAM,
     old gen split between DRAM and NVM."""
 
     #: DRAM part of the old generation; the rest of it sits on NVM
     dram_old_size: int = 6 * GB
-    #: objects larger than this are pretenured straight to the NVM old gen
-    pretenure_threshold: int = 256 * KiB
 
 
 #: survivor share of the young generation, per survivor space (PS
@@ -270,7 +247,6 @@ class VMConfig:
     #: H1 card segment size (vanilla JVM uses 512 B cards)
     card_segment_size: int = 512
     teraheap: TeraHeapConfig = field(default_factory=TeraHeapConfig)
-    g1: G1Config = field(default_factory=G1Config)
     panthera: Optional[PantheraConfig] = None
     cost: CostModel = field(default_factory=CostModel)
     #: DRAM available to the OS page cache (the paper's DR2)

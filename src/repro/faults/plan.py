@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from random import Random
 from typing import Dict, Iterator, List, Optional, Tuple
+
+from ..errors import ConfigError
 
 #: service-rate fraction the device retains during a randomly opened
 #: brownout window (every op inside it costs ``1 / fraction`` times its
@@ -36,6 +38,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 BROWNOUT_BANDWIDTH_FRACTION = 0.5
 #: consecutive ops parked once a stall burst starts
 STALL_BURST_OPS = 4
+#: multiplier applied to an access's cost when a latency spike fires
+LATENCY_SPIKE_MULTIPLIER = 8.0
 
 
 class FaultKind(enum.Enum):
@@ -67,10 +71,9 @@ class FaultConfig:
     #: transient error probability per device read / write
     read_error_rate: float = 0.0
     write_error_rate: float = 0.0
-    #: latency-spike probability per device access, and the multiplier
-    #: applied to the access cost when one fires
+    #: latency-spike probability per device access (each spike costs
+    #: ``LATENCY_SPIKE_MULTIPLIER`` times the access)
     latency_spike_rate: float = 0.0
-    latency_spike_multiplier: float = 8.0
     #: device-full probability per H2 region allocation
     device_full_rate: float = 0.0
     #: simulated-SIGBUS probability per faulting mapped access
@@ -92,8 +95,6 @@ class FaultConfig:
     # --- retry policy -------------------------------------------------
     #: total attempts (first try + retries) before an op counts as failed
     max_attempts: int = 4
-    #: first backoff delay in simulated seconds; doubles per retry
-    backoff_base: float = 100e-6
     #: seeded jitter fraction applied to each backoff delay (0 disables);
     #: drawn from a dedicated stream so retries never perturb the fault
     #: schedule, yet lock-step retry convoys are broken up
@@ -123,6 +124,12 @@ class FaultConfig:
     crash_stage: Optional[str] = None
     #: which task visit of ``crash_stage`` fires the kill (1 = first)
     crash_task: int = 1
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            rate = getattr(self, f.name)
+            if f.name.endswith("_rate") and not 0.0 <= rate <= 1.0:
+                raise ConfigError(f"{f.name} must be in [0, 1], got {rate!r}")
 
 
 @dataclass
@@ -245,7 +252,7 @@ class FaultPlan:
             self._record(kind, device)
             return IOOutcome(kind)
         if draw < error_rate + cfg.latency_spike_rate:
-            mult = cfg.latency_spike_multiplier
+            mult = LATENCY_SPIKE_MULTIPLIER
             self._record(
                 FaultKind.LATENCY_SPIKE, device, detail=f"x{mult:g}"
             )

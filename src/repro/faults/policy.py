@@ -31,6 +31,8 @@ from .plan import FaultConfig, FaultPlan
 
 T = TypeVar("T")
 
+#: first backoff delay in simulated seconds
+BACKOFF_BASE = 100e-6
 #: growth of the backoff delay per retry
 BACKOFF_FACTOR = 2.0
 
@@ -72,7 +74,7 @@ class RetryPolicy:
         """
         cfg = self.config
         failures = 0
-        delay = cfg.backoff_base
+        delay = BACKOFF_BASE
         spent = 0.0
         while True:
             try:

@@ -23,12 +23,5 @@ class GiraphConf:
     mode: GiraphMode = GiraphMode.OOC
     #: device backing the out-of-core store (OOC mode)
     device: Optional[Device] = None
-    num_partitions: int = 8
-    #: heap-occupancy fraction at which the OOC scheduler offloads
-    ooc_threshold: float = 0.72
     #: issue h2_move() hints (Figure 9a ablation switches this off)
     use_move_hint: bool = True
-    #: optional message combiner ("sum" | "min" | "max"): collapses each
-    #: target's batch to one value, shrinking the message stores.  None
-    #: matches the paper's evaluation configuration.
-    combiner: Optional[str] = None

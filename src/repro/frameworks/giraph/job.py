@@ -34,6 +34,7 @@ from ...heap.store import (
 from ...units import KiB
 from ...workloads.generators import GraphDataset
 from ...runtime import JavaVM
+from .aggregators import AggregatorRegistry
 from .conf import GiraphConf, GiraphMode
 from .ooc import OOCScheduler
 from .programs import VertexProgram
@@ -57,6 +58,10 @@ OPS_PER_VERTEX = 800
 #: active vertices an OOC reload stretch plans at first; the window
 #: doubles while stretches fill it
 STRETCH_WINDOW = 16
+
+#: partitions of the worker's partition store (vertex ``v`` lives in
+#: partition ``v % NUM_PARTITIONS``)
+NUM_PARTITIONS = 8
 
 
 def _piece_sizes(nbytes: int) -> List[int]:
@@ -88,9 +93,12 @@ class GiraphJob:
         #: object is on-heap; victim selection walks these, not whole
         #: partitions.  Nothing offloads in the other modes, so the sets
         #: stay empty there rather than holding every vertex.
-        parts = conf.num_partitions
-        self.resident_edges: List[Set[int]] = [set() for _ in range(parts)]
-        self.resident_vertices: List[Set[int]] = [set() for _ in range(parts)]
+        self.resident_edges: List[Set[int]] = [
+            set() for _ in range(NUM_PARTITIONS)
+        ]
+        self.resident_vertices: List[Set[int]] = [
+            set() for _ in range(NUM_PARTITIONS)
+        ]
         #: partition currently being computed (OOC eviction skips it)
         self.current_partition: Optional[int] = None
         self._edge_sizes = [graph.edge_array_size(v) for v in range(n)]
@@ -101,15 +109,8 @@ class GiraphJob:
         #: scheduler; reads pay a device round trip
         self.offloaded_msgs: Dict[int, int] = {}
         self.bytes_per_message = max(16, graph.bytes_per_edge // 5)
-        from .combiners import AggregatorRegistry, resolve_combiner
-
-        self.combiner = resolve_combiner(conf.combiner)
         self.aggregators = AggregatorRegistry(vm, self.runtime_root)
-        self.ooc = (
-            OOCScheduler(self, conf.ooc_threshold)
-            if conf.mode is GiraphMode.OOC
-            else None
-        )
+        self.ooc = OOCScheduler(self) if conf.mode is GiraphMode.OOC else None
         self.supersteps_run = 0
         self.messages_sent = 0
         #: cumulative bytes of message-store objects allocated
@@ -121,7 +122,7 @@ class GiraphJob:
     def load_graph(self) -> None:
         vm = self.vm
         n = self.graph.num_vertices
-        parts = self.conf.num_partitions
+        parts = NUM_PARTITIONS
         # The partition store exists before loading begins; every vertex is
         # inserted (and thereby rooted) as soon as it is read.
         for pid in range(parts):
@@ -205,7 +206,7 @@ class GiraphJob:
         size = self._edge_sizes[v]
         self.vm.write_ref(vertex, None, remove=edges)
         self.edge_roots[v] = None
-        self.resident_edges[v % self.conf.num_partitions].discard(v)
+        self.resident_edges[v % NUM_PARTITIONS].discard(v)
         to_write = 0 if self.edges_on_disk[v] else size
         self.edges_on_disk[v] = True
         return size, to_write
@@ -260,7 +261,7 @@ class GiraphJob:
         vertex = self.vm.allocate(
             self.graph.vertex_value_size, name=f"vertex-{v}-reload"
         )
-        pid = v % self.conf.num_partitions
+        pid = v % NUM_PARTITIONS
         self.vm.write_ref(self.partition_roots[pid], vertex)
         self.vertex_objs[v] = vertex
         self.resident_vertices[pid].add(v)
@@ -298,7 +299,7 @@ class GiraphJob:
             vertex = self.vertex_objs[v]
             vm.write_ref(vertex, edges)
         self.edge_roots[v] = edges
-        self.resident_edges[v % self.conf.num_partitions].add(v)
+        self.resident_edges[v % NUM_PARTITIONS].add(v)
         if self.ooc is not None:
             self.ooc.dropped_estimate = max(
                 0, self.ooc.dropped_estimate - size
@@ -361,17 +362,7 @@ class GiraphJob:
             vm.h2_tag_root(current_root, f"msgs-{step}")
         targets = np.flatnonzero(received)
         batch_counts = counts[targets]
-        if self.combiner is not None:
-            payloads = np.array(
-                [
-                    self.combiner.combined_bytes(c, self.bytes_per_message)
-                    for c in batch_counts.tolist()
-                ],
-                dtype=np.int64,
-            )
-        else:
-            payloads = batch_counts * self.bytes_per_message
-        sizes = 64 + payloads
+        sizes = 64 + batch_counts * self.bytes_per_message
         msgs: Dict[int, HeapObject] = {}
         for start in range(0, len(targets), MESSAGE_BLOCK):
             block = slice(start, start + MESSAGE_BLOCK)
@@ -452,8 +443,9 @@ class GiraphJob:
         # Giraph processes one partition at a time; grouping accesses by
         # partition keeps the out-of-core working set coherent instead of
         # thrashing every partition on every vertex.
-        parts = self.conf.num_partitions
-        active = active[np.argsort(active % parts, kind="stable")].tolist()
+        active = active[
+            np.argsort(active % NUM_PARTITIONS, kind="stable")
+        ].tolist()
         if self.ooc is None or not self._stretches_apply():
             if not (self._bulk_applies() and self._compute_bulk(active)):
                 for i, v in enumerate(active):
@@ -479,7 +471,7 @@ class GiraphJob:
     def _compute_vertex(self, step: int, i: int, v: int) -> None:
         """Compute active vertex ``v``, the ``i``-th of the superstep."""
         vm = self.vm
-        self.current_partition = v % self.conf.num_partitions
+        self.current_partition = v % NUM_PARTITIONS
         vertex = self._vertex_for_compute(v)
         edges = self.edge_roots[v]
         if edges is None:
@@ -720,7 +712,7 @@ class GiraphJob:
         reloaded, which the scheduler's estimate drops by."""
         vm, ooc = self.vm, self.ooc
         store, heap, barrier = vm.store, vm.heap, vm.barrier
-        parts = self.conf.num_partitions
+        parts = NUM_PARTITIONS
         vertex_objs, edge_roots = self.vertex_objs, self.edge_roots
         incoming, offloaded = self.incoming_msgs, self.offloaded_msgs
         value_size = self.graph.vertex_value_size

@@ -18,6 +18,9 @@ from ...devices.page_cache import PageCache
 if TYPE_CHECKING:  # pragma: no cover
     from .job import GiraphJob
 
+#: heap-occupancy fraction at which the OOC scheduler offloads
+OOC_THRESHOLD = 0.72
+
 
 class OOCScheduler:
     """Heap-pressure-driven offloading of edge arrays and message stores.
@@ -27,9 +30,9 @@ class OOCScheduler:
     from memory rather than the device.
     """
 
-    def __init__(self, job: "GiraphJob", threshold: float):
+    def __init__(self, job: "GiraphJob"):
         self.job = job
-        self.threshold = threshold
+        self.threshold = OOC_THRESHOLD
         device = job.conf.device
         self.cache = (
             PageCache(device, job.vm.config.page_cache_size)
@@ -103,7 +106,7 @@ class OOCScheduler:
         if self.effective_occupancy() <= self.threshold:
             return
         job = self.job
-        partitions = job.conf.num_partitions
+        partitions = len(job.resident_edges)  # one set per partition
         target = self.threshold - 0.05
         for _ in range(partitions):
             if self.effective_occupancy() <= target:

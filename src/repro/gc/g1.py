@@ -33,6 +33,7 @@ from ..heap.store import (
     SPACE_TO,
     HeapStore,
 )
+from ..units import MB
 from .base import TENURING_THRESHOLD, Collector, GCCycle
 from .engine import (
     ENGINE_SEED,
@@ -54,6 +55,19 @@ _YOUNG_STATES = (RegionState.EDEN, RegionState.SURVIVOR)
 
 #: target fraction of the heap collected per mixed collection
 MIXED_COLLECTION_FRACTION = 0.25
+
+#: G1 region size (HotSpot's ``G1HeapRegionSize`` for the paper's heaps)
+REGION_SIZE = 32 * MB
+#: concurrent marking pool divisor: ``ConcGCThreads = ParallelGCThreads
+#: / 4``, the paper's (and HotSpot's default) configuration.  The
+#: marking cycle runs on this narrower lane set racing mutator
+#: (``Bucket.OTHER``) progress; only marking that outruns the mutator
+#: lands in the pause.
+CONCURRENT_DIVISOR = 4
+#: fraction of the marking work redone at the stop-the-world remark
+#: pause closing a cycle (SATB buffer drain + re-scan of objects the
+#: mutator touched while marking ran)
+REMARK_FRACTION = 0.05
 
 
 class G1Region:
@@ -97,7 +111,7 @@ class G1Heap:
 
     def __init__(self, config: VMConfig):
         self.config = config
-        self.region_size = config.g1.region_size
+        self.region_size = REGION_SIZE
         self.num_regions = max(config.heap_size // self.region_size, 4)
         self.regions = [
             G1Region(i, H1_BASE + i * self.region_size, self.region_size)
@@ -259,10 +273,8 @@ class G1Collector(Collector):
         self.remset_objects: Dict[int, HeapObject] = {}
         # G1 parallel GC threads (the paper configures 8).
         self._workers = min(config.gc_threads, 8)
-        # Concurrent marking pool: ConcGCThreads = ParallelGCThreads / 4
-        # (the paper's configuration; HotSpot's default).
         self._concurrent_workers = max(
-            1, self._workers // config.g1.concurrent_divisor
+            1, self._workers // CONCURRENT_DIVISOR
         )
         #: Bucket.OTHER total at the end of the last concurrent marking
         #: cycle — the start of the next cycle's overlap window.  Each
@@ -438,7 +450,7 @@ class G1Collector(Collector):
 
         The marking scan is decomposed at *full* per-object cost and
         scheduled on the concurrent lane set (``ConcGCThreads =
-        ParallelGCThreads / concurrent_divisor``, the paper's
+        ParallelGCThreads / CONCURRENT_DIVISOR``, the paper's
         configuration).  The lanes race the ``Bucket.OTHER`` time the
         mutator accrued since the previous cycle ended: marking up to
         that overlap charges nothing to the pause, and only the
@@ -496,14 +508,12 @@ class G1Collector(Collector):
             np.full(len(self.roots), cost.gc_root_scan_cost),
             self.config.engine.scan_batch_objects,
         )
-        fraction = self.config.g1.remark_fraction
-        if fraction > 0.0:
-            remark_bag.add_batches(
-                "g1-remark-satb",
-                "scan",
-                fraction * scan_costs,
-                self.config.engine.scan_batch_objects,
-            )
+        remark_bag.add_batches(
+            "g1-remark-satb",
+            "scan",
+            REMARK_FRACTION * scan_costs,
+            self.config.engine.scan_batch_objects,
+        )
         remark = self._run_phase(remark_bag, "g1-remark")
         self._last_remark_pause = remark.critical_path
         return live

@@ -20,10 +20,13 @@ from ..heap.heap import ManagedHeap
 from ..heap.object_model import HeapObject, SpaceId
 from ..heap.roots import RootSet
 from ..heap.store import HeapStore
+from ..units import KiB
 from .parallel_scavenge import ParallelScavenge
 
 #: bytes a marking visit touches on NVM (header + reference fields)
 MARK_TOUCH_BYTES = 64
+#: objects larger than this are pretenured straight to the NVM old gen
+PRETENURE_THRESHOLD = 256 * KiB
 
 
 class PantheraCollector(ParallelScavenge):

@@ -170,7 +170,10 @@ class JavaVM:
                     governor=self.governor,
                 )
             elif config.collector == "panthera":
-                from .gc.panthera import PantheraCollector
+                from .gc.panthera import (
+                    PRETENURE_THRESHOLD,
+                    PantheraCollector,
+                )
 
                 if (
                     old_gen_device is not None
@@ -187,9 +190,7 @@ class JavaVM:
                     nvm=old_gen_device,
                 )
                 if config.panthera is not None:
-                    self.heap.pretenure_threshold = (
-                        config.panthera.pretenure_threshold
-                    )
+                    self.heap.pretenure_threshold = PRETENURE_THRESHOLD
             elif config.collector == "memmode":
                 from .devices.nvm import NVMMemoryMode
                 from .gc.memory_mode import MemoryModeCollector

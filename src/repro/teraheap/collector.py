@@ -84,7 +84,6 @@ class TeraHeapCollector(ParallelScavenge):
         )
         self.policy = policy_cls(
             heap_capacity=config.heap_size,
-            high_threshold=config.teraheap.high_threshold,
             low_threshold=config.teraheap.low_threshold,
             use_move_hint=config.teraheap.use_move_hint,
             governor=governor,

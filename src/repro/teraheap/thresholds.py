@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..config import HIGH_THRESHOLD
+
 
 @dataclass
 class TransferDecision:
@@ -37,17 +39,18 @@ class ThresholdPolicy:
     def __init__(
         self,
         heap_capacity: int,
-        high_threshold: float = 0.85,
         low_threshold: Optional[float] = 0.50,
         use_move_hint: bool = True,
         governor=None,
     ):
-        if not 0.0 < high_threshold <= 1.0:
-            raise ValueError("high threshold must be in (0, 1]")
-        if low_threshold is not None and not 0.0 < low_threshold < high_threshold:
+        if low_threshold is not None and not (
+            0.0 < low_threshold < HIGH_THRESHOLD
+        ):
             raise ValueError("low threshold must fall below the high one")
         self.heap_capacity = heap_capacity
-        self.high_threshold = high_threshold
+        #: starts at :data:`~repro.config.HIGH_THRESHOLD`; the adaptive
+        #: policy and the multi-tenant arbiter move it at run time
+        self.high_threshold = HIGH_THRESHOLD
         self.low_threshold = low_threshold
         self.use_move_hint = use_move_hint
         #: optional :class:`~repro.teraheap.governor.H2Governor` whose
@@ -158,16 +161,14 @@ class AdaptiveThresholdPolicy(ThresholdPolicy):
     def __init__(
         self,
         heap_capacity: int,
-        high_threshold: float = 0.85,
         low_threshold: Optional[float] = 0.50,
         use_move_hint: bool = True,
         governor=None,
     ):
         super().__init__(
-            heap_capacity, high_threshold, low_threshold, use_move_hint,
-            governor=governor,
+            heap_capacity, low_threshold, use_move_hint, governor=governor
         )
-        self.configured_high = high_threshold
+        self.configured_high = HIGH_THRESHOLD
         self.configured_low = low_threshold
         self._calm_streak = 0
         self._pressure_streak = 0

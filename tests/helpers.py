@@ -8,7 +8,6 @@ from typing import Any, Dict, List
 
 from repro import JavaVM, OutOfMemoryError, TeraHeapConfig, VMConfig, gb
 from repro.clock import Bucket
-from repro.config import G1Config
 from repro.devices.health import DeviceState, HealthTransition
 from repro.devices.mmap import BASE_PAGE
 from repro.faults.events import (
@@ -53,8 +52,6 @@ def make_vm(kind: str) -> JavaVM:
     config = VMConfig(
         heap_size=SMALL_HEAP, collector="g1" if kind == "g1" else "ps"
     )
-    if kind == "g1":
-        config.g1 = G1Config(region_size=32 * KiB)
     if kind == "teraheap":
         config.teraheap = TeraHeapConfig(
             enabled=True, h2_size=gb(1), region_size=16 * KiB

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.config import (
+    HIGH_THRESHOLD,
     CostModel,
-    G1Config,
     PantheraConfig,
     TeraHeapConfig,
     VMConfig,
@@ -65,12 +65,7 @@ def test_teraheap_h2_multiple_of_region():
 
 def test_teraheap_threshold_ordering():
     with pytest.raises(ConfigError):
-        TeraHeapConfig(high_threshold=0.5, low_threshold=0.8)
-
-
-def test_teraheap_high_threshold_bounds():
-    with pytest.raises(ConfigError):
-        TeraHeapConfig(high_threshold=0.0)
+        TeraHeapConfig(low_threshold=HIGH_THRESHOLD)
 
 
 def test_teraheap_low_threshold_none_allowed():
@@ -91,11 +86,6 @@ def test_cost_model_defaults_sane():
     assert cost.serialize_bw > 0
     assert cost.teraheap_barrier_extra < cost.barrier_cost
     assert 0.0 < cost.sd_temp_object_ratio < 1.0
-
-
-def test_g1_config_defaults():
-    g1 = G1Config()
-    assert g1.region_size == 32 * MB
 
 
 def test_panthera_split():

@@ -74,13 +74,15 @@ class TestAdaptiveThresholds:
                         enabled=True,
                         h2_size=gb(64),
                         region_size=16 * KiB,
-                        high_threshold=0.6,
                         low_threshold=0.4,
                         adaptive_thresholds=adaptive,
                     ),
                     page_cache_size=gb(1),
                 )
             )
+            vm.collector.policy.high_threshold = 0.6
+            if adaptive:
+                vm.collector.policy.configured_high = 0.6
             for i in range(6):
                 root, _ = make_group(vm, count=40, size=4 * KiB, name=f"g{i}")
                 vm.h2_tag_root(root, f"g{i}")

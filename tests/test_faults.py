@@ -38,6 +38,8 @@ from repro.faults import (
     RetryEvent,
     RetryPolicy,
 )
+from repro.faults.plan import LATENCY_SPIKE_MULTIPLIER
+from repro.faults.policy import BACKOFF_BASE, BACKOFF_FACTOR
 from repro.heap.object_model import HeapObject, SpaceId
 from repro.teraheap.h2_heap import H2_BASE, H2Heap
 from repro.units import KiB, MiB
@@ -108,14 +110,12 @@ def test_injected_write_error(device_cls):
 
 @pytest.mark.parametrize("device_cls", DEVICES)
 def test_injected_latency_spike(device_cls):
-    plan = FaultPlan(
-        FaultConfig(latency_spike_rate=1.0, latency_spike_multiplier=4.0)
-    )
+    plan = FaultPlan(FaultConfig(latency_spike_rate=1.0))
     clock = Clock()
     injector = FaultInjector(device_cls(clock), plan)
     spiked = injector.read(4096)
     baseline = device_cls(Clock()).read(4096)
-    assert spiked == pytest.approx(4.0 * baseline)
+    assert spiked == pytest.approx(LATENCY_SPIKE_MULTIPLIER * baseline)
     assert clock.now == pytest.approx(spiked)
     assert plan.injected[FaultKind.LATENCY_SPIKE] == 1
 
@@ -189,7 +189,7 @@ def test_suspended_queries_consume_no_draws():
 # ======================================================================
 def test_retry_recovers_and_charges_backoff():
     clock = Clock()
-    cfg = FaultConfig(max_attempts=4, backoff_base=1e-3)
+    cfg = FaultConfig(max_attempts=4)
     retry = RetryPolicy(cfg, clock, ResilienceLog())
     calls = {"n": 0}
 
@@ -201,7 +201,7 @@ def test_retry_recovers_and_charges_backoff():
 
     assert retry.call("op", flaky) == "ok"
     assert calls["n"] == 3
-    assert clock.now == pytest.approx(1e-3 + 2e-3)
+    assert clock.now == pytest.approx(BACKOFF_BASE * (1 + BACKOFF_FACTOR))
     assert retry.log.ops_retried == 1
 
 
@@ -428,6 +428,24 @@ def test_audit_detects_missing_dependency_edge():
 def test_config_rejects_unknown_audit_level():
     with pytest.raises(ConfigError):
         VMConfig(heap_size=gb(4), audit="bogus")
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        {"read_error_rate": -1.0},
+        {"sigbus_rate": 7},
+        {"crash_rate": 1.0 + 1e-9},
+        {"stall_rate": float("nan")},
+    ],
+)
+def test_fault_config_rejects_rates_outside_the_unit_interval(rates):
+    with pytest.raises(ConfigError):
+        FaultConfig(**rates)
+
+
+def test_fault_config_accepts_the_interval_ends():
+    FaultConfig(read_error_rate=0.0, crash_rate=1.0, brownout_rate=1.0)
 
 
 # ======================================================================

@@ -4,21 +4,15 @@ import pytest
 
 from repro import JavaVM, OutOfMemoryError, VMConfig, gb
 from repro.clock import Bucket
-from repro.config import ConfigError, CostModel, G1Config
+from repro.config import CostModel
 from repro.gc.base import TENURING_THRESHOLD
-from repro.gc.g1 import G1Heap, RegionState
+from repro.gc.g1 import REGION_SIZE, G1Heap, RegionState
 from repro.heap.object_model import HeapObject, SpaceId
 from repro.units import KiB
 
 
-def make_vm(heap_gb=4, region_size=32 * KiB):
-    return JavaVM(
-        VMConfig(
-            heap_size=gb(heap_gb),
-            collector="g1",
-            g1=G1Config(region_size=region_size),
-        )
-    )
+def make_vm(heap_gb=4):
+    return JavaVM(VMConfig(heap_size=gb(heap_gb), collector="g1"))
 
 
 class TestG1Heap:
@@ -156,14 +150,13 @@ class TestG1Collector:
         assert unmoved >= len(roots) // 2
 
 
-def marking_vm(gc_threads=8, resident=60, **g1_kwargs):
+def marking_vm(gc_threads=8, resident=60):
     """A G1 VM with a rooted resident set and a consumed warmup cycle."""
     vm = JavaVM(
         VMConfig(
             heap_size=gb(4),
             collector="g1",
             gc_threads=gc_threads,
-            g1=G1Config(**g1_kwargs) if g1_kwargs else G1Config(),
         )
     )
     table = vm.roots.add(vm.allocate(16 * KiB))
@@ -247,30 +240,6 @@ class TestConcurrentMarking:
         ]
         assert recs and all(r["workers"] == 2 for r in recs)
 
-    def test_concurrent_divisor_is_configurable(self):
-        vm = marking_vm(gc_threads=8, concurrent_divisor=8)
-        cycle = run_major(vm)
-        recs = [
-            r for r in cycle.engine_phases
-            if r["phase"] == "g1-concurrent-mark"
-        ]
-        assert recs and all(r["workers"] == 1 for r in recs)
-
-    def test_remark_fraction_zero_still_rescans_roots(self):
-        vm = marking_vm(remark_fraction=0.0)
-        cycle = run_major(vm)
-        assert cycle.remark_pause > 0.0
-        recs = {r["phase"] for r in cycle.engine_phases}
-        assert "g1-remark" in recs
-
-    def test_g1_config_validates_concurrent_knobs(self):
-        with pytest.raises(ConfigError):
-            G1Config(concurrent_divisor=0)
-        with pytest.raises(ConfigError):
-            G1Config(remark_fraction=1.0)
-        with pytest.raises(ConfigError):
-            G1Config(remark_fraction=-0.1)
-
 
 class TestAccountingFixes:
     """The three attribution bugs: evacuation-failure bucket, full-GC
@@ -279,13 +248,7 @@ class TestAccountingFixes:
     def _exhausted_vm(self):
         """A tiny heap one scavenge away from evacuation failure: live
         eden objects (some tenured) and zero free regions."""
-        vm = JavaVM(
-            VMConfig(
-                heap_size=16 * 32 * KiB,
-                collector="g1",
-                g1=G1Config(region_size=32 * KiB),
-            )
-        )
+        vm = JavaVM(VMConfig(heap_size=16 * REGION_SIZE, collector="g1"))
         threshold = TENURING_THRESHOLD
         for i in range(4):
             obj = vm.roots.add(vm.allocate(4 * KiB, name=f"live-{i}"))

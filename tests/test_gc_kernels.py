@@ -66,10 +66,7 @@ def run_lr(collector: str) -> JavaVM:
     panthera = None
     policy = CachePolicy.SD
     if collector == "panthera":
-        panthera = PantheraConfig(
-            dram_old_size=gb(1),
-            pretenure_threshold=64 * KiB,
-        )
+        panthera = PantheraConfig(dram_old_size=gb(1))
     if collector in ("panthera", "memmode"):
         policy = CachePolicy.MO
     vm = JavaVM(
@@ -84,6 +81,7 @@ def run_lr(collector: str) -> JavaVM:
         )
     )
     if panthera:
+        vm.heap.pretenure_threshold = 64 * KiB
         nvm = NVM(vm.clock)
         vm.old_gen_device = nvm
         vm.collector.nvm = nvm

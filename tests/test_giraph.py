@@ -15,7 +15,7 @@ from repro.frameworks.giraph import (
     SSSPProgram,
     WCCProgram,
 )
-from repro.frameworks.giraph.job import EDGES_LABEL
+from repro.frameworks.giraph.job import EDGES_LABEL, NUM_PARTITIONS
 from repro.frameworks.giraph.workloads import (
     GIRAPH_PROGRAMS,
     make_giraph_graph,
@@ -119,7 +119,7 @@ class TestGiraphJob:
         conf = GiraphConf(mode=GiraphMode.OOC, device=NVMeSSD(vm.clock))
         job = GiraphJob(vm, conf, graph)
         job.load_graph()
-        assert len(job.partition_roots) == conf.num_partitions
+        assert len(job.partition_roots) == NUM_PARTITIONS
         assert all(v is not None for v in job.vertex_objs)
 
     def test_run_executes_supersteps(self, graph):

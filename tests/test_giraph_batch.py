@@ -4,8 +4,7 @@ Every superstep fills a fresh message store one per-target batch at a
 time and then reads each active vertex's value, edges and messages
 (Figure 5).  The job is sized so it crosses scavenges, full collections
 and H2 moves, and so the hub vertices' message batches outgrow
-``MAX_ARRAY_OBJECT`` and are split.  A second run uses the ``sum``
-combiner, which collapses every batch to one value.  The digest covers
+``MAX_ARRAY_OBJECT`` and are split.  The digest covers
 clock buckets and sub-buckets, GC counts, H2 and page-cache counters,
 device traffic, the write-barrier counters, and the name, size,
 address, space and references of every object ever allocated.  A second
@@ -47,20 +46,14 @@ from repro.gc.parallel_scavenge import PromotionFailure
 from repro.heap.object_model import HeapObject, SpaceId
 from repro.units import KiB
 
-#: digest of :func:`cdlp_summary` for the pinned CDLP job, per combiner
-GOLDEN_TH_CDLP_DIGESTS = {
-    None: "3ea681be8fdcfa8d",
-    "sum": "d34bcc5e81b5fd86",
-}
+#: digest of :func:`cdlp_summary` for the pinned CDLP job
+GOLDEN_TH_CDLP_DIGEST = "3ea681be8fdcfa8d"
 
-#: digest of :func:`cdlp_state` for the same job, per combiner
-GOLDEN_TH_CDLP_STATE_DIGESTS = {
-    None: "d8cae925aa16932a",
-    "sum": "c8f35135f5dd9741",
-}
+#: digest of :func:`cdlp_state` for the same job
+GOLDEN_TH_CDLP_STATE_DIGEST = "d8cae925aa16932a"
 
 
-def run_th_cdlp(combiner=None):
+def run_th_cdlp():
     """Run the pinned CDLP job on TeraHeap; return the VM and the job."""
     dram = gb(24)
     heap = int(dram * 60 / 85)
@@ -76,11 +69,7 @@ def run_th_cdlp(combiner=None):
         ),
         h2_device=NVMeSSD(Clock()),
     )
-    conf = GiraphConf(
-        mode=GiraphMode.TERAHEAP,
-        device=NVMeSSD(vm.clock),
-        combiner=combiner,
-    )
+    conf = GiraphConf(mode=GiraphMode.TERAHEAP, device=NVMeSSD(vm.clock))
     graph = make_giraph_graph(gb(24), seed=42)
     job = GiraphJob(vm, conf, graph)
     job.load_graph()
@@ -159,31 +148,30 @@ def cdlp_state(vm, job) -> str:
     return "\n".join(lines)
 
 
-@pytest.fixture(scope="module", params=[None, "sum"])
-def th_cdlp(request):
-    """One run of the pinned job per combiner, shared by both digests."""
-    return request.param, *run_th_cdlp(request.param)
+@pytest.fixture(scope="module")
+def th_cdlp():
+    """One run of the pinned job, shared by both digests."""
+    return run_th_cdlp()
 
 
 def test_th_cdlp_golden_digest(th_cdlp):
-    combiner, vm, job = th_cdlp
+    vm, job = th_cdlp
     stats = vm.collector.stats
     # The job crosses both collections and moves objects to H2.
     assert stats.minor_count > 0
     assert stats.major_count > 0
     assert vm.h2.bytes_moved > 0
-    if combiner is None:
-        # Hub batches outgrow MAX_ARRAY_OBJECT and are split.
-        assert any(
-            name.startswith("msg-") and name.endswith(".0")
-            for name in vm.store.name
-        )
+    # Hub batches outgrow MAX_ARRAY_OBJECT and are split.
+    assert any(
+        name.startswith("msg-") and name.endswith(".0")
+        for name in vm.store.name
+    )
     summary = cdlp_summary(vm, job)
-    assert _sha(summary) == GOLDEN_TH_CDLP_DIGESTS[combiner], summary
+    assert _sha(summary) == GOLDEN_TH_CDLP_DIGEST, summary
 
 
 def test_th_cdlp_state_golden_digest(th_cdlp):
-    combiner, vm, job = th_cdlp
+    vm, job = th_cdlp
     # Every kind of state the digest covers is populated.
     h2 = vm.h2
     assert h2.page_cache._pages and h2.page_cache.writebacks > 0
@@ -191,7 +179,7 @@ def test_th_cdlp_state_golden_digest(th_cdlp):
     assert list(h2.card_table.iter_states()) and h2.card_table.mutator_marks
     assert h2.mapping.page_faults > 0
     state = cdlp_state(vm, job)
-    assert _sha(state) == GOLDEN_TH_CDLP_STATE_DIGESTS[combiner], state
+    assert _sha(state) == GOLDEN_TH_CDLP_STATE_DIGEST, state
 
 
 # ---------------------------------------------------------------------
@@ -462,13 +450,11 @@ def make_panthera():
     config = VMConfig(
         heap_size=gb(4),
         collector="panthera",
-        panthera=PantheraConfig(
-            dram_old_size=gb(0.01),
-            pretenure_threshold=32 * KiB,
-        ),
+        panthera=PantheraConfig(dram_old_size=gb(0.01)),
         young_fraction=1.0 / 6.0,
     )
     vm = JavaVM(config)
+    vm.heap.pretenure_threshold = 32 * KiB
     nvm = NVM(vm.clock)
     vm.old_gen_device = nvm
     vm.collector.nvm = nvm

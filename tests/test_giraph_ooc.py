@@ -24,6 +24,7 @@ from repro.frameworks.giraph import (
     GiraphJob,
     GiraphMode,
 )
+from repro.frameworks.giraph.job import NUM_PARTITIONS
 from repro.frameworks.giraph.workloads import (
     GIRAPH_PROGRAMS,
     make_giraph_graph,
@@ -153,7 +154,7 @@ def test_ooc_cdlp_store_golden_digest(ooc_cdlp):
 
 
 def assert_resident_sets_exact(job):
-    parts = job.conf.num_partitions
+    parts = NUM_PARTITIONS
     for pid in range(parts):
         members = range(pid, job.graph.num_vertices, parts)
         assert job.resident_edges[pid] == {

@@ -25,8 +25,8 @@ from repro.errors import OutOfMemoryError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.frameworks.giraph import GiraphConf, GiraphJob, GiraphMode
-from repro.frameworks.giraph.job import MAX_ARRAY_OBJECT
-from repro.frameworks.giraph.ooc import OOCScheduler
+from repro.frameworks.giraph.job import MAX_ARRAY_OBJECT, NUM_PARTITIONS
+from repro.frameworks.giraph.ooc import OOC_THRESHOLD, OOCScheduler
 from repro.frameworks.giraph.workloads import GIRAPH_PROGRAMS
 from repro.units import KiB
 from repro.workloads.generators import make_graph
@@ -37,9 +37,7 @@ def build_job(
     cache_mb=0.3,
     graph_mb=1.0,
     vertices=400,
-    partitions=8,
-    threshold=0.72,
-    combiner=None,
+    threshold=OOC_THRESHOLD,
     seed=3,
     collector="ps",
     pretenure=None,
@@ -54,16 +52,12 @@ def build_job(
             page_cache_size=gb(cache_mb),
         )
     )
-    conf = GiraphConf(
-        mode=GiraphMode.OOC,
-        device=NVMeSSD(vm.clock),
-        num_partitions=partitions,
-        ooc_threshold=threshold,
-        combiner=combiner,
-    )
+    conf = GiraphConf(mode=GiraphMode.OOC, device=NVMeSSD(vm.clock))
     #: objects this large go straight to the old generation
     vm.heap.pretenure_threshold = pretenure
-    return vm, GiraphJob(vm, conf, graph)
+    job = GiraphJob(vm, conf, graph)
+    job.ooc.threshold = threshold
+    return vm, job
 
 
 def count_tiers(job) -> dict:
@@ -173,9 +167,7 @@ def has_split_edges(job) -> bool:
 # ---------------------------------------------------------------------
 JOB_ARGS = dict(
     program=st.sampled_from(["CDLP", "PR", "BFS"]),
-    combiner=st.sampled_from([None, "sum"]),
     threshold=st.sampled_from([0.4, 0.55, 0.65, 0.72, 0.8, 0.9]),
-    partitions=st.integers(1, 8),
     vertices=st.integers(150, 300),
     graph_mb=st.sampled_from([0.6, 1.0, 1.5]),
     heap_mb=st.sampled_from([0.5, 0.7, 1.0]),
@@ -191,7 +183,7 @@ JOB_ARGS = dict(
 )
 @given(**JOB_ARGS)
 @example(
-    program="CDLP", combiner=None, threshold=0.72, partitions=8,
+    program="CDLP", threshold=0.72,
     vertices=400, graph_mb=1.0, heap_mb=0.7, cache_mb=0.3, seed=3,
 )
 def test_stretches_match_the_per_vertex_path(program, **kwargs):
@@ -283,7 +275,7 @@ def test_a_collection_since_the_last_check_resets_the_estimate(loaded):
 
 def resident_active(job):
     """Every vertex, all resident and without messages: no reloads."""
-    parts = job.conf.num_partitions
+    parts = NUM_PARTITIONS
     for v in range(job.graph.num_vertices):
         assert job.vertex_objs[v] is not None
     job.incoming_msgs = {}
@@ -305,7 +297,7 @@ def test_the_128th_vertex_check_ends_a_stretch():
 
 
 def offload_everything(job):
-    for pid in range(job.conf.num_partitions):
+    for pid in range(NUM_PARTITIONS):
         job.offload_vertices(pid)
 
 
@@ -313,7 +305,7 @@ def test_an_allocation_eden_cannot_take_ends_the_stretch():
     vm, job = build_job(heap_mb=4.0, threshold=1.0)
     job.load_graph()
     offload_everything(job)
-    parts = job.conf.num_partitions
+    parts = NUM_PARTITIONS
     active = sorted(range(job.graph.num_vertices), key=lambda v: v % parts)
     # Fill eden up to room for the first vertex's reloads only.
     first = active[0]
@@ -330,7 +322,7 @@ def test_an_old_generation_allocation_ends_the_stretch():
     vm, job = build_job(heap_mb=4.0, threshold=1.0)
     job.load_graph()
     offload_everything(job)
-    parts = job.conf.num_partitions
+    parts = NUM_PARTITIONS
     active = sorted(range(job.graph.num_vertices), key=lambda v: v % parts)
     sizes = [max(job._edge_sizes[v], 64) for v in active]
     # Pretenure the first edge array over 1 KiB: its reload ends the
@@ -359,13 +351,11 @@ def make_panthera():
     config = VMConfig(
         heap_size=gb(1.5),
         collector="panthera",
-        panthera=PantheraConfig(
-            dram_old_size=gb(0.2),
-            pretenure_threshold=32 * KiB,
-        ),
+        panthera=PantheraConfig(dram_old_size=gb(0.2)),
         page_cache_size=gb(0.3),
     )
     vm = JavaVM(config)
+    vm.heap.pretenure_threshold = 32 * KiB
     nvm = NVM(vm.clock)
     vm.old_gen_device = nvm
     vm.collector.nvm = nvm
@@ -400,8 +390,9 @@ def test_fallback_configurations_compute_vertex_by_vertex(kind):
     plan = FaultPlan(FaultConfig())
     if kind == "injector":
         device = FaultInjector(device, plan)
-    conf = GiraphConf(mode=GiraphMode.OOC, device=device, ooc_threshold=0.5)
+    conf = GiraphConf(mode=GiraphMode.OOC, device=device)
     job = GiraphJob(vm, conf, graph)
+    job.ooc.threshold = 0.5
     if kind == "fault-plan":
         job.ooc.cache.fault_plan = plan
     assert not job._stretches_apply()

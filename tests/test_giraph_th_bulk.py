@@ -52,8 +52,6 @@ def build_job(
     vm=None,
     graph_mb=1.0,
     vertices=300,
-    partitions=4,
-    combiner=None,
     use_move_hint=True,
     seed=3,
     **vm_args,
@@ -62,12 +60,7 @@ def build_job(
         gb(graph_mb), num_vertices=vertices, avg_degree=8, seed=seed
     )
     vm = vm or th_vm(**vm_args)
-    conf = GiraphConf(
-        mode=GiraphMode.TERAHEAP,
-        num_partitions=partitions,
-        combiner=combiner,
-        use_move_hint=use_move_hint,
-    )
+    conf = GiraphConf(mode=GiraphMode.TERAHEAP, use_move_hint=use_move_hint)
     return vm, GiraphJob(vm, conf, graph)
 
 
@@ -167,8 +160,6 @@ def run_job(program, bulk=True, before_phase=None, **kwargs):
 # ---------------------------------------------------------------------
 JOB_ARGS = dict(
     program=st.sampled_from(["CDLP", "PR", "BFS"]),
-    combiner=st.sampled_from([None, "sum"]),
-    partitions=st.integers(1, 8),
     use_move_hint=st.booleans(),
     cache_pages=st.sampled_from([1, 4, 8, 64, 1024]),
     heap_mb=st.sampled_from([0.5, 1.0, 2.0]),
@@ -185,11 +176,11 @@ JOB_ARGS = dict(
 )
 @given(**JOB_ARGS)
 @example(
-    program="CDLP", combiner=None, partitions=4, use_move_hint=True,
+    program="CDLP", use_move_hint=True,
     cache_pages=64, heap_mb=0.5, vertices=300, graph_mb=1.0, seed=3,
 )
 @example(  # some vertex values are still in from-space: no card
-    program="CDLP", combiner=None, partitions=4, use_move_hint=True,
+    program="CDLP", use_move_hint=True,
     cache_pages=4, heap_mb=2.0, vertices=300, graph_mb=1.0, seed=3,
 )
 def test_bulk_pass_matches_the_per_vertex_path(program, **kwargs):
@@ -331,12 +322,10 @@ def make_panthera():
         VMConfig(
             heap_size=gb(4),
             collector="panthera",
-            panthera=PantheraConfig(
-                dram_old_size=gb(0.2),
-                pretenure_threshold=32 * KiB,
-            ),
+            panthera=PantheraConfig(dram_old_size=gb(0.2)),
         )
     )
+    vm.heap.pretenure_threshold = 32 * KiB
     nvm = NVM(vm.clock)
     vm.old_gen_device = nvm
     vm.collector.nvm = nvm
@@ -397,10 +386,9 @@ def test_ooc_jobs_take_no_bulk_pass(collector):
             heap_size=gb(2.5), collector=collector, page_cache_size=gb(0.3)
         )
     )
-    conf = GiraphConf(
-        mode=GiraphMode.OOC, device=NVMeSSD(vm.clock), ooc_threshold=0.5
-    )
+    conf = GiraphConf(mode=GiraphMode.OOC, device=NVMeSSD(vm.clock))
     job = GiraphJob(vm, conf, graph)
+    job.ooc.threshold = 0.5
     assert not job._bulk_applies()
     results, spy = spy_bulk()
     with spy, mock.patch.object(

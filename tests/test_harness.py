@@ -101,6 +101,14 @@ def test_fault_rate_without_faults_is_rejected(capsys):
     assert "--fault-rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["-5", "1.5"])
+def test_fault_rate_outside_the_unit_interval_is_rejected(rate, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["barrier", "--smoke", "--faults", "1", "--fault-rate", rate])
+    assert exc.value.code == 2
+    assert "--fault-rate must be in [0, 1]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["table5"], ["streamscale", "--smoke"]])
 def test_fault_seed_is_rejected_where_it_has_no_effect(argv, capsys):
     # Neither matrix has a cell taking a fault_seed, and without

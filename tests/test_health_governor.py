@@ -8,7 +8,7 @@ from repro.devices.health import DeviceHealthMonitor, DeviceState
 from repro.errors import DeviceIOError, OutOfMemoryError
 from repro.faults.events import ResilienceLog, RetryEvent
 from repro.faults.plan import FaultConfig
-from repro.faults.policy import BACKOFF_FACTOR, RetryPolicy
+from repro.faults.policy import BACKOFF_BASE, BACKOFF_FACTOR, RetryPolicy
 from repro.frameworks.spark.block_manager import BlockManager
 from repro.frameworks.spark.conf import CachePolicy, SparkConf
 from repro.frameworks.spark.rdd import MaterializedPartition
@@ -259,7 +259,7 @@ class TestRetryJitterDeadline:
         plain = FaultConfig(seed=7)
         _, t_plain, _ = self._run(plain)
         assert t_plain == pytest.approx(
-            plain.backoff_base * (1 + BACKOFF_FACTOR)
+            BACKOFF_BASE * (1 + BACKOFF_FACTOR)
         )
 
     def test_deadline_exhaustion_recorded_with_reason(self):

@@ -70,7 +70,6 @@ class TestThresholdPolicy:
     def make(self, **kw):
         defaults = dict(
             heap_capacity=1000,
-            high_threshold=0.85,
             low_threshold=0.50,
             use_move_hint=True,
         )
@@ -102,8 +101,6 @@ class TestThresholdPolicy:
         assert d.unhinted_budget >= 0
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            self.make(high_threshold=1.5)
         with pytest.raises(ValueError):
             self.make(low_threshold=0.9)
 

@@ -13,13 +13,11 @@ def make_panthera(heap_gb=4, dram_old_gb=0.5):
     config = VMConfig(
         heap_size=gb(heap_gb),
         collector="panthera",
-        panthera=PantheraConfig(
-            dram_old_size=gb(dram_old_gb),
-            pretenure_threshold=32 * KiB,
-        ),
+        panthera=PantheraConfig(dram_old_size=gb(dram_old_gb)),
         young_fraction=1.0 / 6.0,
     )
     vm = JavaVM(config)
+    vm.heap.pretenure_threshold = 32 * KiB
     nvm = NVM(vm.clock)
     vm.old_gen_device = nvm
     vm.collector.nvm = nvm

@@ -1,11 +1,12 @@
 """Every config field in ``src/repro`` is an option someone uses.
 
-A field of a config dataclass earns its place when some code in
-``src/``, ``bench/``, ``examples/`` or ``tests/`` sets it to a value
-other than its default, and some program code (``src/``, ``bench/``,
-``examples/``) reads it.  A field with one value in use is a module
-constant next to the code that reads it; a field nothing reads is
-deleted.
+A field of a config dataclass earns its place when some program code
+(``src/``, ``bench/``, ``examples/``) sets it to a value other than its
+default and some program code reads it.  A setting made only in
+``tests/`` does not count: a value that only tests set is not an
+option.  A field with one value in use is a module constant next to the
+code that reads it (a test that needs another value sets the runtime
+attribute the program already holds); a field nothing reads is deleted.
 
 These count as setting a field:
 
@@ -18,9 +19,10 @@ These count as setting a field:
   class in ``src`` has an attribute of that name too (names are matched
   bare, so the two could not be told apart).
 
-A value written exactly as the default (the same expression, or a
-literal equal to a literal default) does not count, and neither does an
-assignment through ``self`` (a config normalising itself in
+A value equal to the default does not count: the same expression, or a
+literal or integer arithmetic over the :mod:`repro.units` names whose
+value equals the default's (``32 * KiB`` is ``32 * MB``).  Neither does
+an assignment through ``self`` (a config normalising itself in
 ``__post_init__``).  A read is an attribute load of the field's name
 other than another class's ``self.name``, or a ``getattr`` with it.
 
@@ -34,9 +36,11 @@ from functools import cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro import units
+
 ROOT = Path(__file__).resolve().parents[1]
+#: the directories scanned for settings and reads
 PROGRAM = ("src", "bench", "examples")
-SCANNED = PROGRAM + ("tests",)
 
 #: dataclasses in ``src/repro`` that are configuration: every
 #: ``*Config``/``*Conf`` class plus these
@@ -48,33 +52,86 @@ _CALIBRATION = (
     "recalibration edits it"
 )
 
+#: names a value may use in integer arithmetic and still compare equal
+_UNITS = {
+    name: getattr(units, name)
+    for name in ("KiB", "MiB", "GiB", "MB", "GB", "TB")
+}
+
+#: node types of a literal or arithmetic expression (names aside)
+_ARITHMETIC = (
+    ast.BinOp,
+    ast.UnaryOp,
+    ast.Constant,
+    ast.operator,
+    ast.unaryop,
+    ast.Load,
+)
+
 #: ``Class.field`` -> why a field nothing sets to another value stays
 ALLOWED: Dict[str, str] = {
-    f"CostModel.{name}": _CALIBRATION
-    for name in (
-        "dram_read_bw",
-        "dram_latency",
-        "gc_visit_cost",
-        "gc_ref_cost",
-        "gc_copy_bw",
-        "card_check_cost",
-        "gc_pause_overhead",
-        "gc_forward_cost",
-        "gc_root_scan_cost",
-        "gc_task_dispatch_cost",
-        "gc_steal_cost",
-        "gc_termination_cost",
-        "serialize_obj_cost",
-        "serialize_bw",
-        "deserialize_obj_cost",
-        "deserialize_bw",
-        "sd_temp_object_ratio",
-        "alloc_cost",
-        "barrier_cost",
-        "teraheap_barrier_extra",
-        "fsync_cost",
-        "stream_block_dispatch_cost",
-    )
+    **{
+        f"CostModel.{name}": _CALIBRATION
+        for name in (
+            "dram_read_bw",
+            "dram_latency",
+            "gc_visit_cost",
+            "gc_ref_cost",
+            "gc_copy_bw",
+            "card_check_cost",
+            "gc_pause_overhead",
+            "gc_forward_cost",
+            "gc_root_scan_cost",
+            "gc_task_dispatch_cost",
+            "gc_steal_cost",
+            "gc_termination_cost",
+            "serialize_obj_cost",
+            "serialize_bw",
+            "deserialize_obj_cost",
+            "deserialize_bw",
+            "sd_temp_object_ratio",
+            "mutator_op_cost",
+            "alloc_cost",
+            "barrier_cost",
+            "teraheap_barrier_extra",
+            "fsync_cost",
+            "stream_block_dispatch_cost",
+        )
+    },
+    "VMConfig.cost": (
+        "tests swap in a whole CostModel (test_config.py) to check a VM "
+        "charges by the one its config carries"
+    ),
+    "FaultConfig.brownout_rate": (
+        "fault mode: test_device_golden.py pins the random brownout "
+        "windows it opens"
+    ),
+    "FaultConfig.brownout_duration_s": (
+        "fault mode: test_device_golden.py pins the length of a random "
+        "brownout window"
+    ),
+    "FaultConfig.stall_rate": (
+        "fault mode: test_device_golden.py pins the stall bursts it starts"
+    ),
+    "FaultConfig.brownout_denies_alloc": (
+        "fault mode: test_brownout.py runs a slowdown-only brownout that "
+        "keeps H2 allocations"
+    ),
+    "FaultConfig.crash_rate": (
+        "fault mode: test_teraheap_gc_columns.py and "
+        "test_executor_restart.py drive seeded crash sweeps"
+    ),
+    "FaultConfig.crash_cut": (
+        "fault mode: test_device_golden.py pins a torn write's cut"
+    ),
+    "FaultConfig.backoff_jitter": (
+        "fault mode: test_health_governor.py checks jittered retries stay "
+        "seeded"
+    ),
+    "FaultConfig.retry_deadline": (
+        "fault mode: test_health_governor.py checks the deadline exhausts "
+        "a retry loop"
+    ),
 }
 
 
@@ -105,15 +162,25 @@ def _default(value: Optional[ast.expr]) -> Optional[ast.expr]:
 
 
 def _literal(node: ast.expr):
+    """``node``'s value when it is a literal or arithmetic over literals
+    and :data:`_UNITS` names, else ``ValueError``."""
     try:
         return ast.literal_eval(node)
     except ValueError:
-        return ValueError
+        pass
+    if all(
+        isinstance(sub, _ARITHMETIC)
+        or (isinstance(sub, ast.Name) and sub.id in _UNITS)
+        for sub in ast.walk(node)
+    ):
+        code = compile(ast.Expression(node), "<value>", "eval")
+        return eval(code, {"__builtins__": {}}, dict(_UNITS))
+    return ValueError
 
 
 def _same(value: ast.expr, default: Optional[ast.expr]) -> bool:
-    """Whether ``value`` is written as ``default`` (a required field has
-    none, so every value sets it)."""
+    """Whether ``value`` equals ``default`` (a required field has none,
+    so every value sets it)."""
     if default is None:
         return False
     if ast.dump(value) == ast.dump(default):
@@ -163,11 +230,10 @@ class _Scan(ast.NodeVisitor):
         self.reads: Set[str] = set()
         #: attribute names non-config ``src`` classes give themselves
         self.own_attributes: Set[str] = set()
-        self._program = self._src = False
+        self._src = False
         self._classes: List[str] = []
 
     def scan(self, path: Path, top: str) -> None:
-        self._program = top in PROGRAM
         self._src = top == "src"
         self.visit(ast.parse(path.read_text(), str(path)))
 
@@ -209,8 +275,7 @@ class _Scan(ast.NodeVisitor):
         elif called in ("replace", "dict"):
             self._set_all(keywords)
         elif (
-            self._program
-            and called == "getattr"
+            called == "getattr"
             and len(node.args) >= 2
             and isinstance(node.args[1], ast.Constant)
         ):
@@ -251,7 +316,7 @@ class _Scan(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if self._program and isinstance(node.ctx, ast.Load):
+        if isinstance(node.ctx, ast.Load):
             through_self = (
                 isinstance(node.value, ast.Name) and node.value.id == "self"
             )
@@ -263,7 +328,7 @@ class _Scan(ast.NodeVisitor):
 @cache
 def _scan() -> _Scan:
     scan = _Scan(_configs())
-    for top in SCANNED:
+    for top in PROGRAM:
         for path in sorted((ROOT / top).rglob("*.py")):
             scan.scan(path, top)
     return scan
@@ -309,3 +374,17 @@ def test_every_config_class_is_found():
     out of the naming rule fails here."""
     assert set(CONFIG_EXTRAS) <= set(_scan().configs)
     assert "VMConfig" in _scan().configs
+
+
+def _expr(text: str) -> ast.expr:
+    return ast.parse(text, mode="eval").body
+
+
+def test_same_compares_values_not_spellings():
+    """A default written another way is still the default; a value that
+    differs is a setting."""
+    assert _same(_expr("32 * KiB"), _expr("32 * MB"))
+    assert _same(_expr("0.85"), _expr("0.85"))
+    assert not _same(_expr("16 * KiB"), _expr("32 * MB"))
+    assert not _same(_expr("3"), _expr("3.0"))
+    assert not _same(_expr("CostModel()"), None)

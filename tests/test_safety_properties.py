@@ -36,19 +36,20 @@ def assert_no_reachable_freed(vm):
 
 
 def make_th_vm(heap_gb=4):
-    return JavaVM(
+    vm = JavaVM(
         VMConfig(
             heap_size=gb(heap_gb),
             teraheap=TeraHeapConfig(
                 enabled=True,
                 h2_size=gb(64),
                 region_size=16 * KiB,
-                high_threshold=0.7,
                 low_threshold=0.4,
             ),
             page_cache_size=gb(2),
         )
     )
+    vm.collector.policy.high_threshold = 0.7
+    return vm
 
 
 @settings(max_examples=15, deadline=None)

@@ -8,6 +8,7 @@ from repro.devices.nvme import NVMeSSD
 from repro.frameworks.spark import CachePolicy, SparkConf, SparkContext
 from repro.frameworks.spark.workloads import SPARK_WORKLOADS
 from repro.frameworks.spark.workloads.mllib import LARGE_BATCH
+from repro.gc.g1 import REGION_SIZE as G1_REGION_SIZE
 from repro.units import KiB
 
 
@@ -53,8 +54,7 @@ def test_humongous_workloads_use_large_batches(name):
     a G1 region."""
     ctx = make_ctx()
     SPARK_WORKLOADS[name](ctx, gb(16), scale=0.2)
-    g1_region = ctx.vm.config.g1.region_size
-    assert LARGE_BATCH > g1_region // 2
+    assert LARGE_BATCH > G1_REGION_SIZE // 2
     batches = [
         o
         for o in ctx.vm.heap.old.objects

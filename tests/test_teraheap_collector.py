@@ -157,12 +157,12 @@ def test_high_threshold_moves_without_hint():
             enabled=True,
             h2_size=gb(64),
             region_size=16 * KiB,
-            high_threshold=0.30,
             low_threshold=0.15,
         ),
         page_cache_size=gb(1),
     )
     vm = JavaVM(config)
+    vm.collector.policy.high_threshold = 0.30
     root, children = make_group(vm, count=110, size=8 * KiB)
     vm.h2_tag_root(root, "grp")  # tagged but never h2_move()d
     vm.major_gc()
