@@ -30,11 +30,7 @@ def make_vm() -> JavaVM:
                 enabled=True, h2_size=gb(64), region_size=16 * KiB
             ),
             page_cache_size=64 * KiB,  # tiny: loads go to the device
-            faults=FaultConfig(
-                seed=42,
-                brownout_windows=(WINDOW,),
-                brownout_denies_alloc=True,
-            ),
+            faults=FaultConfig(seed=42, brownout_windows=(WINDOW,)),
             governor=GovernorConfig(probe_backoff=0.01),
         )
     )

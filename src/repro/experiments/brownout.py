@@ -100,7 +100,6 @@ def make_vm(
         seed=WORKLOAD_SEED,
         fault_seed=FAULT_SEED,
         brownout_windows=windows,
-        brownout_denies_alloc=True,
         failure_budget=FAILURE_BUDGET,
     )
     gov = None
@@ -314,9 +313,7 @@ def run_cell(
     )
     result.alloc_stall_s = vm.clock.total(Bucket.ALLOC_STALL)
     result.stall_s = (
-        summary.get("backoff_seconds", 0.0)
-        + summary.get("stall_seconds", 0.0)
-        + result.alloc_stall_s
+        summary.get("backoff_seconds", 0.0) + result.alloc_stall_s
     )
     result.alloc_stalls = vm.alloc_stalls
     result.emergency_gcs = vm.emergency_gcs

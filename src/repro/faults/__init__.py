@@ -23,7 +23,6 @@ from .events import (
     ResilienceLog,
     RestartEvent,
     RetryEvent,
-    StallEvent,
 )
 from .injector import FaultInjector
 from .plan import FaultConfig, FaultKind, FaultPlan, FaultRecord, IOOutcome
@@ -39,7 +38,6 @@ __all__ = [
     "FaultInjector",
     "FaultEvent",
     "RetryEvent",
-    "StallEvent",
     "DegradationEvent",
     "CrashEvent",
     "RecoveryEvent",

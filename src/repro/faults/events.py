@@ -22,7 +22,6 @@ from typing import Any, ClassVar, Dict, List, Tuple, Type, TypeVar
 KINDS = (
     "fault",
     "retry",
-    "stall",
     "health",
     "circuit",
     "degradation",
@@ -62,8 +61,7 @@ class RetryEvent:
     """One completed retry loop around an H2 operation.
 
     ``reason`` names why an unsuccessful loop gave up: ``"attempts"``
-    (max_attempts reached) or ``"deadline"`` (the total-elapsed-backoff
-    cap would have been exceeded).  Successful loops leave it empty.
+    (max_attempts reached).  Successful loops leave it empty.
     """
 
     event: ClassVar[str] = "retry"
@@ -91,26 +89,6 @@ class RetryEvent:
             "attempts": self.attempts,
             "delay_s": self.delay,
             "success": self.success,
-        }
-
-
-@dataclass
-class StallEvent:
-    """One op parked by a stall burst at the device boundary."""
-
-    event: ClassVar[str] = "stall"
-
-    time: float
-    device: str
-    op: str
-    seconds: float
-
-    def cells(self) -> Tuple[Any, Any, Any]:
-        return self.device, self.op, f"seconds={self.seconds:.6f}"
-
-    def instant(self) -> Tuple[str, Dict[str, Any]]:
-        return "stall", {
-            "device": self.device, "op": self.op, "seconds": self.seconds
         }
 
 
@@ -301,18 +279,6 @@ class ResilienceLog:
         return sum(r.quarantined for r in self.of(RecoveryEvent))
 
     @property
-    def stall_seconds(self) -> float:
-        return sum(s.seconds for s in self.of(StallEvent))
-
-    @property
-    def deadline_exhaustions(self) -> int:
-        """Retry loops that gave up because the backoff deadline hit."""
-        return sum(
-            1 for r in self.of(RetryEvent)
-            if not r.success and r.reason == "deadline"
-        )
-
-    @property
     def health_transitions(self) -> int:
         return sum(1 for e in self.events if e.event == "health")
 
@@ -326,10 +292,8 @@ class ResilienceLog:
             "faults_seen": float(self.faults_seen),
             "ops_retried": float(self.ops_retried),
             "retry_exhaustions": float(self.retry_exhaustions),
-            "deadline_exhaustions": float(self.deadline_exhaustions),
             "degradations": float(self.degraded_count),
             "backoff_seconds": sum(r.delay for r in self.of(RetryEvent)),
-            "stall_seconds": self.stall_seconds,
             "crashes": float(self.crash_count),
             "recoveries": float(self.recovery_count),
             "restarts": float(self.restart_count),

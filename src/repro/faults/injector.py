@@ -11,9 +11,8 @@ page-cache writeback all inherit it.
 Cost accounting on faults mirrors real hardware: a failed request still
 costs the device's access latency (the request travelled to the device
 and came back with an error), a latency spike charges the access at
-``multiplier`` times its normal cost, a brownout window surcharges every
-op by the inverse of the remaining service fraction, and a stall burst
-parks each op for a fixed delay.
+``multiplier`` times its normal cost, and a brownout window surcharges
+every op by the inverse of the remaining service fraction.
 
 The injector is also the feed point of the
 :class:`~repro.devices.health.DeviceHealthMonitor`: every completed op
@@ -28,11 +27,8 @@ from typing import List, Optional, Sequence
 
 from ..devices.base import AccessPattern, Device
 from ..errors import DeviceIOError
-from .events import FaultEvent, ResilienceLog, StallEvent
+from .events import FaultEvent, ResilienceLog
 from .plan import FaultKind, FaultPlan, IOOutcome
-
-#: fixed extra service delay charged to each stalled op, seconds
-STALL_SECONDS = 2e-3
 
 
 class FaultInjector:
@@ -84,30 +80,23 @@ class FaultInjector:
         """Charge the extra time of a completed op and return it.
 
         A latency spike or a brownout window costs the op again
-        ``multiplier - 1`` times; a stall burst parks it for a fixed
-        delay.  Spikes and stalls are logged per op.  Brownouts are not:
-        the plan records each window once when it opens, and the per-op
-        signal belongs to the health monitor, not the fault log.
+        ``multiplier - 1`` times.  Spikes are logged per op.  Brownouts
+        are not: the plan records each window once when it opens, and the
+        per-op signal belongs to the health monitor, not the fault log.
         """
-        kind = outcome.kind
-        if kind is FaultKind.STALL:
-            extra = STALL_SECONDS
-        else:
-            extra = cost * (outcome.multiplier - 1.0)
+        extra = cost * (outcome.multiplier - 1.0)
         clock = self.inner.clock
         clock.charge(extra)
-        if kind is FaultKind.LATENCY_SPIKE:
+        if outcome.kind is FaultKind.LATENCY_SPIKE:
             self.log.record(
                 FaultEvent(
                     clock.now,
                     self.inner.name,
                     op,
-                    kind.value,
+                    outcome.kind.value,
                     detail=f"x{outcome.multiplier:g}",
                 )
             )
-        elif kind is FaultKind.STALL:
-            self.log.record(StallEvent(clock.now, self.inner.name, op, extra))
         return extra
 
     def _request(

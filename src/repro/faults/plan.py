@@ -12,14 +12,13 @@ The plan models the failure modes real NVMe/NVM deployments hit
 
 - transient read/write I/O errors (correctable media errors, timeouts);
 - latency spikes (device-internal GC, thermal throttling);
-- sustained brownout windows (a co-located tenant saturating the shared
+- scheduled brownout windows (a co-located tenant saturating the shared
   device: service rate cut to a fraction for a stretch of simulated
   time, with region allocations denied while the window lasts);
-- stall bursts (a run of consecutive operations each parked for a fixed
-  service delay — queueing behind a device-internal flush);
 - device-full conditions on H2 region allocation;
 - SIGBUS on page faults through the H2 file mapping (an I/O error
-  surfacing through the kernel's fault handler rather than a syscall).
+  surfacing through the kernel's fault handler rather than a syscall);
+- process crashes at named safepoints (see :meth:`FaultPlan.crash_batch_cut`).
 """
 
 from __future__ import annotations
@@ -32,12 +31,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError
 
-#: service-rate fraction the device retains during a randomly opened
-#: brownout window (every op inside it costs ``1 / fraction`` times its
-#: normal cost)
-BROWNOUT_BANDWIDTH_FRACTION = 0.5
-#: consecutive ops parked once a stall burst starts
-STALL_BURST_OPS = 4
 #: multiplier applied to an access's cost when a latency spike fires
 LATENCY_SPIKE_MULTIPLIER = 8.0
 
@@ -49,7 +42,6 @@ class FaultKind(enum.Enum):
     WRITE_ERROR = "write_error"
     LATENCY_SPIKE = "latency_spike"
     BROWNOUT = "brownout"
-    STALL = "stall"
     DEVICE_FULL = "device_full"
     SIGBUS = "sigbus"
     CRASH = "crash"
@@ -79,29 +71,15 @@ class FaultConfig:
     #: simulated-SIGBUS probability per faulting mapped access
     sigbus_rate: float = 0.0
     # --- brownout windows ----------------------------------------------
-    #: per-op probability that a brownout window opens at this operation
-    brownout_rate: float = 0.0
-    #: length of a randomly opened brownout window, simulated seconds
-    brownout_duration_s: float = 0.05
-    #: explicitly scheduled windows: ``(start_s, duration_s, fraction)``
-    #: in simulated time — the chaos-soak experiment's main knob
+    #: scheduled windows: ``(start_s, duration_s, fraction)`` in simulated
+    #: time — the chaos-soak experiment's main knob.  Every op inside a
+    #: window costs ``1 / fraction`` times its normal cost, and H2 region
+    #: allocations are denied while it lasts (the device is effectively
+    #: unreachable for bulk placement)
     brownout_windows: Tuple[Tuple[float, float, float], ...] = ()
-    #: deny H2 region allocations while a brownout window is active (the
-    #: device is effectively unreachable for bulk placement)
-    brownout_denies_alloc: bool = True
-    # --- stall bursts ---------------------------------------------------
-    #: per-op probability that a stall burst starts at this operation
-    stall_rate: float = 0.0
     # --- retry policy -------------------------------------------------
     #: total attempts (first try + retries) before an op counts as failed
     max_attempts: int = 4
-    #: seeded jitter fraction applied to each backoff delay (0 disables);
-    #: drawn from a dedicated stream so retries never perturb the fault
-    #: schedule, yet lock-step retry convoys are broken up
-    backoff_jitter: float = 0.0
-    #: cap on the *total* backoff seconds one op may spend before its
-    #: retries are declared exhausted-by-deadline (``None`` = unbounded)
-    retry_deadline: Optional[float] = None
     # --- degradation --------------------------------------------------
     #: failed operations (retry exhaustions + device-full denials)
     #: tolerated before H2 transfers are disabled
@@ -115,9 +93,6 @@ class FaultConfig:
     crash_after: int = 1
     #: additionally, per-safepoint-visit crash probability (seed sweeps)
     crash_rate: float = 0.0
-    #: pin the torn-write cut of a crashed batch (pages that land before
-    #: the kill); ``None`` draws it from the crash RNG
-    crash_cut: Optional[int] = None
     #: task-boundary crash target: kill at the ``crash_task``-th task of
     #: the named stage (the framework visits safepoint ``task:<stage>``
     #: once per task it starts); ``None`` disables stage targeting
@@ -170,15 +145,10 @@ class FaultPlan:
         #: visits per crash safepoint (deterministic given the workload)
         self.safepoint_hits: Dict[str, int] = {}
         self.crashed = False
-        # Brownout/stall state.  Windows are expressed in *simulated
-        # time* (not op index) so a governor that halts device traffic
-        # cannot freeze a window open forever.
-        self._brownout_until = float("-inf")
-        self._brownout_fraction = 1.0
+        # Brownout windows are expressed in *simulated time* (not op
+        # index) so a governor that halts device traffic cannot freeze a
+        # window open forever.
         self._seen_windows: set = set()
-        self._active_fraction = 1.0
-        self._stall_ops_left = 0
-        self.stalled_ops = 0
 
     # ------------------------------------------------------------------
     @property
@@ -206,7 +176,7 @@ class FaultPlan:
         )
 
     # ------------------------------------------------------------------
-    # Brownout windows / stall bursts (time-based degraded service)
+    # Brownout windows (time-based degraded service)
     # ------------------------------------------------------------------
     def _note_scheduled_windows(self, device: str, now: float) -> None:
         """Record each configured window once, when first observed open."""
@@ -219,22 +189,15 @@ class FaultPlan:
                     detail=f"window@{start:g}s+{dur:g}s x{frac:g}",
                 )
 
-    def brownout_active(self, now: float) -> bool:
-        """Is any brownout window (random or scheduled) open at ``now``?
-
-        Side effect: latches the active bandwidth fraction (the worst of
-        all open windows) for the caller's surcharge computation.
-        """
-        fraction: Optional[float] = None
-        if now < self._brownout_until:
-            fraction = self._brownout_fraction
-        for start, dur, frac in self.config.brownout_windows:
-            if start <= now < start + dur:
-                fraction = frac if fraction is None else min(fraction, frac)
-        self._active_fraction = 1.0 if fraction is None else max(
-            fraction, 1e-6
-        )
-        return fraction is not None
+    def _window_fraction(self, now: float) -> Optional[float]:
+        """The service fraction of the worst window open at ``now``, or
+        ``None`` when no window is open."""
+        open_fractions = [
+            frac
+            for start, dur, frac in self.config.brownout_windows
+            if start <= now < start + dur
+        ]
+        return max(min(open_fractions), 1e-6) if open_fractions else None
 
     def io_outcome(
         self, write: bool, device: str, now: float = 0.0
@@ -257,37 +220,11 @@ class FaultPlan:
                 FaultKind.LATENCY_SPIKE, device, detail=f"x{mult:g}"
             )
             return IOOutcome(FaultKind.LATENCY_SPIKE, multiplier=mult)
-        edge = error_rate + cfg.latency_spike_rate
-        if draw < edge + cfg.brownout_rate:
-            # Open (or extend) a random brownout window from this op.
-            self._brownout_until = now + cfg.brownout_duration_s
-            self._brownout_fraction = BROWNOUT_BANDWIDTH_FRACTION
-            self._record(
-                FaultKind.BROWNOUT,
-                device,
-                detail=(
-                    f"opened+{cfg.brownout_duration_s:g}s "
-                    f"x{BROWNOUT_BANDWIDTH_FRACTION:g}"
-                ),
-            )
-        elif (
-            draw < edge + cfg.brownout_rate + cfg.stall_rate
-            and self._stall_ops_left == 0
-        ):
-            self._stall_ops_left = STALL_BURST_OPS
-            self._record(
-                FaultKind.STALL, device, detail=f"burst={STALL_BURST_OPS}"
-            )
-        # Ongoing degraded-service conditions surcharge the op even when
-        # this op's draw fired nothing itself.
-        if self._stall_ops_left > 0:
-            self._stall_ops_left -= 1
-            self.stalled_ops += 1
-            return IOOutcome(FaultKind.STALL)
-        if self.brownout_active(now):
-            return IOOutcome(
-                FaultKind.BROWNOUT, multiplier=1.0 / self._active_fraction
-            )
+        # An open window surcharges the op even though its draw fired
+        # nothing itself.
+        fraction = self._window_fraction(now)
+        if fraction is not None:
+            return IOOutcome(FaultKind.BROWNOUT, multiplier=1.0 / fraction)
         return None
 
     def allocation_fault(
@@ -304,7 +241,7 @@ class FaultPlan:
                 FaultKind.DEVICE_FULL, device, detail=f"{requested}B"
             )
             return True
-        if self.config.brownout_denies_alloc and self.brownout_active(now):
+        if self._window_fraction(now) is not None:
             self._record(
                 FaultKind.DEVICE_FULL,
                 device,
@@ -366,10 +303,7 @@ class FaultPlan:
             fire = self._crash_rng.random() < cfg.crash_rate
         if not fire:
             return None
-        if cfg.crash_cut is not None:
-            cut = max(0, min(cfg.crash_cut, npages))
-        else:
-            cut = self._crash_rng.randint(0, npages)
+        cut = self._crash_rng.randint(0, npages)
         self.crashed = True
         self._record(
             FaultKind.CRASH,

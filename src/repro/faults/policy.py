@@ -3,12 +3,10 @@
 :class:`RetryPolicy` wraps an operation in a bounded exponential-backoff
 retry loop; backoff stalls are charged to the simulated clock (in the
 caller's current bucket, so a retry during major GC shows up as major-GC
-time, exactly where a real safepoint stall would land).  Delays carry
-seeded jitter (so a hostile fault plan cannot lock retry convoys into
-step) and the loop additionally respects a total-elapsed-backoff
-deadline: a plan that keeps an op failing cannot make it spin
-arbitrarily long — the deadline declares the op exhausted and the
-failure budget takes over.
+time, exactly where a real safepoint stall would land).  The loop stops
+after ``max_attempts`` tries, so a plan that keeps an op failing cannot
+make it spin: the op counts as exhausted and the failure budget takes
+over.
 
 :class:`ResiliencePolicy` owns the whole resilience state of one VM: the
 fault plan, the injector-shared event log, the retry policy, and the
@@ -20,8 +18,7 @@ serialization path, the paper's baseline.
 
 from __future__ import annotations
 
-from random import Random
-from typing import Callable, List, TypeVar
+from typing import Callable, TypeVar
 
 from ..clock import Clock
 from ..errors import DeviceIOError, SegmentationFault
@@ -47,30 +44,18 @@ def is_transient(exc: BaseException) -> bool:
 
 
 class RetryPolicy:
-    """Bounded, jittered exponential backoff with clock-charged delays."""
+    """Bounded exponential backoff with clock-charged delays."""
 
     def __init__(self, config: FaultConfig, clock: Clock, log: ResilienceLog):
         self.config = config
         self.clock = clock
         self.log = log
-        # Jitter draws from its own stream (never the fault plan's), so
-        # enabling jitter cannot perturb the fault schedule — the same
-        # seed still produces the byte-identical schedule digest.
-        seed = config.seed if config.fault_seed is None else config.fault_seed
-        self._jitter_rng = Random(seed ^ 0x0BAC_C0FF)
-
-    def _jittered(self, delay: float) -> float:
-        jitter = self.config.backoff_jitter
-        if jitter <= 0.0:
-            return delay
-        return delay * (1.0 + jitter * (2.0 * self._jitter_rng.random() - 1.0))
 
     def call(self, op: str, fn: Callable[[], T]) -> T:
         """Run ``fn``, retrying transient faults up to ``max_attempts``.
 
-        Raises the last fault once attempts (or the total-backoff
-        deadline) are exhausted; the caller (:class:`ResiliencePolicy`)
-        decides what exhaustion means.
+        Raises the last fault once attempts are exhausted; the caller
+        (:class:`ResiliencePolicy`) decides what exhaustion means.
         """
         cfg = self.config
         failures = 0
@@ -95,29 +80,10 @@ class RetryPolicy:
                         )
                     )
                     raise
-                step = self._jittered(delay)
-                if (
-                    cfg.retry_deadline is not None
-                    and spent + step > cfg.retry_deadline
-                ):
-                    # Spending the next delay would blow the total-elapsed
-                    # cap: give up now instead of spinning — the op counts
-                    # as exhausted-by-deadline against the failure budget.
-                    self.log.record(
-                        RetryEvent(
-                            self.clock.now,
-                            op,
-                            failures,
-                            spent,
-                            success=False,
-                            reason="deadline",
-                        )
-                    )
-                    raise
                 # Back off before the next attempt; the stall is simulated
                 # time in the caller's current bucket.
-                self.clock.charge(step)
-                spent += step
+                self.clock.charge(delay)
+                spent += delay
                 delay *= BACKOFF_FACTOR
                 continue
             if failures:
@@ -142,24 +108,14 @@ class ResiliencePolicy:
         self.failures = 0
         self.degraded = False
         #: optional :class:`~repro.devices.health.DeviceHealthMonitor`
-        #: that every wrapped device feeds
+        #: that every device wrapped afterwards feeds
         self.monitor = None
-        self._injectors: List[FaultInjector] = []
 
     # ------------------------------------------------------------------
     def wrap_device(self, device) -> FaultInjector:
-        """Front ``device`` with this policy's fault plan and event log."""
-        injector = FaultInjector(
-            device, self.plan, self.log, monitor=self.monitor
-        )
-        self._injectors.append(injector)
-        return injector
-
-    def attach_monitor(self, monitor) -> None:
-        """Feed a health monitor from every (current and future) injector."""
-        self.monitor = monitor
-        for injector in self._injectors:
-            injector.monitor = monitor
+        """Front ``device`` with this policy's fault plan, event log and
+        health monitor."""
+        return FaultInjector(device, self.plan, self.log, monitor=self.monitor)
 
     # ------------------------------------------------------------------
     def run(self, op: str, fn: Callable[[], T]) -> T:

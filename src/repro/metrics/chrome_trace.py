@@ -70,7 +70,7 @@ def _instant(
 def resilience_trace_events(log: Any) -> List[Dict[str, Any]]:
     """A :class:`~repro.faults.events.ResilienceLog` as instant events.
 
-    Every logged event (faults, retries, stalls, health/circuit
+    Every logged event (faults, retries, health/circuit
     transitions, degradations, crashes, recoveries, executor restarts
     and block adoptions) renders as a global instant marker ("ph": "i",
     scope "g"), so fault activity lines up against the GC task lanes on

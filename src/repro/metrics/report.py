@@ -96,10 +96,6 @@ def collect_result(
             "h2_transfers_denied",
             getattr(vm.collector, "h2_transfers_denied", 0),
         )
-        result.extras.setdefault("stall_seconds", res.log.stall_seconds)
-        result.extras.setdefault(
-            "deadline_exhaustions", res.log.deadline_exhaustions
-        )
     governor = getattr(vm, "governor", None)
     if governor is not None:
         result.extras.setdefault("governor_trips", governor.trips)

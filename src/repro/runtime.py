@@ -18,7 +18,6 @@ from .devices.base import AccessPattern, Device
 from .devices.health import DeviceHealthMonitor
 from .devices.nvme import NVMeSSD
 from .errors import ConfigError, OutOfMemoryError, SegmentationFault
-from .faults.plan import FaultConfig
 from .faults.policy import ResiliencePolicy
 from .faults.session import RunSession
 from .heap.audit import HeapAuditor, make_auditor
@@ -125,14 +124,6 @@ class JavaVM:
                 if gov_cfg is not None:
                     from .teraheap.governor import H2Governor
 
-                    if self.resilience is None:
-                        # The monitor is fed by the fault injectors; with
-                        # no fault plan configured, wrap devices with a
-                        # benign (inject-nothing) plan so timings still
-                        # flow to the watchdog.
-                        self.resilience = ResiliencePolicy(
-                            FaultConfig(), self.clock
-                        )
                     if health is not None:
                         # Shared monitor (co-located tenants watching one
                         # physical device): one EWMA set, one HEALTHY/
@@ -142,9 +133,15 @@ class JavaVM:
                         self._owns_health = False
                     else:
                         self.health = DeviceHealthMonitor(self.clock)
-                    log = self.resilience.log
-                    self.health.add_listener(log.record, owner=self)
-                    self.resilience.attach_monitor(self.health)
+                    # The fault injectors feed the monitor and its
+                    # transitions go into the fault log.  A VM with no
+                    # fault plan has neither: its clean ops could only
+                    # hold the monitor at HEALTHY.
+                    log = None
+                    if self.resilience is not None:
+                        log = self.resilience.log
+                        self.health.add_listener(log.record, owner=self)
+                        self.resilience.monitor = self.health
                     self.governor = H2Governor(
                         gov_cfg, self.health, self.clock, log=log,
                         owner=self,

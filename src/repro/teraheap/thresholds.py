@@ -43,10 +43,6 @@ class ThresholdPolicy:
         use_move_hint: bool = True,
         governor=None,
     ):
-        if low_threshold is not None and not (
-            0.0 < low_threshold < HIGH_THRESHOLD
-        ):
-            raise ValueError("low threshold must fall below the high one")
         self.heap_capacity = heap_capacity
         #: starts at :data:`~repro.config.HIGH_THRESHOLD`; the adaptive
         #: policy and the multi-tenant arbiter move it at run time

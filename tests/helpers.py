@@ -18,7 +18,6 @@ from repro.faults.events import (
     RecoveryEvent,
     RestartEvent,
     RetryEvent,
-    StallEvent,
 )
 from repro.gc.g1 import G1Heap
 from repro.heap.object_model import HeapObject
@@ -476,16 +475,6 @@ def reference_resilience_events_csv(log) -> str:
                 f"attempts={event.attempts} backoff={event.delay:.6f}",
             ]
         )
-    for event in log.stalls:
-        writer.writerow(
-            [
-                f"{event.time:.6f}",
-                "stall",
-                event.device,
-                event.op,
-                f"seconds={event.seconds:.6f}",
-            ]
-        )
     for event in log.health:
         writer.writerow(
             [
@@ -610,7 +599,7 @@ def _reference_instant(
 def reference_resilience_trace_events(log: Any) -> List[Dict[str, Any]]:
     """A :class:`ReferenceResilienceLog` as instant events.
 
-    Faults, retries, stalls, health/circuit transitions, degradations,
+    Faults, retries, health/circuit transitions, degradations,
     crashes, recoveries, executor restarts and block adoptions render
     as global instant markers ("ph": "i",
     scope "g"), so fault activity lines up against the GC task lanes on
@@ -638,14 +627,6 @@ def reference_resilience_trace_events(log: Any) -> List[Dict[str, Any]]:
                     "delay_s": ev.delay,
                     "success": ev.success,
                 },
-            )
-        )
-    for ev in log.stalls:
-        events.append(
-            _reference_instant(
-                ev.time,
-                "stall",
-                {"device": ev.device, "op": ev.op, "seconds": ev.seconds},
             )
         )
     for ev in log.health:
@@ -917,7 +898,6 @@ class ReferenceResilienceLog:
         self.recoveries: List[RecoveryEvent] = []
         self.restarts: List[RestartEvent] = []
         self.adoptions: List[AdoptionEvent] = []
-        self.stalls: List[StallEvent] = []
         self.health: List[ReferenceHealthEvent] = []
         self.circuit: List[ReferenceCircuitEvent] = []
 
@@ -939,11 +919,6 @@ class ReferenceResilienceLog:
         self.retries.append(
             RetryEvent(time, op, attempts, delay, success, reason)
         )
-
-    def record_stall(
-        self, time: float, device: str, op: str, seconds: float
-    ) -> None:
-        self.stalls.append(StallEvent(time, device, op, seconds))
 
     def record_health(
         self, time: float, device: str, old: str, new: str, reason: str = ""
@@ -998,7 +973,6 @@ class ReferenceResilienceLog:
             "recoveries",
             "restarts",
             "adoptions",
-            "stalls",
             "health",
             "circuit",
         ):
@@ -1046,18 +1020,6 @@ class ReferenceResilienceLog:
         return sum(r.quarantined for r in self.recoveries)
 
     @property
-    def stall_seconds(self) -> float:
-        return sum(s.seconds for s in self.stalls)
-
-    @property
-    def deadline_exhaustions(self) -> int:
-        """Retry loops that gave up because the backoff deadline hit."""
-        return sum(
-            1 for r in self.retries
-            if not r.success and r.reason == "deadline"
-        )
-
-    @property
     def health_transitions(self) -> int:
         return len(self.health)
 
@@ -1071,10 +1033,8 @@ class ReferenceResilienceLog:
             "faults_seen": float(self.faults_seen),
             "ops_retried": float(self.ops_retried),
             "retry_exhaustions": float(self.retry_exhaustions),
-            "deadline_exhaustions": float(self.deadline_exhaustions),
             "degradations": float(self.degraded_count),
             "backoff_seconds": sum(r.delay for r in self.retries),
-            "stall_seconds": self.stall_seconds,
             "crashes": float(self.crash_count),
             "recoveries": float(self.recovery_count),
             "restarts": float(self.restart_count),
@@ -1094,7 +1054,6 @@ class ReferenceResilienceLog:
 REFERENCE_KINDS = {
     "fault": "faults",
     "retry": "retries",
-    "stall": "stalls",
     "health": "health",
     "circuit": "circuit",
     "degradation": "degradations",
@@ -1110,7 +1069,6 @@ REFERENCE_KINDS = {
 EVENT_CLASSES = {
     "fault": FaultEvent,
     "retry": RetryEvent,
-    "stall": StallEvent,
     "health": HealthTransition,
     "circuit": CircuitTransition,
     "degradation": DegradationEvent,

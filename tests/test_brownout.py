@@ -6,7 +6,7 @@ from repro.__main__ import main
 from repro.errors import SimulatedCrash
 from repro.experiments import brownout, chaoskill, harness
 from repro.devices.durability import image_of
-from repro.faults.plan import FaultConfig
+from repro.faults.plan import FaultConfig, FaultKind
 
 
 class TestBrownoutExperiment:
@@ -61,16 +61,22 @@ class TestBrownoutExperiment:
 
 
 def crash_with_brownout(point, crash_after, window, policy="commit"):
-    """One chaoskill cell with a brownout window layered over the crash."""
+    """One chaoskill cell with a brownout window layered over the crash.
+
+    Returns the crashed image's and the recovery's digests ("no-crash"
+    for both when the kill never fired) and the windows the plan saw
+    open.  An open window denies H2 allocations, so a run may place less
+    in H2 and never reach its crash point.
+    """
     fault = FaultConfig(
         seed=chaoskill.WORKLOAD_SEED,
         fault_seed=chaoskill.FAULT_SEED,
         crash_point=point,
         crash_after=crash_after,
         brownout_windows=window,
-        brownout_denies_alloc=False,  # slowdown only: crashes stay reachable
     )
     vm = chaoskill.make_vm(policy, fault)
+    injected = vm.resilience.plan.injected
     workload = chaoskill.Workload(vm, chaoskill.WORKLOAD_SEED)
     try:
         for i in range(4):
@@ -82,8 +88,8 @@ def crash_with_brownout(point, crash_after, window, policy="commit"):
         report = fresh.recover_h2(image)
         # Post-recovery invariants must hold with the brownout layered in.
         fresh.auditor.audit("recovery", fresh.collector.mark_epoch)
-        return digest, report.digest()
-    return "no-crash", "no-crash"
+        return digest, report.digest(), injected[FaultKind.BROWNOUT]
+    return "no-crash", "no-crash", injected[FaultKind.BROWNOUT]
 
 
 class TestBrownoutOverCrashPoints:
@@ -99,3 +105,15 @@ class TestBrownoutOverCrashPoints:
         second = crash_with_brownout(point, 2, window)
         # Recovery is clean (no exception above) and byte-deterministic.
         assert first == second
+
+    def test_a_crash_fires_inside_a_denying_window_run(self):
+        # The window opens early and denies H2 allocations, yet at least
+        # one crash point is still reached, so the recovery path above
+        # does run under a layered brownout.
+        window = ((0.2, 0.3, 0.5),)
+        outcomes = [
+            crash_with_brownout(point, 2, window)
+            for point, _ in chaoskill.CRASH_POINTS
+        ]
+        assert all(seen == 1 for _, _, seen in outcomes)
+        assert any(image != "no-crash" for image, _, _ in outcomes)

@@ -13,7 +13,7 @@ monitor, the LRU state and the durable image; one sha256 pins it.
 """
 
 import hashlib
-from typing import List
+from typing import List, Optional
 
 from repro.clock import Bucket, Clock
 from repro.devices.base import AccessPattern
@@ -34,7 +34,7 @@ REQUESTS = (1, 3)
 MANY_SIZES = [0, 1, 4096, 5000, 70000, 123]
 MANY_REQUESTS = [1, 3, 1, 2, 5, 1]
 
-GOLDEN = "599cd84c53659c78865e9411f15c0c2f8424d8d066c5695f6970ac65eb9eea66"
+GOLDEN = "eef91ce72e38f74ad4a9fc7fedccb1626deebdc1f4d7de6d1427ea6b37c68290"
 
 
 def _clock_lines(clock: Clock) -> List[str]:
@@ -159,15 +159,9 @@ def _faults() -> List[str]:
             latency_spike_rate=0.2,
         )
     )
-    lines.append("== faults stall/brownout")
+    lines.append("== faults brownout window")
     lines += _injected(
-        FaultConfig(
-            fault_seed=11,
-            stall_rate=0.1,
-            brownout_rate=0.05,
-            brownout_duration_s=0.002,
-            brownout_windows=((0.001, 0.003, 0.25),),
-        )
+        FaultConfig(fault_seed=11, brownout_windows=((0.001, 0.003, 0.25),))
     )
     return lines
 
@@ -189,21 +183,24 @@ def _cache_script(cache: PageCache) -> None:
     cache.flush()
 
 
-def _page_cache(crash_point, crash_after: int, crash_cut) -> List[str]:
+def _page_cache(
+    crash_point, crash_after: int, fault_seed: Optional[int]
+) -> List[str]:
     clock = Clock()
     plan = None
     if crash_point is not None:
         plan = FaultPlan(
             FaultConfig(
-                fault_seed=3,
+                fault_seed=fault_seed,
                 crash_point=crash_point,
                 crash_after=crash_after,
-                crash_cut=crash_cut,
             )
         )
     cache = PageCache(NVMeSSD(clock), 8 * 4096, fault_plan=plan)
     cache.resilience_log = ResilienceLog()
-    lines = [f"== page cache crash={crash_point}#{crash_after} cut={crash_cut}"]
+    lines = [
+        f"== page cache crash={crash_point}#{crash_after} seed={fault_seed}"
+    ]
     try:
         _cache_script(cache)
         lines.append("completed")
@@ -224,17 +221,19 @@ def _page_cache(crash_point, crash_after: int, crash_cut) -> List[str]:
 
 def _page_caches() -> List[str]:
     lines = _page_cache(None, 1, None)
-    for point, after, cut in (
-        ("h2_write", 1, None),
-        ("h2_write", 2, 1),
-        ("writeback", 1, None),
-        ("writeback", 2, 0),
-        ("writeback", 2, 4),
-        ("msync", 1, 2),
-        ("region_metadata_update", 1, None),
-        ("region_metadata_update", 2, 1),
+    # Each seed's crash RNG draws the torn-write cut noted beside it
+    # (pages landed / pages in the batch).
+    for point, after, seed in (
+        ("h2_write", 1, 3),  # 5/5
+        ("h2_write", 2, 11),  # 1/3
+        ("writeback", 1, 3),  # 5/6
+        ("writeback", 2, 0),  # 0/5
+        ("writeback", 2, 5),  # 4/5
+        ("msync", 1, 3),  # 2/4
+        ("region_metadata_update", 1, 3),  # 2/3
+        ("region_metadata_update", 2, 10),  # 1/2
     ):
-        lines += _page_cache(point, after, cut)
+        lines += _page_cache(point, after, seed)
     return lines
 
 

@@ -174,9 +174,8 @@ FIELDS = {
     "fault": st.tuples(TEXT, TEXT, TEXT, TEXT),
     "retry": st.tuples(
         TEXT, COUNT, st.floats(0, 1), st.booleans(),
-        st.sampled_from(["", "attempts", "deadline"]),
+        st.sampled_from(["", "attempts"]),
     ),
-    "stall": st.tuples(TEXT, TEXT, st.floats(0, 1)),
     "health": st.tuples(TEXT, DEVICE_STATES, DEVICE_STATES, TEXT),
     "circuit": st.tuples(CIRCUIT_STATES, CIRCUIT_STATES, TEXT),
     "degradation": st.tuples(TEXT, COUNT),

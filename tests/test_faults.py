@@ -436,7 +436,7 @@ def test_config_rejects_unknown_audit_level():
         {"read_error_rate": -1.0},
         {"sigbus_rate": 7},
         {"crash_rate": 1.0 + 1e-9},
-        {"stall_rate": float("nan")},
+        {"latency_spike_rate": float("nan")},
     ],
 )
 def test_fault_config_rejects_rates_outside_the_unit_interval(rates):
@@ -445,7 +445,7 @@ def test_fault_config_rejects_rates_outside_the_unit_interval(rates):
 
 
 def test_fault_config_accepts_the_interval_ends():
-    FaultConfig(read_error_rate=0.0, crash_rate=1.0, brownout_rate=1.0)
+    FaultConfig(read_error_rate=0.0, crash_rate=1.0, device_full_rate=1.0)
 
 
 # ======================================================================

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import InvalidHintError
+from repro.config import TeraHeapConfig
+from repro.errors import ConfigError, InvalidHintError
 from repro.heap.object_model import HeapObject, SpaceId
 from repro.teraheap.hints import HintInterface
 from repro.teraheap.thresholds import ThresholdPolicy
@@ -101,8 +102,10 @@ class TestThresholdPolicy:
         assert d.unhinted_budget >= 0
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            self.make(low_threshold=0.9)
+        # The config validates the ordering; the collector builds its
+        # policy only from a validated config.
+        with pytest.raises(ConfigError):
+            TeraHeapConfig(low_threshold=0.9)
 
     def test_exactly_at_high_threshold_no_pressure(self):
         d = self.make().decide(live_bytes=850)

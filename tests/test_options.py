@@ -102,35 +102,10 @@ ALLOWED: Dict[str, str] = {
         "tests swap in a whole CostModel (test_config.py) to check a VM "
         "charges by the one its config carries"
     ),
-    "FaultConfig.brownout_rate": (
-        "fault mode: test_device_golden.py pins the random brownout "
-        "windows it opens"
-    ),
-    "FaultConfig.brownout_duration_s": (
-        "fault mode: test_device_golden.py pins the length of a random "
-        "brownout window"
-    ),
-    "FaultConfig.stall_rate": (
-        "fault mode: test_device_golden.py pins the stall bursts it starts"
-    ),
-    "FaultConfig.brownout_denies_alloc": (
-        "fault mode: test_brownout.py runs a slowdown-only brownout that "
-        "keeps H2 allocations"
-    ),
     "FaultConfig.crash_rate": (
-        "fault mode: test_teraheap_gc_columns.py and "
-        "test_executor_restart.py drive seeded crash sweeps"
-    ),
-    "FaultConfig.crash_cut": (
-        "fault mode: test_device_golden.py pins a torn write's cut"
-    ),
-    "FaultConfig.backoff_jitter": (
-        "fault mode: test_health_governor.py checks jittered retries stay "
-        "seeded"
-    ),
-    "FaultConfig.retry_deadline": (
-        "fault mode: test_health_governor.py checks the deadline exhausts "
-        "a retry loop"
+        "fault mode: test_executor_restart.py's TestRetryPolicy crashes every "
+        "incarnation with it, the only way to reach JobRetryPolicy's restart "
+        "and poisoned-partition bounds"
     ),
 }
 

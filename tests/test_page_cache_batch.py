@@ -316,6 +316,7 @@ def run_faulted_reads(config, sizes, requests, batched: bool):
     return (
         error,
         plan.op_index,
+        plan.schedule_digest(),
         repr(injector.log.summary()),
         [(f.time.hex(), f.op, f.kind) for f in injector.log.of(FaultEvent)],
         device_state(injector.inner, clock),
@@ -328,14 +329,14 @@ def test_fault_injector_read_many_draws_every_fault(fault_seed):
         fault_seed=fault_seed,
         read_error_rate=0.05,
         latency_spike_rate=0.2,
-        stall_rate=0.1,
-        brownout_rate=0.05,
+        brownout_windows=((0.02, 0.03, 0.25),),
     )
     sizes = [4096 * (1 + i % 3) for i in range(40)]
     requests = [1 + i % 2 for i in range(40)]
     batched = run_faulted_reads(config, sizes, requests, batched=True)
     assert batched == run_faulted_reads(config, sizes, requests, False)
-    assert batched[3], "the plan injected no fault"
+    assert batched[4], "the plan injected no fault"
+    assert "\tbrownout\t" in batched[2], "the window never opened"
 
 
 # ---------------------------------------------------------------------
