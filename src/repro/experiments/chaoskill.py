@@ -163,7 +163,7 @@ def final_report(vm: JavaVM) -> List[Tuple[str, int, int]]:
         if region.is_empty:
             continue
         stats = by_label.setdefault(region.label or "", [0, 0])
-        stats[0] += len(region.objects)
+        stats[0] += len(region)
         stats[1] += region.used
     return sorted((lbl, c, b) for lbl, (c, b) in by_label.items())
 

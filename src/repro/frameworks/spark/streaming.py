@@ -183,11 +183,8 @@ class StreamingExecutor:
     # ------------------------------------------------------------------
     def _under_pressure(self) -> bool:
         vm = self.vm
-        governor = getattr(vm, "governor", None)
-        if governor is not None and vm.heap.capacity > 0:
-            occupancy = vm.heap.used() / vm.heap.capacity
-            if governor.emergency_active(occupancy):
-                return True
+        if vm.in_emergency():
+            return True
         if vm.heap.capacity <= 0:
             return False
         occupancy = vm.heap.used() / vm.heap.capacity
@@ -221,14 +218,7 @@ class StreamingExecutor:
             can_spill = any(
                 b.frame is not None and not b.spilled for b in outputs
             )
-            governor = getattr(vm, "governor", None)
-            emergency = (
-                governor is not None
-                and vm.heap.capacity > 0
-                and governor.emergency_active(
-                    vm.heap.used() / vm.heap.capacity
-                )
-            )
+            emergency = vm.in_emergency()
             if not over and not can_spill and not emergency:
                 return rounds
             if rounds >= STREAM_MAX_STALL_ROUNDS:

@@ -26,6 +26,7 @@ from ..errors import OutOfMemoryError
 from ..heap.heap import H1_BASE
 from ..heap.object_model import HeapObject, SpaceId
 from ..heap.roots import RootSet
+from ..heap.spaces import Extent
 from ..heap.store import (
     SPACE_EDEN,
     SPACE_FREED,
@@ -70,51 +71,33 @@ CONCURRENT_DIVISOR = 4
 REMARK_FRACTION = 0.05
 
 
-class G1Region:
+class G1Region(Extent):
     """One G1 heap region."""
 
-    __slots__ = ("index", "base", "size", "state", "top", "objects")
+    __slots__ = ("index", "state")
 
-    def __init__(self, index: int, base: int, size: int):
+    def __init__(self, store: HeapStore, index: int, base: int, capacity: int):
+        super().__init__(store, base, capacity)
         self.index = index
-        self.base = base
-        self.size = size
         self.state = RegionState.FREE
-        self.top = base
-        self.objects: List[HeapObject] = []
-
-    @property
-    def used(self) -> int:
-        return self.top - self.base
-
-    @property
-    def free_space(self) -> int:
-        return self.size - self.used
-
-    def allocate(self, obj: HeapObject) -> bool:
-        if obj.size > self.free_space:
-            return False
-        obj.address = self.top
-        obj.region_id = self.index
-        self.top += obj.size
-        self.objects.append(obj)
-        return True
 
     def reset(self) -> None:
+        super().reset()
         self.state = RegionState.FREE
-        self.top = self.base
-        self.objects = []
 
 
 class G1Heap:
     """Region-structured heap with humongous allocation."""
 
-    def __init__(self, config: VMConfig):
+    def __init__(self, config: VMConfig, store: HeapStore):
         self.config = config
+        self.store = store
         self.region_size = REGION_SIZE
         self.num_regions = max(config.heap_size // self.region_size, 4)
         self.regions = [
-            G1Region(i, H1_BASE + i * self.region_size, self.region_size)
+            G1Region(
+                store, i, H1_BASE + i * self.region_size, self.region_size
+            )
             for i in range(self.num_regions)
         ]
         self.young_target = max(2, int(self.num_regions * config.young_fraction))
@@ -131,7 +114,7 @@ class G1Heap:
 
     def used(self) -> int:
         return sum(
-            r.size if r.state is RegionState.HUMONGOUS_CONT else r.used
+            r.capacity if r.state is RegionState.HUMONGOUS_CONT else r.used
             for r in self.regions
             if r.state is not RegionState.FREE
         )
@@ -162,7 +145,7 @@ class G1Heap:
         if self.is_humongous(obj.size):
             return self._allocate_humongous(obj)
         region = self._current_eden
-        if region is None or not region.allocate(obj):
+        if region is None or not region.allocate(obj.oid):
             # The eden budget counts eden regions only; survivor regions
             # are sized by the previous collection's survivors.
             eden_count = sum(
@@ -174,8 +157,9 @@ class G1Heap:
             if region is None:
                 return False
             self._current_eden = region
-            if not region.allocate(obj):
+            if not region.allocate(obj.oid):
                 return False
+        obj.region_id = region.index
         obj.space = SpaceId.EDEN
         self.allocated_objects += 1
         self.allocated_bytes += obj.size
@@ -204,12 +188,11 @@ class G1Heap:
             return False
         head = self.regions[run_start]
         head.state = RegionState.HUMONGOUS_START
-        head.objects = [obj]
-        head.top = head.base + min(obj.size, head.size)
+        head.extend((obj.oid,), head.base + min(obj.size, head.capacity))
         for i in range(run_start + 1, run_start + needed):
             cont = self.regions[i]
             cont.state = RegionState.HUMONGOUS_CONT
-            cont.top = cont.base + cont.size
+            cont.top = cont.end
         obj.address = head.base
         obj.region_id = head.index
         obj.space = SpaceId.OLD
@@ -220,9 +203,9 @@ class G1Heap:
         return True
 
     def free_humongous_run(self, head: G1Region) -> None:
-        obj = head.objects[0] if head.objects else None
+        oids = head.oid_array()
         needed = (
-            -(-obj.size // self.region_size) if obj is not None else 1
+            -(-self.store.size[oids[0]] // self.region_size) if len(oids) else 1
         )
         for i in range(head.index, head.index + needed):
             self.regions[i].reset()
@@ -359,18 +342,18 @@ class G1Collector(Collector):
         cost = self.cost
         st = self.store
         space_arr = st.space
-        handle = st.handle
+        region_arr = st.region_id
         dest_code = SPACE_EDEN if state in _YOUNG_STATES else SPACE_OLD
         target = self.heap.take_free_region(state)
         if target is None and oids:
             return False
         copied = 0
         for oid in oids:
-            obj = handle(oid)
-            while target is not None and not target.allocate(obj):
+            while target is not None and not target.allocate(oid):
                 target = self.heap.take_free_region(state)
             if target is None:
                 break
+            region_arr[oid] = target.index
             space_arr[oid] = dest_code
             copied += 1
         bag = TaskBag()
@@ -393,15 +376,12 @@ class G1Collector(Collector):
             self.begin_parallel_cycle()
             st = self.store
             space_arr = st.space
-            epoch_arr = st.mark_epoch
             refs_arr = st.refs
             age_arr = st.age
             live = self._trace_young(epoch)
             young = heap.young_regions()
             for region in young:
-                st.free_rows(
-                    [o.oid for o in region.objects if epoch_arr[o.oid] < epoch]
-                )
+                st.free_rows(self._split_marked(region, epoch)[1])
                 region.reset()
             heap._current_eden = None
             tenuring = TENURING_THRESHOLD
@@ -445,6 +425,40 @@ class G1Collector(Collector):
             return cycle
 
     # ------------------------------------------------------------------
+    def _mark_from_roots(self, epoch: int) -> List[int]:
+        """Mark everything reachable from the roots (FREED roots
+        dropped) at ``epoch``; returns the oids in visit order.
+
+        Order-preserving DFS over the store columns: the stack-pop order
+        of the old handle traversal, so scan-batch boundaries and the
+        engine schedule are unchanged.
+        """
+        st = self.store
+        space_arr = st.space
+        epoch_arr = st.mark_epoch
+        refs_arr = st.refs
+        stack = [
+            o.oid for o in self.roots if space_arr[o.oid] != SPACE_FREED
+        ]
+        live: List[int] = []
+        while stack:
+            oid = stack.pop()
+            if epoch_arr[oid] >= epoch:
+                continue
+            epoch_arr[oid] = epoch
+            live.append(oid)
+            for t in refs_arr[oid]:
+                if epoch_arr[t] < epoch:
+                    stack.append(t)
+        return live
+
+    def _split_marked(self, region: G1Region, epoch: int):
+        """The region's (marked, unmarked) oids at ``epoch``, each in
+        address order."""
+        oids = region.oid_array()
+        marked = self.store.epoch_view()[oids] >= epoch
+        return oids[marked], oids[~marked]
+
     def _mark_all(self, epoch: int) -> List[int]:
         """Concurrent marking racing the mutator, closed by a STW remark.
 
@@ -460,25 +474,8 @@ class G1Collector(Collector):
         """
         cost = self.cost
         st = self.store
-        space_arr = st.space
-        epoch_arr = st.mark_epoch
-        refs_arr = st.refs
-        visit_cost = cost.gc_visit_cost
-        ref_cost = cost.gc_ref_cost
-        stack = [
-            o.oid for o in self.roots if space_arr[o.oid] != SPACE_FREED
-        ]
-        live: List[int] = []
-        while stack:
-            oid = stack.pop()
-            if epoch_arr[oid] >= epoch:
-                continue
-            epoch_arr[oid] = epoch
-            live.append(oid)
-            for t in refs_arr[oid]:
-                if epoch_arr[t] < epoch:
-                    stack.append(t)
-        scan_costs = st.scan_costs(live, visit_cost, ref_cost)
+        live = self._mark_from_roots(epoch)
+        scan_costs = st.scan_costs(live, cost.gc_visit_cost, cost.gc_ref_cost)
         bag = TaskBag()
         bag.add_batches(
             "g1-mark",
@@ -533,7 +530,7 @@ class G1Collector(Collector):
             # Free dead humongous runs eagerly (no copying needed).
             for region in heap.regions:
                 if region.state is RegionState.HUMONGOUS_START:
-                    oid = region.objects[0].oid
+                    oid = region.oid_array()[0]
                     if epoch_arr[oid] < epoch:
                         st.free_rows([oid])
                         heap.free_humongous_run(region)
@@ -541,26 +538,20 @@ class G1Collector(Collector):
             # Garbage-first: evacuate the old regions with least live data.
             candidates = []
             for region in heap.old_regions():
-                region_live = [
-                    o.oid
-                    for o in region.objects
-                    if epoch_arr[o.oid] >= epoch
-                ]
+                region_live, region_dead = self._split_marked(region, epoch)
                 candidates.append(
-                    (st.sum_sizes(region_live), region, region_live)
+                    (st.sum_sizes(region_live), region, region_live, region_dead)
                 )
             candidates.sort(key=lambda item: item[0])
             budget = int(heap.capacity * MIXED_COLLECTION_FRACTION)
             taken = 0
-            for region_live_bytes, region, region_live in candidates:
+            for _, region, region_live, region_dead in candidates:
                 if taken >= budget:
                     break
-                taken += region.size
-                st.free_rows(
-                    [o.oid for o in region.objects if epoch_arr[o.oid] < epoch]
-                )
+                taken += region.capacity
+                st.free_rows(region_dead)
                 region.reset()
-                if not self._evacuate(region_live, RegionState.OLD):
+                if not self._evacuate(region_live.tolist(), RegionState.OLD):
                     self._full_collection()
                     break
             duration = self.clock.now - start
@@ -584,22 +575,8 @@ class G1Collector(Collector):
         epoch = self.next_epoch()
         cost = self.cost
         st = self.store
-        space_arr = st.space
         epoch_arr = st.mark_epoch
-        refs_arr = st.refs
-        visit_cost = cost.gc_visit_cost
-        ref_cost = cost.gc_ref_cost
-        stack = [
-            o.oid for o in self.roots if space_arr[o.oid] != SPACE_FREED
-        ]
-        marked: List[int] = []
-        while stack:
-            oid = stack.pop()
-            if epoch_arr[oid] >= epoch:
-                continue
-            epoch_arr[oid] = epoch
-            marked.append(oid)
-            stack.extend(t for t in refs_arr[oid] if epoch_arr[t] < epoch)
+        marked = self._mark_from_roots(epoch)
         bag = TaskBag()
         # Scan cost honours the object's scan factor, consistent with
         # _trace_young and _mark_all: full GCs must not under-charge
@@ -607,7 +584,7 @@ class G1Collector(Collector):
         bag.add_batches(
             "g1-full-mark",
             "scan",
-            st.scan_costs(marked, visit_cost, ref_cost),
+            st.scan_costs(marked, cost.gc_visit_cost, cost.gc_ref_cost),
             self.config.engine.scan_batch_objects,
         )
         # Compact every non-humongous live object into fresh old regions.
@@ -617,20 +594,17 @@ class G1Collector(Collector):
                 RegionState.HUMONGOUS_START,
                 RegionState.HUMONGOUS_CONT,
             ):
+                head = region.oid_array()
                 if (
                     region.state is RegionState.HUMONGOUS_START
-                    and region.objects
-                    and epoch_arr[region.objects[0].oid] < epoch
+                    and len(head)
+                    and epoch_arr[head[0]] < epoch
                 ):
-                    st.free_rows([region.objects[0].oid])
+                    st.free_rows(head[:1])
                     heap.free_humongous_run(region)
                 continue
-            dead = []
-            for obj in region.objects:
-                if epoch_arr[obj.oid] >= epoch:
-                    movable.append(obj.oid)
-                else:
-                    dead.append(obj.oid)
+            live, dead = self._split_marked(region, epoch)
+            movable.extend(live.tolist())
             st.free_rows(dead)
             region.reset()
         heap._current_eden = None

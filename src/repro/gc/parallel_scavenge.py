@@ -319,9 +319,11 @@ class ParallelScavenge(Collector):
             to_space.reset()
             # Survivors were first-fit against the empty to-space's
             # capacity, so all of them fit.
-            placed = to_space.place_many(st, survivors)
+            placed = to_space.place_many(survivors)
             assert placed == survivors.size
-            promoted = heap.old.place_many(st, promote)
+            st.space_view()[survivors] = SPACE_TO
+            promoted = heap.old.place_many(promote)
+            st.space_view()[promote[:promoted]] = SPACE_OLD
             copied = np.concatenate((survivors, promote[:promoted]))
             copy_bag = TaskBag()
             copy_bag.add_batches(
@@ -601,17 +603,12 @@ class ParallelScavenge(Collector):
                     oids = space.oid_array()
                     dead = oids[~st.live_mask(oids, epoch)]
                     st.free_rows(dead)
-                heap.eden.reset()
                 heap.survivor_from.reset()
                 heap.survivor_to.reset()
-                # Every stayer sat in a space's object list, so its
-                # canonical handle already exists.
-                handles = st.handles.__getitem__
                 heap.old.rebuild_after_compaction(
-                    list(map(handles, in_old.tolist())), in_old, old_addrs
+                    in_old, heap.old.base + int(old_sizes.sum())
                 )
-                heap.eden.objects = list(map(handles, in_eden.tolist()))
-                heap.eden.top = eden_top
+                heap.eden.rebuild_after_compaction(in_eden, eden_top)
                 # Card table: after a full GC only old objects referencing
                 # (overflowed) eden objects need dirty cards.
                 heap.card_table.clear_all()

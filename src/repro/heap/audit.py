@@ -175,10 +175,11 @@ class HeapAuditor:
                     f"top == {space.top:#x}",
                 )
             )
-        objs = space.objects
-        if objs and self._extent_clean(
-            objs[0]._store,
-            space.oid_array(),
+        store = space.store
+        oids = space.oid_array()
+        if self._extent_clean(
+            store,
+            oids,
             SPACE_CODES[space.space_id],
             space.base,
             space.top,
@@ -188,7 +189,7 @@ class HeapAuditor:
         prev_end = space.base
         prev_obj = None
         total = 0
-        for obj in space.objects:
+        for obj in map(store.handle, oids.tolist()):
             if obj.space is not space.space_id:
                 out.append(
                     Violation(
@@ -232,13 +233,12 @@ class HeapAuditor:
 
     def _h2_region_clean(self, region) -> bool:
         """Vectorized twin of the per-object H2 region loop."""
-        objs = region.objects
-        if not objs:
-            return region.used == 0
-        store = objs[0]._store
+        store = region.store
         oids = region.oid_array()
+        if not oids.size:
+            return region.used == 0
         if not self._extent_clean(
-            store, oids, SPACE_H2, region.start, region.top, region.used
+            store, oids, SPACE_H2, region.base, region.top, region.used
         ):
             return False
         if not (store.region_view()[oids] == region.index).all():
@@ -258,16 +258,16 @@ class HeapAuditor:
                         f"region {index} quarantined by recovery "
                         f"({reason})",
                         "no region allocated at a quarantined index",
-                        f"region holds {len(region.objects)} object(s)",
+                        f"region holds {len(region)} object(s)",
                     )
                 )
         for region in self.h2.regions.values():
             if self._h2_region_clean(region):
                 continue
-            prev_end = region.start
+            prev_end = region.base
             prev_obj = None
             total = 0
-            for obj in region.objects:
+            for obj in map(region.store.handle, region.oid_array().tolist()):
                 if obj.space is not SpaceId.H2:
                     out.append(
                         Violation(
@@ -302,12 +302,12 @@ class HeapAuditor:
                             ),
                         )
                     )
-                if obj.address < region.start or obj.end_address() > region.top:
+                if obj.address < region.base or obj.end_address() > region.top:
                     out.append(
                         Violation(
                             "h2-bounds",
                             f"object #{obj.oid} in region {region.index}",
-                            f"extent within [{region.start:#x}, "
+                            f"extent within [{region.base:#x}, "
                             f"{region.top:#x})",
                             f"[{obj.address:#x}, {obj.end_address():#x})",
                         )
@@ -380,11 +380,8 @@ class HeapAuditor:
         an old-to-young root and free a live object.
         """
         table = self.heap.card_table
-        old = self.heap.old
-        if not old.objects:
-            return
-        store = old.objects[0]._store
-        oids = old.oid_array()
+        store = self.store
+        oids = self.heap.old.oid_array()
         flat, owner = store.gather_targets(oids)
         if not flat.size:
             return
@@ -425,7 +422,7 @@ class HeapAuditor:
         for region in h2.regions.values():
             if self._h2_refs_clean(region):
                 continue
-            for obj in region.objects:
+            for obj in map(region.store.handle, region.oid_array().tolist()):
                 for ref in obj.refs:
                     if ref.space is SpaceId.FREED:
                         out.append(
@@ -457,10 +454,7 @@ class HeapAuditor:
 
     def _h2_refs_clean(self, region) -> bool:
         """Vectorized no-dangling / dependency-closure sweep of a region."""
-        objs = region.objects
-        if not objs:
-            return True
-        store = objs[0]._store
+        store = region.store
         flat, _ = store.gather_targets(region.oid_array())
         if not flat.size:
             return True
@@ -491,7 +485,7 @@ class HeapAuditor:
                     Violation(
                         "h2-live-bit",
                         f"region {region.index} "
-                        f"({len(region.objects)} objects, {region.used} B)",
+                        f"({len(region)} objects, {region.used} B)",
                         "live bit set (survived this major GC)",
                         "live bit clear",
                     )

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..config import VMConfig
 from ..errors import ConfigError
 from .card_table import CardTable
 from .object_model import SPACE_CODES, HeapObject, SpaceId
-from .store import SPACE_TO
-from .spaces import OldGeneration, Space
+from .store import SPACE_TO, HeapStore
+from .spaces import Space
 
 #: base virtual address of H1 (H2 lives in a disjoint higher range)
 H1_BASE = 0x1000_0000
@@ -24,7 +26,7 @@ class ManagedHeap:
     collectors in :mod:`repro.gc` drive it.
     """
 
-    def __init__(self, config: VMConfig):
+    def __init__(self, config: VMConfig, store: HeapStore):
         self.config = config
         eden_size = config.eden_size
         survivor = config.survivor_size
@@ -35,13 +37,13 @@ class ManagedHeap:
                 f"old={old_size}"
             )
         base = H1_BASE
-        self.eden = Space(SpaceId.EDEN, base, eden_size, "eden")
+        self.eden = Space(store, SpaceId.EDEN, base, eden_size)
         base += eden_size
-        self.survivor_from = Space(SpaceId.FROM, base, survivor, "from")
+        self.survivor_from = Space(store, SpaceId.FROM, base, survivor)
         base += survivor
-        self.survivor_to = Space(SpaceId.TO, base, survivor, "to")
+        self.survivor_to = Space(store, SpaceId.TO, base, survivor)
         base += survivor
-        self.old = OldGeneration(base, old_size)
+        self.old = Space(store, SpaceId.OLD, base, old_size)
         self.card_table = CardTable(
             self.old.base, old_size, config.card_segment_size
         )
@@ -82,7 +84,8 @@ class ManagedHeap:
         Returns False when a minor GC is needed first.
         """
         target = self.old if obj.size > self._eden_max() else self.eden
-        if target.allocate(obj):
+        if target.allocate(obj.oid):
+            obj.space = target.space_id
             self.allocated_objects += 1
             self.allocated_bytes += obj.size
             store = obj._store
@@ -126,14 +129,10 @@ class ManagedHeap:
         )
         self.survivor_from.space_id = SpaceId.FROM
         self.survivor_to.space_id = SpaceId.TO
-        survivors = self.survivor_from.objects
-        if survivors:
-            survivors[0]._store.set_space_batch(
-                self.survivor_from.oid_array(), SPACE_CODES[SpaceId.FROM]
-            )
+        self.survivor_from.store.set_space_batch(
+            self.survivor_from.oid_array(), SPACE_CODES[SpaceId.FROM]
+        )
 
-    def all_objects(self) -> List[HeapObject]:
-        result: List[HeapObject] = []
-        for space in self.spaces():
-            result.extend(space.objects)
-        return result
+    def all_oids(self) -> np.ndarray:
+        """Every oid the spaces hold, space by space in address order."""
+        return np.concatenate([space.oid_array() for space in self.spaces()])

@@ -1,4 +1,4 @@
-"""Heap spaces: contiguous address ranges with bump-pointer allocation."""
+"""Bump-pointer extents: H1 spaces, and the block H2 and G1 regions share."""
 
 from __future__ import annotations
 
@@ -12,28 +12,36 @@ from ..errors import ConfigError
 from .object_model import SPACE_CODES, HeapObject, SpaceId
 
 
-class Space:
-    """A contiguous space: eden, a survivor, the old gen, or a G1 region.
+class Extent:
+    """An address range ``[base, base + capacity)`` filled by a bump pointer.
 
-    Objects are placed with a bump pointer, so ``objects`` stays sorted by
-    address, which lets card scans locate the objects overlapping a card
-    segment with binary search — the same trick real card-table scanning
-    relies on (objects-per-card lookup via block-offset tables).  The
-    address index is kept as a numpy array so overlap queries and audit
-    sweeps run as vector ops over the store's columns.
+    H1's eden, survivors and old generation, each H2 region (the paper's
+    region array entry with its start/top pointers, Figure 2) and each G1
+    region are this one block.  It holds the oids placed in it, in
+    address order, in an ``array('q')`` that :meth:`oid_array` exports
+    to numpy without a copy.  :meth:`reset` installs a fresh array, so an
+    oid array handed out before a reset stays valid after it.
+
+    Placement writes each object's address; the space, region and label
+    columns are the caller's to write.  Sorted addresses let card scans
+    find the objects overlapping a card segment by binary search — the
+    job a block-offset table does in a real card-table scan.
     """
 
-    def __init__(self, space_id: SpaceId, base: int, capacity: int, name: str = ""):
+    __slots__ = ("store", "base", "capacity", "top", "_oids", "_addresses")
+
+    def __init__(self, store, base: int, capacity: int):
         if capacity < 0:
-            raise ConfigError(f"space capacity must be non-negative: {capacity}")
-        self.space_id = space_id
+            raise ConfigError(f"extent capacity must be non-negative: {capacity}")
+        self.store = store
         self.base = base
         self.capacity = capacity
+        #: bump (allocation) pointer; back at ``base`` the extent is empty
         self.top = base
-        self.objects: List[HeapObject] = []
-        self.name = name or space_id.value
-        self._addr_cache: Optional[np.ndarray] = None
-        self._oid_cache: Optional[np.ndarray] = None
+        self._oids = array("q")
+        #: the held objects' addresses, built on the first overlap query
+        #: after a placement
+        self._addresses: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -52,53 +60,50 @@ class Space:
     def end(self) -> int:
         return self.base + self.capacity
 
+    @property
+    def is_empty(self) -> bool:
+        return self.top == self.base
+
     def has_room(self, size: int) -> bool:
         return self.free >= size
 
+    def __len__(self) -> int:
+        """Number of objects held."""
+        return len(self._oids)
+
     # ------------------------------------------------------------------
-    def allocate(self, obj: HeapObject) -> bool:
-        """Bump-allocate ``obj``; returns False when the space is full."""
-        if not self.has_room(obj.size):
+    def allocate(self, oid: int) -> bool:
+        """Bump-allocate row ``oid``; returns False when it does not fit.
+
+        Objects never span extents (H2 regions, Section 3.4)."""
+        size = self.store.size[oid]
+        if not self.has_room(size):
             return False
-        obj.address = self.top
-        obj.space = self.space_id
-        self.top += obj.size
-        self.objects.append(obj)
-        self._addr_cache = None
-        self._oid_cache = None
+        self.store.address[oid] = self.top
+        self.top += size
+        self._oids.append(oid)
+        self._addresses = None
         return True
 
-    def allocate_run(
-        self, objs: List[HeapObject], sizes: Sequence[int]
-    ) -> None:
-        """Bump-allocate fresh objects of ``sizes`` in one pass.
+    def extend(self, oids: Sequence[int], top: int) -> None:
+        """Append oids the caller placed in order, ending at ``top``."""
+        if isinstance(oids, np.ndarray):
+            self._oids.frombytes(oids.astype(np.int64).tobytes())
+        else:
+            self._oids.extend(oids)
+        self.top = top
+        self._addresses = None
 
-        ``objs`` are consecutive store rows and the caller has checked
-        that they fit; the result equals one :meth:`allocate` per object.
-        """
-        count = len(objs)
-        store = objs[0]._store
-        first = objs[0].oid
-        addresses = array("q", accumulate(sizes, initial=self.top))
-        self.top = addresses.pop()
-        store.address[first:first + count] = addresses
-        store.space[first:first + count] = (
-            array("b", [SPACE_CODES[self.space_id]]) * count
-        )
-        self.objects.extend(objs)
-        self._addr_cache = None
-        self._oid_cache = None
-
-    def place_many(self, store, oids: np.ndarray) -> int:
-        """Bump-place the existing rows ``oids``, in order, until one
-        does not fit; returns how many were placed.
+    def place_many(self, oids: np.ndarray) -> int:
+        """Bump-place the rows ``oids``, in order, until one does not
+        fit; returns how many were placed.
 
         The placed prefix ends up as one :meth:`allocate` per object
-        would leave it (addresses, space codes, ``objects``, ``top``);
-        the rest of ``oids`` is untouched.
+        would leave it; the rest of ``oids`` is untouched.
         """
         if not len(oids):
             return 0
+        store = self.store
         ends = np.cumsum(store.size_view()[oids]) + self.top
         count = int(np.searchsorted(ends, self.end, side="right"))
         if not count:
@@ -109,91 +114,70 @@ class Space:
         starts[0] = self.top
         starts[1:] = ends[:-1]
         store.address_view()[placed] = starts
-        store.space_view()[placed] = SPACE_CODES[self.space_id]
-        self.objects.extend(map(store.handle, placed.tolist()))
-        self.top = int(ends[-1])
-        if self._addr_cache is not None:
-            self._addr_cache = np.concatenate((self._addr_cache, starts))
-        if self._oid_cache is not None:
-            self._oid_cache = np.concatenate((self._oid_cache, placed))
+        self.extend(placed, int(ends[-1]))
         return count
 
     def reset(self) -> None:
-        """Empty the space (end of scavenge for eden/from-space)."""
+        """Empty the extent; the held rows are the caller's to free."""
         self.top = self.base
-        self.objects.clear()
-        self._addr_cache = None
-        self._oid_cache = None
-
-    def live_bytes(self) -> int:
-        if not self.objects:
-            return 0
-        store = self.objects[0]._store
-        return store.sum_sizes(self.oid_array())
+        self._oids = array("q")
+        self._addresses = None
 
     # ------------------------------------------------------------------
-    def _index(self) -> np.ndarray:
-        if self._addr_cache is None:
-            self._addr_cache = np.fromiter(
-                (o.address for o in self.objects),
-                dtype=np.int64,
-                count=len(self.objects),
-            )
-        return self._addr_cache
-
     def oid_array(self) -> np.ndarray:
-        """The space's oids in address order (batch-kernel input)."""
-        if self._oid_cache is None:
-            self._oid_cache = np.fromiter(
-                (o.oid for o in self.objects),
-                dtype=np.int64,
-                count=len(self.objects),
-            )
-        return self._oid_cache
+        """The held oids in address order (a view: no copy)."""
+        return np.frombuffer(self._oids, dtype=np.int64)
 
     def oids_overlapping(self, lo: int, hi: int) -> List[int]:
         """Oids of the objects whose extent intersects [lo, hi), in
         address order."""
-        if not self.objects:
-            return []
-        addrs = self._index()
+        if self._addresses is None:
+            self._addresses = self.store.address_view()[self.oid_array()]
+        addrs = self._addresses
         # First object that could overlap: the one starting at or before lo.
-        start = int(np.searchsorted(addrs, lo, side="right")) - 1
-        if start < 0:
-            start = 0
+        start = max(int(np.searchsorted(addrs, lo, side="right")) - 1, 0)
         stop = int(np.searchsorted(addrs, hi, side="left")) + 1
-        store = self.objects[0]._store
-        address = store.address
-        size = store.size
-        # The handles' oids, not oid_array(): the old generation would
-        # otherwise keep a second whole-space cache alive between GCs.
-        oids = [obj.oid for obj in self.objects[start:stop]]
+        address = self.store.address
+        size = self.store.size
         return [
             oid
-            for oid in oids
+            for oid in self._oids[start:stop]
             if address[oid] < hi and address[oid] + size[oid] > lo
         ]
 
 
-class OldGeneration(Space):
-    """The old generation, with an index of objects by card for barrier scans."""
+class Space(Extent):
+    """An H1 space: eden, a survivor, or the old generation."""
 
-    def __init__(self, base: int, capacity: int):
-        super().__init__(SpaceId.OLD, base, capacity, name="old")
+    __slots__ = ("space_id", "name")
 
-    def rebuild_after_compaction(
-        self,
-        survivors: List[HeapObject],
-        oids: Optional[np.ndarray] = None,
-        addresses: Optional[np.ndarray] = None,
+    def __init__(self, store, space_id: SpaceId, base: int, capacity: int):
+        super().__init__(store, base, capacity)
+        self.space_id = space_id
+        #: fixed at construction: the survivors swap ids, not names
+        self.name = space_id.value
+
+    def allocate_run(
+        self, objs: List[HeapObject], sizes: Sequence[int]
     ) -> None:
-        """Install the post-compaction object list (already address-sorted).
+        """Bump-allocate fresh objects of ``sizes`` in one pass.
 
-        ``oids`` and ``addresses``, when the caller has them, are the
-        survivors' oids and new addresses in the same order; they seed
-        the index caches so the next sweep need not rebuild them.
+        ``objs`` are consecutive store rows and the caller has checked
+        that they fit; the result equals one :meth:`allocate` per object
+        with the space code written.
         """
-        self.objects = survivors
-        self.top = survivors[-1].end_address() if survivors else self.base
-        self._addr_cache = addresses
-        self._oid_cache = oids
+        count = len(objs)
+        first = objs[0].oid
+        addresses = array("q", accumulate(sizes, initial=self.top))
+        top = addresses.pop()
+        self.store.address[first:first + count] = addresses
+        self.store.space[first:first + count] = (
+            array("b", [SPACE_CODES[self.space_id]]) * count
+        )
+        self.extend(range(first, first + count), top)
+
+    def rebuild_after_compaction(self, oids: np.ndarray, top: int) -> None:
+        """Install the post-compaction contents: ``oids`` in address
+        order, ending at ``top``."""
+        self.reset()
+        self.extend(oids, top)

@@ -29,20 +29,17 @@ FREED (:meth:`free_rows` drops it).
 store pointer) over one row, so the object-graph API survives unchanged.
 Row 0 is a sentinel; oids start at 1 and double as row indices.
 
-Two kernel families coexist, on purpose:
-
-- **order-preserving kernels** (:meth:`dfs_closure`,
-  :meth:`dfs_reachable`) replicate the exact stack-pop discovery order
-  of the old per-object traversals.  GC cost accounting folds per-visit
-  costs into batch tasks *in visit order*, and batch boundaries feed the
-  engine's schedule, so any reordering would shift the determinism
-  digests the experiments gate on.  These run over the int adjacency
-  sequences — no numpy, no reordering, just no per-object attribute
-  chasing.
-- **vectorized kernels** (:meth:`mark_batch`, :meth:`bfs_closure_csr`,
-  :meth:`sum_sizes`, the masked sweeps) use numpy over column views and
-  the CSR snapshot.  They are order-insensitive by construction and back
-  the audit sweeps, the bench harness and the property tests.
+The program's collectors and auditor use :meth:`sum_sizes`,
+:meth:`live_mask`, :meth:`set_space_batch`, :meth:`gather_targets` and
+:meth:`scan_costs` over column views.  The GC traversals are loops of
+their own over the adjacency lists, each keeping the exact stack-pop
+order the digests gate on.  Five kernels have no caller in the program:
+:meth:`dfs_closure` and :meth:`dfs_reachable` (order-preserving DFS),
+and :meth:`mark_batch`, :meth:`age_increment` and
+:meth:`bfs_closure_csr` (vectorized).  Only
+``tests/test_store_equivalence.py`` calls them, and the bench harness's
+``ENTRY_POINTS`` names them; they can go once a benchmark change drops
+them from that list.
 
 Each :class:`~repro.runtime.JavaVM` owns one store, so oids start at 1
 in every VM and never alias across co-located VMs.

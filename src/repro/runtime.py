@@ -95,7 +95,7 @@ class JavaVM:
         if config.collector == "g1":
             from .gc.g1 import G1Collector, G1Heap, G1WriteBarrier
 
-            self.heap = G1Heap(config)
+            self.heap = G1Heap(config, self.store)
             self.collector = G1Collector(
                 self.heap, self.roots, self.clock, config, self.store
             )
@@ -103,16 +103,9 @@ class JavaVM:
                 self.collector, self.clock, self.cost
             )
         else:
-            self.heap = ManagedHeap(config)
+            self.heap = ManagedHeap(config, self.store)
             if config.teraheap.enabled:
-                if h2_device is None:
-                    h2_device = NVMeSSD(self.clock)
-                elif h2_device.clock is not self.clock:
-                    # Rebind a caller-supplied device to this VM's clock
-                    # on a copy: mutating the original would silently
-                    # redirect the charges (and traffic counters) of any
-                    # other VM still using it.
-                    h2_device = h2_device.rebind(self.clock)
+                h2_device = self._on_clock(h2_device, NVMeSSD)
                 fault_cfg = config.faults
                 if fault_cfg is None and session is not None:
                     fault_cfg = session.faults
@@ -172,12 +165,8 @@ class JavaVM:
                     PantheraCollector,
                 )
 
-                if (
-                    old_gen_device is not None
-                    and old_gen_device.clock is not self.clock
-                ):
-                    old_gen_device = old_gen_device.rebind(self.clock)
-                    self.old_gen_device = old_gen_device
+                old_gen_device = self._on_clock(old_gen_device)
+                self.old_gen_device = old_gen_device
                 self.collector = PantheraCollector(
                     self.heap,
                     self.roots,
@@ -192,10 +181,7 @@ class JavaVM:
                 from .devices.nvm import NVMMemoryMode
                 from .gc.memory_mode import MemoryModeCollector
 
-                if old_gen_device is None:
-                    old_gen_device = NVMMemoryMode(self.clock)
-                elif old_gen_device.clock is not self.clock:
-                    old_gen_device = old_gen_device.rebind(self.clock)
+                old_gen_device = self._on_clock(old_gen_device, NVMMemoryMode)
                 self.old_gen_device = old_gen_device
                 self.collector = MemoryModeCollector(
                     self.heap,
@@ -242,6 +228,20 @@ class JavaVM:
                 and session is not None
             ):
                 session.track_auditor(self.auditor)
+
+    def _on_clock(self, device: Optional[Device], default=None):
+        """``device`` charging this VM's clock; ``default(clock)`` (or
+        None) when the caller gave no device.
+
+        A caller's device on another clock is rebound on a copy:
+        mutating the original would silently redirect the charges (and
+        traffic counters) of any other VM still using it.
+        """
+        if device is None:
+            return default(self.clock) if default is not None else None
+        if device.clock is not self.clock:
+            return device.rebind(self.clock)
+        return device
 
     # ==================================================================
     # Allocation
@@ -332,15 +332,27 @@ class JavaVM:
         Returns the bytes the handlers freed; 0 when no emergency is
         active (the common, free case).
         """
-        if self.governor is None or self.heap.capacity <= 0:
+        if not self.in_emergency():
             return 0
-        occupancy = self.heap.used() / self.heap.capacity
-        if not self.governor.emergency_active(occupancy):
-            return 0
+        return self._stall_round(max(nbytes, int(0.05 * self.heap.capacity)))
+
+    def in_emergency(self) -> bool:
+        """Whether the governor reports an emergency (circuit OPEN and
+        H1 past the watermark)."""
+        capacity = self.heap.capacity
+        return (
+            self.governor is not None
+            and capacity > 0
+            and self.governor.emergency_active(self.heap.used() / capacity)
+        )
+
+    def _stall_round(self, target: int) -> int:
+        """One allocation-stall round: park the allocating thread
+        (``Bucket.ALLOC_STALL``) while the pressure handlers shed up to
+        ``target`` bytes each; returns the bytes they freed."""
         self.alloc_stalls += 1
         self.clock.charge(ALLOC_STALL_WAIT, Bucket.ALLOC_STALL)
         self.clock.record_event("alloc_stall", ALLOC_STALL_WAIT)
-        target = max(nbytes, int(0.05 * self.heap.capacity))
         freed = 0
         for handler in self.pressure_handlers:
             freed += handler(target)
@@ -357,19 +369,11 @@ class JavaVM:
         runs an emergency full GC.  Returns True once ``obj`` allocated;
         False means true exhaustion and the caller raises OOM.
         """
-        if self.governor is None:
-            return False
-        occupancy = self.heap.used() / self.heap.capacity
-        if not self.governor.emergency_active(occupancy):
+        if not self.in_emergency():
             return False
         target = max(obj.size, int(0.05 * self.heap.capacity))
         for _ in range(MAX_EMERGENCY_ROUNDS):
-            self.alloc_stalls += 1
-            self.clock.charge(ALLOC_STALL_WAIT, Bucket.ALLOC_STALL)
-            self.clock.record_event("alloc_stall", ALLOC_STALL_WAIT)
-            freed = 0
-            for handler in self.pressure_handlers:
-                freed += handler(target)
+            freed = self._stall_round(target)
             self.emergency_gcs += 1
             self.major_gc()
             if self.heap.try_allocate(obj):
@@ -725,11 +729,12 @@ class JavaVM:
         if self.h2 is None:
             raise ConfigError("recover_h2() requires TeraHeap enabled")
         report = self.h2.recover(image)
-        by_label: Dict[str, List[HeapObject]] = {}
+        by_label: Dict[str, List[int]] = {}
         for index in sorted(report.recovered):
             region = self.h2.regions[index]
-            for obj in region.objects:
-                by_label.setdefault(region.label or "", []).append(obj)
+            by_label.setdefault(region.label or "", []).extend(
+                region.oid_array().tolist()
+            )
         for label in sorted(by_label):
             members = by_label[label]
             anchor = self.allocate(
@@ -738,7 +743,8 @@ class JavaVM:
             # Installed directly, not via write_ref: the anchor stands in
             # for the crashed process's roots, and recovery must not
             # charge the mutator-store barrier path for it.
-            anchor.refs = list(members)
+            self.store.refs[anchor.oid] = members or ()
+            self.store.edge_version += 1
             self.roots.add(anchor)
             self.h2_recovery_anchors[label] = anchor
         return report

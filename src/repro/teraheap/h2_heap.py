@@ -36,7 +36,7 @@ from ..errors import (
     UnrecoverableCrash,
 )
 from ..faults.events import CrashEvent, RecoveryEvent
-from ..heap.object_model import HeapObject
+from ..heap.object_model import HeapObject, SpaceId
 from ..heap.store import FLAG_H2_CANDIDATE, SPACE_H2
 from .h2_card_table import CardState, H2CardTable
 from .promotion import PromotionManager
@@ -195,8 +195,8 @@ class H2Heap:
         elif self._next_fresh < self.num_regions:
             index = self._next_fresh
             self._next_fresh += 1
-            start = H2_BASE + index * self.config.region_size
-            region = Region(index, start, self.config.region_size)
+            base = H2_BASE + index * self.config.region_size
+            region = Region(self.store, index, base, self.config.region_size)
             self.regions[index] = region
         else:
             raise OutOfMemoryError(
@@ -249,7 +249,6 @@ class H2Heap:
         region_arr = store.region_id
         flags_arr = store.flags
         label_col = store.label
-        handles = store.handles.__getitem__
         region_size = self.config.region_size
         large = (
             region_size // 4 if self.config.size_aware_placement else None
@@ -279,7 +278,7 @@ class H2Heap:
                     label = f"{group}:large"
                 if label != current or top + size > end:
                     if region is not None:
-                        region.extend(map(handles, run), top)
+                        region.extend(run, top)
                         region, current, run = None, None, []
                     open_index = open_by_label.get(label)
                     target = (
@@ -290,7 +289,7 @@ class H2Heap:
                     if (
                         target is None
                         or target.label != label
-                        or target.top + size > target.start + target.capacity
+                        or target.top + size > target.end
                     ):
                         try:
                             target = self._new_region(label, epoch)
@@ -305,7 +304,7 @@ class H2Heap:
                     current = label
                     index = region.index
                     top = region.top
-                    end = region.start + region.capacity
+                    end = region.end
                 addr_arr[oid] = top
                 space_arr[oid] = SPACE_H2
                 region_arr[oid] = index
@@ -318,7 +317,7 @@ class H2Heap:
                 placed_labels.append(group)
         finally:
             if region is not None:
-                region.extend(map(handles, run), top)
+                region.extend(run, top)
             self.objects_moved += len(placed)
             self.bytes_moved += nbytes
         return placed, placed_labels, nbytes
@@ -402,6 +401,8 @@ class H2Heap:
             region = self.regions[index]
             if region.is_empty:
                 continue
+            oids = region.oid_array()
+            offsets = self.store.address_view()[oids] - region.base
             entry = RegionJournalEntry(
                 region_index=index,
                 epoch=epoch,
@@ -410,8 +411,7 @@ class H2Heap:
                 live=region.live,
                 deps=self._journal_deps(region),
                 objects=tuple(
-                    (obj.address - region.start, obj.size)
-                    for obj in region.objects
+                    zip(offsets.tolist(), self.store.size_view()[oids].tolist())
                 ),
             )
             page = header_page(index)
@@ -559,7 +559,7 @@ class H2Heap:
                     f"[0, {entry.used_bytes})"
                 )
                 continue
-            region = Region(index, start, region_size)
+            region = Region(self.store, index, start, region_size)
             region.label = entry.label
             region.live = entry.live
             region.allocated_epoch = 0
@@ -568,7 +568,9 @@ class H2Heap:
                 obj = HeapObject(
                     size, name=f"recovered:{entry.label}", store=self.store
                 )
-                region.allocate(obj)
+                region.allocate(obj.oid)
+                obj.space = SpaceId.H2
+                obj.region_id = index
                 obj.label = entry.label
             region.deps = set(entry.deps)
             # Rescan the surviving bytes through the page cache.
@@ -669,7 +671,7 @@ class H2Heap:
                 continue
             self.liveness_log.append(
                 RegionLiveness(
-                    total_objects=len(region.objects),
+                    total_objects=len(region),
                     live_objects=0,
                     used_bytes=region.used,
                     live_bytes=0,
@@ -677,10 +679,10 @@ class H2Heap:
                 )
             )
             self.bytes_reclaimed += region.used
-            self.mapping.discard(region.start, region.capacity)
-            self.card_table.clear_range(region.start, region.end)
+            self.mapping.discard(region.base, region.capacity)
+            self.card_table.clear_range(region.base, region.end)
             dropped.append(region.oid_array())
-            region.clear()
+            region.reset()
             reclaimed.append(region.index)
         if dropped:
             oids = np.concatenate(dropped)

@@ -20,7 +20,7 @@ from repro.faults.events import (
     RetryEvent,
 )
 from repro.gc.g1 import G1Heap
-from repro.heap.object_model import HeapObject
+from repro.heap.object_model import HeapObject, SpaceId
 from repro.teraheap.governor import CircuitState, CircuitTransition
 from repro.units import KiB
 
@@ -116,11 +116,11 @@ def vm_state(vm) -> dict:
     )
     if isinstance(heap, G1Heap):
         state["regions"] = [
-            (r.state, r.top, [o.oid for o in r.objects]) for r in heap.regions
+            (r.state, r.top, r.oid_array().tolist()) for r in heap.regions
         ]
     else:
         state["spaces"] = [
-            (s.name, s.top, [o.oid for o in s.objects]) for s in heap.spaces()
+            (s.name, s.top, s.oid_array().tolist()) for s in heap.spaces()
         ]
     return state
 
@@ -183,7 +183,9 @@ def reference_assign_address(h2, obj, label, epoch):
     ):
         region = h2._new_region(label, epoch)
         h2._open_by_label[label] = region.index
-    region.allocate(obj)
+    region.allocate(obj.oid)
+    obj.space = SpaceId.H2
+    obj.region_id = region.index
     obj.label = label
     h2.objects_moved += 1
     h2.bytes_moved += obj.size
@@ -320,7 +322,6 @@ def reference_fence(collector, targets):
     """Fence forward references edge by edge: a reclaimed target
     faults, every other one counts and marks its region live."""
     from repro.errors import SegmentationFault
-    from repro.heap.object_model import SpaceId
 
     for oid in targets:
         target = collector.store.handle(oid)

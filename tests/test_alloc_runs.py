@@ -214,8 +214,8 @@ def test_run_crosses_minor_and_major_gc(kind):
         assert stats.major_count > 0
     assert vm.clock.sub_total("burst") > 0
     # Every frame-rooted element survived the collections in its run.
-    live = {o.oid for o in vm.heap.all_objects()} if kind != "g1" else {
-        o.oid for r in vm.heap.regions for o in r.objects
+    live = set(vm.heap.all_oids().tolist()) if kind != "g1" else {
+        oid for r in vm.heap.regions for oid in r.oid_array().tolist()
     }
     assert all(o.oid in live for run in kept for o in run)
 
@@ -227,7 +227,7 @@ def test_pretenured_elements_bypass_eden():
         lambda vm: reference_array(vm, 5, PRETENURE, "big"),
     )
     assert all(o.space is SpaceId.OLD for o in objs)
-    assert vm.heap.eden.objects == []
+    assert len(vm.heap.eden) == 0
 
 
 def test_names_sequence():
@@ -329,5 +329,5 @@ def test_scan_factor_runs_match_allocate_then_set(kind):
     if kind == "pretenure":
         assert any(
             o.space is SpaceId.OLD and o.size > PRETENURE
-            for o in vm.heap.old.objects
+            for o in map(vm.store.handle, vm.heap.old.oid_array().tolist())
         )

@@ -361,7 +361,7 @@ def test_audit_detects_address_corruption():
     vm = JavaVM(th_config(audit="cheap"))
     vm.roots.add(vm.allocate(1024))
     vm.major_gc()  # healthy: audit passed
-    vm.heap.old.objects[0].address += 8
+    vm.store.address[vm.heap.old.oid_array()[0]] += 8
     with pytest.raises(InvariantViolation) as excinfo:
         vm.auditor.audit("major", vm.collector.mark_epoch)
     assert any(v.check == "address-bounds" for v in excinfo.value.violations)
@@ -377,8 +377,7 @@ def test_audit_detects_bump_pointer_past_space_end():
     obj = HeapObject(eden.capacity + 512, store=vm.store)
     obj.address = eden.base
     obj.space = SpaceId.EDEN
-    eden.objects.append(obj)
-    eden.top = obj.end_address()
+    eden.extend((obj.oid,), obj.end_address())
     with pytest.raises(InvariantViolation) as excinfo:
         vm.auditor.audit("minor", vm.collector.mark_epoch)
     checks = [v.check for v in excinfo.value.violations]

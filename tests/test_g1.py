@@ -16,24 +16,24 @@ def make_vm(heap_gb=4):
 
 
 class TestG1Heap:
-    def test_region_count(self):
-        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
+    def test_region_count(self, store):
+        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"), store)
         assert heap.num_regions == heap.capacity // heap.region_size
 
     def test_small_allocation_in_eden_region(self, store):
-        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
+        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"), store)
         o = HeapObject(1024, store=store)
         assert heap.try_allocate(o)
         assert o.space is SpaceId.EDEN
         assert heap.regions[o.region_id].state is RegionState.EDEN
 
-    def test_humongous_threshold(self):
-        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
+    def test_humongous_threshold(self, store):
+        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"), store)
         assert heap.is_humongous(heap.region_size // 2 + 1)
         assert not heap.is_humongous(heap.region_size // 2)
 
     def test_humongous_takes_contiguous_run(self, store):
-        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
+        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"), store)
         big = HeapObject(heap.region_size + 100, store=store)
         assert heap.try_allocate(big)
         head = heap.regions[big.region_id]
@@ -44,13 +44,13 @@ class TestG1Heap:
         assert heap.humongous_waste > 0
 
     def test_humongous_waste_counts_toward_usage(self, store):
-        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
+        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"), store)
         big = HeapObject(heap.region_size + 100, store=store)
         heap.try_allocate(big)
         assert heap.used() >= 2 * heap.region_size
 
     def test_free_humongous_run(self, store):
-        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
+        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"), store)
         big = HeapObject(heap.region_size + 100, store=store)
         heap.try_allocate(big)
         head = heap.regions[big.region_id]
@@ -59,7 +59,7 @@ class TestG1Heap:
         assert heap.regions[head.index + 1].state is RegionState.FREE
 
     def test_eden_budget_limits_allocation(self, store):
-        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"))
+        heap = G1Heap(VMConfig(heap_size=gb(4), collector="g1"), store)
         size = heap.region_size // 2
         allocated = 0
         while heap.try_allocate(HeapObject(size, store=store)):

@@ -252,7 +252,7 @@ def schedule_summary(vm: JavaVM) -> str:
         ]
     heap = vm.heap
     for space in (heap.eden, heap.survivor_from, heap.survivor_to, heap.old):
-        oids = [o.oid for o in space.objects]
+        oids = space.oid_array().tolist()
         lines.append(f"{space.name}.top={space.top!r} oids={_sha(oids)}")
     store = vm.store
     lines += [
@@ -551,10 +551,8 @@ def test_first_fit_matches_loop(sizes, room):
 def _space_state(space, store, oids):
     return (
         space.top,
-        [o.oid for o in space.objects],
-        all(o is store.handle(o.oid) for o in space.objects),
         space.oid_array().tolist(),
-        space._index().tolist(),
+        space.oids_overlapping(space.base, space.end),
         [store.address[o] for o in oids],
         [store.space[o] for o in oids],
     )
@@ -570,23 +568,23 @@ def _space_state(space, store, oids):
 def test_place_many_matches_per_object_allocate(
     before, sizes, capacity, cached
 ):
-    """``place_many`` == ``allocate`` per object up to the first misfit."""
+    """``place_many`` == ``allocate`` per object up to the first misfit,
+    whether or not the address index was built before the placement."""
     results = []
     for batched in (False, True):
         store = HeapStore()
-        space = Space(SpaceId.TO, 4096, capacity + sum(before))
+        space = Space(store, SpaceId.TO, 4096, capacity + sum(before))
         for size in before:
-            assert space.allocate(HeapObject(size, store=store))
+            assert space.allocate(HeapObject(size, store=store).oid)
         if cached:
-            space.oid_array()
-            space._index()
+            space.oids_overlapping(space.base, space.end)
         oids = [HeapObject(size, store=store).oid for size in sizes]
         if batched:
-            placed = space.place_many(store, np.asarray(oids, dtype=np.int64))
+            placed = space.place_many(np.asarray(oids, dtype=np.int64))
         else:
             placed = 0
             for oid in oids:
-                if not space.allocate(store.handle(oid)):
+                if not space.allocate(oid):
                     break
                 placed += 1
         results.append((placed, _space_state(space, store, oids)))
@@ -595,14 +593,14 @@ def test_place_many_matches_per_object_allocate(
 
 def test_place_many_partial_fit_leaves_the_rest():
     store = HeapStore()
-    space = Space(SpaceId.OLD, 0, 100)
+    space = Space(store, SpaceId.OLD, 0, 100)
     oids = np.asarray(
         [HeapObject(size, store=store).oid for size in (40, 40, 40, 16)],
         dtype=np.int64,
     )
-    assert space.place_many(store, oids) == 2
+    assert space.place_many(oids) == 2
     assert space.top == 80
     assert [store.address[o] for o in oids.tolist()] == [0, 40, -1, -1]
-    assert space.place_many(store, oids[2:]) == 0
-    assert space.place_many(store, oids[3:]) == 1
+    assert space.place_many(oids[2:]) == 0
+    assert space.place_many(oids[3:]) == 1
     assert space.top == 96

@@ -9,7 +9,9 @@ from repro.heap.card_table import CardTable
 from repro.heap.heap import H1_BASE, ManagedHeap
 from repro.heap.object_model import HeapObject, SpaceId
 from repro.heap.roots import RootSet
-from repro.heap.spaces import OldGeneration, Space
+from repro.gc.g1 import G1Region
+from repro.heap.spaces import Space
+from repro.teraheap.regions import Region
 from repro.units import gb
 
 
@@ -68,41 +70,45 @@ class TestObjectModel:
 # ---------------------------------------------------------------------
 class TestSpace:
     def test_bump_allocation(self, store):
-        s = Space(SpaceId.EDEN, 0, 1000)
+        s = Space(store, SpaceId.EDEN, 0, 1000)
         a, b = HeapObject(100, store=store), HeapObject(200, store=store)
-        assert s.allocate(a) and s.allocate(b)
+        assert s.allocate(a.oid) and s.allocate(b.oid)
         assert a.address == 0
         assert b.address == 100
         assert s.used == 300
         assert s.free == 700
+        assert s.oid_array().tolist() == [a.oid, b.oid]
 
     def test_allocation_fails_when_full(self, store):
-        s = Space(SpaceId.EDEN, 0, 100)
-        assert not s.allocate(HeapObject(128, store=store))
-
-    def test_allocate_sets_space(self, store):
-        s = Space(SpaceId.OLD, 0, 1000)
-        o = HeapObject(64, store=store)
-        s.allocate(o)
-        assert o.space is SpaceId.OLD
+        s = Space(store, SpaceId.EDEN, 0, 100)
+        assert not s.allocate(HeapObject(128, store=store).oid)
 
     def test_reset(self, store):
-        s = Space(SpaceId.EDEN, 0, 1000)
-        s.allocate(HeapObject(64, store=store))
+        s = Space(store, SpaceId.EDEN, 0, 1000)
+        s.allocate(HeapObject(64, store=store).oid)
         s.reset()
         assert s.used == 0
-        assert s.objects == []
+        assert len(s) == 0
+
+    def test_oid_array_survives_reset(self, store):
+        s = Space(store, SpaceId.EDEN, 0, 1000)
+        a = HeapObject(64, store=store)
+        s.allocate(a.oid)
+        held = s.oid_array()
+        s.reset()
+        s.allocate(HeapObject(64, store=store).oid)
+        assert held.tolist() == [a.oid]
 
     def test_occupancy(self, store):
-        s = Space(SpaceId.EDEN, 0, 1000)
-        s.allocate(HeapObject(500, store=store))
+        s = Space(store, SpaceId.EDEN, 0, 1000)
+        s.allocate(HeapObject(500, store=store).oid)
         assert s.occupancy == pytest.approx(0.5)
 
     def test_objects_overlapping(self, store):
-        s = Space(SpaceId.OLD, 0, 10000)
+        s = Space(store, SpaceId.OLD, 0, 10000)
         objs = [HeapObject(100, store=store) for _ in range(10)]
         for o in objs:
-            s.allocate(o)
+            s.allocate(o.oid)
         found = s.oids_overlapping(150, 350)
         assert objs[1].oid in found  # [100,200) overlaps
         assert objs[2].oid in found
@@ -113,23 +119,59 @@ class TestSpace:
         assert s.oids_overlapping(1000, 1100) == []
 
     def test_objects_overlapping_spanning_object(self, store):
-        s = Space(SpaceId.OLD, 0, 10000)
+        s = Space(store, SpaceId.OLD, 0, 10000)
         big = HeapObject(5000, store=store)
-        s.allocate(big)
+        s.allocate(big.oid)
         assert s.oids_overlapping(4000, 4100) == [big.oid]
 
-    def test_negative_capacity_rejected(self):
+    def test_negative_capacity_rejected(self, store):
         with pytest.raises(ConfigError):
-            Space(SpaceId.EDEN, 0, -1)
+            Space(store, SpaceId.EDEN, 0, -1)
 
     def test_old_generation_rebuild(self, store):
-        old = OldGeneration(0, 10000)
+        old = Space(store, SpaceId.OLD, 0, 10000)
+        old.allocate(HeapObject(64, store=store).oid)
         objs = [HeapObject(100, store=store) for _ in range(3)]
         for i, o in enumerate(objs):
             o.address = i * 100
-        old.rebuild_after_compaction(objs)
+        oids = np.asarray([o.oid for o in objs], dtype=np.int64)
+        old.rebuild_after_compaction(oids, 300)
         assert old.top == 300
-        assert old.objects == objs
+        assert old.oid_array().tolist() == oids.tolist()
+        assert old.oids_overlapping(150, 250) == [objs[1].oid, objs[2].oid]
+
+
+def _extent(kind, store, base, capacity):
+    if kind == "space":
+        return Space(store, SpaceId.OLD, base, capacity)
+    if kind == "h2-region":
+        return Region(store, 0, base, capacity)
+    return G1Region(store, 0, base, capacity)
+
+
+@pytest.mark.parametrize("kind", ["space", "h2-region", "g1-region"])
+def test_oids_overlapping(kind, store):
+    """H1 spaces, H2 regions and G1 regions answer card-segment overlap
+    queries with the one extent index."""
+    base = 0x1000
+    extent = _extent(kind, store, base, 10000)
+    assert extent.oids_overlapping(base, base + 10000) == []
+    objs = [HeapObject(100, store=store) for _ in range(10)]
+    big = HeapObject(5000, store=store)
+    for o in objs + [big]:
+        assert extent.allocate(o.oid)
+    # [100, 200) starts before lo; [300, 400) ends past hi.
+    assert extent.oids_overlapping(base + 150, base + 350) == [
+        objs[1].oid, objs[2].oid, objs[3].oid
+    ]
+    # [100, 200) ends exactly at lo and [300, 400) starts at hi.
+    assert extent.oids_overlapping(base + 200, base + 300) == [objs[2].oid]
+    # A range inside one object, which starts before lo.
+    assert extent.oids_overlapping(base + 4000, base + 4100) == [big.oid]
+    # A range past the last object's end holds nothing.
+    assert extent.oids_overlapping(base + 6000, base + 6100) == []
+    extent.reset()
+    assert extent.oids_overlapping(base, base + 10000) == []
 
 
 # ---------------------------------------------------------------------
@@ -256,51 +298,51 @@ class TestRootSet:
 # ManagedHeap
 # ---------------------------------------------------------------------
 class TestManagedHeap:
-    def make_heap(self):
-        return ManagedHeap(VMConfig(heap_size=gb(8)))
+    def make_heap(self, store):
+        return ManagedHeap(VMConfig(heap_size=gb(8)), store)
 
-    def test_layout_is_contiguous(self):
-        heap = self.make_heap()
+    def test_layout_is_contiguous(self, store):
+        heap = self.make_heap(store)
         assert heap.eden.base == H1_BASE
         assert heap.survivor_from.base == heap.eden.end
         assert heap.survivor_to.base == heap.survivor_from.end
         assert heap.old.base == heap.survivor_to.end
 
     def test_allocation_goes_to_eden(self, store):
-        heap = self.make_heap()
+        heap = self.make_heap(store)
         o = HeapObject(1024, store=store)
         assert heap.try_allocate(o)
         assert o.space is SpaceId.EDEN
 
     def test_oversized_goes_to_old(self, store):
-        heap = self.make_heap()
+        heap = self.make_heap(store)
         o = HeapObject(heap.eden.capacity // 2 + 16, store=store)
         assert heap.try_allocate(o)
         assert o.space is SpaceId.OLD
 
     def test_pretenure_threshold(self, store):
-        heap = self.make_heap()
+        heap = self.make_heap(store)
         heap.pretenure_threshold = 1024
         o = HeapObject(2048, store=store)
         assert heap.try_allocate(o)
         assert o.space is SpaceId.OLD
 
     def test_allocation_fails_when_eden_full(self, store):
-        heap = self.make_heap()
+        heap = self.make_heap(store)
         size = heap.eden.capacity // 4
         while heap.try_allocate(HeapObject(size, store=store)):
             pass
         assert not heap.try_allocate(HeapObject(size, store=store))
 
     def test_swap_survivors(self, store):
-        heap = self.make_heap()
+        heap = self.make_heap(store)
         o = HeapObject(64, store=store)
-        heap.survivor_to.allocate(o)
+        heap.survivor_to.allocate(o.oid)
         heap.swap_survivors()
         assert o.space is SpaceId.FROM
-        assert heap.survivor_from.objects == [o]
+        assert heap.survivor_from.oid_array().tolist() == [o.oid]
 
     def test_used_and_occupancy(self, store):
-        heap = self.make_heap()
+        heap = self.make_heap(store)
         heap.try_allocate(HeapObject(1024, store=store))
         assert heap.used() == 1024

@@ -76,7 +76,8 @@ class TestPanthera:
         cfg = VMConfig(heap_size=gb(4))
         with pytest.raises(ValueError):
             PantheraCollector(
-                ManagedHeap(cfg), RootSet(), Clock(), cfg, HeapStore(),
+                ManagedHeap(cfg, HeapStore()), RootSet(), Clock(), cfg,
+                HeapStore(),
                 nvm=None,
             )
 

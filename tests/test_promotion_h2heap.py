@@ -99,7 +99,7 @@ class TestH2Heap:
 
     def test_region_at(self, h2, store):
         region = h2.assign_address(HeapObject(1024, store=store), "x", 1)
-        obj_region = h2.region_at(region.start + 100)
+        obj_region = h2.region_at(region.base + 100)
         assert obj_region is region
 
     def test_cross_region_deps_directional(self, h2, store):
@@ -178,7 +178,7 @@ class TestH2Heap:
 
     def test_reclaim_clears_card_state(self, h2, store):
         region = h2.assign_address(HeapObject(1024, store=store), "a", 1)
-        h2.card_table.mark_dirty(region.start)
+        h2.card_table.mark_dirty(region.base)
         h2.reset_live_bits()
         h2.reclaim_dead_regions(epoch=2)
         assert h2.card_table.cards_to_scan(major=True) == []

@@ -46,12 +46,12 @@ def test_clock_buckets_are_disjoint(charges):
 # ---------------------------------------------------------------------
 @given(st.lists(st.integers(min_value=16, max_value=4096), max_size=60))
 def test_space_objects_never_overlap(sizes):
-    space = Space(SpaceId.EDEN, base=0, capacity=64 * KiB)
     store = HeapStore()
+    space = Space(store, SpaceId.EDEN, base=0, capacity=64 * KiB)
     placed = []
     for size in sizes:
         obj = HeapObject(size, store=store)
-        if space.allocate(obj):
+        if space.allocate(obj.oid):
             placed.append(obj)
     for a, b in zip(placed, placed[1:]):
         assert a.end_address() <= b.address
@@ -61,14 +61,14 @@ def test_space_objects_never_overlap(sizes):
 
 @given(st.lists(st.integers(min_value=16, max_value=2048), max_size=40))
 def test_region_allocation_invariants(sizes):
-    region = Region(0, start=0x1000, capacity=16 * KiB)
     store = HeapStore()
+    region = Region(store, 0, base=0x1000, capacity=16 * KiB)
     for size in sizes:
-        region.allocate(HeapObject(size, store=store))
+        region.allocate(HeapObject(size, store=store).oid)
     assert region.used <= region.capacity
     assert region.top == 0x1000 + region.used
-    for obj in region.objects:
-        assert region.contains_address(obj.address)
+    for obj in map(store.handle, region.oid_array().tolist()):
+        assert region.base <= obj.address < region.end
         assert obj.end_address() <= region.end
 
 

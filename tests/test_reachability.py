@@ -56,7 +56,7 @@ ALLOWED: Dict[str, str] = {
     "src/repro/heap/card_table.py:CardTable.is_dirty": (
         "test observation accessor"
     ),
-    "src/repro/heap/heap.py:ManagedHeap.all_objects": (
+    "src/repro/heap/heap.py:ManagedHeap.all_oids": (
         "test observation accessor (every live heap object)"
     ),
     "src/repro/server/box.py:Tenant.attach_vm": (
@@ -70,9 +70,6 @@ ALLOWED: Dict[str, str] = {
     ),
     "src/repro/teraheap/promotion.py:PromotionManager.write_object": (
         "one-object form tests compare write_many with"
-    ),
-    "src/repro/teraheap/regions.py:Region.contains_address": (
-        "test observation accessor (region bounds)"
     ),
     "src/repro/workloads/generators.py:GraphDataset.num_edges": (
         "test observation accessor (graph dataset size)"

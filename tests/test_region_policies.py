@@ -96,7 +96,7 @@ def test_reclaimed_group_leaves_no_edge_in_any_survivor(policy):
     assert collect(h2, [0]) == {0, 1, 2}
     assert_no_edge_leaves_survivors(h2)
     # A reused index joins no old group.
-    store = h2.regions[0].objects[0]._store
+    store = h2.store
     fresh = h2.assign_address(HeapObject(1024, store=store), "new", 3)
     assert fresh.index in (3, 4) and fresh.deps == set()
     assert collect(h2, [fresh.index]) == {fresh.index}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.heap.object_model import HeapObject, SpaceId
+from repro.heap.object_model import HeapObject
 from repro.teraheap.regions import (
     PER_REGION_METADATA_BYTES,
     Region,
@@ -12,34 +12,33 @@ from repro.units import MiB
 
 
 @pytest.fixture
-def region():
-    return Region(index=0, start=0x1000, capacity=16 * 1024)
+def region(store):
+    return Region(store, index=0, base=0x1000, capacity=16 * 1024)
 
 
 def test_append_only_allocation(region, store):
     a, b = HeapObject(1000, store=store), HeapObject(2000, store=store)
-    assert region.allocate(a) and region.allocate(b)
+    assert region.allocate(a.oid) and region.allocate(b.oid)
     assert a.address == 0x1000
     assert b.address == 0x1000 + 1000
-    assert a.space is SpaceId.H2
-    assert a.region_id == 0
     assert region.used == 3000
+    assert region.oid_array().tolist() == [a.oid, b.oid]
 
 
 def test_objects_never_span_regions(region, store):
     big = HeapObject(region.capacity + 16, store=store)
-    assert not region.allocate(big)
+    assert not region.allocate(big.oid)
 
 
 def test_allocation_fails_when_full(region, store):
-    assert region.allocate(HeapObject(16 * 1024, store=store))
-    assert not region.allocate(HeapObject(64, store=store))
+    assert region.allocate(HeapObject(16 * 1024, store=store).oid)
+    assert not region.allocate(HeapObject(64, store=store).oid)
 
 
 def test_liveness_stats(region, store):
     live, dead = HeapObject(1000, store=store), HeapObject(3000, store=store)
-    region.allocate(live)
-    region.allocate(dead)
+    region.allocate(live.oid)
+    region.allocate(dead.oid)
     live.mark_epoch = 7
     stats = region.live_object_stats(mark_epoch=7)
     assert stats.total_objects == 2
@@ -50,16 +49,6 @@ def test_liveness_stats(region, store):
     assert stats.unused_fraction == pytest.approx(
         1 - 4000 / region.capacity
     )
-
-
-def test_objects_overlapping(region, store):
-    objs = [HeapObject(1000, store=store) for _ in range(5)]
-    for o in objs:
-        region.allocate(o)
-    hit = region.oids_overlapping(0x1000 + 1500, 0x1000 + 2500)
-    assert objs[1].oid in hit and objs[2].oid in hit
-    assert objs[4].oid not in hit
-    assert region.oids_overlapping(0x1000 + 5000, 0x1000 + 6000) == []
 
 
 def test_metadata_matches_paper_table5():

@@ -55,22 +55,20 @@ def test_humongous_workloads_use_large_batches(name):
     ctx = make_ctx()
     SPARK_WORKLOADS[name](ctx, gb(16), scale=0.2)
     assert LARGE_BATCH > G1_REGION_SIZE // 2
-    batches = [
-        o
-        for o in ctx.vm.heap.old.objects
-        if o.size == LARGE_BATCH
-    ]
-    assert batches, "cached humongous batches should be resident"
+    old = ctx.vm.heap.old.oid_array()
+    batches = old[ctx.vm.store.size_view()[old] == LARGE_BATCH]
+    assert batches.size, "cached humongous batches should be resident"
 
 
 def test_tr_uses_fine_grained_chunks():
     """TR's adjacency is dense small objects (high scan factor)."""
     ctx = make_ctx()
     SPARK_WORKLOADS["TR"](ctx, gb(16), scale=0.2)
+    store = ctx.vm.store
     scan_factors = {
-        o.scan_factor
-        for o in ctx.vm.heap.old.objects
-        if o.name.startswith("tr-adj")
+        store.scan_factor[oid]
+        for oid in ctx.vm.heap.old.oid_array().tolist()
+        if store.name[oid].startswith("tr-adj")
     }
     assert max(scan_factors, default=0) >= 8.0
 

@@ -235,11 +235,11 @@ def gc_state(vm, writes) -> str:
     regions = [
         (
             index,
-            r.start,
+            r.base,
             r.top,
             r.label,
             r.live,
-            [o.oid for o in r.objects],
+            r.oid_array().tolist(),
         )
         for index, r in sorted(h2.regions.items())
     ]
@@ -451,12 +451,12 @@ def placement_state(vm, writes) -> dict:
         regions=[
             (
                 index,
-                r.start,
+                r.base,
                 r.top,
                 r.label,
                 r.live,
                 sorted(r.deps),
-                [o.oid for o in r.objects],
+                r.oid_array().tolist(),
                 r.allocated_epoch,
             )
             for index, r in sorted(h2.regions.items())
