@@ -16,7 +16,7 @@ paper observes SVM, BC and RL failing with OOM for exactly this reason
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from ..heap.roots import RootSet
 from ..heap.spaces import Extent
 from ..heap.store import (
     SPACE_EDEN,
-    SPACE_FREED,
     SPACE_OLD,
     SPACE_TO,
     HeapStore,
@@ -229,7 +228,6 @@ class G1WriteBarrier:
         self.clock.charge(self.cost.barrier_cost * 3)
         if src.space is SpaceId.OLD and target is not None and target.in_young:
             self.collector.remset_sources.add(src.oid)
-            self.collector.remset_objects[src.oid] = src
 
 
 class G1Collector(Collector):
@@ -253,7 +251,6 @@ class G1Collector(Collector):
         self.cost = config.cost
         #: approximate remembered set: old objects that gained young refs
         self.remset_sources: Set[int] = set()
-        self.remset_objects: Dict[int, HeapObject] = {}
         # G1 parallel GC threads (the paper configures 8).
         self._workers = min(config.gc_threads, 8)
         self._concurrent_workers = max(
@@ -284,30 +281,22 @@ class G1Collector(Collector):
         cost = self.cost
         st = self.store
         space_arr = st.space
-        epoch_arr = st.mark_epoch
         refs_arr = st.refs
         visit_cost = cost.gc_visit_cost
         ref_cost = cost.gc_ref_cost
         batch = self.config.engine.scan_batch_objects
-        stack = [o.oid for o in self.roots if space_arr[o.oid] <= SPACE_TO]
+        stack = self.roots.oids()
         scanned: List[int] = []
         for oid in list(self.remset_sources):
-            src = self.remset_objects.get(oid)
-            if src is None or space_arr[oid] != SPACE_OLD:
+            if space_arr[oid] != SPACE_OLD:
                 self.remset_sources.discard(oid)
-                self.remset_objects.pop(oid, None)
                 continue
             targets = refs_arr[oid]
             scanned.append(oid)
-            has_young = False
-            for t in targets:
-                if space_arr[t] <= SPACE_TO:
-                    has_young = True
-                    stack.append(t)
-            if not has_young:
+            stack.extend(targets)
+            if not any(space_arr[t] <= SPACE_TO for t in targets):
                 # Precise cleaning: the entry carries no young refs.
                 self.remset_sources.discard(oid)
-                self.remset_objects.pop(oid, None)
         bag = TaskBag()
         bag.add_batches(
             "g1-remset",
@@ -315,19 +304,7 @@ class G1Collector(Collector):
             st.scan_costs(scanned, visit_cost, ref_cost, scaled=False),
             batch,
         )
-        # Order-preserving DFS over the store columns: identical
-        # stack-pop order to the old handle traversal, so scan-batch
-        # boundaries and the engine schedule are unchanged.
-        live: List[int] = []
-        while stack:
-            oid = stack.pop()
-            if epoch_arr[oid] >= epoch or space_arr[oid] > SPACE_TO:
-                continue
-            epoch_arr[oid] = epoch
-            live.append(oid)
-            for t in refs_arr[oid]:
-                if space_arr[t] <= SPACE_TO and epoch_arr[t] < epoch:
-                    stack.append(t)
+        live = st.dfs_closure(stack, epoch, SPACE_TO)
         bag.add_batches(
             "g1-young-scan",
             "scan",
@@ -399,7 +376,6 @@ class G1Collector(Collector):
             for oid in promoted:
                 if any(space_arr[t] <= SPACE_TO for t in refs_arr[oid]):
                     self.remset_sources.add(oid)
-                    self.remset_objects[oid] = st.handle(oid)
             full_duration = 0.0
             if not (survivors_ok and promoted_ok):
                 # Evacuation failure: fall back to a full collection.
@@ -426,31 +402,10 @@ class G1Collector(Collector):
 
     # ------------------------------------------------------------------
     def _mark_from_roots(self, epoch: int) -> List[int]:
-        """Mark everything reachable from the roots (FREED roots
-        dropped) at ``epoch``; returns the oids in visit order.
-
-        Order-preserving DFS over the store columns: the stack-pop order
-        of the old handle traversal, so scan-batch boundaries and the
-        engine schedule are unchanged.
-        """
-        st = self.store
-        space_arr = st.space
-        epoch_arr = st.mark_epoch
-        refs_arr = st.refs
-        stack = [
-            o.oid for o in self.roots if space_arr[o.oid] != SPACE_FREED
-        ]
-        live: List[int] = []
-        while stack:
-            oid = stack.pop()
-            if epoch_arr[oid] >= epoch:
-                continue
-            epoch_arr[oid] = epoch
-            live.append(oid)
-            for t in refs_arr[oid]:
-                if epoch_arr[t] < epoch:
-                    stack.append(t)
-        return live
+        """Mark everything reachable from the roots at ``epoch``; returns
+        the oids in visit order.  A G1 heap has no H2 rows, so the
+        ceiling drops only FREED rows."""
+        return self.store.dfs_closure(self.roots.oids(), epoch, SPACE_OLD)
 
     def _split_marked(self, region: G1Region, epoch: int):
         """The region's (marked, unmarked) oids at ``epoch``, each in
@@ -625,4 +580,3 @@ class G1Collector(Collector):
                 requested=st.sum_sizes(movable),
             )
         self.remset_sources.clear()
-        self.remset_objects.clear()

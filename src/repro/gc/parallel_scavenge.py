@@ -24,6 +24,7 @@ partial old-generation parallelism (ParallelOld).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -206,11 +207,11 @@ class ParallelScavenge(Collector):
         heap = self.heap
         cost = self.cost
         eng_cfg = self.config.engine
-        # Hot columns of the object store: the trace loop below runs over
-        # raw oids and these flat arrays instead of object handles.
+        # Hot columns of the object store: the card scan and card
+        # maintenance below run over raw oids and these flat arrays
+        # instead of object handles.
         st = self.store
         space_arr = st.space
-        epoch_arr = st.mark_epoch
         refs_arr = st.refs
         addr_arr = st.address
         start = self.clock.now
@@ -221,14 +222,13 @@ class ParallelScavenge(Collector):
 
             # --- Roots: explicit roots + dirty-card old objects + H2 ----
             bag = TaskBag()
-            all_roots = self.roots.oids()
+            stack = self.roots.oids()
             bag.add_batches(
                 "minor-roots",
                 "root",
-                np.full(len(all_roots), cost.gc_root_scan_cost),
+                np.full(len(stack), cost.gc_root_scan_cost),
                 128,
             )
-            root_oids = [o for o in all_roots if space_arr[o] <= SPACE_TO]
             scanned_cards: List[Tuple[int, List[int]]] = []
             card_work: Dict[int, float] = {}
             visit_cost = cost.gc_visit_cost
@@ -242,9 +242,7 @@ class ParallelScavenge(Collector):
                     targets = refs_arr[old_oid]
                     work += visit_cost
                     work += ref_cost * len(targets)
-                    for t in targets:
-                        if space_arr[t] <= SPACE_TO:
-                            root_oids.append(t)
+                    stack.extend(targets)
                 card_work[card] = work
             chunked_sweep(
                 bag,
@@ -255,29 +253,11 @@ class ParallelScavenge(Collector):
                 extra=card_work,
             )
             self._run_phase(bag, "minor-roots")
-            root_oids.extend(self.minor_h2_roots())
+            stack.extend(self.minor_h2_roots())
 
             # --- Trace live young objects -------------------------------
-            # Order-preserving DFS kernel: exact stack-pop order of the
-            # old per-object traversal, because scan costs are batched
-            # into engine tasks *in visit order* and the determinism
-            # digests gate on the resulting schedule.  Every target is
-            # pushed; the pop-time check skips marked ones and old-gen
-            # and H2 targets (not traversed in a scavenge).  A target
-            # that check skips would never have been visited, so the
-            # order is that of pushing only unmarked young targets.
-            live_young: List[int] = []
-            stack = root_oids
-            pop = stack.pop
-            push = stack.extend
-            visit = live_young.append
-            while stack:
-                oid = pop()
-                if epoch_arr[oid] >= epoch or space_arr[oid] > SPACE_TO:
-                    continue
-                epoch_arr[oid] = epoch
-                visit(oid)
-                push(refs_arr[oid])
+            # The ceiling leaves old-gen and H2 objects untraversed.
+            live_young = st.dfs_closure(stack, epoch, SPACE_TO)
             bag = TaskBag()
             bag.add_batches(
                 "minor-scan",
@@ -292,7 +272,7 @@ class ParallelScavenge(Collector):
             # fit in to-space, first fit in trace order; the rest promote.
             to_space = heap.survivor_to
             live = np.asarray(live_young, dtype=np.int64)
-            st.age_view()[live] += 1
+            st.age_increment(live)
             sizes = st.size_view()[live]
             young = np.flatnonzero(st.age_view()[live] < TENURING_THRESHOLD)
             stays = np.zeros(live.size, dtype=bool)
@@ -401,68 +381,48 @@ class ParallelScavenge(Collector):
             with self.clock.sub_context("marking"):
                 st = self.store
                 space_arr = st.space
-                epoch_arr = st.mark_epoch
                 refs_arr = st.refs
                 visit_cost = cost.gc_visit_cost
                 ref_cost = cost.gc_ref_cost
                 handle = st.handle
-                # Hook dispatch: hoisting the no-op defaults out of the
-                # trace loop saves a handle lookup per visit; subclasses
-                # that override (Panthera NVM charges) still see every
-                # object they used to.  Fences (TeraHeap) get the
-                # forward-reference targets as one oid list per pass.
-                visit_hook = (
-                    None
-                    if type(self).on_mark_visit
-                    is ParallelScavenge.on_mark_visit
-                    else self.on_mark_visit
-                )
+                # Fences (TeraHeap) get the forward-reference targets as
+                # one oid list per pass.
                 fences = (
                     type(self).on_forward_references
                     is not ParallelScavenge.on_forward_references
                 )
                 self.pre_major_mark()
-                stack: List[int] = []
-                forward: List[int] = []
-                for oid in self.roots.oids():
-                    if space_arr[oid] <= SPACE_OLD:
-                        stack.append(oid)
-                    else:
-                        # Stack/static roots referencing H2 directly count
-                        # as forward references: they pin the region.
-                        forward.append(oid)
+                stack = self.roots.oids()
                 if fences:
-                    self.on_forward_references(forward)
-                    forward = []
+                    # Stack/static roots referencing H2 directly count as
+                    # forward references: they pin the region.
+                    self.on_forward_references(
+                        [oid for oid in stack if space_arr[oid] > SPACE_OLD]
+                    )
                 stack.extend(self.major_h2_roots())
-                # Order-preserving DFS kernel over the store's columns:
-                # identical stack-pop visit order (and therefore batch
-                # boundaries and engine schedules) to the old per-object
-                # traversal.  The fence check is inlined: H2/FREED codes
-                # sort above every H1 code.
-                live: List[int] = []
-                pop = stack.pop
-                push = stack.extend
-                visit = live.append
-                while stack:
-                    oid = pop()
-                    if epoch_arr[oid] >= epoch or space_arr[oid] > SPACE_OLD:
-                        continue
-                    epoch_arr[oid] = epoch
-                    visit(oid)
-                    if visit_hook is not None:
-                        visit_hook(handle(oid))
-                    # Push every target, as in the scavenge trace: the
-                    # check above skips marked and fenced ones, so no edge
-                    # crosses from H1 into H2.
-                    targets = refs_arr[oid]
-                    push(targets)
-                    if fences:
-                        for t in targets:
-                            if space_arr[t] > SPACE_OLD:
-                                forward.append(t)
+                # The ceiling fences H2 (and FREED rows) off, so no edge
+                # crosses from H1 into H2.
+                live = st.dfs_closure(stack, epoch, SPACE_OLD)
+                # Both passes run in visit order.  The visit hook (Panthera,
+                # memory mode) only charges devices and the walk charges
+                # nothing, so the charges keep their order.  Skipping the
+                # no-op default saves a handle lookup per live object.
+                if (
+                    type(self).on_mark_visit
+                    is not ParallelScavenge.on_mark_visit
+                ):
+                    for oid in live:
+                        self.on_mark_visit(handle(oid))
                 if fences:
-                    self.on_forward_references(forward)
+                    self.on_forward_references(
+                        [
+                            t
+                            for t in chain.from_iterable(
+                                map(refs_arr.__getitem__, live)
+                            )
+                            if space_arr[t] > SPACE_OLD
+                        ]
+                    )
                 bag = TaskBag()
                 bag.add_batches(
                     "major-mark",

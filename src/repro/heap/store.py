@@ -30,13 +30,12 @@ store pointer) over one row, so the object-graph API survives unchanged.
 Row 0 is a sentinel; oids start at 1 and double as row indices.
 
 The program's collectors and auditor use :meth:`sum_sizes`,
-:meth:`live_mask`, :meth:`set_space_batch`, :meth:`gather_targets` and
-:meth:`scan_costs` over column views.  The GC traversals are loops of
-their own over the adjacency lists, each keeping the exact stack-pop
-order the digests gate on.  Five kernels have no caller in the program:
-:meth:`dfs_closure` and :meth:`dfs_reachable` (order-preserving DFS),
-and :meth:`mark_batch`, :meth:`age_increment` and
-:meth:`bfs_closure_csr` (vectorized).  Only
+:meth:`live_mask`, :meth:`set_space_batch`, :meth:`age_increment`,
+:meth:`gather_targets` and :meth:`scan_costs` over column views.  Every
+collector marks through :meth:`dfs_closure`, the epoch-marked stack-pop
+walk bounded by a space-code ceiling.  Three kernels have no caller in
+the program: :meth:`dfs_reachable` (order-free DFS), :meth:`mark_batch`
+and :meth:`bfs_closure_csr` (vectorized).  Only
 ``tests/test_store_equivalence.py`` calls them, and the bench harness's
 ``ENTRY_POINTS`` names them; they can go once a benchmark change drops
 them from that list.
@@ -50,7 +49,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import repeat
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -301,32 +300,32 @@ class HeapStore:
 
     # -- order-preserving kernels (digest-gated paths) -----------------
     def dfs_closure(
-        self,
-        root_oids: Iterable[int],
-        skip: Optional[Callable[[int], bool]] = None,
+        self, stack: List[int], epoch: int, ceiling: int
     ) -> List[int]:
-        """Transitive closure in exact stack-pop (LIFO) discovery order.
+        """Mark everything reachable from ``stack`` at ``epoch``; return
+        the marked oids in stack-pop (LIFO) order.
 
-        Replicates ``stack = list(roots); while stack: o = stack.pop();
-        stack.extend(o.refs)`` over raw oids — the discovery order every
-        per-object traversal in the simulator used, preserved because
-        downstream cost batching is order-sensitive.  ``skip`` prunes an
-        oid (and its out-edges) without visiting it.
+        The one marking walk of every collector.  It consumes ``stack``:
+        an oid already marked at ``epoch`` or whose space code is above
+        ``ceiling`` is skipped, anything else is marked, visited and has
+        all its refs pushed.  Engine tasks batch scan costs in visit
+        order, so the digests gate on this order.
         """
+        space = self.space
+        marks = self.mark_epoch
         refs = self.refs
-        seen = set()
-        order: List[int] = []
-        stack = list(root_oids)
+        live: List[int] = []
+        pop = stack.pop
+        push = stack.extend
+        visit = live.append
         while stack:
-            oid = stack.pop()
-            if oid in seen:
+            oid = pop()
+            if marks[oid] >= epoch or space[oid] > ceiling:
                 continue
-            if skip is not None and skip(oid):
-                continue
-            seen.add(oid)
-            order.append(oid)
-            stack.extend(refs[oid])
-        return order
+            marks[oid] = epoch
+            visit(oid)
+            push(refs[oid])
+        return live
 
     def dfs_reachable(self, root_oids: Iterable[int]) -> set:
         """Reachable oid set (order-free users of the same traversal)."""

@@ -310,8 +310,8 @@ class TeraHeapCollector(ParallelScavenge):
         visit_cost = cost.gc_visit_cost
         ref_cost = cost.gc_ref_cost
         # --- transitive closure of tagged root key-objects --------------
-        # Order-preserving DFS over the store columns: same stack-pop
-        # order (and batch boundaries) as the old per-handle traversal.
+        # A stack-pop walk like HeapStore.dfs_closure, kept apart because
+        # it claims labels and skips by flags instead of marking epochs.
         skip = FLAG_H2_CANDIDATE | FLAG_METADATA | FLAG_REFERENCE
         groups: Dict[str, List[int]] = {}
         claimed: List[int] = []

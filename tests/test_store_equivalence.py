@@ -11,6 +11,9 @@ handles, then checks every observable agrees with the shadow model:
   stack-pop order exactly (the digest-gated GC paths depend on it), and
   ``bfs_closure_csr``/``dfs_reachable`` must agree on the reachable set
   (the order-insensitive path the auditor and bench use);
+- ``dfs_closure``'s space ceiling, over mixed spaces and rows already
+  marked, against the collectors' legacy loops: filter at pop (Parallel
+  Scavenge) and filter at push (G1);
 - the batch kernels (``mark_batch``, ``sum_sizes``, ``live_mask``,
   ``age_increment``, ``set_space_batch``) against per-handle loops.
 """
@@ -26,7 +29,13 @@ from repro.heap.object_model import (
     HeapObject,
     SpaceId,
 )
-from repro.heap.store import NO_SPACE, HeapStore
+from repro.heap.store import (
+    NO_SPACE,
+    SPACE_FREED,
+    SPACE_OLD,
+    SPACE_TO,
+    HeapStore,
+)
 
 SPACES = list(SpaceId)
 OP_KINDS = ("mark", "space", "forward", "age", "label", "candidate")
@@ -176,10 +185,17 @@ def test_handle_graph_matches_store_arrays(scenario):
 
     # Traversals: dfs_closure reproduces the legacy stack-pop order, and
     # the vectorized BFS (the auditor's reachability kernel) agrees on
-    # the set.
+    # the set.  Its epoch is above every mark the ops set and its
+    # ceiling admits every space, so it walks the whole closure; the
+    # batch-kernel checks below overwrite the reachable rows' marks.
     order, reachable = _legacy_stack_order(adjacency, roots)
     root_oids = [objs[r].oid for r in roots]
-    assert store.dfs_closure(root_oids) == [objs[i].oid for i in order]
+    assert store.dfs_closure(list(root_oids), 8, SPACE_FREED) == [
+        objs[i].oid for i in order
+    ]
+    for i, obj in enumerate(objs):
+        expected = 8 if i in reachable else shadow[i]["mark_epoch"]
+        assert obj.mark_epoch == expected
     reachable_oids = sorted(objs[i].oid for i in reachable)
     assert sorted(store.dfs_reachable(root_oids)) == reachable_oids
     np.testing.assert_array_equal(
@@ -209,3 +225,67 @@ def test_handle_graph_matches_store_arrays(scenario):
     for i, obj in enumerate(objs):
         if not mask[i]:
             assert obj.space is SpaceId.FREED
+
+
+def _legacy_pop_filter(adjacency, spaces, marks, roots, epoch, ceiling):
+    """Parallel Scavenge's loop: push every target, filter at pop."""
+    marks = list(marks)
+    order = []
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if marks[node] >= epoch or spaces[node] > ceiling:
+            continue
+        marks[node] = epoch
+        order.append(node)
+        stack.extend(adjacency[node])
+    return order, marks
+
+
+def _legacy_push_filter(adjacency, spaces, marks, roots, epoch, ceiling):
+    """G1's loop: push only unmarked targets under the ceiling."""
+    marks = list(marks)
+    order = []
+    stack = [r for r in roots if spaces[r] <= ceiling]
+    while stack:
+        node = stack.pop()
+        if marks[node] >= epoch or spaces[node] > ceiling:
+            continue
+        marks[node] = epoch
+        order.append(node)
+        for t in adjacency[node]:
+            if spaces[t] <= ceiling and marks[t] < epoch:
+                stack.append(t)
+    return order, marks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scenarios(),
+    st.lists(st.sampled_from(SPACES), min_size=25, max_size=25),
+    st.lists(st.integers(0, 6), min_size=25, max_size=25),
+    st.sampled_from([SPACE_TO, SPACE_OLD]),
+)
+def test_dfs_closure_ceiling_matches_legacy_loops(
+    scenario, spaces, marks, ceiling
+):
+    adjacency, sizes, _, roots, epoch = scenario
+    n = len(sizes)
+    codes = [SPACE_CODES[space] for space in spaces[:n]]
+    marks = marks[:n]
+    store = HeapStore()
+    objs = [HeapObject(size, store=store) for size in sizes]
+    for i, targets in enumerate(adjacency):
+        objs[i].refs = [objs[t] for t in targets]
+        objs[i].space = spaces[i]
+        objs[i].mark_epoch = marks[i]
+
+    expected, expected_marks = _legacy_pop_filter(
+        adjacency, codes, marks, roots, epoch, ceiling
+    )
+    assert _legacy_push_filter(
+        adjacency, codes, marks, roots, epoch, ceiling
+    ) == (expected, expected_marks)
+    order = store.dfs_closure([objs[r].oid for r in roots], epoch, ceiling)
+    assert order == [objs[i].oid for i in expected]
+    assert [o.mark_epoch for o in objs] == expected_marks
