@@ -4,13 +4,29 @@ The paper's TeraHeap configurations reserve part of DRAM (DR2) for the
 kernel page cache that backs H2's memory mapping (Section 6).  Workloads
 with locality hit the cache; streaming workloads (Spark ML, Section 7.1)
 miss continuously and run into the device-bandwidth ceiling.
+
+The LRU is kept in page-indexed columns rather than one map entry per
+page, so that a streaming run of misses is a few numpy operations:
+
+- ``_where[page]`` is the log position of the page's live entry, 0 when
+  the page is not cached;
+- ``_dirty[page]`` is its dirty bit, never set on an uncached page;
+- ``_log`` lists pages in touch order from position 1.  Touching a page
+  appends it and points ``_where`` at the new entry, which leaves the
+  older entry stale: an entry is live only while ``_where`` points at
+  it.  The live entries from ``_head`` to ``_tail``, oldest first, are
+  the LRU order.  Eviction advances ``_head`` past stale entries.  When
+  the log is full it is compacted: the live entries are kept, in order,
+  and renumbered from 1.
+
+The columns grow to the highest page touched.  The per-page loops read
+and write them through ``memoryview`` s, which index faster than numpy
+scalars.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from itertools import islice, repeat
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,14 +34,20 @@ from ..errors import SimulatedCrash
 from .base import AccessPattern, Device
 from .durability import DurableImage
 
+#: after a compaction the log holds at least this many times its live
+#: entries plus the batch being appended, so compactions stay amortised
+LOG_SLACK = 4
+
+_Pending = Tuple[List[int], List[int]]
+
 
 class PageCache:
     """LRU page cache in front of a block device.
 
-    Pages are identified by integer page numbers.  Dirty pages are written
-    back to the device on eviction (or via :meth:`flush`), modelling the
-    kernel writeback path that turns scattered stores into device write
-    traffic.
+    Pages are identified by non-negative integer page numbers.  Dirty
+    pages are written back to the device on eviction (or via
+    :meth:`flush`), modelling the kernel writeback path that turns
+    scattered stores into device write traffic.
 
     Every write that reaches the device also lands in the
     :class:`~repro.devices.durability.DurableImage` — the device-side
@@ -34,6 +56,9 @@ class PageCache:
     scheduling is attached, batch writes consult it at named safepoints:
     a crash lands a seeded prefix of the batch, tears the page at the
     cut, and raises :class:`SimulatedCrash`.
+
+    The LRU state is the three columns described in the module
+    docstring; :meth:`lru` lists it as ``(page, dirty)`` pairs.
     """
 
     def __init__(
@@ -48,8 +73,20 @@ class PageCache:
         self.device = device
         self.page_size = page_size
         self.max_pages = capacity // page_size
-        #: page number -> dirty flag, in LRU order (oldest first)
-        self._pages: "OrderedDict[int, bool]" = OrderedDict()
+        #: page -> log position of its live entry (0: not cached)
+        self._where = np.zeros(0, dtype=np.int32)
+        #: page -> dirty bit (only ever set on a cached page)
+        self._dirty = np.zeros(0, dtype=np.bool_)
+        #: pages in touch order; position 0 is unused
+        self._log = np.zeros(1, dtype=np.int32)
+        #: first log position that may be live
+        self._head = 1
+        #: next log position to append at
+        self._tail = 1
+        #: number of cached pages
+        self._live = 0
+        self._page_views()
+        self._log_view = memoryview(self._log)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -63,23 +100,102 @@ class PageCache:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._pages)
+        return self._live
 
     def __contains__(self, page: int) -> bool:
-        return page in self._pages
+        return 0 <= page < self._where.size and self._where_view[page] != 0
 
     @property
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
+    def lru(self) -> List[Tuple[int, bool]]:
+        """The cached pages as ``(page, dirty)``, oldest first."""
+        pages = self._live_pages()
+        return list(zip(pages.tolist(), self._dirty[pages].tolist()))
+
+    # ------------------------------------------------------------------
+    # The columns
+    # ------------------------------------------------------------------
+    def _page_views(self) -> None:
+        self._where_view = memoryview(self._where)
+        self._dirty_view = memoryview(self._dirty)
+
+    def _cover(self, low: int, top: int) -> None:
+        """Make the page columns hold page ``top``; reject ``low < 0``."""
+        if low < 0:
+            raise ValueError(f"negative page number {low}")
+        size = self._where.size
+        if top < size:
+            return
+        size = max(top + 1, 2 * size)
+        where = np.zeros(size, dtype=np.int32)
+        dirty = np.zeros(size, dtype=np.bool_)
+        where[: self._where.size] = self._where
+        dirty[: self._dirty.size] = self._dirty
+        self._where, self._dirty = where, dirty
+        self._page_views()
+
+    def _live_pages(self) -> np.ndarray:
+        """The cached pages in LRU order: the live log entries."""
+        head, tail = self._head, self._tail
+        entries = self._log[head:tail]
+        positions = np.arange(head, tail, dtype=np.int32)
+        return entries[self._where[entries] == positions]
+
+    def _room(self, count: int) -> None:
+        """Make room to append ``count`` log entries.
+
+        Callers check first that the log is full.  It is compacted: the
+        live entries move to positions ``1..live`` in LRU order and
+        ``_where`` is renumbered.  Then it grows, if need be, to
+        :data:`LOG_SLACK` times what it must hold.
+        """
+        pages = self._live_pages()
+        live = pages.size
+        log = self._log
+        size = LOG_SLACK * (live + count) + 1
+        if size > log.size:
+            log = np.zeros(size, dtype=np.int32)
+        log[1 : live + 1] = pages
+        self._where[pages] = np.arange(1, live + 1)
+        self._log = log
+        self._log_view = memoryview(log)
+        self._head = 1
+        self._tail = live + 1
+
+    def _oldest(self, count: int) -> np.ndarray:
+        """Log positions of the ``count`` oldest live entries."""
+        head, tail = self._head, self._tail
+        log, where = self._log, self._where
+        take = count
+        while True:
+            stop = min(head + take, tail)
+            positions = np.arange(head, stop)
+            live = positions[where[log[head:stop]] == positions]
+            if live.size >= count or stop == tail:
+                return live[:count]
+            take *= 2
+
     # ------------------------------------------------------------------
     def _evict_over_limit(self) -> None:
-        while len(self._pages) > self.max_pages:
-            evicted, was_dirty = self._pages.popitem(last=False)
+        """Evict the oldest pages down to the limit, writing back dirty
+        ones: the head skips stale entries to the first live one."""
+        where, dirty, log = self._where_view, self._dirty_view, self._log_view
+        while self._live > self.max_pages:
+            head = self._head
+            page = log[head]
+            while where[page] != head:
+                head += 1
+                page = log[head]
+            where[page] = 0
+            self._head = head + 1
+            self._live -= 1
             self.evictions += 1
-            if was_dirty:
-                self._write_back(evicted)
+            if dirty[page]:
+                dirty[page] = False
+                self._write_back(page)
 
     def _write_back(self, page: int) -> None:
         """Write one evicted dirty page back to the device."""
@@ -90,10 +206,39 @@ class PageCache:
         # without a crash check.
         self.durable_image.commit((page,))
 
-    def _insert(self, page: int, dirty: bool) -> None:
-        self._pages[page] = dirty
-        self._pages.move_to_end(page)
-        self._evict_over_limit()
+    def _insert_clean(self, pages: np.ndarray) -> bool:
+        """Insert distinct uncached ``pages`` clean, in order, then evict
+        the oldest pages over the limit; False (and nothing done) when a
+        victim is dirty.
+
+        Equals inserting each page and evicting after it: the victims are
+        the oldest pages either way, and the inserts are clean.  Victims
+        among the new pages are never appended.
+        """
+        over = self._live + pages.size - self.max_pages
+        if over > 0:
+            old = min(over, self._live)
+            victims = self._oldest(old)
+            evicted = self._log[victims]
+            if self._dirty[evicted].any():
+                return False
+            self._where[evicted] = 0
+            if old == self._live:
+                self._head = self._tail
+            else:
+                self._head = int(victims[-1]) + 1
+            self._live -= old
+            self.evictions += over
+            pages = pages[over - old :]
+        count = pages.size
+        if self._tail + count > self._log.size:
+            self._room(count)
+        tail = self._tail
+        self._log[tail : tail + count] = pages
+        self._where[pages] = np.arange(tail, tail + count)
+        self._tail = tail + count
+        self._live += count
+        return True
 
     def resize(self, capacity: int) -> int:
         """Re-carve this cache to ``capacity`` bytes; returns new max pages.
@@ -160,40 +305,86 @@ class PageCache:
         )
 
     def _access_span(
-        self, pages: Iterable[int], write: bool, pattern: AccessPattern
+        self,
+        pages: Sequence[int],
+        write: bool,
+        pattern: AccessPattern,
+        pending: Optional[_Pending] = None,
     ) -> Tuple[int, int]:
         """Touch one span of distinct pages; returns ``(hits, misses)``.
 
-        Hits move to the LRU tail; the misses are fetched in one device
-        read (one request per contiguous run), then inserted one by one,
-        each insert evicting the oldest pages over the limit (dirty ones
-        written back).  The hit/miss counters are left to the caller.
+        Hits move to the LRU tail in page order (dirtied by a write);
+        the misses are fetched in one device read (one request per
+        contiguous run), then inserted in order.  After each insert the
+        oldest page over the limit is evicted, inline while it is clean;
+        a dirty victim is written back before the next insert, so a
+        writeback that raises leaves the later misses uncached.  Inside
+        :meth:`access_many` the read is appended to ``pending`` instead,
+        and charged before any writeback.  The hit/miss counters are
+        left to the caller.
         """
-        cached = self._pages
-        hits = 0
+        count = len(pages)
+        if not count:
+            return 0, 0
+        tail = self._tail
+        log = self._log_view
+        if tail + count > len(log):
+            self._room(count)
+            tail, log = self._tail, self._log_view
+        where, dirty = self._where_view, self._dirty_view
         miss_pages = []
         for page in pages:
-            if page in cached:
-                hits += 1
-                cached.move_to_end(page)
+            if where[page]:
+                where[page] = tail
+                log[tail] = page
+                tail += 1
                 if write:
-                    cached[page] = True
+                    dirty[page] = True
             else:
                 miss_pages.append(page)
-        if miss_pages:
-            self.device.read(
-                len(miss_pages) * self.page_size,
-                pattern,
-                requests=_count_runs(miss_pages),
-            )
-            max_pages = self.max_pages
-            for page in miss_pages:
-                cached[page] = write
-                # Evict before the next insert: a writeback that raises
-                # must leave the later misses uncached.
-                if len(cached) > max_pages:
-                    self._evict_over_limit()
-        return hits, len(miss_pages)
+        if not miss_pages:
+            self._tail = tail
+            return count, 0
+        misses = len(miss_pages)
+        size = misses * self.page_size
+        # :meth:`access` hands on only step-1 ranges: all missed, one run.
+        if misses == count and type(pages) is range:
+            runs = 1
+        else:
+            runs = _count_runs(miss_pages)
+        if pending is None:
+            self.device.read(size, pattern, requests=runs)
+        else:
+            pending[0].append(size)
+            pending[1].append(runs)
+        max_pages = self.max_pages
+        head, live, evictions = self._head, self._live, self.evictions
+        for page in miss_pages:
+            where[page] = tail
+            log[tail] = page
+            tail += 1
+            if write:
+                dirty[page] = True
+            live += 1
+            while live > max_pages:
+                victim = log[head]
+                while where[victim] != head:
+                    head += 1
+                    victim = log[head]
+                where[victim] = 0
+                head += 1
+                live -= 1
+                evictions += 1
+                if dirty[victim]:
+                    dirty[victim] = False
+                    self._tail, self._head = tail, head
+                    self._live, self.evictions = live, evictions
+                    if pending is not None:
+                        self._read_pending(pending, pattern)
+                    self._write_back(victim)
+        self._tail, self._head = tail, head
+        self._live, self.evictions = live, evictions
+        return count - misses, misses
 
     def access(
         self,
@@ -208,6 +399,14 @@ class PageCache:
         is why batched sequential writes (promotion buffers) are so much
         cheaper than random read-modify-writes.
         """
+        if type(pages) is range and pages.step == 1:
+            if pages.start < 0 or pages.stop > len(self._where_view):
+                self._cover(pages.start, pages.stop - 1)
+        else:
+            if not isinstance(pages, list):
+                pages = list(pages)
+            if pages:
+                self._cover(min(pages), max(pages))
         hits, misses = self._access_span(pages, write, pattern)
         self.hits += hits
         self.misses += misses
@@ -231,13 +430,11 @@ class PageCache:
 
         A span is a sure miss when none of its pages is cached at the
         start of the batch or touched earlier in it.  Each stretch of
-        sure misses is inserted in one step and then evicted down to the
-        limit in one step, unless a victim is dirty.  Every other span,
-        and every span of a stretch with a dirty victim, runs on its
-        own: its hits move to the LRU tail in page order, its misses are
-        then inserted in order, and the oldest pages over the limit are
-        evicted.  The inserts are clean, so evicting once after them
-        picks the same victims in the same order as evicting after each.
+        sure misses is one log append, one position scatter and one
+        vectorised pick of the oldest pages over the limit, unless one
+        of those victims is dirty.  Every other span, and every span of
+        a stretch with a dirty victim, runs on its own through the
+        per-span path.
 
         Meant for fault-free devices: a deferred read or a writeback
         that raised would leave the batch's state apart from the
@@ -256,33 +453,34 @@ class PageCache:
         starts = np.cumsum(lengths) - lengths
         span_of = np.repeat(np.arange(count), lengths)
         pages = firsts[span_of] + (np.arange(span_of.size) - starts[span_of])
-        page_list = pages.tolist()
+        self._cover(int(firsts.min()), int(pages.max()))
         # A page's first touch in the batch misses unless it is cached now.
         sure = np.zeros(pages.size, dtype=bool)
         sure[np.unique(pages, return_index=True)[1]] = True
-        cached_now = self._pages.keys() & page_list
-        if cached_now:
-            sure &= ~np.isin(pages, list(cached_now))
+        sure &= self._where[pages] == 0
         unsure = np.logical_and.reduceat(sure, starts) == 0
-        pending: Tuple[List[int], List[int]] = ([], [])
+        pending: _Pending = ([], [])
         hits = 0
-        misses = int(lengths.sum())
+        misses = pages.size
+        stretch_lengths = lengths
         starts = starts.tolist()
         lengths = lengths.tolist()
         done = 0
         for span in np.flatnonzero(unsure).tolist() + [count]:
             if span > done:
-                end = starts[span] if span < count else len(page_list)
+                end = starts[span] if span < count else pages.size
                 self._insert_sure_misses(
-                    page_list[starts[done] : end],
-                    lengths[done:span],
+                    pages[starts[done] : end],
+                    stretch_lengths[done:span],
                     pending,
                     pattern,
                 )
             if span < count:
                 first = starts[span]
-                span_pages = page_list[first : first + lengths[span]]
-                hits += self._access_batch_span(span_pages, pending, pattern)
+                span_pages = pages[first : first + lengths[span]].tolist()
+                hits += self._access_span(
+                    span_pages, False, pattern, pending
+                )[0]
             done = span + 1
         self._read_pending(pending, pattern)
         misses -= hits
@@ -292,73 +490,32 @@ class PageCache:
 
     def _insert_sure_misses(
         self,
-        pages: List[int],
-        lengths: List[int],
-        pending: Tuple[List[int], List[int]],
+        pages: np.ndarray,
+        lengths: np.ndarray,
+        pending: _Pending,
         pattern: AccessPattern,
     ) -> None:
         """Insert a stretch of sure-miss spans, then evict over the limit.
 
-        Equals inserting each span in turn and evicting after it: the
-        victims are the oldest pages either way, and the stretch's own
-        inserts are clean.  A dirty victim's writeback must follow only
-        the reads of the spans up to the one that evicts it, so a
-        stretch with a dirty victim runs span by span instead.
+        A dirty victim's writeback must follow only the reads of the
+        spans up to the one that evicts it, so a stretch with a dirty
+        victim runs span by span instead.
         """
-        cached = self._pages
-        over = len(cached) + len(pages) - self.max_pages
-        if over > 0 and any(islice(cached.values(), over)):
+        if not self._insert_clean(pages):
             first = 0
-            for length in lengths:
-                self._access_batch_span(
-                    pages[first : first + length], pending, pattern
+            pages = pages.tolist()
+            for length in lengths.tolist():
+                self._access_span(
+                    pages[first : first + length], False, pattern, pending
                 )
                 first += length
             return
-        cached.update(dict.fromkeys(pages, False))
-        if over > 0:
-            self.evictions += over
-            deque(map(cached.popitem, repeat(False, over)), maxlen=0)
         # A span of all-miss consecutive pages is one device request.
-        page_size = self.page_size
-        pending[0].extend([n * page_size for n in lengths])
-        pending[1].extend([1] * len(lengths))
-
-    def _access_batch_span(
-        self,
-        pages: List[int],
-        pending: Tuple[List[int], List[int]],
-        pattern: AccessPattern,
-    ) -> int:
-        """Touch one span inside :meth:`access_many`; returns its hits.
-
-        One pass moves each hit to the LRU tail and collects the misses:
-        a span's pages are distinct, so no miss can turn into a hit
-        before the misses are inserted.
-        """
-        cached = self._pages
-        miss_pages = []
-        for page in pages:
-            if page in cached:
-                cached.move_to_end(page)
-            else:
-                miss_pages.append(page)
-        if not miss_pages:
-            return len(pages)
-        pending[0].append(len(miss_pages) * self.page_size)
-        pending[1].append(_count_runs(miss_pages))
-        cached.update(dict.fromkeys(miss_pages, False))
-        over = len(cached) - self.max_pages
-        if over > 0:
-            self.evictions += over
-            for page, dirty in map(cached.popitem, repeat(False, over)):
-                if dirty:
-                    self._read_pending(pending, pattern)
-                    self._write_back(page)
-        return len(pages) - len(miss_pages)
+        pending[0].extend((lengths * self.page_size).tolist())
+        pending[1].extend([1] * lengths.size)
 
     def _read_pending(
-        self, pending: Tuple[List[int], List[int]], pattern: AccessPattern
+        self, pending: _Pending, pattern: AccessPattern
     ) -> None:
         """Charge the batch's deferred span reads and clear them."""
         sizes, requests = pending
@@ -375,13 +532,35 @@ class PageCache:
         clean, so an immediate read back hits DRAM.  ``safepoint`` names
         this batch for the crash scheduler: a kill here lands a prefix of
         the batch and raises :class:`SimulatedCrash`.
+
+        The cache sees one insert per page, each evicting the oldest
+        pages over the limit.  An ascending batch of uncached pages
+        whose victims are all clean is inserted in one step instead.
         """
         pages = list(pages)
         if not pages:
             return 0
+        batch = np.asarray(pages, dtype=np.int32)
+        self._cover(int(batch.min()), int(batch.max()))
         self._write_batch(pages, _count_runs(pages), safepoint)
+        if (
+            bool((batch[1:] > batch[:-1]).all())
+            and not self._where[batch].any()
+            and self._insert_clean(batch)
+        ):
+            return len(pages)
+        where, dirty = self._where_view, self._dirty_view
         for page in pages:
-            self._insert(page, dirty=False)
+            if self._tail == self._log.size:
+                self._room(1)
+            if where[page]:
+                dirty[page] = False
+            else:
+                self._live += 1
+            where[page] = self._tail
+            self._log_view[self._tail] = page
+            self._tail += 1
+            self._evict_over_limit()
         return len(pages)
 
     def write_metadata(self, pages: Iterable[int], safepoint: str) -> int:
@@ -399,8 +578,13 @@ class PageCache:
 
     def invalidate(self, pages: Iterable[int]) -> None:
         """Drop pages without writeback (freed H2 regions)."""
+        where, dirty = self._where_view, self._dirty_view
+        size = self._where.size
         for page in pages:
-            self._pages.pop(page, None)
+            if 0 <= page < size and where[page]:
+                where[page] = 0
+                dirty[page] = False
+                self._live -= 1
 
     def flush(self, safepoint: str = "writeback") -> int:
         """Write back all dirty pages; returns the number written.
@@ -409,13 +593,14 @@ class PageCache:
         a prefix of the dirty set (LRU-order, as the kernel flusher would
         issue it) and tears the page at the cut.
         """
-        dirty = [p for p, d in self._pages.items() if d]
-        if dirty:
-            self._write_batch(dirty, _count_runs(sorted(dirty)), safepoint)
-            for page in dirty:
-                self._pages[page] = False
-            self.writebacks += len(dirty)
-        return len(dirty)
+        cached = self._live_pages()
+        dirty = cached[self._dirty[cached]]
+        if dirty.size:
+            pages = dirty.tolist()
+            self._write_batch(pages, _count_runs(sorted(pages)), safepoint)
+            self._dirty[dirty] = False
+            self.writebacks += len(pages)
+        return int(dirty.size)
 
     def msync(self) -> int:
         """Synchronous flush of the mapping's dirty pages (``msync(2)``).

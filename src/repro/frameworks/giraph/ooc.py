@@ -181,7 +181,9 @@ class OOCScheduler:
 
         Each span goes through :meth:`PageCache.access` rather than one
         :meth:`PageCache.access_many` batch: about a third of these
-        pages hit, and on hit-heavy spans the per-span path is faster.
+        pages hit, and on hit-heavy spans the per-span path is faster
+        (one giraph-ooc-cdlp job's reloads replayed on a 2-vCPU x86
+        host: 0.28-0.32 s per span, 0.39-0.40 s batched).
         """
         cache = self.cache
         if cache is not None:

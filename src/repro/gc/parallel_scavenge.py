@@ -229,14 +229,18 @@ class ParallelScavenge(Collector):
                 np.full(len(stack), cost.gc_root_scan_cost),
                 128,
             )
-            scanned_cards: List[Tuple[int, List[int]]] = []
             card_work: Dict[int, float] = {}
             visit_cost = cost.gc_visit_cost
             ref_cost = cost.gc_ref_cost
-            for card in heap.card_table.dirty_cards():
-                lo, hi = heap.card_table.card_range(card)
-                on_card = heap.old.oids_overlapping(lo, hi)
-                scanned_cards.append((card, on_card))
+            cards = list(heap.card_table.dirty_cards())
+            ranges = [heap.card_table.card_range(card) for card in cards]
+            scanned_cards: List[Tuple[int, List[int]]] = list(zip(
+                cards,
+                heap.old.oids_overlapping(
+                    [lo for lo, _ in ranges], [hi for _, hi in ranges]
+                ),
+            ))
+            for card, on_card in scanned_cards:
                 work = 0.0
                 for old_oid in on_card:
                     targets = refs_arr[old_oid]

@@ -16,8 +16,9 @@ Two levels:
 - **full** — additionally cross-checks the card tables and the H2
   dependency metadata: old-to-young references are covered by dirty
   cards, H2 cross-region references are closed under the dependency
-  lists (no H2→H1/H2 dangling refs), and region live bits agree with
-  the regions that survived the last major GC.  It also checks the
+  lists (no H2→H1/H2 dangling refs), region live bits agree with
+  the regions that survived the last major GC, and the H2 page cache's
+  columns describe one LRU within its limit.  It also checks the
   store's rows: no FREED row keeps a store-held handle, and every
   reference row is a list or the shared empty ``()``.
 """
@@ -120,6 +121,7 @@ class HeapAuditor:
             self._check_card_coverage(violations)
             if self.h2 is not None:
                 self._check_h2_references(violations)
+                self._check_page_cache(violations)
                 if trigger == "major":
                     self._check_live_bits(violations, epoch)
         self.tally.audits_run += 1
@@ -469,6 +471,61 @@ class HeapAuditor:
         if not cross.size:
             return True
         return all(int(r) in region.deps for r in cross)
+
+    def _check_page_cache(self, out: List[Violation]) -> None:
+        """The H2 page cache's columns describe one LRU within its limit.
+
+        Its live count equals the number of live log entries, every
+        cached page's position points at that page's own entry inside
+        the log's live window, no uncached page keeps a dirty bit, and
+        no more pages are cached than the cache may hold.
+        """
+        cache = self.h2.page_cache
+        where, dirty, log = cache._where, cache._dirty, cache._log
+        subject = "H2 page cache"
+        listed = len(cache.lru())
+        if listed != len(cache):
+            out.append(
+                Violation(
+                    "page-cache",
+                    subject,
+                    f"{len(cache)} live log entries (its live count)",
+                    f"{listed} live log entries",
+                )
+            )
+        cached = np.flatnonzero(where)
+        positions = where[cached]
+        inside = (positions >= cache._head) & (positions < cache._tail)
+        own = np.zeros(cached.size, dtype=bool)
+        own[inside] = log[positions[inside]] == cached[inside]
+        for page in cached[~own][:5].tolist():
+            out.append(
+                Violation(
+                    "page-cache",
+                    f"{subject} page {page}",
+                    f"a position in [{cache._head}, {cache._tail}) whose "
+                    "log entry is the page",
+                    f"position {int(where[page])}",
+                )
+            )
+        for page in np.flatnonzero(dirty & (where == 0))[:5].tolist():
+            out.append(
+                Violation(
+                    "page-cache",
+                    f"{subject} page {page}",
+                    "no dirty bit on an uncached page",
+                    "dirty bit set",
+                )
+            )
+        if len(cache) > cache.max_pages:
+            out.append(
+                Violation(
+                    "page-cache",
+                    subject,
+                    f"at most {cache.max_pages} pages cached",
+                    f"{len(cache)} pages cached",
+                )
+            )
 
     def _check_live_bits(self, out: List[Violation], epoch: int) -> None:
         """After a major GC only live regions may hold objects.

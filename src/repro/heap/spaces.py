@@ -128,21 +128,42 @@ class Extent:
         """The held oids in address order (a view: no copy)."""
         return np.frombuffer(self._oids, dtype=np.int64)
 
-    def oids_overlapping(self, lo: int, hi: int) -> List[int]:
-        """Oids of the objects whose extent intersects [lo, hi), in
-        address order."""
+    def oids_overlapping(
+        self, los: Sequence[int], his: Sequence[int]
+    ) -> List[List[int]]:
+        """For each range ``[los[i], his[i])``, the oids of the objects
+        whose extent intersects it, in address order.
+
+        One ``searchsorted`` pair over the address index brackets every
+        range's candidates, and one numpy pass keeps those that overlap.
+        """
+        if not len(los):
+            return []
         if self._addresses is None:
             self._addresses = self.store.address_view()[self.oid_array()]
         addrs = self._addresses
-        # First object that could overlap: the one starting at or before lo.
-        start = max(int(np.searchsorted(addrs, lo, side="right")) - 1, 0)
-        stop = int(np.searchsorted(addrs, hi, side="left")) + 1
-        address = self.store.address
-        size = self.store.size
+        los = np.asarray(los, dtype=np.int64)
+        his = np.asarray(his, dtype=np.int64)
+        # First candidate: the object starting at or before lo; the last:
+        # the one before the first object starting at or past hi.
+        starts = np.maximum(np.searchsorted(addrs, los, side="right") - 1, 0)
+        stops = np.searchsorted(addrs, his, side="left")
+        counts = np.maximum(stops - starts, 0)
+        ends = np.cumsum(counts)
+        firsts = ends - counts
+        span_of = np.repeat(np.arange(counts.size), counts)
+        oids = self.oid_array()[
+            np.arange(span_of.size) - (firsts - starts)[span_of]
+        ]
+        address = self.store.address_view()[oids]
+        keep = (address < his[span_of]) & (
+            address + self.store.size_view()[oids] > los[span_of]
+        )
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        found = oids[keep].tolist()
         return [
-            oid
-            for oid in self._oids[start:stop]
-            if address[oid] < hi and address[oid] + size[oid] > lo
+            found[a:b]
+            for a, b in zip(kept[firsts].tolist(), kept[ends].tolist())
         ]
 
 

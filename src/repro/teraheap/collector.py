@@ -159,7 +159,7 @@ class TeraHeapCollector(ParallelScavenge):
             if region is None or region.is_empty:
                 table.set_state(card, CardState.CLEAN)
                 continue
-            on_card = region.oids_overlapping(lo, hi)
+            on_card = region.oids_overlapping((lo,), (hi,))[0]
             # Reading device-resident objects to inspect their references.
             self.h2.scan_load(lo, hi - lo)
             card_work = 0.0
@@ -506,7 +506,7 @@ class TeraHeapCollector(ParallelScavenge):
                 continue
             # Recompute the segment's contents: pre-compaction may have
             # placed fresh movers into this card since the marking scan.
-            oids = region.oids_overlapping(lo, hi)
+            oids = region.oids_overlapping((lo,), (hi,))[0]
             has_backward = any(
                 space_arr[t] <= SPACE_OLD or fwd_space_arr[t] != NO_SPACE
                 for oid in oids

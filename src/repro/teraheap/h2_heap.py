@@ -45,9 +45,10 @@ from .regions import PER_REGION_METADATA_BYTES, Region, RegionLiveness
 
 #: smallest batch :meth:`H2Heap.mutator_load_many` hands to the page
 #: cache's batch kernel; smaller batches load object by object.  The
-#: kernel's numpy set-up costs about 70 us per batch.  On a 2-vCPU x86
-#: host, a batch of 8 KiB objects that all miss takes 1.02x the
-#: per-object loop's time at 28 objects and 0.88x at 32.
+#: kernel's numpy set-up costs about 50 us per batch.  On a 2-vCPU x86
+#: host, a batch of 8 KiB objects that all miss takes 1.00x the
+#: per-object loop's time at 20 objects and 0.66x at 32; one whose
+#: pages all hit takes 1.39x at 32 and 1.04x at 64.
 LOAD_MANY_MIN = 32
 #: base virtual address of the H2 mapping, disjoint from H1
 H2_BASE = 0x1_0000_0000

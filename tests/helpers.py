@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from repro import JavaVM, OutOfMemoryError, TeraHeapConfig, VMConfig, gb
 from repro.clock import Bucket
+from repro.devices.base import AccessPattern
+from repro.devices.durability import DurableImage
 from repro.devices.health import DeviceState, HealthTransition
 from repro.devices.mmap import BASE_PAGE
 from repro.faults.events import (
@@ -1113,3 +1116,115 @@ def legacy_view(log) -> ReferenceResilienceLog:
             ]
         setattr(view, attr, events)
     return view
+
+
+class ReferencePageCache:
+    """The page cache's LRU rules kept one ``OrderedDict`` entry per page
+    (page -> dirty flag, oldest first), as the cache held them before it
+    moved to page-indexed columns.
+
+    :meth:`access_many` is one :meth:`access` per span and
+    :meth:`write_through` one insert per page.  There is no fault plan:
+    a batch write lands whole or raises before it lands.
+    """
+
+    def __init__(self, device, capacity: int, page_size: int = 4096):
+        self.device = device
+        self.page_size = page_size
+        self.max_pages = capacity // page_size
+        self.pages: "OrderedDict[int, bool]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.writebacks = 0
+        self.durable_image = DurableImage(page_size)
+
+    def __len__(self) -> int:
+        return len(self.pages)
+
+    def __contains__(self, page: int) -> bool:
+        return page in self.pages
+
+    def lru(self):
+        return list(self.pages.items())
+
+    @staticmethod
+    def _runs(pages) -> int:
+        breaks = sum(1 for a, b in zip(pages, pages[1:]) if b != a + 1)
+        return breaks + 1
+
+    def _evict_over_limit(self) -> None:
+        while len(self.pages) > self.max_pages:
+            page, dirty = self.pages.popitem(last=False)
+            self.evictions += 1
+            if dirty:
+                self.writebacks += 1
+                self.device.write(self.page_size, AccessPattern.RANDOM)
+                self.durable_image.commit((page,))
+
+    def _write_batch(self, pages, runs: int) -> None:
+        self.device.write(len(pages) * self.page_size, requests=runs)
+        self.durable_image.commit(pages)
+
+    def access(self, pages, write=False, pattern=AccessPattern.SEQUENTIAL):
+        hits = 0
+        miss_pages = []
+        for page in pages:
+            if page in self.pages:
+                hits += 1
+                self.pages.move_to_end(page)
+                if write:
+                    self.pages[page] = True
+            else:
+                miss_pages.append(page)
+        if miss_pages:
+            self.device.read(
+                len(miss_pages) * self.page_size,
+                pattern,
+                requests=self._runs(miss_pages),
+            )
+            for page in miss_pages:
+                self.pages[page] = write
+                self._evict_over_limit()
+        self.hits += hits
+        self.misses += len(miss_pages)
+        return hits, len(miss_pages)
+
+    def access_many(self, firsts, stops, pattern=AccessPattern.SEQUENTIAL):
+        hits = misses = 0
+        for first, stop in zip(firsts, stops):
+            span_hits, span_misses = self.access(
+                range(first, stop), False, pattern
+            )
+            hits += span_hits
+            misses += span_misses
+        return hits, misses
+
+    def write_through(self, pages, safepoint: str = "h2_write") -> int:
+        pages = list(pages)
+        if not pages:
+            return 0
+        self._write_batch(pages, self._runs(pages))
+        for page in pages:
+            self.pages[page] = False
+            self.pages.move_to_end(page)
+            self._evict_over_limit()
+        return len(pages)
+
+    def invalidate(self, pages) -> None:
+        for page in pages:
+            self.pages.pop(page, None)
+
+    def flush(self, safepoint: str = "writeback") -> int:
+        dirty = [page for page, flag in self.pages.items() if flag]
+        if dirty:
+            self._write_batch(dirty, self._runs(sorted(dirty)))
+            for page in dirty:
+                self.pages[page] = False
+            self.writebacks += len(dirty)
+        return len(dirty)
+
+    def resize(self, capacity: int) -> int:
+        self.max_pages = capacity // self.page_size
+        self._evict_over_limit()
+        return self.max_pages

@@ -206,7 +206,7 @@ def _page_cache(
         lines.append("completed")
     except SimulatedCrash as exc:
         lines.append(f"crash {exc.safepoint} {exc.op_index} {exc}")
-    lines.append(f"lru {list(cache._pages.items())}")
+    lines.append(f"lru {cache.lru()}")
     lines.append(
         f"counters {cache.hits} {cache.misses} {cache.evictions} "
         f"{cache.writebacks}"

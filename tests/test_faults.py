@@ -424,6 +424,32 @@ def test_audit_detects_missing_dependency_edge():
     )
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    ["live-count", "position", "stray-dirty", "over-limit"],
+)
+def test_audit_detects_page_cache_corruption(corrupt):
+    vm = JavaVM(th_config(audit="full"))
+    root, _ = make_group(vm, count=4, size=2 * KiB, name="a")
+    vm.h2_tag_root(root, "a")
+    vm.h2_move("a")
+    vm.major_gc()  # healthy: audit passed
+    cache = vm.h2.page_cache
+    (page, _), *_ = cache.lru()
+    if corrupt == "live-count":
+        cache._live += 1
+    elif corrupt == "position":
+        cache._where[page] = cache._tail  # past the last entry
+    elif corrupt == "stray-dirty":
+        cache.invalidate([page])
+        cache._dirty[page] = True
+    else:
+        cache.max_pages = len(cache) - 1
+    with pytest.raises(InvariantViolation) as excinfo:
+        vm.auditor.audit("major", vm.collector.mark_epoch)
+    assert {v.check for v in excinfo.value.violations} == {"page-cache"}
+
+
 def test_config_rejects_unknown_audit_level():
     with pytest.raises(ConfigError):
         VMConfig(heap_size=gb(4), audit="bogus")

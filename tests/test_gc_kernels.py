@@ -568,7 +568,7 @@ def _space_state(space, store, oids):
     return (
         space.top,
         space.oid_array().tolist(),
-        space.oids_overlapping(space.base, space.end),
+        space.oids_overlapping([space.base], [space.end]),
         [store.address[o] for o in oids],
         [store.space[o] for o in oids],
     )
@@ -593,7 +593,7 @@ def test_place_many_matches_per_object_allocate(
         for size in before:
             assert space.allocate(HeapObject(size, store=store).oid)
         if cached:
-            space.oids_overlapping(space.base, space.end)
+            space.oids_overlapping([space.base], [space.end])
         oids = [HeapObject(size, store=store).oid for size in sizes]
         if batched:
             placed = space.place_many(np.asarray(oids, dtype=np.int64))

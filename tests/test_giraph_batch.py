@@ -136,7 +136,7 @@ def cdlp_state(vm, job) -> str:
     marks and the store's edge version."""
     h2 = vm.h2
     lines = [
-        f"lru={_sha(list(h2.page_cache._pages.items()))}",
+        f"lru={_sha(h2.page_cache.lru())}",
         f"h1_cards={_sha(list(vm.heap.card_table.dirty_cards()))}",
         f"h2_cards={_sha(list(h2.card_table.iter_states()))}",
         f"h2_mutator_marks={h2.card_table.mutator_marks!r}",
@@ -174,7 +174,7 @@ def test_th_cdlp_state_golden_digest(th_cdlp):
     vm, job = th_cdlp
     # Every kind of state the digest covers is populated.
     h2 = vm.h2
-    assert h2.page_cache._pages and h2.page_cache.writebacks > 0
+    assert h2.page_cache.lru() and h2.page_cache.writebacks > 0
     assert vm.heap.card_table.dirty_count > 0
     assert list(h2.card_table.iter_states()) and h2.card_table.mutator_marks
     assert h2.mapping.page_faults > 0
@@ -222,7 +222,7 @@ def batch_state(vm) -> dict:
         state["h2"] = (
             list(h2.card_table.iter_states()),
             (cache.hits, cache.misses, cache.evictions, cache.writebacks),
-            list(cache._pages.items()),
+            cache.lru(),
             (traffic.bytes_read, traffic.bytes_written),
             (traffic.read_ops, traffic.write_ops),
             h2.mapping.page_faults,

@@ -117,7 +117,7 @@ def ooc_store_summary(vm, job) -> str:
         f"rows={_sha(rows)}",
         f"offsets={_sha(list(ooc._offsets.items()))}",
         f"next_offset={ooc._next_offset!r}",
-        f"lru={_sha(list(ooc.cache._pages.items()))}",
+        f"lru={_sha(ooc.cache.lru())}",
         f"roots={len(vm.roots)!r}",
         f"frames={len(vm.roots._frames)!r}",
         f"edge_version={store.edge_version!r}",

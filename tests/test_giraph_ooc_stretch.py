@@ -139,7 +139,7 @@ def job_state(vm, job, error) -> dict:
         ),
         offsets=list(ooc._offsets.items()),
         cache=(cache.hits, cache.misses, cache.evictions, cache.writebacks),
-        lru=list(cache._pages.items()),
+        lru=cache.lru(),
         traffic=(
             traffic.bytes_read,
             traffic.bytes_written,

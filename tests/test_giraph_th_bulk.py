@@ -85,7 +85,7 @@ def job_state(vm, job, error) -> dict:
             cache=(
                 cache.hits, cache.misses, cache.evictions, cache.writebacks
             ),
-            lru=list(cache._pages.items()),
+            lru=cache.lru(),
             traffic=(
                 traffic.bytes_read,
                 traffic.bytes_written,

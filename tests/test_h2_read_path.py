@@ -81,7 +81,7 @@ def pr_summary(vm, ctx) -> str:
         f"pc_evictions={cache.evictions!r}",
         f"pc_writebacks={cache.writebacks!r}",
         f"page_faults={h2.mapping.page_faults!r}",
-        f"lru={_sha(list(cache._pages.items()))}",
+        f"lru={_sha(cache.lru())}",
         f"durable={_sha(list(cache.durable_image.pages.items()))}",
         f"h2_bytes_moved={h2.bytes_moved!r}",
         f"objects={vm.store.object_count!r}",
@@ -146,7 +146,7 @@ def read_path_state(vm):
         "buckets": repr(sorted(vm.breakdown().items())),
         "sub": repr(sorted(vm.clock.sub_breakdown().items())),
         "cache": (cache.hits, cache.misses, cache.evictions, cache.writebacks),
-        "lru": list(cache._pages.items()),
+        "lru": cache.lru(),
         "traffic": (
             traffic.bytes_read,
             traffic.bytes_written,

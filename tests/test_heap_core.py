@@ -109,20 +109,20 @@ class TestSpace:
         objs = [HeapObject(100, store=store) for _ in range(10)]
         for o in objs:
             s.allocate(o.oid)
-        found = s.oids_overlapping(150, 350)
+        (found,) = s.oids_overlapping([150], [350])
         assert objs[1].oid in found  # [100,200) overlaps
         assert objs[2].oid in found
         assert objs[3].oid in found  # [300,400) overlaps
         assert objs[0].oid not in found
         assert objs[5].oid not in found
         # A range past the last object's end holds nothing.
-        assert s.oids_overlapping(1000, 1100) == []
+        assert s.oids_overlapping([1000], [1100]) == [[]]
 
     def test_objects_overlapping_spanning_object(self, store):
         s = Space(store, SpaceId.OLD, 0, 10000)
         big = HeapObject(5000, store=store)
         s.allocate(big.oid)
-        assert s.oids_overlapping(4000, 4100) == [big.oid]
+        assert s.oids_overlapping([4000], [4100]) == [[big.oid]]
 
     def test_negative_capacity_rejected(self, store):
         with pytest.raises(ConfigError):
@@ -138,7 +138,9 @@ class TestSpace:
         old.rebuild_after_compaction(oids, 300)
         assert old.top == 300
         assert old.oid_array().tolist() == oids.tolist()
-        assert old.oids_overlapping(150, 250) == [objs[1].oid, objs[2].oid]
+        assert old.oids_overlapping([150], [250]) == [
+            [objs[1].oid, objs[2].oid]
+        ]
 
 
 def _extent(kind, store, base, capacity):
@@ -152,26 +154,36 @@ def _extent(kind, store, base, capacity):
 @pytest.mark.parametrize("kind", ["space", "h2-region", "g1-region"])
 def test_oids_overlapping(kind, store):
     """H1 spaces, H2 regions and G1 regions answer card-segment overlap
-    queries with the one extent index."""
+    queries with the one extent index, one range or many at once."""
     base = 0x1000
     extent = _extent(kind, store, base, 10000)
-    assert extent.oids_overlapping(base, base + 10000) == []
+    assert extent.oids_overlapping([base], [base + 10000]) == [[]]
+    assert extent.oids_overlapping([], []) == []
     objs = [HeapObject(100, store=store) for _ in range(10)]
     big = HeapObject(5000, store=store)
     for o in objs + [big]:
         assert extent.allocate(o.oid)
-    # [100, 200) starts before lo; [300, 400) ends past hi.
-    assert extent.oids_overlapping(base + 150, base + 350) == [
-        objs[1].oid, objs[2].oid, objs[3].oid
+    cases = [
+        # [100, 200) starts before lo; [300, 400) ends past hi.
+        (150, 350, [objs[1].oid, objs[2].oid, objs[3].oid]),
+        # [100, 200) ends exactly at lo and [300, 400) starts at hi.
+        (200, 300, [objs[2].oid]),
+        # A range inside one object, which starts before lo.
+        (4000, 4100, [big.oid]),
+        # A range past the last object's end holds nothing.
+        (6000, 6100, []),
+        # A range before the first object holds nothing.
+        (-50, 0, []),
     ]
-    # [100, 200) ends exactly at lo and [300, 400) starts at hi.
-    assert extent.oids_overlapping(base + 200, base + 300) == [objs[2].oid]
-    # A range inside one object, which starts before lo.
-    assert extent.oids_overlapping(base + 4000, base + 4100) == [big.oid]
-    # A range past the last object's end holds nothing.
-    assert extent.oids_overlapping(base + 6000, base + 6100) == []
+    for lo, hi, expected in cases:
+        assert extent.oids_overlapping([base + lo], [base + hi]) == [expected]
+    # One query for every range, in any order, answers each the same.
+    for order in (cases, cases[::-1]):
+        assert extent.oids_overlapping(
+            [base + lo for lo, _, _ in order], [base + hi for _, hi, _ in order]
+        ) == [expected for _, _, expected in order]
     extent.reset()
-    assert extent.oids_overlapping(base, base + 10000) == []
+    assert extent.oids_overlapping([base], [base + 10000]) == [[]]
 
 
 # ---------------------------------------------------------------------

@@ -120,5 +120,5 @@ def test_failed_writeback_stops_the_inserts_after_it():
     pc.access([0, 1], write=True)
     with pytest.raises(OSError):
         pc.access([10, 11, 12])
-    assert list(pc._pages.items()) == [(1, True), (10, False)]
+    assert pc.lru() == [(1, True), (10, False)]
     assert (pc.hits, pc.misses, pc.evictions, pc.writebacks) == (0, 2, 1, 1)

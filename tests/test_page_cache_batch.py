@@ -103,7 +103,7 @@ def th_pr_store_summary(vm, ctx) -> str:
     lines += [
         f"pc={(cache.hits, cache.misses, cache.evictions, cache.writebacks)!r}",
         f"page_faults={h2.mapping.page_faults!r}",
-        f"lru={_sha(list(cache._pages.items()))}",
+        f"lru={_sha(cache.lru())}",
         f"durable={_sha(list(cache.durable_image.pages.items()))}",
         f"gcs={(stats.minor_count, stats.major_count)!r}",
         f"objects={store.object_count!r}",
@@ -146,7 +146,7 @@ def cache_state(cache, clock):
     """Everything a page-cache batch can touch, floats as exact hex."""
     t = cache.device.traffic
     return {
-        "lru": list(cache._pages.items()),
+        "lru": cache.lru(),
         "counters": (cache.hits, cache.misses, cache.evictions, cache.writebacks),
         "traffic": (t.bytes_read, t.bytes_written, t.read_ops, t.write_ops),
         "buckets": {k: v.hex() for k, v in clock.breakdown().items()},

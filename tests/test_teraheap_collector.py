@@ -211,7 +211,9 @@ def test_h2_read_cold_cache_hits_device(vm):
     vm.h2_move("grp")
     vm.major_gc()
     # Evict everything (e.g. other I/O displaced the cache).
-    vm.h2.page_cache.invalidate(list(vm.h2.page_cache._pages))
+    vm.h2.page_cache.invalidate(
+        [page for page, _ in vm.h2.page_cache.lru()]
+    )
     before = vm.h2.device.traffic.bytes_read
     vm.read_object(children[0])
     assert vm.h2.device.traffic.bytes_read > before

@@ -289,7 +289,7 @@ def gc_state(vm, writes) -> str:
         f"{promotion.bytes_written!r}, {promotion.direct_writes!r})",
         f"h2_device=({traffic.bytes_read!r}, {traffic.bytes_written!r}, "
         f"{traffic.read_ops!r}, {traffic.write_ops!r})",
-        f"lru={_sha(list(h2.page_cache._pages.items()))}",
+        f"lru={_sha(h2.page_cache.lru())}",
         f"pc=({h2.page_cache.hits!r}, {h2.page_cache.misses!r}, "
         f"{h2.page_cache.evictions!r}, {h2.page_cache.writebacks!r})",
         f"forward_refs_fenced={vm.collector.forward_refs_fenced!r}",
@@ -482,7 +482,7 @@ def placement_state(vm, writes) -> dict:
             traffic.read_ops, traffic.write_ops,
         ),
         cache=(
-            list(cache._pages.items()), cache.hits, cache.misses,
+            cache.lru(), cache.hits, cache.misses,
             cache.evictions, cache.writebacks,
         ),
         collector=(
