@@ -273,7 +273,7 @@ def schedule_summary(vm: JavaVM) -> str:
         f"sizes={_sha(store.size.tobytes())}",
         f"addresses={_sha(store.address.tobytes())}",
         f"spaces={_sha(store.space.tobytes())}",
-        f"ages={_sha(store.age.tobytes())}",
+        f"ages={_sha(np.asarray(store.age, dtype=np.int64).tobytes())}",
     ]
     return "\n".join(lines)
 

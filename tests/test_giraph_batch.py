@@ -27,7 +27,13 @@ from contextlib import nullcontext
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_vm, reference_many, reference_place, vm_state
+from helpers import (
+    make_vm,
+    reference_many,
+    reference_place,
+    ref_rows,
+    vm_state,
+)
 from repro import Clock, JavaVM, TeraHeapConfig, VMConfig, gb
 from repro.clock import Bucket
 from repro.config import PantheraConfig
@@ -47,7 +53,7 @@ from repro.heap.object_model import HeapObject, SpaceId
 from repro.units import KiB
 
 #: digest of :func:`cdlp_summary` for the pinned CDLP job
-GOLDEN_TH_CDLP_DIGEST = "3ea681be8fdcfa8d"
+GOLDEN_TH_CDLP_DIGEST = "976bf80b136dcf67"
 
 #: digest of :func:`cdlp_state` for the same job
 GOLDEN_TH_CDLP_STATE_DIGEST = "d8cae925aa16932a"
@@ -124,7 +130,7 @@ def cdlp_summary(vm, job) -> str:
         f"sizes={_sha(store.size.tobytes())}",
         f"addresses={_sha(store.address.tobytes())}",
         f"spaces={_sha(store.space.tobytes())}",
-        f"refs={_sha([list(r) for r in store.refs])}",
+        f"refs={_sha(ref_rows(store))}",
     ]
     return "\n".join(lines)
 

@@ -16,6 +16,7 @@ import hashlib
 
 import pytest
 
+from helpers import ref_rows
 from repro import JavaVM, VMConfig, gb
 from repro.devices.nvme import NVMeSSD
 from repro.frameworks.giraph import (
@@ -34,7 +35,7 @@ from repro.workloads.generators import make_graph
 #: digest of :func:`ooc_summary` for the pinned CDLP job below
 GOLDEN_OOC_CDLP_DIGEST = "596787902de57683"
 #: digest of :func:`ooc_store_summary` for the same job
-GOLDEN_OOC_CDLP_STORE_DIGEST = "ca6fb7f3ec6baf62"
+GOLDEN_OOC_CDLP_STORE_DIGEST = "e42f5f83ee45358f"
 
 
 def run_ooc_cdlp():
@@ -108,9 +109,9 @@ def ooc_store_summary(vm, job) -> str:
             store.size[oid],
             store.space[oid],
             store.address[oid],
-            list(store.refs[oid]),
+            refs,
         )
-        for oid in range(len(store))
+        for oid, refs in enumerate(ref_rows(store))
     ]
     heap = vm.heap
     lines = [

@@ -27,6 +27,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import ref_rows
 from repro import Clock, JavaVM, TeraHeapConfig, VMConfig, gb
 from repro.devices.base import AccessPattern
 from repro.devices.dram import DRAM
@@ -48,8 +49,8 @@ from test_h2_read_path import build_vm, read_path_state, read_scenarios
 
 #: digest of :func:`th_pr_store_summary` per page-cache size
 GOLDEN_TH_PR_STORE_DIGESTS = {
-    "dr2-1gb": "0f69303ffe84ef9e",
-    "two-pages": "fe6f0beac22074bb",
+    "dr2-1gb": "90c549ee4ef40693",
+    "two-pages": "daa864c2d0133e28",
 }
 
 PAGE_CACHE_SIZES = {"dr2-1gb": gb(1), "two-pages": 2 * BASE_PAGE}
@@ -112,7 +113,7 @@ def th_pr_store_summary(vm, ctx) -> str:
         f"addresses={_sha(store.address.tobytes())}",
         f"spaces={_sha(store.space.tobytes())}",
         f"scan_factors={_sha(store.scan_factor.tobytes())}",
-        f"refs={_sha([list(refs) for refs in store.refs])}",
+        f"refs={_sha(ref_rows(store))}",
     ]
     return "\n".join(lines)
 

@@ -25,6 +25,7 @@ check per edge does.
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -281,7 +282,7 @@ def gc_state(vm, writes) -> str:
         f"liveness_log={_sha(liveness)}",
         f"rows={_sha(rows)}",
         f"spaces={_sha(store.space.tobytes())}",
-        f"region_ids={_sha(store.region_id.tobytes())}",
+        f"region_ids={_sha(np.asarray(store.region_id, dtype=np.int64).tobytes())}",
         f"addresses={_sha(store.address.tobytes())}",
         f"flags={_sha(store.flags.tobytes())}",
         f"writes={_sha(writes)}",
