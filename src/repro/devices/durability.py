@@ -37,7 +37,7 @@ identity of digests across reruns is the determinism acceptance check.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: the superblock record: (committed_epoch, manifest, checkpoint note)
 Superblock = Tuple[int, Tuple[int, ...], str]
@@ -78,16 +78,27 @@ class DurableImage:
         """Stage ``entry`` to commit with the next write of ``page``."""
         self._staged.setdefault(page, []).append((slot, entry))
 
-    def commit(self, pages: Iterable[int]) -> None:
+    def commit(self, pages: Sequence[int]) -> None:
         """Pages reached the device intact: install them and any staged
-        journal entries riding on them."""
-        for page in pages:
-            self._write_seq += 1
-            self.pages[page] = self._write_seq
-            self.torn.discard(page)
-            for slot, entry in self._staged.pop(page, ()):
-                retained = self.journal.get(slot, ())
-                self.journal[slot] = (retained + (entry,))[-2:]
+        journal entries riding on them.
+
+        Equals installing the pages one by one in order: each takes the
+        next write sequence (a repeated page keeps its first place in
+        :attr:`pages` and its last sequence), leaves :attr:`torn`, and
+        installs the entries staged against it.
+        """
+        seq = self._write_seq
+        self.pages.update(zip(pages, range(seq + 1, seq + 1 + len(pages))))
+        self._write_seq = seq + len(pages)
+        if self.torn:
+            self.torn.difference_update(pages)
+        staged = self._staged
+        if staged and not staged.keys().isdisjoint(pages):
+            journal = self.journal
+            for page in [p for p in pages if p in staged]:
+                for slot, entry in staged.pop(page, ()):
+                    retained = journal.get(slot, ())
+                    journal[slot] = (retained + (entry,))[-2:]
 
     def tear(self, page: int) -> None:
         """A crash cut this page mid-write: neither its old nor its new

@@ -718,7 +718,7 @@ class GiraphJob:
         value_size = self.graph.vertex_value_size
         objs = store.new_objects(sizes, names, FLAG_SERIALIZABLE)
         if objs:
-            heap.allocate_run(objs, sizes)
+            heap.allocate_run(objs[0].oid, sizes)
         cost = vm.cost
         alloc, stored = cost.alloc_cost, barrier.store_cost
         latency, bandwidth = cost.dram_latency, cost.dram_read_bw

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..heap.store import HeapStore
+from ..heap.store import MAX_EPOCH, HeapStore
 
 #: minor-GC survivals before promotion to the old generation
 TENURING_THRESHOLD = 2
@@ -142,6 +142,10 @@ class Collector:
         self._cycle_execs: list = []
 
     def next_epoch(self) -> int:
+        """A fresh mark epoch; raises before it outgrows the store's
+        int32 ``mark_epoch`` column."""
+        if self.mark_epoch >= MAX_EPOCH:
+            raise OverflowError(f"mark epoch would pass {MAX_EPOCH}")
         self.mark_epoch += 1
         return self.mark_epoch
 

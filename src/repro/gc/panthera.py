@@ -71,7 +71,7 @@ class PantheraCollector(ParallelScavenge):
     def on_compact_move(self, obj: HeapObject) -> None:
         if self.nvm is None:
             return
-        src_nvm = obj.forward_address == -1 and self.on_nvm(obj)
+        src_nvm = self.on_nvm(obj)
         dst_nvm = obj.address >= self.nvm_boundary
         if dst_nvm or src_nvm:
             # Compaction traffic touching the NVM component.

@@ -496,9 +496,7 @@ class ParallelScavenge(Collector):
                     )
                 eden_addrs = np.cumsum(eden_sizes) - eden_sizes
                 eden_addrs += heap.eden.base
-                st.forward_address_view()[in_old] = old_addrs
                 st.forward_space_view()[in_old] = SPACE_OLD
-                st.forward_address_view()[in_eden] = eden_addrs
                 st.forward_space_view()[in_eden] = SPACE_EDEN
                 self._run_phase(bag, "major-precompact", workers=workers)
             phases["precompact"] = self.clock.now - t0
@@ -544,7 +542,6 @@ class ParallelScavenge(Collector):
                 st.space_view()[in_old] = SPACE_OLD
                 st.address_view()[in_eden] = eden_addrs
                 st.space_view()[in_eden] = SPACE_EDEN
-                st.forward_address_view()[stayers] = -1
                 st.forward_space_view()[stayers] = NO_SPACE
                 # The hook reads only its own, already final, row.
                 if (

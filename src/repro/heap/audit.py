@@ -341,16 +341,18 @@ class HeapAuditor:
     # Full checks: card tables, dependency closure, live bits
     # ------------------------------------------------------------------
     def _check_store_rows(self, out: List[Violation]) -> None:
-        """FREED rows hold no handle; reference rows are lists or ``()``.
+        """FREED rows hold no handle and no references; reference rows
+        are lists or ``()``.
 
-        A handle left on a FREED row is memory the row should no longer
-        cost; any other reference container is one an in-place writer
-        could not go through :meth:`HeapStore.writable_refs` for.
+        A handle or a reference left on a FREED row is memory the row
+        should no longer cost; any other reference container is one an
+        in-place writer could not go through
+        :meth:`HeapStore.writable_refs` for.
         """
         store = self.store
-        handles = store.handles
-        freed = np.flatnonzero(store.space_view() == SPACE_FREED)
-        held = [oid for oid in freed.tolist() if handles[oid] is not None]
+        handles, refs = store.handles, store.refs
+        freed = np.flatnonzero(store.space_view() == SPACE_FREED).tolist()
+        held = [oid for oid in freed if handles[oid] is not None]
         if held:
             out.append(
                 Violation(
@@ -358,6 +360,16 @@ class HeapAuditor:
                     f"{len(held)} FREED row(s), first #{held[0]}",
                     "no store-held handle",
                     "a handle in store.handles",
+                )
+            )
+        linked = [oid for oid in freed if refs[oid] != ()]
+        if linked:
+            out.append(
+                Violation(
+                    "store-rows",
+                    f"{len(linked)} FREED row(s), first #{linked[0]}",
+                    "references ()",
+                    repr(refs[linked[0]]),
                 )
             )
         odd = [

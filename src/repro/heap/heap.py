@@ -111,14 +111,12 @@ class ManagedHeap:
             free -= size
         return len(sizes) - start
 
-    def allocate_run(
-        self, objs: List[HeapObject], sizes: Sequence[int]
-    ) -> None:
-        """Place fresh reference-free objects of ``sizes`` in eden, as one
-        :meth:`try_allocate` each would; at most :meth:`eden_room` of
-        them."""
-        self.eden.allocate_run(objs, sizes)
-        self.allocated_objects += len(objs)
+    def allocate_run(self, first: int, sizes: Sequence[int]) -> None:
+        """Place the fresh reference-free rows ``first``, ``first + 1``,
+        ... of ``sizes`` in eden, as one :meth:`try_allocate` each
+        would; at most :meth:`eden_room` of them."""
+        self.eden.allocate_run(first, sizes)
+        self.allocated_objects += len(sizes)
         self.allocated_bytes += sum(sizes)
 
     def swap_survivors(self) -> None:

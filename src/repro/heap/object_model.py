@@ -8,11 +8,13 @@ header field over side metadata to avoid re-tracking addresses every GC.
 Since the struct-of-arrays refactor the per-object state lives in flat
 parallel columns of :class:`~repro.heap.store.HeapStore`; a
 ``HeapObject`` is a two-slot handle (oid + store pointer) whose
-attributes are properties over its row.  The attribute API is unchanged,
-handles are canonical while their row is not FREED (one per oid, so
-``is`` works), and oids double as row indices.  Once a row is FREED the
-store drops its handle; a handle still held elsewhere keeps its oid and
-store, so it still reads the row as FREED.
+attributes are properties over its row.  The columns are as narrow as
+their values: ``age`` is int8, ``region_id`` and ``mark_epoch`` int32,
+so writing a value past their range raises ``OverflowError``.  Handles
+are canonical while their row is not FREED (one per oid, so ``is``
+works), and oids double as row indices.  Once a row is FREED the store
+drops its handle and its references; a handle still held elsewhere
+keeps its oid and store, so it still reads the row as FREED.
 """
 
 from __future__ import annotations
@@ -220,7 +222,6 @@ class HeapObject:
         "mark bit, implemented as the epoch of the last marking cycle so "
         "marks never need explicit clearing",
     )
-    forward_address = _int_column("forward_address", "compaction target")
 
     # -- flag bits -----------------------------------------------------
     is_metadata = _flag_property(

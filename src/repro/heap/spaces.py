@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from .object_model import SPACE_CODES, HeapObject, SpaceId
+from .object_model import SPACE_CODES, SpaceId
 
 
 class Extent:
@@ -178,17 +178,14 @@ class Space(Extent):
         #: fixed at construction: the survivors swap ids, not names
         self.name = space_id.value
 
-    def allocate_run(
-        self, objs: List[HeapObject], sizes: Sequence[int]
-    ) -> None:
-        """Bump-allocate fresh objects of ``sizes`` in one pass.
+    def allocate_run(self, first: int, sizes: Sequence[int]) -> None:
+        """Bump-allocate the fresh rows ``first``, ``first + 1``, ... of
+        ``sizes`` in one pass.
 
-        ``objs`` are consecutive store rows and the caller has checked
-        that they fit; the result equals one :meth:`allocate` per object
-        with the space code written.
+        The caller has checked that they fit; the result equals one
+        :meth:`allocate` per object with the space code written.
         """
-        count = len(objs)
-        first = objs[0].oid
+        count = len(sizes)
         addresses = array("q", accumulate(sizes, initial=self.top))
         top = addresses.pop()
         self.store.address[first:first + count] = addresses

@@ -2,15 +2,18 @@
 
 Instead of one Python ``HeapObject`` instance per simulated object — a
 header's worth of interpreter overhead chased one reference at a time —
-every per-object field lives in a flat parallel array indexed by oid:
+every per-object field lives in a flat parallel array indexed by oid,
+each only as wide as its values:
 
-- ``array('q')`` columns for size, address, age, region id, mark epoch
-  and forwarding address (fast scalar access from Python *and* zero-copy
-  ``numpy`` views via the buffer protocol);
-- ``array('b')`` columns for the space/forward-space codes and the
-  boolean flag bitfield (metadata / reference / serializable /
-  h2-candidate);
-- ``array('d')`` for the GC scan-cost multiplier;
+- ``array('q')`` columns for size and address, and ``array('d')`` for
+  the GC scan-cost multiplier;
+- ``array('i')`` columns for the region id and the mark epoch
+  (:data:`MAX_EPOCH` bounds the epoch; a 2 TiB H2 of 16 KiB regions has
+  2^27 regions);
+- ``array('b')`` columns for the GC age (collectors promote at age 2;
+  :meth:`age_increment` raises rather than wrap), the space and
+  forward-space codes and the boolean flag bitfield (metadata /
+  reference / serializable / h2-candidate);
 - list columns of labels and names; names are interned when a row is
   created, so the many rows that share a name share one string;
 - the outgoing references (``refs[oid]`` is a sequence of target oids),
@@ -19,11 +22,16 @@ every per-object field lives in a flat parallel array indexed by oid:
   references holds the shared immutable ``()``; :meth:`writable_refs`
   turns it into a list on the row's first in-place write, so every
   in-place writer goes through it;
-- a list column of handles, one per row that is not FREED.
+- a list column of handles, built on demand and dropped once the row is
+  FREED.
 
-So a row costs its array columns plus four list slots: no per-row empty
-list, no per-row copy of a repeated name, and no handle once the row is
-FREED (:meth:`free_rows` drops it).
+Every column is zero-copy viewable from ``numpy`` through the buffer
+protocol.  So a row costs 36 bytes of array columns plus four list
+slots: no per-row empty list, no per-row copy of a repeated name, no
+handle unless a caller asked for one, and once the row is FREED
+(:meth:`free_rows`) neither a handle nor references.  Nothing reads a
+FREED row's references: the marking ceiling skips FREED rows, extents
+drop them at GC and every mutator path faults on them first.
 
 :class:`~repro.heap.object_model.HeapObject` is a thin handle (oid +
 store pointer) over one row, so the object-graph API survives unchanged.
@@ -68,6 +76,10 @@ SPACE_H2 = 4
 SPACE_FREED = 5
 #: ``forward_space`` code meaning "no forwarding decision"
 NO_SPACE = -1
+#: largest mark epoch the ``array('i')`` column holds
+MAX_EPOCH = 2**31 - 1
+#: largest GC age the ``array('b')`` column holds
+MAX_AGE = 127
 
 # Flag bits of the ``flags`` column.
 FLAG_METADATA = 1
@@ -96,10 +108,9 @@ class HeapStore:
         self.size = array("q", [0])
         self.space = array("b", [SPACE_FREED])
         self.address = array("q", [-1])
-        self.age = array("q", [0])
-        self.region_id = array("q", [-1])
-        self.mark_epoch = array("q", [0])
-        self.forward_address = array("q", [-1])
+        self.age = array("b", [0])
+        self.region_id = array("i", [-1])
+        self.mark_epoch = array("i", [0])
         self.forward_space = array("b", [NO_SPACE])
         self.scan_factor = array("d", [0.0])
         self.flags = array("b", [0])
@@ -109,8 +120,8 @@ class HeapStore:
         #: adjacency: refs[oid] -> target oids; ``()`` until first written
         self.refs: List[Sequence[int]] = [()]
         #: canonical handle per oid while the row is not FREED
-        #: (identity-stable: ``a is b`` works); None before first use and
-        #: once the row is FREED
+        #: (identity-stable: ``a is b`` works); None until a caller asks
+        #: for one and once the row is FREED
         self.handles: List[object] = [None]
         #: bumped on any edge mutation; invalidates the CSR snapshot
         self.edge_version = 0
@@ -141,7 +152,6 @@ class HeapStore:
         self.age.append(0)
         self.region_id.append(-1)
         self.mark_epoch.append(0)
-        self.forward_address.append(-1)
         self.forward_space.append(NO_SPACE)
         self.scan_factor.append(scan_factor)
         self.flags.append(flags)
@@ -152,6 +162,37 @@ class HeapStore:
         self.edge_version += 1
         return oid
 
+    def new_rows(
+        self,
+        sizes: Sequence[int],
+        names: Sequence[str],
+        flags: int,
+        scan_factor: float = 1.0,
+    ) -> int:
+        """One reference-free row per entry of ``sizes``, in one pass,
+        with no handle; returns the first row's oid.
+
+        The rows, oids and edge version equal one :meth:`new_object` call
+        per size with no references and ``scan_factor``.
+        """
+        count = len(sizes)
+        first = len(self.size)
+        self.size.extend(sizes)
+        self.space.extend(array("b", [SPACE_EDEN]) * count)
+        self.address.extend(array("q", [-1]) * count)
+        self.age.extend(array("b", [0]) * count)
+        self.region_id.extend(array("i", [-1]) * count)
+        self.mark_epoch.extend(array("i", [0]) * count)
+        self.forward_space.extend(array("b", [NO_SPACE]) * count)
+        self.scan_factor.extend(array("d", [scan_factor]) * count)
+        self.flags.extend(array("b", [flags]) * count)
+        self.label.extend([None] * count)
+        self.name.extend(map(sys.intern, names))
+        self.refs.extend(repeat((), count))
+        self.handles.extend(repeat(None, count))
+        self.edge_version += count
+        return first
+
     def new_objects(
         self,
         sizes: Sequence[int],
@@ -159,38 +200,20 @@ class HeapStore:
         flags: int,
         scan_factor: float = 1.0,
     ) -> List[object]:
-        """One reference-free row per entry of ``sizes``, in one pass.
-
-        The rows, oids and edge version equal one :meth:`new_object` call
-        per size with no references and ``scan_factor``; returns the
-        rows' canonical handles in oid order.
-        """
+        """:meth:`new_rows`, returning the rows' canonical handles in oid
+        order."""
         from .object_model import HeapObject
 
-        count = len(sizes)
-        first = len(self.size)
-        self.size.extend(sizes)
-        self.space.extend(array("b", [SPACE_EDEN]) * count)
-        self.address.extend(array("q", [-1]) * count)
-        self.age.extend(array("q", [0]) * count)
-        self.region_id.extend(array("q", [-1]) * count)
-        self.mark_epoch.extend(array("q", [0]) * count)
-        self.forward_address.extend(array("q", [-1]) * count)
-        self.forward_space.extend(array("b", [NO_SPACE]) * count)
-        self.scan_factor.extend(array("d", [scan_factor]) * count)
-        self.flags.extend(array("b", [flags]) * count)
-        self.label.extend([None] * count)
-        self.name.extend(map(sys.intern, names))
-        self.refs.extend(repeat((), count))
+        first = self.new_rows(sizes, names, flags, scan_factor)
+        end = first + len(sizes)
         new = HeapObject.__new__
         handles = []
-        for oid in range(first, first + count):
+        for oid in range(first, end):
             h = new(HeapObject)
             h.oid = oid
             h._store = self
             handles.append(h)
-        self.handles.extend(handles)
-        self.edge_version += count
+        self.handles[first:end] = handles
         return handles
 
     def writable_refs(self, oid: int) -> List[int]:
@@ -206,20 +229,25 @@ class HeapStore:
         return targets
 
     def free_rows(self, oids) -> None:
-        """Mark rows FREED and drop the store's handle for each.
+        """Mark rows FREED and drop the store's handle and references for
+        each.
 
         A handle someone still holds keeps its oid and store, so access
-        through it still sees the FREED space.
+        through it still sees the FREED space.  Dropping the references
+        leaves :attr:`edge_version` alone: no reader looks at a FREED
+        row's references, so a CSR snapshot that still holds them is
+        never asked for them.
         """
         idx = np.asarray(oids, dtype=np.int64)
         if idx.size:
             self.space_view()[idx] = SPACE_FREED
-            handles = self.handles
+            handles, refs = self.handles, self.refs
             for oid in idx.tolist():
                 handles[oid] = None
+                refs[oid] = ()
 
     # -- column views --------------------------------------------------
-    # array('q'/'d'/'b') exposes the buffer protocol, so these are
+    # array('q'/'i'/'d'/'b') exposes the buffer protocol, so these are
     # zero-copy; they must be re-taken after any append (realloc).
     def size_view(self) -> np.ndarray:
         return np.frombuffer(self.size, dtype=np.int64)
@@ -231,16 +259,13 @@ class HeapStore:
         return np.frombuffer(self.address, dtype=np.int64)
 
     def age_view(self) -> np.ndarray:
-        return np.frombuffer(self.age, dtype=np.int64)
+        return np.frombuffer(self.age, dtype=np.int8)
 
     def region_view(self) -> np.ndarray:
-        return np.frombuffer(self.region_id, dtype=np.int64)
+        return np.frombuffer(self.region_id, dtype=np.int32)
 
     def epoch_view(self) -> np.ndarray:
-        return np.frombuffer(self.mark_epoch, dtype=np.int64)
-
-    def forward_address_view(self) -> np.ndarray:
-        return np.frombuffer(self.forward_address, dtype=np.int64)
+        return np.frombuffer(self.mark_epoch, dtype=np.int32)
 
     def forward_space_view(self) -> np.ndarray:
         return np.frombuffer(self.forward_space, dtype=np.int8)
@@ -353,10 +378,15 @@ class HeapStore:
             self.space_view()[idx] = space_code
 
     def age_increment(self, oids) -> None:
+        """Add one to the age of each oid; raise rather than wrap the
+        int8 column past :data:`MAX_AGE`."""
         idx = np.asarray(oids, dtype=np.int64)
         if idx.size:
             view = self.age_view()
-            view[idx] += 1
+            ages = view[idx]
+            if int(ages.max()) >= MAX_AGE:
+                raise OverflowError(f"GC age would pass {MAX_AGE}")
+            view[idx] = ages + 1
 
     def sum_sizes(self, oids) -> int:
         idx = np.asarray(oids, dtype=np.int64)

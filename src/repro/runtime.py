@@ -463,6 +463,27 @@ class JavaVM:
         placed, so this equals setting it on each element after its
         :meth:`allocate`.
         """
+        objs: List[HeapObject] = []
+        self._allocate_runs(
+            sizes, names, frame, into, oom_message, scan_factor, objs
+        )
+        return objs
+
+    def _allocate_runs(
+        self,
+        sizes: Sequence[int],
+        names: Sequence[str],
+        frame: Optional[StackFrame],
+        into: Optional[HeapObject],
+        oom_message: str,
+        scan_factor: float,
+        objs: Optional[List[HeapObject]],
+    ) -> None:
+        """:meth:`allocate_many`'s body; appends the handles to ``objs``.
+
+        With ``objs=None`` (no ``frame`` either) the rows of each eden
+        stretch get no handle at all, since no caller would hold one.
+        """
         count = len(sizes)
         if len(names) != count:
             raise ValueError(f"{len(names)} names for {count} elements")
@@ -472,7 +493,6 @@ class JavaVM:
         barrier = self.barrier
         batch_into = into is not None and isinstance(barrier, WriteBarrier)
         alloc_cost = self.cost.alloc_cost
-        objs: List[HeapObject] = []
         done = 0
         while done < count:
             fit = 0
@@ -481,9 +501,17 @@ class JavaVM:
             if fit:
                 end = done + fit
                 run_sizes = sizes[done:end]
-                run = store.new_objects(
-                    run_sizes, names[done:end], FLAG_SERIALIZABLE, scan_factor
-                )
+                run_names = names[done:end]
+                if objs is None:
+                    run = ()
+                    first = store.new_rows(
+                        run_sizes, run_names, FLAG_SERIALIZABLE, scan_factor
+                    )
+                else:
+                    run = store.new_objects(
+                        run_sizes, run_names, FLAG_SERIALIZABLE, scan_factor
+                    )
+                    first = run[0].oid
                 if into is None:
                     clock.charge_repeated(alloc_cost, fit, Bucket.OTHER)
                 else:
@@ -493,10 +521,10 @@ class JavaVM:
                         (barrier.store_cost, None),
                     )
                     clock.charge_cycle(charges, fit)
-                heap.allocate_run(run, run_sizes)
+                heap.allocate_run(first, run_sizes)
                 if into is not None:
                     store.writable_refs(into.oid).extend(
-                        [obj.oid for obj in run]
+                        range(first, first + fit)
                     )
                     store.edge_version += fit
                     barrier.on_reference_stores(into, fit)
@@ -514,8 +542,8 @@ class JavaVM:
                 done += 1
             if frame is not None:
                 frame.push_all(run)
-            objs.extend(run)
-        return objs
+            if objs is not None:
+                objs.extend(run)
 
     def allocate_temp(self, nbytes: int) -> None:
         """Spray short-lived temporaries (S/D byte-stream buffers).
@@ -532,8 +560,8 @@ class JavaVM:
         sizes = [TEMP_CHUNK] * full
         if tail:
             sizes.append(max(tail, MIN_OBJECT_SIZE))
-        self.allocate_many(
-            sizes, ["sd-temp"] * len(sizes), oom_message=message
+        self._allocate_runs(
+            sizes, ["sd-temp"] * len(sizes), None, None, message, 1.0, None
         )
 
     # ==================================================================

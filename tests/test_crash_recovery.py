@@ -54,6 +54,48 @@ def test_dirty_pages_are_not_durable_until_writeback():
     assert image.is_durable(4)
 
 
+def reference_commit(image, pages):
+    """:meth:`DurableImage.commit` one page at a time, in order."""
+    for page in pages:
+        image._write_seq += 1
+        image.pages[page] = image._write_seq
+        image.torn.discard(page)
+        for slot, entry in image._staged.pop(page, ()):
+            retained = image.journal.get(slot, ())
+            image.journal[slot] = (retained + (entry,))[-2:]
+
+
+_page = st.integers(0, 12)
+_image_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("commit"), st.lists(_page, max_size=10)),
+        st.tuples(st.just("tear"), _page),
+        st.tuples(st.just("stage"), st.tuples(_page, st.integers(0, 3))),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_image_ops)
+def test_commit_matches_the_per_page_install(ops):
+    bulk, looped = DurableImage(), DurableImage()
+    for n, (kind, arg) in enumerate(ops):
+        for image in (bulk, looped):
+            if kind == "tear":
+                image.tear(arg)
+            elif kind == "stage":
+                image.stage_journal(arg[0], arg[1], f"entry-{n}")
+        if kind == "commit":
+            bulk.commit(arg)
+            reference_commit(looped, arg)
+        assert list(bulk.pages.items()) == list(looped.pages.items())
+        assert bulk._write_seq == looped._write_seq
+        assert bulk.torn == looped.torn
+        assert list(bulk.journal.items()) == list(looped.journal.items())
+        assert bulk._staged == looped._staged
+
+
 def test_torn_header_keeps_previous_journal_entry():
     image = DurableImage()
     page = header_page(0)

@@ -7,10 +7,14 @@ ever made.  This file bounds what one such row costs in host memory,
 measured with ``tracemalloc``, and pins the behaviour the cheap row
 layout must keep: rows with no references share the immutable ``()``
 until their first write, names are interned, and the store drops its
-handle once a row is FREED while a handle held elsewhere still faults.
+handle and references once a row is FREED while a handle held elsewhere
+still faults.  It also pins the row layout itself: a column widened or
+added to the store fails :func:`test_store_columns_add_up_to_the_row_layout`.
 """
 
+import gc
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -18,16 +22,16 @@ from repro import JavaVM, SegmentationFault, VMConfig
 from repro.errors import InvariantViolation
 from repro.heap.audit import AuditLevel, HeapAuditor
 from repro.heap.object_model import SpaceId
-from repro.heap.store import SPACE_FREED
+from repro.heap.store import MAX_AGE, MAX_EPOCH, SPACE_FREED, HeapStore
 from repro.units import MiB
 
 ROWS = 20_000
 #: distinct names among the rows (Spark names repeat every iteration)
 DISTINCT_NAMES = 10
-#: array columns: six int64 (size, address, age, region id, mark epoch,
-#: forwarding address), one float64 (scan factor), three int8 (space,
-#: forward space, flags)
-COLUMN_BYTES = 6 * 8 + 8 + 3
+#: array columns: two int64 (size, address), one float64 (scan factor),
+#: two int32 (region id, mark epoch), one int8 age and three int8 codes
+#: (space, forward space, flags)
+COLUMN_BYTES = 2 * 8 + 8 + 4 + 4 + 1 + 3
 #: one pointer slot per row in each list column (label, name, refs,
 #: handles)
 SLOT_BYTES = 4 * 8
@@ -68,6 +72,53 @@ def test_freed_row_costs_its_columns():
     assert per_row <= ROW_BOUND, (
         f"{per_row:.1f} B per freed row, bound {ROW_BOUND:.1f} B"
     )
+
+
+def test_store_columns_add_up_to_the_row_layout():
+    store = HeapStore()
+    arrays = [c for c in vars(store).values() if isinstance(c, array)]
+    lists = [c for c in vars(store).values() if isinstance(c, list)]
+    assert all(len(c) == len(store) for c in arrays + lists)
+    assert sum(c.itemsize for c in arrays) == COLUMN_BYTES
+    assert 8 * len(lists) == SLOT_BYTES
+
+
+#: references each holder row of :func:`freed_row_bytes` may hold
+HOLDER_REFS = 100
+
+
+def freed_row_bytes(with_refs: bool, rows: int = 2_000) -> float:
+    """Host bytes per FREED row whose object held ``HOLDER_REFS``
+    references to live objects, or none.
+
+    Both variants start from the same store length, so the columns grow
+    through the same over-allocation steps, and both count only what a
+    cyclic collection leaves.
+    """
+    vm = make_vm()
+    targets = vm.allocate_many([32] * HOLDER_REFS, names(HOLDER_REFS))
+    for target in targets:
+        vm.roots.add(target)
+    refs = targets if with_refs else None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(rows):
+            vm.allocate(16 + 8 * HOLDER_REFS, refs=refs, name="holder")
+        vm.minor_gc()
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert vm.store.refs[-1] == ()
+    return (after - before) / rows
+
+
+def test_freed_row_drops_its_references():
+    # A byte of slack for the allocator's bookkeeping; the references
+    # alone would cost over 800 B a row.
+    assert freed_row_bytes(True) <= freed_row_bytes(False) + 1
 
 
 def test_repeated_names_share_one_string():
@@ -138,6 +189,57 @@ def test_full_auditor_flags_a_handle_on_a_freed_row():
     vm.store.handles[obj.oid] = obj
     with pytest.raises(InvariantViolation, match="store-rows"):
         auditor.audit("minor", 0)
+
+
+def test_full_auditor_flags_references_on_a_freed_row():
+    vm = make_vm()
+    auditor = HeapAuditor(vm.heap, vm.store, level=AuditLevel.FULL)
+    a, b = vm.allocate_many([32, 32], ["a", "b"])
+    vm.roots.add(b)
+    vm.minor_gc()
+    auditor.audit("minor", 0)
+    vm.store.refs[a.oid] = [b.oid]
+    with pytest.raises(InvariantViolation, match="references"):
+        auditor.audit("minor", 0)
+
+
+def test_epoch_counter_stops_at_the_int32_column_bound():
+    collector = make_vm().collector
+    collector.mark_epoch = MAX_EPOCH - 1
+    assert collector.next_epoch() == MAX_EPOCH
+    with pytest.raises(OverflowError):
+        collector.next_epoch()
+    assert collector.mark_epoch == MAX_EPOCH
+
+
+def test_marking_at_the_last_epoch_fits_the_column():
+    vm = make_vm()
+    obj = vm.allocate(64, name="kept")
+    vm.roots.add(obj)
+    vm.collector.mark_epoch = MAX_EPOCH - 1
+    vm.minor_gc()
+    assert obj.mark_epoch == MAX_EPOCH
+    assert obj.space is not SpaceId.FREED
+
+
+@pytest.mark.parametrize("collector", ["ps", "g1"])
+def test_age_past_the_int8_column_raises(collector):
+    vm = JavaVM(VMConfig(heap_size=16 * MiB, collector=collector))
+    obj = vm.allocate(64, name="ancient")
+    vm.roots.add(obj)
+    obj.age = MAX_AGE
+    with pytest.raises(OverflowError):
+        vm.minor_gc()
+    assert obj.age == MAX_AGE
+
+
+def test_age_increment_raises_rather_than_wraps():
+    vm = make_vm()
+    young, old = vm.allocate_many([32, 32], ["young", "old"])
+    old.age = MAX_AGE
+    with pytest.raises(OverflowError):
+        vm.store.age_increment([young.oid, old.oid])
+    assert (young.age, old.age) == (0, MAX_AGE)
 
 
 def test_full_auditor_flags_a_nonempty_tuple_row():

@@ -74,15 +74,11 @@ def _apply(objs, shadow, op):
         shadow[i]["space"] = SPACE_CODES[space]
     elif kind == "forward":
         if arg == 0:
-            objs[i].forward_address = -1
             objs[i].forward_space = None
-            shadow[i]["fwd_addr"] = -1
             shadow[i]["fwd_space"] = NO_SPACE
         else:
             space = SPACES[arg % len(SPACES)]
-            objs[i].forward_address = arg * 8
             objs[i].forward_space = space
-            shadow[i]["fwd_addr"] = arg * 8
             shadow[i]["fwd_space"] = SPACE_CODES[space]
     elif kind == "age":
         objs[i].age += 1
@@ -126,7 +122,6 @@ def test_handle_graph_matches_store_arrays(scenario):
             "space": SPACE_CODES[SpaceId.EDEN],
             "age": 0,
             "mark_epoch": 0,
-            "fwd_addr": -1,
             "fwd_space": NO_SPACE,
             "label": None,
             "candidate": False,
@@ -148,7 +143,6 @@ def test_handle_graph_matches_store_arrays(scenario):
         assert obj.space is SPACE_BY_CODE[model["space"]]
         assert obj.age == model["age"]
         assert obj.mark_epoch == model["mark_epoch"]
-        assert obj.forward_address == model["fwd_addr"]
         expected_fwd = (
             None
             if model["fwd_space"] == NO_SPACE
