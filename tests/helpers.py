@@ -7,6 +7,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
+import numpy as np
+
 from repro import JavaVM, OutOfMemoryError, TeraHeapConfig, VMConfig, gb
 from repro.clock import Bucket
 from repro.devices.base import AccessPattern
@@ -95,16 +97,53 @@ def reference_many(vm, sizes, names, frame=None):
     return objs
 
 
-def ref_rows(store) -> list:
-    """Every row's reference targets as a list; a FREED row's as ``[]``.
+def live_rows(store) -> np.ndarray:
+    """Row 0 and every row that is not FREED, ascending.
 
-    Nothing reads a FREED row's references, so the goldens do not pin
-    them.
+    A store compaction keeps exactly these rows, and a kept row's new
+    oid is its position here: its rank.
     """
-    space = store.space
+    rest = np.flatnonzero(store.space_view()[1:] != SPACE_FREED) + 1
+    return np.concatenate(([0], rest))
+
+
+def rank_map(store) -> np.ndarray:
+    """Oid -> rank among :func:`live_rows`; a FREED row maps to 0."""
+    keep = live_rows(store)
+    ranks = np.zeros(len(store), dtype=np.int64)
+    ranks[keep] = np.arange(keep.size)
+    return ranks
+
+
+def ranked(store, oids) -> list:
+    """``oids`` as ranks (:func:`rank_map`)."""
+    return rank_map(store)[np.asarray(oids, dtype=np.int64)].tolist()
+
+
+def ranked_column(store, column: str, dtype=None) -> bytes:
+    """The live rows of array column ``column`` in rank order, as bytes
+    (widened to ``dtype`` first if given)."""
+    values = np.asarray(getattr(store, column), dtype=dtype)
+    return values[live_rows(store)].tobytes()
+
+
+def ranked_list(store, column: str) -> list:
+    """The live rows of list column ``column`` in rank order."""
+    values = getattr(store, column)
+    return [values[oid] for oid in live_rows(store).tolist()]
+
+
+def ranked_refs(store) -> list:
+    """The live rows' reference targets in rank order, as ranks.
+
+    A store compaction keeps these equal, so a golden hashing them pins
+    the same value whether or not (and however often) the store was
+    compacted.
+    """
+    ranks = rank_map(store).tolist()
     return [
-        [] if space[oid] == SPACE_FREED else list(targets)
-        for oid, targets in enumerate(store.refs)
+        [ranks[t] for t in store.refs[oid]]
+        for oid in live_rows(store).tolist()
     ]
 
 

@@ -6,8 +6,10 @@ heap (one object per chunk) and sprays serialization temporaries into
 eden, so the job is dominated by runs of equal-size allocations.  It is
 sized so those runs cross both scavenges and full collections.  The
 digest covers every simulated quantity the allocation path influences:
-clock buckets and sub-buckets, GC counts, device traffic, and the oid,
-name, size, address and space of every object ever allocated.
+clock buckets and sub-buckets, GC counts, device traffic, the count of
+objects ever allocated, and the name, size, address and space of every
+object not yet freed, in oid order (a store compaction moves none of
+them).
 
 The rest of the file holds the run allocator (``JavaVM.allocate_array``
 and ``allocate_temp``) to the per-object reference loops in
@@ -24,6 +26,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     PRETENURE,
     make_vm,
+    ranked_column,
+    ranked_list,
     reference_many,
     reference_place,
     vm_state,
@@ -39,7 +43,7 @@ from repro.runtime import TEMP_CHUNK
 from repro.units import KiB
 
 #: digest of :func:`lr_summary` for the pinned LR job below
-GOLDEN_SD_LR_DIGEST = "891633106c02aeb7"
+GOLDEN_SD_LR_DIGEST = "2e7b7354cfc58dc9"
 
 
 def run_sd_lr():
@@ -87,10 +91,10 @@ def lr_summary(vm, ctx) -> str:
         f"allocated_objects={vm.heap.allocated_objects!r}",
         f"allocated_bytes={vm.heap.allocated_bytes!r}",
         f"objects={store.object_count!r}",
-        f"names={_sha(store.name)}",
-        f"sizes={_sha(store.size.tobytes())}",
-        f"addresses={_sha(store.address.tobytes())}",
-        f"spaces={_sha(store.space.tobytes())}",
+        f"names={_sha(ranked_list(store, 'name'))}",
+        f"sizes={_sha(ranked_column(store, 'size'))}",
+        f"addresses={_sha(ranked_column(store, 'address'))}",
+        f"spaces={_sha(ranked_column(store, 'space'))}",
     ]
     return "\n".join(lines)
 

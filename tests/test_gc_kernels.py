@@ -4,8 +4,9 @@ Each job runs with ``engine.trace`` on, so its digest covers every engine
 task the collector emitted (name, kind, cost and the lane it ran on, via
 the chrome-trace events), every phase record in ``engine.phase_log``,
 every recorded GC cycle, the clock's buckets and sub-buckets, the
-collector's device traffic and every store row's size, address and
-space.  The jobs are:
+collector's device traffic and the size, address and space of every
+store row that is not FREED, in oid order (oids hashed as those rows'
+ranks, so a store compaction moves no digest).  The jobs are:
 
 - LR on Spark-SD under ``ps`` (single-lane majors) and ``ps11``
   (multi-worker majors);
@@ -33,6 +34,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import ranked, ranked_column
 from repro import JavaVM, TeraHeapConfig, VMConfig, gb
 from repro.clock import Clock
 from repro.config import CostModel, GCEngineConfig, PantheraConfig
@@ -53,14 +55,14 @@ SCAN_FACTORS = (0.5, 1.0, 3.0)
 
 #: digest of :func:`schedule_summary` per job
 GOLDEN_SCHEDULE_DIGESTS = {
-    "lr-ps": "4ef6eee03e9ab37f",
-    "lr-ps11": "6f7feab494910e75",
-    "lr-panthera": "e9ee34316adcbd9a",
-    "lr-memmode": "59d9f87adefde69a",
-    "churn-ps": "0d573d24d475d5a1",
-    "churn-ps11": "434c88345dfa06a0",
-    "churn-g1": "113946bdd6d746f7",
-    "churn-teraheap": "4a30adb9bfd0d46d",
+    "lr-ps": "6716946c3501cd7f",
+    "lr-ps11": "5f9808b1c83a73a9",
+    "lr-panthera": "b62f719be3f8f0cb",
+    "lr-memmode": "c448185ffd21ac64",
+    "churn-ps": "375ee2cabbcfa60e",
+    "churn-ps11": "62296b154d4b3dfb",
+    "churn-g1": "729cf2bc764a2acc",
+    "churn-teraheap": "63e75056622cc7f3",
 }
 
 
@@ -253,10 +255,10 @@ def schedule_summary(vm: JavaVM) -> str:
             f"h2.objects_moved={vm.h2.objects_moved!r}",
             f"h2.bytes_moved={vm.h2.bytes_moved!r}",
         ]
-    heap = vm.heap
+    heap, store = vm.heap, vm.store
     if vm.collector.name == "g1":
         for region in heap.regions:
-            oids = region.oid_array().tolist()
+            oids = ranked(store, region.oid_array())
             lines.append(
                 f"region{region.index}.{region.state.value}"
                 f".top={region.top!r} oids={_sha(oids)}"
@@ -265,15 +267,14 @@ def schedule_summary(vm: JavaVM) -> str:
         for space in (
             heap.eden, heap.survivor_from, heap.survivor_to, heap.old
         ):
-            oids = space.oid_array().tolist()
+            oids = ranked(store, space.oid_array())
             lines.append(f"{space.name}.top={space.top!r} oids={_sha(oids)}")
-    store = vm.store
     lines += [
         f"objects={store.object_count!r}",
-        f"sizes={_sha(store.size.tobytes())}",
-        f"addresses={_sha(store.address.tobytes())}",
-        f"spaces={_sha(store.space.tobytes())}",
-        f"ages={_sha(np.asarray(store.age, dtype=np.int64).tobytes())}",
+        f"sizes={_sha(ranked_column(store, 'size'))}",
+        f"addresses={_sha(ranked_column(store, 'address'))}",
+        f"spaces={_sha(ranked_column(store, 'space'))}",
+        f"ages={_sha(ranked_column(store, 'age', np.int64))}",
     ]
     return "\n".join(lines)
 

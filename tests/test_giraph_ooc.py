@@ -7,7 +7,8 @@ vertex partitions.  The digest covers every simulated quantity the
 scheduler influences, so any change to victim order, device traffic or
 clock charging shows up as a mismatch.  A second digest of the same job
 covers the heap and the out-of-core store row by row: every store row
-(name, size, space, address, references), the out-of-core file's
+that is not FREED (name, size, space, address, references as ranks
+among those rows), the out-of-core file's
 offset map, the page cache's LRU order and the root-set depth, so a
 change to how reloaded data is re-allocated or linked shows up too.
 """
@@ -16,7 +17,7 @@ import hashlib
 
 import pytest
 
-from helpers import ref_rows
+from helpers import live_rows, ranked_refs
 from repro import JavaVM, VMConfig, gb
 from repro.devices.nvme import NVMeSSD
 from repro.frameworks.giraph import (
@@ -35,7 +36,7 @@ from repro.workloads.generators import make_graph
 #: digest of :func:`ooc_summary` for the pinned CDLP job below
 GOLDEN_OOC_CDLP_DIGEST = "596787902de57683"
 #: digest of :func:`ooc_store_summary` for the same job
-GOLDEN_OOC_CDLP_STORE_DIGEST = "e42f5f83ee45358f"
+GOLDEN_OOC_CDLP_STORE_DIGEST = "7c996f0604c489c5"
 
 
 def run_ooc_cdlp():
@@ -111,7 +112,7 @@ def ooc_store_summary(vm, job) -> str:
             store.address[oid],
             refs,
         )
-        for oid, refs in enumerate(ref_rows(store))
+        for oid, refs in zip(live_rows(store).tolist(), ranked_refs(store))
     ]
     heap = vm.heap
     lines = [

@@ -6,10 +6,12 @@ a synthetic job with size-aware placement and a promotion buffer smaller
 than a region, which drives mid-buffer flushes and direct writes (no
 bench workload reaches them).  The synthetic job runs under both
 cross-region policies.  Each digest covers the region table (index,
-start, top, label, live bit and object oids in order), each region's
+start, top, label, live bit and object ranks in order), each region's
 sorted dependencies on a line of their own, the open region per label,
-the free-index order, the liveness log, the moved rows' address, space,
-region, label and flags, every explicit promotion write in order (span
+the free-index order, the liveness log, the live moved rows' rank,
+address, space, region, label and flags (a rank is a row's position
+among the rows that are not FREED, so a store compaction moves no
+digest), every explicit promotion write in order (span
 and safepoint), the promotion counters, the H2 device traffic, the page
 cache's LRU order and dirty bits, and the fenced forward-reference
 count.
@@ -31,7 +33,10 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     ReferencePromotion,
+    live_rows,
     make_group,
+    ranked,
+    ranked_column,
     reference_assign_h2_addresses,
     reference_compact_movers,
     reference_fence,
@@ -57,10 +62,10 @@ from repro.units import KiB, MiB
 
 #: digest of :func:`gc_state` per pinned job
 GOLDEN_TH_GC_STATE_DIGESTS = {
-    "th-pr": "6743b920fef20738",
-    "th-cdlp": "ac94511ab1ad7061",
-    "sized-deps": "f2a7152301c91789",
-    "sized-groups": "dfd9a39ca075861a",
+    "th-pr": "29a645c435910a10",
+    "th-cdlp": "fdeeb69835ae99f7",
+    "sized-deps": "84859ed851aacfd8",
+    "sized-groups": "cbc60a1305f019bb",
 }
 
 
@@ -240,7 +245,7 @@ def gc_state(vm, writes) -> str:
             r.top,
             r.label,
             r.live,
-            r.oid_array().tolist(),
+            ranked(store, r.oid_array()),
         )
         for index, r in sorted(h2.regions.items())
     ]
@@ -255,22 +260,19 @@ def gc_state(vm, writes) -> str:
         )
         for e in h2.liveness_log
     ]
-    # Every row placed in H2 carries a label, reclaimed ones included.
-    moved = [
-        oid
-        for oid in range(1, len(store))
-        if store.space[oid] == SPACE_H2 or store.label[oid] is not None
-    ]
+    # Every live row placed in H2 carries a label.
+    keep = live_rows(store).tolist()
     rows = [
         (
-            oid,
+            rank,
             store.address[oid],
             store.space[oid],
             store.region_id[oid],
             store.label[oid],
             store.flags[oid],
         )
-        for oid in moved
+        for rank, oid in enumerate(keep)
+        if store.space[oid] == SPACE_H2 or store.label[oid] is not None
     ]
     promotion = h2.promotion
     traffic = h2.device.traffic
@@ -281,10 +283,10 @@ def gc_state(vm, writes) -> str:
         f"free_indices={_sha(list(h2._free_indices))}",
         f"liveness_log={_sha(liveness)}",
         f"rows={_sha(rows)}",
-        f"spaces={_sha(store.space.tobytes())}",
-        f"region_ids={_sha(np.asarray(store.region_id, dtype=np.int64).tobytes())}",
-        f"addresses={_sha(store.address.tobytes())}",
-        f"flags={_sha(store.flags.tobytes())}",
+        f"spaces={_sha(ranked_column(store, 'space'))}",
+        f"region_ids={_sha(ranked_column(store, 'region_id', np.int64))}",
+        f"addresses={_sha(ranked_column(store, 'address'))}",
+        f"flags={_sha(ranked_column(store, 'flags'))}",
         f"writes={_sha(writes)}",
         f"promotion=({promotion.objects_written!r}, "
         f"{promotion.bytes_written!r}, {promotion.direct_writes!r})",
