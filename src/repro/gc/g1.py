@@ -364,6 +364,10 @@ class G1Collector(Collector):
             tenuring = TENURING_THRESHOLD
             survivors = [o for o in live if age_arr[o] + 1 < tenuring]
             promoted = [o for o in live if age_arr[o] + 1 >= tenuring]
+            # Sized now: the full collection an evacuation failure runs
+            # may free some of these rows.
+            live_bytes = st.sum_sizes(live)
+            promoted_bytes = st.sum_sizes(promoted)
             for oid in live:
                 age_arr[oid] += 1
             # Both evacuations run even if the first fails: real G1
@@ -392,8 +396,8 @@ class G1Collector(Collector):
                 kind="minor",
                 start_time=start,
                 duration=duration,
-                live_bytes=st.sum_sizes(live),
-                promoted_bytes=st.sum_sizes(promoted),
+                live_bytes=live_bytes,
+                promoted_bytes=promoted_bytes,
             )
             self.apply_parallel_stats(cycle, self._workers)
             self.stats.record(cycle)
@@ -487,8 +491,11 @@ class G1Collector(Collector):
                 if region.state is RegionState.HUMONGOUS_START:
                     oid = region.oid_array()[0]
                     if epoch_arr[oid] < epoch:
-                        st.free_rows([oid])
+                        # The run is sized from the head's row, so it is
+                        # freed before the row is: no reader looks at a
+                        # FREED row's size.
                         heap.free_humongous_run(region)
+                        st.free_rows([oid])
 
             # Garbage-first: evacuate the old regions with least live data.
             candidates = []
@@ -555,8 +562,8 @@ class G1Collector(Collector):
                     and len(head)
                     and epoch_arr[head[0]] < epoch
                 ):
-                    st.free_rows(head[:1])
                     heap.free_humongous_run(region)
+                    st.free_rows(head[:1])
                 continue
             live, dead = self._split_marked(region, epoch)
             movable.extend(live.tolist())

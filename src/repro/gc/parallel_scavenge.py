@@ -25,7 +25,7 @@ partial old-generation parallelism (ParallelOld).
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from ..errors import OutOfMemoryError
 from ..heap.heap import ManagedHeap
 from ..heap.object_model import HeapObject
 from ..heap.roots import RootSet
+from ..heap.spaces import Extent
 from ..heap.store import (
     NO_SPACE,
     SPACE_EDEN,
@@ -51,6 +52,13 @@ from .engine import (
     chunked_sweep,
 )
 
+
+#: A collection compacts the object store once its FREED rows are at
+#: least this many times its live ones.  A compaction costs O(rows) and
+#: follows at least twice as many frees as there are live rows, so its
+#: cost spreads over those frees the way a doubling vector's regrowth
+#: spreads over its appends.
+STORE_COMPACT_RATIO = 2
 
 # Sliding-compaction sort rank by space code (EDEN, FROM, TO, OLD, H2,
 # FREED): old-gen residents keep their address order ahead of any young
@@ -199,6 +207,31 @@ class ParallelScavenge(Collector):
 
     def on_major_complete(self, epoch: int) -> None:
         """End-of-major-GC hook: TeraHeap commits its durable epoch here."""
+
+    def oid_extents(self) -> Iterable[Extent]:
+        """Every extent whose oids a store compaction renumbers."""
+        return self.heap.spaces()
+
+    # ==================================================================
+    # Store compaction
+    # ==================================================================
+    def compact_store(self) -> None:
+        """Drop the store's FREED rows once they reach
+        :data:`STORE_COMPACT_RATIO` times the live rows.
+
+        Runs at the end of every collection, so the old oids only ever
+        live in :meth:`HeapStore.compact` itself and in the holders it
+        renumbers: the store's columns and canonical handles, and the
+        extents here.  Every other program holder of a row keeps its
+        handle, which the compaction renumbers in place.
+        """
+        st = self.store
+        freed = st.freed_rows()
+        if not freed or freed < STORE_COMPACT_RATIO * (len(st) - 1 - freed):
+            return
+        new_of = st.compact()
+        for extent in self.oid_extents():
+            extent.renumber(new_of)
 
     # ==================================================================
     # Minor GC
@@ -363,6 +396,7 @@ class ParallelScavenge(Collector):
             self.apply_parallel_stats(cycle, self.config.gc_threads)
             self.stats.record(cycle)
             self.clock.record_event("minor_gc", duration)
+            self.compact_store()
             return cycle
 
     # ==================================================================
@@ -596,6 +630,7 @@ class ParallelScavenge(Collector):
             self.apply_parallel_stats(cycle, workers)
             self.stats.record(cycle)
             self.clock.record_event("major_gc", duration)
+            self.compact_store()
             return cycle
 
 

@@ -20,22 +20,32 @@ Two levels:
   the regions that survived the last major GC, and the H2 page cache's
   columns describe one LRU within its limit.  It also checks the
   store's rows: no FREED row keeps a store-held handle, and every
-  reference row is a list or the shared empty ``()``.
+  reference row is a list or the shared empty ``()``.  And it checks
+  every holder of an oid a store compaction renumbers: each extent's
+  oids, each root's and tagged root's handle and each canonical handle
+  name an in-range row that is not FREED, the handle being the one the
+  store holds for that row (a tagged root that died points at row 0),
+  the store's FREED-row count is right, and the allocation count
+  covers the live rows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from ..errors import InvariantViolation
 from .heap import ManagedHeap
 from .object_model import SPACE_CODES, SpaceId
+from .roots import RootSet
 from .spaces import Space
 from .store import SPACE_FREED, SPACE_H2, SPACE_TO, HeapStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..teraheap.hints import HintInterface
 
 
 class AuditLevel(enum.Enum):
@@ -87,12 +97,16 @@ class HeapAuditor:
         self,
         heap: ManagedHeap,
         store: HeapStore,
+        roots: RootSet,
+        hints: HintInterface,
         h2=None,
         level: AuditLevel = AuditLevel.CHEAP,
     ):
         self.heap = heap
         self.h2 = h2
         self.store = store
+        self.roots = roots
+        self.hints = hints
         self.level = AuditLevel.parse(level)
         self.tally = AuditTally()
 
@@ -118,6 +132,7 @@ class HeapAuditor:
             self._check_h2_regions(violations)
         if self.level is AuditLevel.FULL:
             self._check_store_rows(violations)
+            self._check_oid_holders(violations)
             self._check_card_coverage(violations)
             if self.h2 is not None:
                 self._check_h2_references(violations)
@@ -387,6 +402,89 @@ class HeapAuditor:
                 )
             )
 
+    def _check_oid_holders(self, out: List[Violation]) -> None:
+        """Every holder of an oid names a live row by its current number.
+
+        A holder a store compaction failed to renumber names a row that
+        now belongs to another object, is FREED or is past the end.
+        """
+        store = self.store
+        rows = len(store)
+        space, handles = store.space, store.handles
+
+        def bad(holder: str, detail: str) -> None:
+            out.append(
+                Violation(
+                    "oid-holders",
+                    holder,
+                    "an in-range row that is not FREED",
+                    detail,
+                )
+            )
+
+        extents = [(space.name, space) for space in self.heap.spaces()]
+        if self.h2 is not None:
+            extents += [
+                (f"H2 region {index}", region)
+                for index, region in self.h2.regions.items()
+            ]
+        for name, extent in extents:
+            oids = extent.oid_array()
+            if not oids.size:
+                continue
+            stray = (oids < 1) | (oids >= rows)
+            if not stray.any():
+                stray = store.space_view()[oids] == SPACE_FREED
+            if stray.any():
+                bad(
+                    f"{name}'s oids",
+                    f"{int(stray.sum())} stray oid(s), first "
+                    f"#{int(oids[np.argmax(stray)])}",
+                )
+
+        def canonical(h) -> bool:
+            return 0 < h.oid < rows and handles[h.oid] is h
+
+        for obj in self.roots:
+            if not canonical(obj):
+                bad("root handle", f"#{obj.oid}, not the row's handle")
+                break
+        for obj in self.hints._tagged_roots:
+            if obj.oid and not canonical(obj):
+                bad("tagged-root handle", f"#{obj.oid}, not the row's handle")
+                break
+        renamed = [
+            oid
+            for oid, h in enumerate(handles)
+            if h is not None and (h.oid != oid or space[oid] == SPACE_FREED)
+        ]
+        if renamed:
+            bad(
+                "store.handles",
+                f"{len(renamed)} handle(s) naming another row or a FREED "
+                f"one, first at row #{renamed[0]}",
+            )
+        freed = int(np.count_nonzero(store.space_view() == SPACE_FREED)) - 1
+        if store.freed_rows() != freed:
+            out.append(
+                Violation(
+                    "oid-holders",
+                    "store.freed_rows()",
+                    f"the {freed} FREED rows",
+                    str(store.freed_rows()),
+                )
+            )
+        live = rows - 1 - freed
+        if store.object_count < live:
+            out.append(
+                Violation(
+                    "oid-holders",
+                    "store.object_count",
+                    f"at least the {live} live rows",
+                    str(store.object_count),
+                )
+            )
+
     def _check_card_coverage(self, out: List[Violation]) -> None:
         """Every old object with a young reference has a dirty card.
 
@@ -567,5 +665,10 @@ def make_auditor(vm, level) -> Optional[HeapAuditor]:
     if not isinstance(heap, ManagedHeap):
         return None
     return HeapAuditor(
-        heap, vm.store, h2=vm.h2, level=AuditLevel.parse(level)
+        heap,
+        vm.store,
+        vm.roots,
+        vm.hints,
+        h2=vm.h2,
+        level=AuditLevel.parse(level),
     )

@@ -12,9 +12,13 @@ attributes are properties over its row.  The columns are as narrow as
 their values: ``age`` is int8, ``region_id`` and ``mark_epoch`` int32,
 so writing a value past their range raises ``OverflowError``.  Handles
 are canonical while their row is not FREED (one per oid, so ``is``
-works), and oids double as row indices.  Once a row is FREED the store
-drops its handle and its references; a handle still held elsewhere
-keeps its oid and store, so it still reads the row as FREED.
+works), and oids double as row indices.  An oid is the row's rank among
+the live rows: a Parallel Scavenge collection that compacts the store
+renumbers the rows and writes each canonical handle's new oid into it,
+so a handle follows its object while a bare oid does not.  Once a row
+is FREED the store drops its handle and its references, and points the
+handle at row 0, the FREED sentinel; a copy still held elsewhere keeps
+faulting, even after the row's old number goes to another object.
 """
 
 from __future__ import annotations
@@ -73,33 +77,35 @@ class RefList:
     oids; in-place writes through :meth:`HeapStore.writable_refs`, and
     :meth:`clear` puts back the shared ``()``); iteration and
     indexing hand back canonical handles, so the view is interchangeable
-    with the old ``List[HeapObject]`` attribute.
+    with the old ``List[HeapObject]`` attribute.  The view holds its
+    object's handle, not its oid, so it follows the row through a store
+    compaction.
     """
 
-    __slots__ = ("_store", "_oid")
+    __slots__ = ("_store", "_obj")
 
-    def __init__(self, store, oid: int):
-        self._store = store
-        self._oid = oid
+    def __init__(self, obj: "HeapObject"):
+        self._store = obj._store
+        self._obj = obj
 
     def _targets(self) -> Sequence[int]:
-        return self._store.refs[self._oid]
+        return self._store.refs[self._obj.oid]
 
     # -- mutation ------------------------------------------------------
     def append(self, obj: "HeapObject") -> None:
-        self._store.writable_refs(self._oid).append(obj.oid)
+        self._store.writable_refs(self._obj.oid).append(obj.oid)
         self._store.edge_version += 1
 
     def extend(self, objs: Iterable["HeapObject"]) -> None:
-        self._store.writable_refs(self._oid).extend(o.oid for o in objs)
+        self._store.writable_refs(self._obj.oid).extend(o.oid for o in objs)
         self._store.edge_version += 1
 
     def remove(self, obj: "HeapObject") -> None:
-        self._store.writable_refs(self._oid).remove(obj.oid)
+        self._store.writable_refs(self._obj.oid).remove(obj.oid)
         self._store.edge_version += 1
 
     def clear(self) -> None:
-        self._store.refs[self._oid] = ()
+        self._store.refs[self._obj.oid] = ()
         self._store.edge_version += 1
 
     # -- access --------------------------------------------------------
@@ -143,7 +149,7 @@ class RefList:
         return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RefList of #{self._oid}: {list(self._targets())}>"
+        return f"<RefList of #{self._obj.oid}: {list(self._targets())}>"
 
 
 def _flag_property(bit: int, doc: str):
@@ -294,7 +300,7 @@ class HeapObject:
     # -- references ----------------------------------------------------
     @property
     def refs(self) -> RefList:
-        return RefList(self._store, self.oid)
+        return RefList(self)
 
     @refs.setter
     def refs(self, value: Iterable["HeapObject"]) -> None:

@@ -36,7 +36,9 @@ class RootSet:
     """A named collection of GC roots, plus mutator stack frames."""
 
     def __init__(self) -> None:
-        self._roots: Dict[int, HeapObject] = {}
+        #: named roots in insertion order, keyed by handle: a handle
+        #: follows its row through a store compaction, an oid would not
+        self._roots: Dict[HeapObject, None] = {}
         self._frames: List[StackFrame] = []
 
     @contextmanager
@@ -67,11 +69,11 @@ class RootSet:
             self._frames.remove(frame)
 
     def add(self, obj: HeapObject) -> HeapObject:
-        self._roots[obj.oid] = obj
+        self._roots[obj] = None
         return obj
 
     def remove(self, obj: HeapObject) -> None:
-        self._roots.pop(obj.oid, None)
+        self._roots.pop(obj, None)
 
     def frame_pinned(self, obj: HeapObject) -> bool:
         """Is ``obj`` pinned by an active mutator stack frame?
@@ -86,7 +88,7 @@ class RootSet:
         )
 
     def __contains__(self, obj: HeapObject) -> bool:
-        if obj.oid in self._roots:
+        if obj in self._roots:
             return True
         return any(
             obj is pinned for f in self._frames for pinned in f.objects
@@ -96,7 +98,7 @@ class RootSet:
         return len(self._roots) + sum(len(f.objects) for f in self._frames)
 
     def __iter__(self) -> Iterator[HeapObject]:
-        for obj in list(self._roots.values()):
+        for obj in list(self._roots):
             yield obj
         for frame in self._frames:
             for obj in frame.objects:

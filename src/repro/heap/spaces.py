@@ -20,7 +20,9 @@ class Extent:
     region are this one block.  It holds the oids placed in it, in
     address order, in an ``array('q')`` that :meth:`oid_array` exports
     to numpy without a copy.  :meth:`reset` installs a fresh array, so an
-    oid array handed out before a reset stays valid after it.
+    oid array handed out before a reset stays valid after it, and
+    :meth:`renumber` rewrites the held oids in place, so one handed out
+    since the last reset follows a store compaction.
 
     Placement writes each object's address; the space, region and label
     columns are the caller's to write.  Sorted addresses let card scans
@@ -122,6 +124,13 @@ class Extent:
         self.top = self.base
         self._oids = array("q")
         self._addresses = None
+
+    def renumber(self, new_of: np.ndarray) -> None:
+        """Rewrite the held oids through the old -> new oid map of
+        :meth:`HeapStore.compact`, in place."""
+        oids = self.oid_array()
+        if oids.size:
+            oids[:] = new_of[oids]
 
     # ------------------------------------------------------------------
     def oid_array(self) -> np.ndarray:

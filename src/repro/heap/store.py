@@ -22,20 +22,36 @@ each only as wide as its values:
   references holds the shared immutable ``()``; :meth:`writable_refs`
   turns it into a list on the row's first in-place write, so every
   in-place writer goes through it;
-- a list column of handles, built on demand and dropped once the row is
-  FREED.
+- a list column of handles, built on demand and dropped (pointed at row
+  0) once the row is FREED.
 
 Every column is zero-copy viewable from ``numpy`` through the buffer
 protocol.  So a row costs 36 bytes of array columns plus four list
 slots: no per-row empty list, no per-row copy of a repeated name, no
 handle unless a caller asked for one, and once the row is FREED
 (:meth:`free_rows`) neither a handle nor references.  Nothing reads a
-FREED row's references: the marking ceiling skips FREED rows, extents
-drop them at GC and every mutator path faults on them first.
+FREED row's columns other than ``space``: the marking ceiling skips
+FREED rows, extents drop them at GC and every mutator path faults on
+them first.
 
 :class:`~repro.heap.object_model.HeapObject` is a thin handle (oid +
 store pointer) over one row, so the object-graph API survives unchanged.
 Row 0 is a sentinel; oids start at 1 and double as row indices.
+
+An oid is a row's rank, not a lifelong name.  At the end of a Parallel
+Scavenge collection (PS, PS11, TeraHeap, Panthera, memory mode), once
+the FREED rows are at least twice the live ones, :meth:`compact` slides
+the live rows down in oid order and truncates every column, the way the
+PS major GC slides live objects down the heap; the collector then
+renumbers every extent with the map it returns.  Order among live rows
+holds, so sorts, scans and contiguous runs by oid keep their meaning.
+So a caller that keeps an object across a collection keeps its handle:
+the compaction renumbers canonical handles in place, and a FREED row's
+handle points at row 0, so it still faults once another row takes its
+old number.  :attr:`object_count` counts every allocation, not the rows
+left.  G1 never compacts: its young trace visits its remembered set, a
+``set`` of oids, in the order of their values, which renumbering would
+change.
 
 The program's collectors and auditor use :meth:`sum_sizes`,
 :meth:`live_mask`, :meth:`set_space_batch`, :meth:`age_increment`,
@@ -56,7 +72,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,6 +104,12 @@ FLAG_SERIALIZABLE = 4
 FLAG_H2_CANDIDATE = 8
 
 _YOUNG_CODES = (SPACE_EDEN, SPACE_FROM, SPACE_TO)
+
+#: the ``array`` columns, which :meth:`HeapStore.compact` gathers in place
+_ARRAY_COLUMNS = (
+    "size", "space", "address", "age", "region_id", "mark_epoch",
+    "forward_space", "scan_factor", "flags",
+)
 
 
 def check_object_size(size: int) -> None:
@@ -127,6 +149,10 @@ class HeapStore:
         self.edge_version = 0
         self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._csr_version = -1
+        #: rows ever created, sentinel excluded (:attr:`object_count`)
+        self._allocated = 0
+        #: FREED rows, sentinel excluded (:meth:`freed_rows`)
+        self._freed = 0
 
     # -- rows ----------------------------------------------------------
     def __len__(self) -> int:
@@ -135,7 +161,8 @@ class HeapStore:
 
     @property
     def object_count(self) -> int:
-        return len(self.size) - 1
+        """Objects ever allocated; :meth:`compact` does not lower it."""
+        return self._allocated
 
     def new_object(
         self,
@@ -160,6 +187,7 @@ class HeapStore:
         self.refs.append(list(ref_oids) if ref_oids else ())
         self.handles.append(None)
         self.edge_version += 1
+        self._allocated += 1
         return oid
 
     def new_rows(
@@ -191,6 +219,7 @@ class HeapStore:
         self.refs.extend(repeat((), count))
         self.handles.extend(repeat(None, count))
         self.edge_version += count
+        self._allocated += count
         return first
 
     def new_objects(
@@ -232,19 +261,85 @@ class HeapStore:
         """Mark rows FREED and drop the store's handle and references for
         each.
 
-        A handle someone still holds keeps its oid and store, so access
-        through it still sees the FREED space.  Dropping the references
-        leaves :attr:`edge_version` alone: no reader looks at a FREED
-        row's references, so a CSR snapshot that still holds them is
-        never asked for them.
+        The dropped handle is pointed at row 0, the FREED sentinel, so
+        access through a copy someone still holds sees the FREED space
+        even after :meth:`compact` gives its old number to another row.
+        Dropping the references leaves :attr:`edge_version` alone: no
+        reader looks at a FREED row's references, so a CSR snapshot that
+        still holds them is never asked for them.
         """
         idx = np.asarray(oids, dtype=np.int64)
         if idx.size:
             self.space_view()[idx] = SPACE_FREED
+            self._freed += idx.size
             handles, refs = self.handles, self.refs
             for oid in idx.tolist():
-                handles[oid] = None
+                h = handles[oid]
+                if h is not None:
+                    h.oid = 0
+                    handles[oid] = None
                 refs[oid] = ()
+
+    def freed_rows(self) -> int:
+        """How many rows, sentinel excluded, are FREED.
+
+        A count :meth:`free_rows` keeps, so every collection can ask for
+        it; each caller frees a row once.
+        """
+        return self._freed
+
+    def compact(self) -> np.ndarray:
+        """Drop every FREED row and slide the others down in oid order.
+
+        A kept row's new oid is its rank among the kept rows (row 0
+        included), so oid order among them holds and every sort, scan
+        and contiguous run by oid keeps its meaning.  Every column is
+        gathered and truncated in place, the references are rewritten
+        to the new oids and each canonical handle takes its row's new
+        oid.  Returns the old -> new oid map, in which a FREED row maps
+        to 0; the caller renumbers every other holder of an oid with it
+        before the program reads an oid again.
+        """
+        mask = self.space_view() != SPACE_FREED
+        mask[0] = True
+        keep = np.flatnonzero(mask)
+        count = keep.size
+        new_of = np.zeros(mask.size, dtype=np.int64)
+        new_of[keep] = np.arange(count)
+        # Rows below the first FREED one keep their oids (long-lived
+        # rows gather there), so only the rows past it move.
+        first = int(np.argmin(mask)) if count < mask.size else count
+        moved = keep[first:]
+        for name in _ARRAY_COLUMNS:
+            column = getattr(self, name)
+            view = np.frombuffer(column, dtype=column.typecode)
+            view[first:count] = view[moved]
+            del view  # an exported buffer cannot be resized
+            del column[count:]
+        rows = moved.tolist()
+        handles, refs = self.handles, self.refs
+        for column in (self.label, self.name, refs, handles):
+            column[first:] = list(map(column.__getitem__, rows))
+        for oid in compress(range(first, count), handles[first:]):
+            handles[oid].oid = oid
+        linked = list(compress(range(count), refs))
+        if linked:
+            lengths = [len(refs[oid]) for oid in linked]
+            flat = np.fromiter(
+                chain.from_iterable(map(refs.__getitem__, linked)),
+                dtype=np.int64,
+                count=sum(lengths),
+            )
+            targets = new_of[flat].tolist()
+            end = 0
+            for oid, length in zip(linked, lengths):
+                refs[oid] = targets[end:end + length]
+                end += length
+        # Same edges under new numbers: the snapshot is stale, though
+        # no edge changed, so the edge version stays.
+        self._csr = None
+        self._freed = 0
+        return new_of
 
     # -- column views --------------------------------------------------
     # array('q'/'i'/'d'/'b') exposes the buffer protocol, so these are
@@ -473,8 +568,10 @@ class HeapStore:
             from .object_model import HeapObject
 
             h = HeapObject.__new__(HeapObject)
-            h.oid = oid
             h._store = self
             if self.space[oid] != SPACE_FREED:
+                h.oid = oid
                 self.handles[oid] = h
+            else:
+                h.oid = 0
         return h

@@ -757,11 +757,13 @@ class JavaVM:
         if self.h2 is None:
             raise ConfigError("recover_h2() requires TeraHeap enabled")
         report = self.h2.recover(image)
-        by_label: Dict[str, List[int]] = {}
+        # Handles, not oids: an anchor's allocation may collect and so
+        # renumber the store before a later label's anchor is installed.
+        by_label: Dict[str, List[HeapObject]] = {}
         for index in sorted(report.recovered):
             region = self.h2.regions[index]
             by_label.setdefault(region.label or "", []).extend(
-                region.oid_array().tolist()
+                map(self.store.handle, region.oid_array().tolist())
             )
         for label in sorted(by_label):
             members = by_label[label]
@@ -771,7 +773,7 @@ class JavaVM:
             # Installed directly, not via write_ref: the anchor stands in
             # for the crashed process's roots, and recovery must not
             # charge the mutator-store barrier path for it.
-            self.store.refs[anchor.oid] = members or ()
+            self.store.refs[anchor.oid] = [m.oid for m in members] or ()
             self.store.edge_version += 1
             self.roots.add(anchor)
             self.h2_recovery_anchors[label] = anchor

@@ -27,8 +27,6 @@ class SerializedBlob:
 
     size_bytes: int
     object_count: int
-    #: identity of the root object the blob was built from
-    root_oid: int
     #: where the blob lives (framework bookkeeping), e.g. "nvme"
     location: str = ""
 
@@ -129,9 +127,7 @@ class Serializer:
             self.allocate_temp(int(nbytes * self.cost.sd_temp_object_ratio))
         self.objects_serialized += len(objs)
         self.bytes_serialized += nbytes
-        return SerializedBlob(
-            size_bytes=nbytes, object_count=len(objs), root_oid=root.oid
-        )
+        return SerializedBlob(size_bytes=nbytes, object_count=len(objs))
 
     def deserialize_cost(self, blob: SerializedBlob) -> None:
         """Charge the cost of reconstructing a blob's object graph.

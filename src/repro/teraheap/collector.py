@@ -19,8 +19,8 @@ Major GC extends all four PS phases:
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain, compress
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from ..gc.parallel_scavenge import Movers, ParallelScavenge
 from ..heap.heap import ManagedHeap
 from ..heap.object_model import HeapObject
 from ..heap.roots import RootSet
+from ..heap.spaces import Extent
 from ..heap.store import (
     FLAG_H2_CANDIDATE,
     FLAG_METADATA,
@@ -669,3 +670,7 @@ class TeraHeapCollector(ParallelScavenge):
             )
         self._cycle_denied = 0
         self._cycle_placed_bytes = 0
+
+    def oid_extents(self) -> Iterable[Extent]:
+        """H1's spaces, then every H2 region."""
+        return chain(super().oid_extents(), self.h2.regions.values())

@@ -17,7 +17,7 @@ device (Section 7.2 shows a 29-55% win from this).
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Dict, Set
 
 from ..errors import InvalidHintError
 from ..heap.object_model import HeapObject
@@ -27,7 +27,9 @@ class HintInterface:
     """Runtime state of the hint interface: tagged roots + pending moves."""
 
     def __init__(self) -> None:
-        self._tagged_roots: dict = {}
+        #: tagged roots in tagging order, keyed by handle: a handle
+        #: follows its row through a store compaction, an oid would not
+        self._tagged_roots: Dict[HeapObject, None] = {}
         self._pending_moves: Set[str] = set()
         self.tag_calls = 0
         self.move_calls = 0
@@ -44,7 +46,7 @@ class HintInterface:
                 f"h2_tag_root: object #{obj.oid} already lives in H2"
             )
         obj.label = label
-        self._tagged_roots[obj.oid] = obj
+        self._tagged_roots[obj] = None
         self.tag_calls += 1
 
     def h2_move(self, label: str) -> None:
@@ -57,7 +59,7 @@ class HintInterface:
     # ------------------------------------------------------------------
     def tagged_roots(self):
         """Root key-objects still resident in H1 (H2 residents are done)."""
-        return [o for o in self._tagged_roots.values() if o.in_h1]
+        return [o for o in self._tagged_roots if o.in_h1]
 
     def is_move_pending(self, label: str) -> bool:
         return label in self._pending_moves
@@ -65,8 +67,6 @@ class HintInterface:
     def consume_moved(self, labels: Set[str]) -> None:
         """Forget labels whose groups have been transferred."""
         self._pending_moves -= labels
-        self._tagged_roots = {
-            oid: obj
-            for oid, obj in self._tagged_roots.items()
-            if obj.in_h1
-        }
+        self._tagged_roots = dict.fromkeys(
+            o for o in self._tagged_roots if o.in_h1
+        )

@@ -1,18 +1,23 @@
 """A heap row costs its store columns and little more.
 
 Every simulated object is one row of :class:`~repro.heap.store.HeapStore`.
-Rows outlive their objects (oids are never reused), so a workload that
-allocates and frees millions of short-lived objects keeps every row it
-ever made.  This file bounds what one such row costs in host memory,
-measured with ``tracemalloc``, and pins the behaviour the cheap row
-layout must keep: rows with no references share the immutable ``()``
-until their first write, names are interned, and the store drops its
-handle and references once a row is FREED while a handle held elsewhere
-still faults.  It also pins the row layout itself: a column widened or
-added to the store fails :func:`test_store_columns_add_up_to_the_row_layout`.
+A row outlives its object until a Parallel Scavenge collection compacts
+the store, which it does once the FREED rows reach twice the live ones,
+so a workload that allocates and frees millions of short-lived objects
+keeps at most three rows per live one plus what it allocated since the
+last collection (:func:`test_collections_bound_the_row_table`).  This
+file bounds what one FREED row costs in host memory until then,
+measured with ``tracemalloc`` (those tests switch the compaction off),
+and pins the behaviour the cheap row layout must keep: rows with no
+references share the immutable ``()`` until their first write, names
+are interned, and the store drops its handle and references once a row
+is FREED while a handle held elsewhere still faults.  It also pins the
+row layout itself: a column widened or added to the store fails
+:func:`test_store_columns_add_up_to_the_row_layout`.
 """
 
 import gc
+import random
 import tracemalloc
 from array import array
 
@@ -20,7 +25,8 @@ import pytest
 
 from repro import JavaVM, SegmentationFault, VMConfig
 from repro.errors import InvariantViolation
-from repro.heap.audit import AuditLevel, HeapAuditor
+from repro.gc.parallel_scavenge import ParallelScavenge
+from repro.heap.audit import AuditLevel, make_auditor
 from repro.heap.object_model import SpaceId
 from repro.heap.store import MAX_AGE, MAX_EPOCH, SPACE_FREED, HeapStore
 from repro.units import MiB
@@ -46,12 +52,19 @@ def make_vm() -> JavaVM:
     return JavaVM(VMConfig(heap_size=16 * MiB, collector="ps"))
 
 
+@pytest.fixture
+def no_compaction(monkeypatch):
+    """Keep FREED rows in the store: collections skip the compaction
+    that would drop them, so a test can measure or probe a FREED row."""
+    monkeypatch.setattr(ParallelScavenge, "compact_store", lambda self: None)
+
+
 def names(count: int):
     """Fresh (not shared) name strings that repeat, as Spark's do."""
     return [f"part-{i % DISTINCT_NAMES}-chunk" for i in range(count)]
 
 
-def test_freed_row_costs_its_columns():
+def test_freed_row_costs_its_columns(no_compaction):
     vm = make_vm()
     sizes = [32] * ROWS
     row_names = names(ROWS)
@@ -72,6 +85,32 @@ def test_freed_row_costs_its_columns():
     assert per_row <= ROW_BOUND, (
         f"{per_row:.1f} B per freed row, bound {ROW_BOUND:.1f} B"
     )
+
+
+def test_collections_bound_the_row_table():
+    """A churn of PS collections keeps the store within three times its
+    live rows plus the rows allocated since the last collection."""
+    vm = JavaVM(VMConfig(heap_size=MiB, collector="ps"))
+    store, stats = vm.store, vm.collector.stats
+    rng = random.Random(3)
+    kept = []
+    live = allocated = collections = compactions = 0
+    for i in range(20_000):
+        obj = vm.allocate(rng.choice([64, 512, 2048]), name="churn")
+        allocated += 1
+        if rng.random() < 0.02:
+            kept.append(vm.roots.add(obj))
+            if len(kept) > 40:
+                vm.roots.remove(kept.pop(0))
+        if stats.minor_count + stats.major_count > collections:
+            collections = stats.minor_count + stats.major_count
+            freed = store.freed_rows()
+            compactions += freed == 0
+            live = len(store) - 1 - freed
+            allocated = 0
+        assert len(store) - 1 <= 3 * live + allocated, i
+    assert collections > 20
+    assert compactions > 5
 
 
 def test_store_columns_add_up_to_the_row_layout():
@@ -115,7 +154,7 @@ def freed_row_bytes(with_refs: bool, rows: int = 2_000) -> float:
     return (after - before) / rows
 
 
-def test_freed_row_drops_its_references():
+def test_freed_row_drops_its_references(no_compaction):
     # A byte of slack for the allocator's bookkeeping; the references
     # alone would cost over 800 B a row.
     assert freed_row_bytes(True) <= freed_row_bytes(False) + 1
@@ -152,7 +191,7 @@ def test_remove_of_absent_target_on_empty_row_raises():
         a.refs.remove(b)
 
 
-def test_held_handle_still_faults_after_its_row_is_freed():
+def test_held_handle_still_faults_after_its_row_is_freed(no_compaction):
     vm = make_vm()
     (held,) = vm.allocate_many([32], ["doomed"])
     oid = held.oid
@@ -180,9 +219,9 @@ def test_live_row_handle_is_identity_stable():
     assert store.handle(obj.oid) is store.handle(obj.oid)
 
 
-def test_full_auditor_flags_a_handle_on_a_freed_row():
+def test_full_auditor_flags_a_handle_on_a_freed_row(no_compaction):
     vm = make_vm()
-    auditor = HeapAuditor(vm.heap, vm.store, level=AuditLevel.FULL)
+    auditor = make_auditor(vm, AuditLevel.FULL)
     (obj,) = vm.allocate_many([32], ["doomed"])
     vm.minor_gc()
     auditor.audit("minor", 0)
@@ -191,9 +230,9 @@ def test_full_auditor_flags_a_handle_on_a_freed_row():
         auditor.audit("minor", 0)
 
 
-def test_full_auditor_flags_references_on_a_freed_row():
+def test_full_auditor_flags_references_on_a_freed_row(no_compaction):
     vm = make_vm()
-    auditor = HeapAuditor(vm.heap, vm.store, level=AuditLevel.FULL)
+    auditor = make_auditor(vm, AuditLevel.FULL)
     a, b = vm.allocate_many([32, 32], ["a", "b"])
     vm.roots.add(b)
     vm.minor_gc()
@@ -244,7 +283,7 @@ def test_age_increment_raises_rather_than_wraps():
 
 def test_full_auditor_flags_a_nonempty_tuple_row():
     vm = make_vm()
-    auditor = HeapAuditor(vm.heap, vm.store, level=AuditLevel.FULL)
+    auditor = make_auditor(vm, AuditLevel.FULL)
     a, b = vm.allocate_many([32, 32], ["a", "b"])
     vm.store.refs[a.oid] = (b.oid,)
     with pytest.raises(InvariantViolation, match="store-rows"):

@@ -115,10 +115,10 @@ def test_h2_regions_reclaimed_only_when_dead(seed):
     for root in groups:
         if rng.random() < 0.5:
             vm.roots.remove(root)
-            dropped.add(root.oid)
+            dropped.add(root)
     vm.major_gc()
     for root in groups:
-        if root.oid in dropped:
+        if root in dropped:
             assert root.space is SpaceId.FREED
         else:
             assert root.space is SpaceId.H2

@@ -46,7 +46,6 @@ def test_serialize_returns_blob():
     blob = ser.serialize(root)
     assert blob.object_count == 15
     assert blob.size_bytes == 15 * 512
-    assert blob.root_oid == root.oid
     assert clock.total(Bucket.SD_IO) > 0
 
 
